@@ -80,6 +80,8 @@ class SequentialTrace:
     x_init: np.ndarray
     status: str                      # converged | max_rounds | solver_failure:*
     label: str = ""
+    init_s: float = 0.0              # resolve_initial_point
+    tune_s: float = 0.0              # tune_eta, 0 with a fixed eta
 
     @property
     def objective(self) -> float:
@@ -87,7 +89,8 @@ class SequentialTrace:
         return self.rounds[-1].q0 if self.rounds else float("nan")
 
     def total_time(self) -> float:
-        return sum(r.time_s for r in self.rounds)
+        """Initial point, eta tuning and the final run's rounds."""
+        return self.init_s + self.tune_s + sum(r.time_s for r in self.rounds)
 
 
 def gap_percent(ub: float, ref: float) -> float:
@@ -228,9 +231,14 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
         label: str = "") -> SequentialTrace:
     """Run the sequential penalized scheme; see module docstring."""
     cfg = cfg or SequentialConfig()
+    t0 = time.perf_counter()
     x0 = resolve_initial_point(p, cfg)
+    init_s = time.perf_counter() - t0
+    tune_s = 0.0
     if cfg.eta == "auto":
+        t0 = time.perf_counter()
         eta = tune_eta(p, cfg, x0=x0)
+        tune_s = time.perf_counter() - t0
     else:
         eta = float(cfg.eta)
         if eta <= 0:
@@ -239,7 +247,8 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
         p, cfg, x0, eta, cfg.max_rounds, cfg.stop_rel)
     return SequentialTrace(rounds=rounds, eta=eta, i_feas=i_feas,
                            i_stop=i_stop, x_final=x, x_init=x0,
-                           status=status, label=label)
+                           status=status, label=label, init_s=init_s,
+                           tune_s=tune_s)
 
 
 def trace_csv(trace: SequentialTrace) -> str:
@@ -257,6 +266,8 @@ def trace_json(trace: SequentialTrace) -> str:
         "i_feas": trace.i_feas,
         "i_stop": trace.i_stop,
         "status": trace.status,
+        "init_s": trace.init_s,
+        "tune_s": trace.tune_s,
         "x_init": trace.x_init.tolist(),
         "x_final": trace.x_final.tolist(),
         "rounds": [

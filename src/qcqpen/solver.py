@@ -15,15 +15,29 @@ is  min c'u  s.t.  Au = b,  Gu + s = h,  s in K.
 
 The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method:
 at each iterate the scaling W with W z-bar = W^{-T} s-bar = lambda is
-computed per block, the Newton system is reduced to dense normal equations
-H = G' (W'W)^{-1} G, and steps are damped by a fraction of the distance to
-the cone boundary. Deterministic: no randomization anywhere.
+computed per block, the Newton system is reduced to the normal matrix
+H = G' (W'W)^{-1} G with the equalities kept beside it, and steps are damped
+by a fraction of the distance to the cone boundary. The reduced system is
+solved on one of two paths, chosen once per solve by `_kkt_path`:
+
+- dense: H is assembled dense and Cholesky-factored, and the equalities go
+  through a second Cholesky of the Schur complement A H^{-1} A'. Programs
+  with at most `extended_threshold` variables run it in long double; larger
+  ones run it in float64 when H would be dense.
+- sparse (float64 only): when the count of H entries the cone rows scatter,
+  the sum of nnz^2 over nonnegative rows plus (variables in block)^2 over
+  PSD blocks, is below a tenth of n^2, the quasidefinite augmented matrix
+  [[H, A'], [A, -delta I]] is filled through a scatter map built once per
+  solve and factored with one sparse LU per iteration (Vanderbei, "Symmetric
+  quasi-definite matrices", 1995; as in ECOS).
+
+Either way iterative refinement runs against the unregularized system.
+Deterministic: no randomization anywhere.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,7 +214,6 @@ class SolverSettings:
     # extended precision (x86 long double), which keeps the normal
     # equations factorizable far past the float64 conditioning wall
     extended_threshold: int = 300
-    backend: str = "builtin"
     verbose: bool = False
 
 
@@ -336,6 +349,13 @@ def _sym_kron(P: np.ndarray, g: _BlockGroup) -> np.ndarray:
     A2 = P[:, a[:, None], b[None, :]] * P[:, b[:, None], a[None, :]]
     ww = w[:, None] * w[None, :]
     return 0.5 * ww * (A1 + A2)
+
+
+def _psd_hessian(g: _BlockGroup, gd: dict) -> np.ndarray:
+    """(nb, ns, ns) svec matrices of the maps M -> Winv M Winv of a group."""
+    Rinv = gd["Rinv"]
+    Winv = np.swapaxes(Rinv, -1, -2) @ Rinv   # W_nt^{-1}
+    return _sym_kron(Winv, g)
 
 
 def _apply_w(scaling, groups, l_nn, vec, mode):
@@ -481,7 +501,11 @@ def _factor_regularized(M, ext, what):
 
 
 class _KktSolver:
-    """Factorizes the reduced saddle system for a fixed scaling."""
+    """Dense path: factorizes the reduced saddle system for a fixed scaling.
+
+    reg_used is the total diagonal shift added to H and to the Schur
+    complement.
+    """
 
     def __init__(self, prog, groups, Gn, A, scaling, dtype=np.float64):
         n = prog.n_vars
@@ -495,9 +519,7 @@ class _KktSolver:
                 Hn = Gn.T @ (Gn * d[:, None])
             H += Hn
         for g, gd in zip(groups, scaling.groups):
-            Rinv = gd["Rinv"]
-            Winv = np.swapaxes(Rinv, -1, -2) @ Rinv   # W_nt^{-1}
-            K = _sym_kron(Winv, g)
+            K = _psd_hessian(g, gd)
             gc = np.where(g.mask, g.gcoef, 0.0)
             C = K * gc[:, :, None] * gc[:, None, :]
             np.add.at(H, (g.varc[:, :, None], g.varc[:, None, :]), C)
@@ -509,8 +531,9 @@ class _KktSolver:
             HiAt = self._base_solve(At)
             S = At.T @ HiAt
             S = 0.5 * (S + S.T)
-            self.schur, _ = _factor_regularized(
+            self.schur, schur_reg = _factor_regularized(
                 S, self.ext, "equality Schur complement singular")
+            self.reg_used += schur_reg
             self.HiAt = HiAt
         else:
             self.schur = None
@@ -537,23 +560,145 @@ class _KktSolver:
         return w, np.zeros(0)
 
 
+# absolute static regularization of the equality block on the sparse path;
+# scaled by H's largest diagonal (1e8 and more near convergence) it left the
+# first solves' residuals far above what refinement recovers
+_SPARSE_DELTA = 1e-12
+# the sparse path runs when the scatter count is below this share of n^2
+_SPARSE_SHARE = 0.1
+
+
+def _kkt_path(prog: ConicProgram, settings: SolverSettings):
+    """(dtype, sparse) of the KKT solves, from counts known before assembly.
+
+    Long double is used up to `extended_threshold` variables when it is
+    truly wider than float64, always on the dense path. A float64 program
+    goes sparse when the entries its cone rows scatter into H, nnz^2 per
+    nonnegative row plus (variables in block)^2 per PSD block, number fewer
+    than _SPARSE_SHARE * n^2.
+    """
+    n = prog.n_vars
+    if n <= settings.extended_threshold and np.finfo(np.longdouble).eps < 1e-17:
+        return np.longdouble, False
+    count = sum(len(cols) ** 2 for cols, _ in prog.nn_rows)
+    count += sum(int(np.count_nonzero(blk.var >= 0)) ** 2 for blk in prog.blocks)
+    return np.float64, count < _SPARSE_SHARE * n * n
+
+
+class _SparseKkt:
+    """Sparse path: the augmented matrix [[H, A'], [A, -delta I]] in CSC.
+
+    Built once per solve. Every pair of entries of a nonnegative row and
+    every pair of variable slots of a PSD block is mapped to its place among
+    the distinct (row, col) entries, so `factor` fills the data array with
+    one bincount and factors it with one sparse LU.
+    """
+
+    def __init__(self, n, groups, Gn, A):
+        m = A.shape[0] if A is not None else 0
+        self.n = n
+        self.dim = N = n + m
+        self.groups = groups
+        rows, cols = [], []
+        # nonnegative row k adds d_k Gn[k, i] Gn[k, j] at (i, j)
+        Gn = sp.csr_matrix(Gn if Gn is not None else (0, n))
+        nk = np.diff(Gn.indptr)
+        sq = nk * nk
+        self.nn_row = np.repeat(np.arange(nk.size), sq)
+        pos = np.arange(self.nn_row.size) - np.repeat(np.cumsum(sq) - sq, sq)
+        first = np.repeat(Gn.indptr[:-1], sq)
+        per = np.repeat(nk, sq)
+        a, b = first + pos // per, first + pos % per
+        self.nn_coef = Gn.data[a] * Gn.data[b]
+        rows.append(Gn.indices[a])
+        cols.append(Gn.indices[b])
+        # PSD slots t1, t2 of one block add K[t1, t2] gc[t1] gc[t2]
+        self.psd = []
+        for g in groups:
+            shape = (g.nb, g.ns, g.ns)
+            sel = np.flatnonzero(g.mask[:, :, None] & g.mask[:, None, :])
+            gc = np.where(g.mask, g.gcoef, 0.0)
+            self.psd.append((sel, (gc[:, :, None] * gc[:, None, :]).ravel()[sel]))
+            rows.append(np.broadcast_to(g.varc[:, :, None], shape).ravel()[sel])
+            cols.append(np.broadcast_to(g.varc[:, None, :], shape).ravel()[sel])
+        n_var = sum(r.size for r in rows)
+        # constant entries: A, A', -delta I and explicit zeros on H's
+        # diagonal, so that the factorization ladder can shift any of it
+        Ac = sp.coo_matrix(A if A is not None else (0, n))
+        diag = np.arange(N)
+        rows += [diag, n + Ac.row, Ac.col]
+        cols += [diag, Ac.col, n + Ac.row]
+        const = np.concatenate([np.zeros(n), np.full(m, -_SPARSE_DELTA),
+                                Ac.data, Ac.data])
+        key = (np.concatenate(cols).astype(np.int64) * N
+               + np.concatenate(rows).astype(np.int64))
+        uniq, inv = np.unique(key, return_inverse=True)
+        self.inv = inv[:n_var]
+        self.base = np.bincount(inv[n_var:], weights=const, minlength=uniq.size)
+        self.indices = uniq % N
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(uniq // N, minlength=N))])
+        self.diag = np.searchsorted(uniq, diag * (N + 1))
+        self.delta = _SPARSE_DELTA if m else 0.0
+
+    def factor(self, scaling) -> "_LuKkt":
+        """LU of the augmented matrix at `scaling`.
+
+        If SuperLU finds it exactly singular, up to five diagonal shifts,
+        each 100 times the last, are added to H and subtracted from the
+        equality block; raises LinAlgError when all fail.
+        """
+        # imported here: SuperLU's module adds 2 MB of resident memory to
+        # every process, also to those that never take the sparse path
+        from scipy.sparse.linalg import splu
+
+        vals = [self.nn_coef / scaling.wn[self.nn_row] ** 2]
+        for g, gd, (sel, gcgc) in zip(self.groups, scaling.groups, self.psd):
+            vals.append(_psd_hessian(g, gd).ravel()[sel] * gcgc)
+        data = self.base + np.bincount(self.inv, weights=np.concatenate(vals),
+                                       minlength=self.base.size)
+        n = self.n
+        eps = _REG_START_F64 * max(1.0, float(np.max(data[self.diag[:n]])))
+        reg = self.delta
+        for _ in range(6):
+            K = sp.csc_matrix((data, self.indices, self.indptr),
+                              shape=(self.dim, self.dim))
+            try:
+                lu = splu(K, permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+                return _LuKkt(lu, n, reg)
+            except RuntimeError:
+                data[self.diag[:n]] += eps
+                data[self.diag[n:]] -= eps
+                reg += eps
+                eps *= 100.0
+        raise np.linalg.LinAlgError("KKT system singular")
+
+
+class _LuKkt:
+    """One sparse LU of the augmented system; solves like _KktSolver."""
+
+    def __init__(self, lu, n, reg_used):
+        self.lu = lu
+        self.n = n
+        self.reg_used = reg_used
+
+    def solve(self, r1, r2):
+        """Solve [H A'; A -delta I] [du; dy] = [r1; r2]."""
+        x = self.lu.solve(np.concatenate([r1, r2]))
+        return x[:self.n], x[self.n:]
+
+
 def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSolution:
     """Solve a ConicProgram with the built-in interior-point method."""
     settings = settings or SolverSettings()
-    if settings.backend != "builtin":
-        backend = BACKENDS.get(settings.backend)
-        if backend is None:
-            raise ValueError(f"unknown solver backend {settings.backend!r}")
-        return backend(prog, settings)
-
     n = prog.n_vars
     groups, sdim = _build_groups(prog)
     l_nn = prog.n_nonneg
     if sdim == 0:
         raise ValueError("program has no cone constraints")
-    # extended precision pays off only when long double is truly wider
-    dt = np.longdouble if (n <= settings.extended_threshold
-                           and np.finfo(np.longdouble).eps < 1e-17) else np.float64
+    dt, sparse_kkt = _kkt_path(prog, settings)
     Gn = prog.nn_matrix() if l_nn else None
     if Gn is not None and dt != np.float64:
         Gn = Gn.toarray().astype(dt)
@@ -619,12 +764,18 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             out[(g.slot[:, diag]).ravel()] += bump
         return out
 
+    if sparse_kkt:
+        factor_kkt = _SparseKkt(n, groups, Gn, A).factor
+    else:
+        def factor_kkt(scaling):
+            return _KktSolver(prog, groups, Gn, A, scaling, dtype=dt)
+
     # identity-scaled initial point
     id_scaling = _Scaling(np.ones(l_nn, dtype=dt), np.ones(l_nn, dtype=dt),
                           [{"R": np.broadcast_to(np.eye(g.m, dtype=dt), (g.nb, g.m, g.m)).copy(),
                             "Rinv": np.broadcast_to(np.eye(g.m, dtype=dt), (g.nb, g.m, g.m)).copy(),
                             "lam": np.ones((g.nb, g.m), dtype=dt)} for g in groups])
-    kkt0 = _KktSolver(prog, groups, Gn, A, id_scaling, dtype=dt)
+    kkt0 = factor_kkt(id_scaling)
     u, yy = kkt0.solve(GT_mul(h), b)
     s = shift_into_cone(h - G_mul(u))
     nu_v, w_v = kkt0.solve(c, np.zeros(prog.n_eq, dtype=dt))
@@ -634,6 +785,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
+    e_vec = _cone_identity(groups, l_nn, sdim, dt)
 
     log: list = []
     status = "iteration_limit"
@@ -690,7 +842,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
 
         try:
             scaling = _nt_scaling(groups, s, z, l_nn, dt)
-            kkt = _KktSolver(prog, groups, Gn, A, scaling, dtype=dt)
+            kkt = factor_kkt(scaling)
         except np.linalg.LinAlgError:
             break
 
@@ -737,7 +889,6 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
 
         # combined corrector step
-        e_vec = _cone_identity(groups, l_nn, sdim, dt)
         corr = _jordan_prod(groups, l_nn, rho, sig)
         ds_comb = -_jordan_prod(groups, l_nn, lam, lam) - corr + sigma * mu * e_vec
         scale_r = 1.0 - sigma
@@ -852,11 +1003,3 @@ def kkt_residuals(prog: ConicProgram, sol: ConicSolution) -> dict:
         "dual_cone": max(0.0, -cone_min(z)),
         "complementarity": abs(float(s @ z)),
     }
-
-
-BACKENDS: dict = {}
-
-
-def register_backend(name: str, fn):
-    """Register an alternative cone solver: fn(prog, settings) -> ConicSolution."""
-    BACKENDS[name] = fn

@@ -5,9 +5,9 @@ import pytest
 
 from qcqpen import (EtaTuningError, QcqpProblem, QuadraticFunction,
                     RelaxationConfig, SequentialConfig, SolveError,
-                    SolverSettings, build_relaxation, eta_grid, extract,
-                    gap_percent, resolve_initial_point, run, solve_conic,
-                    trace_csv, trace_json, tune_eta)
+                    SolverSettings, SysIdParams, build_relaxation, eta_grid,
+                    extract, gap_percent, gen_sysid, resolve_initial_point,
+                    run, solve_conic, trace_csv, trace_json, tune_eta)
 from qcqpen.sequential import _round_solver_settings, _run_rounds
 from _support import random_feasible_qcqp
 
@@ -206,3 +206,35 @@ def test_trace_json_fields():
     assert len(doc["rounds"]) == len(tr.rounds)
     assert doc["rounds"][0]["solver_status"] in ("optimal", "near_optimal")
     assert doc["x_final"] == list(tr.x_final)
+
+
+def test_sysid_rounds_stay_tight():
+    # the r=2 system-identification programs solve optimal with trace
+    # residuals between about -2e-6 and -1e-7, within the solver's float64
+    # accuracy on them; the one-sided test keeps those rounds tight, where
+    # comparing |residual| with tight_tol leaves this run no tight round
+    inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))
+    cfg = SequentialConfig(relaxation=RelaxationConfig(r=2), eta=40.0,
+                           init="zero", max_rounds=2, stop_rel=None)
+    tr = run(inst.problem, cfg)
+    assert [r.solver_status for r in tr.rounds] == ["optimal", "optimal"]
+    assert tr.i_feas == 1
+
+
+def test_total_time_counts_initial_point_and_tuning():
+    import time
+    p = _shifted_ball_problem()
+    cfg = SequentialConfig(eta="auto", init="relaxation", max_rounds=3,
+                           tune_rounds=3)
+    t0 = time.perf_counter()
+    tr = run(p, cfg)
+    wall = time.perf_counter() - t0
+    assert tr.init_s > 0.0 and tr.tune_s > 0.0
+    rounds_s = sum(r.time_s for r in tr.rounds)
+    assert tr.total_time() == pytest.approx(tr.init_s + tr.tune_s + rounds_s)
+    assert tr.tune_s > rounds_s
+    assert tr.total_time() <= wall
+    doc = json.loads(trace_json(tr))
+    assert doc["init_s"] == tr.init_s and doc["tune_s"] == tr.tune_s
+    fixed = run(p, SequentialConfig(eta=5.0, init="zero", max_rounds=2))
+    assert fixed.tune_s == 0.0

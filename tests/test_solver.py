@@ -4,8 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from qcqpen import (ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
-from qcqpen.solver import (PsdBlock, _KktSolver, _Scaling, kkt_residuals,
-                           smat, svec, svec_index)
+from qcqpen.solver import (PsdBlock, _KktSolver, _Scaling, _SparseKkt,
+                           _apply_winv2, _build_groups, _kkt_path,
+                           _nt_scaling, kkt_residuals, smat, svec,
+                           svec_index)
+from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
+                    build_relaxation)
 from qcqpen.lifting import RelaxationConfig, build_penalized
 from qcqpen.polyopt import parse_poly, reformulate
 
@@ -196,7 +200,135 @@ def test_long_double_ladder_factors_singular_normal_matrix():
     assert 0.0 < kkt.reg_used
 
 
-def test_settings_guard():
-    prog = _lp_fixture()
-    with pytest.raises(ValueError):
-        solve_conic(prog, SolverSettings(backend="missing"))
+def test_reg_used_counts_schur_shift():
+    # duplicate equality rows make the Schur complement A H^-1 A' singular
+    # while H = I needs no shift; reg_used must report the Schur shift
+    prog = ConicProgram(2, [0.0, 0.0])
+    prog.add_nonneg_row([0], [-1.0], 0.0)
+    prog.add_nonneg_row([1], [-1.0], 0.0)
+    prog.add_equality_row([0], [1.0], 1.0)
+    prog.add_equality_row([0], [1.0], 1.0)
+    for dt in (np.float64, np.longdouble):
+        Gn, A = prog.nn_matrix(), prog.eq_matrix()
+        if dt != np.float64:
+            Gn, A = Gn.toarray().astype(dt), A.toarray().astype(dt)
+        scaling = _Scaling(np.ones(2, dtype=dt), np.ones(2, dtype=dt), [])
+        kkt = _KktSolver(prog, [], Gn, A, scaling, dtype=dt)
+        h_only = _KktSolver(prog, [], Gn, None, scaling, dtype=dt)
+        assert h_only.reg_used == 0.0
+        assert kkt.reg_used > h_only.reg_used
+
+
+@pytest.fixture(scope="module")
+def sysid_program():
+    # the benchmark's sysid instance: r = 2 blocks, 672 lifted variables
+    inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))
+    p = inst.problem
+    prog, _ = build_penalized(p, RelaxationConfig(r=2), np.zeros(p.n), 40.0)
+    return prog
+
+
+def _random_interior_scaling(prog, groups, sdim, seed):
+    rng = np.random.default_rng(seed)
+    l_nn = prog.n_nonneg
+    s = np.empty(sdim)
+    z = np.empty(sdim)
+    s[:l_nn] = np.exp(rng.normal(scale=2.0, size=l_nn))
+    z[:l_nn] = np.exp(rng.normal(scale=2.0, size=l_nn))
+    for g in groups:
+        for vec in (s, z):
+            B = rng.normal(size=(g.nb, g.m, g.m))
+            M = B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(g.m)
+            vec[g.slot] = svec(M)
+    return _nt_scaling(groups, s, z, l_nn)
+
+
+def _dense_g(prog, groups, sdim):
+    G = np.zeros((sdim, prog.n_vars))
+    if prog.n_nonneg:
+        G[:prog.n_nonneg] = prog.nn_matrix().toarray()
+    for g in groups:
+        G[g.slot[g.mask], g.var[g.mask]] = g.gcoef[g.mask]
+    return G
+
+
+def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
+    prog = sysid_program
+    assert _kkt_path(prog, SolverSettings()) == (np.float64, True)
+    groups, sdim = _build_groups(prog)
+    scaling = _random_interior_scaling(prog, groups, sdim, seed=3)
+    Gn, A = prog.nn_matrix(), prog.eq_matrix()
+    # H = G' (W'W)^{-1} G built column by column, apart from both paths
+    G = _dense_g(prog, groups, sdim)
+    H = G.T @ np.column_stack([_apply_winv2(scaling, groups, prog.n_nonneg,
+                                            G[:, j])
+                               for j in range(prog.n_vars)])
+    Ad = A.toarray()
+    rng = np.random.default_rng(4)
+    r1 = rng.normal(size=prog.n_vars)
+    r2 = rng.normal(size=prog.n_eq)
+    norm = np.linalg.norm(np.concatenate([r1, r2]))
+
+    def refined(kkt):
+        du, dy = kkt.solve(r1, r2)
+        for _ in range(SolverSettings().refinement):
+            c1, c2 = kkt.solve(r1 - H @ du - Ad.T @ dy, r2 - Ad @ du)
+            du, dy = du + c1, dy + c2
+        res = np.concatenate([r1 - H @ du - Ad.T @ dy, r2 - Ad @ du])
+        return du, dy, np.linalg.norm(res) / norm
+
+    dense = _KktSolver(prog, groups, Gn, A, scaling)
+    sparse = _SparseKkt(prog.n_vars, groups, Gn, A).factor(scaling)
+    du_d, dy_d, res_d = refined(dense)
+    du_s, dy_s, res_s = refined(sparse)
+    assert res_d <= 1e-10
+    assert res_s <= 1e-10
+    assert sparse.reg_used > 0.0
+    assert np.linalg.norm(du_s - du_d) <= 1e-6 * np.linalg.norm(du_d)
+    assert np.linalg.norm(dy_s - dy_d) <= 1e-6 * np.linalg.norm(dy_d)
+
+
+def test_sparse_path_solves_like_dense(sysid_program, monkeypatch):
+    import qcqpen.solver as solver
+    sol = solve_conic(sysid_program)
+    monkeypatch.setattr(solver, "_SPARSE_SHARE", 0.0)
+    assert not _kkt_path(sysid_program, SolverSettings())[1]
+    ref = solve_conic(sysid_program)
+    assert sol.status in OK and ref.status in OK
+    assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
+
+
+def test_kkt_path_choice(sysid_program):
+    # a full moment matrix over more than 300 lifted variables: dense H
+    n = 24
+    rng = np.random.default_rng(0)
+    B = rng.normal(size=(n, n))
+    obj = QuadraticFunction(0.5 * (B + B.T), rng.normal(size=n), 0.0)
+    ball = QuadraticFunction(np.eye(n), np.zeros(n), -1.0)
+    full, _ = build_relaxation(QcqpProblem(n, obj, inequalities=[ball]),
+                               RelaxationConfig(r=None))
+    assert full.n_vars > SolverSettings().extended_threshold
+    assert _kkt_path(full, SolverSettings()) == (np.float64, False)
+    # every long-double program, even one whose H is sparse, stays dense
+    if np.finfo(np.longdouble).eps < 1e-17:
+        wide = SolverSettings(extended_threshold=10 ** 6)
+        for prog in (sysid_program, full, _lp_fixture(),
+                     _diag_sdp_fixture()[0]):
+            assert _kkt_path(prog, wide) == (np.longdouble, False)
+
+
+def test_sparse_kkt_singular_is_regularized():
+    # variable 2 appears in no row: the augmented matrix has a zero column,
+    # which SuperLU reports as exactly singular; the first diagonal shift
+    # of the ladder must make it factorizable
+    prog = ConicProgram(3, [1.0, 1.0, 0.0])
+    prog.add_nonneg_row([0], [-1.0], 0.0)
+    prog.add_nonneg_row([0, 1], [-1.0, -1.0], 0.0)
+    prog.add_equality_row([0, 1], [1.0, 1.0], 1.0)
+    groups, _ = _build_groups(prog)
+    scaling = _Scaling(np.ones(2), np.ones(2), [])
+    pattern = _SparseKkt(3, groups, prog.nn_matrix(), prog.eq_matrix())
+    kkt = pattern.factor(scaling)
+    assert kkt.reg_used > pattern.delta
+    du, dy = kkt.solve(np.array([1.0, 2.0, 0.0]), np.array([1.0]))
+    assert np.all(np.isfinite(du)) and np.all(np.isfinite(dy))
