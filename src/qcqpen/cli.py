@@ -10,11 +10,13 @@ malformed files); 2 solver failure; 3 penalty-tuning failure.
 Option precedence is flags > --config JSON file > built-in defaults, and
 --dump-config prints the resolved options without running. The QCQP_LOG
 environment variable (debug | info | warning | error) controls stderr
-verbosity; debug additionally streams solver iterations.
+verbosity; at debug the solver's per-iteration lines also go to stderr,
+so stdout carries only the command's own output.
 
-Instance files are sniffed by content and extension: native problem or
-sysid JSON, QPLIB text, or a .poly polynomial problem (converted on the
-fly the same way poly2qcqp does).
+Every command that takes an instance reads it through
+`instances.load_problem`, which sniffs native problem or sysid JSON, QPLIB
+text, or a .poly polynomial problem (converted on the fly the same way
+poly2qcqp does).
 """
 
 import argparse
@@ -28,9 +30,8 @@ import sys
 import numpy as np
 
 from . import instances as iio
-from .lifting import RelaxationConfig, build_relaxation, extract
+from .lifting import RelaxationConfig, build_relaxation
 from .polyopt import parse_poly, reformulate, aux_count_bound
-from .quadratics import QcqpProblem
 from .regularity import check_regularity
 from .sequential import (EtaTuningError, SequentialConfig, SolveError,
                          run, trace_csv, trace_json, tune_eta)
@@ -126,8 +127,6 @@ def _solver_settings(opts) -> SolverSettings:
         s.gap_tol = float(opts["gap_tol"])
     if opts.get("max_iterations") is not None:
         s.max_iterations = int(opts["max_iterations"])
-    if log.isEnabledFor(logging.DEBUG):
-        s.verbose = True
     return s
 
 
@@ -161,25 +160,7 @@ def _dump_config(opts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# file loading
-
-
-def _load_instance(path: str) -> QcqpProblem:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".poly") or (not text.lstrip().startswith("{")
-                                  and text.lstrip().startswith("min")):
-        pp = parse_poly(text)
-        prob, _ = reformulate(pp)
-        log.info("polynomial problem: %d variables lifted to %d", pp.n, prob.n)
-        return prob
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        fmt = doc.get("format") if isinstance(doc, dict) else None
-        if fmt == "qcqpen-sysid":
-            return iio.sysid_from_json(text).problem
-        return iio.problem_from_json(text)
-    return iio.parse_qplib(text)
+# point files
 
 
 def _load_point(path: str) -> np.ndarray:
@@ -201,7 +182,7 @@ def _cmd_relax(args) -> int:
     opts = _resolve(args, _RELAX_KEYS + _SOLVER_KEYS)
     if args.dump_config:
         return _dump_config(opts)
-    p = _load_instance(args.instance)
+    p = iio.load_problem(args.instance)
     prog, emap = build_relaxation(p, _relaxation_config(opts))
     sol = solve_conic(prog, _solver_settings(opts))
     if sol.status not in _OK:
@@ -213,7 +194,7 @@ def _cmd_relax(args) -> int:
 
 def _run_sequential(args):
     opts = _resolve(args, _SEQ_KEYS)
-    p = _load_instance(args.instance)
+    p = iio.load_problem(args.instance)
     trace = run(p, _sequential_config(opts),
                 label=os.path.splitext(os.path.basename(args.instance))[0])
     for r in trace.rounds:
@@ -268,7 +249,7 @@ def _cmd_tune_eta(args) -> int:
     opts = _resolve(args, _SEQ_KEYS)
     if args.dump_config:
         return _dump_config(opts)
-    p = _load_instance(args.instance)
+    p = iio.load_problem(args.instance)
     eta = tune_eta(p, _sequential_config(opts))
     print("%.12g" % eta)
     return 0
@@ -278,7 +259,7 @@ def _cmd_check(args) -> int:
     opts = _resolve(args, [("r", "n")])
     if args.dump_config:
         return _dump_config(opts)
-    p = _load_instance(args.instance)
+    p = iio.load_problem(args.instance)
     x = (np.zeros(p.n) if args.point == "zero" else _load_point(args.point))
     if x.shape != (p.n,):
         raise ValueError(f"point has {x.size} coordinates, problem has {p.n}")
@@ -330,7 +311,7 @@ def _bench_one(path, opts):
     """Worker for bench: returns (label, trace or None, error message)."""
     label = os.path.splitext(os.path.basename(path))[0]
     try:
-        p = _load_instance(path)
+        p = iio.load_problem(path)
         trace = run(p, _sequential_config(opts), label=label)
         return label, trace, ""
     except (SolveError, EtaTuningError, ValueError, OSError) as exc:

@@ -25,13 +25,17 @@ a counter-based generator (Philox) so a seed pins the instance bytes on
 every platform.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
+import logging
 
 import numpy as np
 
+from .polyopt import parse_poly, reformulate
 from .quadratics import QuadraticFunction, QcqpProblem
 from .sequential import gap_percent
+
+_log = logging.getLogger("qcqpen")
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +317,25 @@ def problem_from_json(text: str) -> QcqpProblem:
 
 
 def load_problem(path: str) -> QcqpProblem:
-    """Load a problem file, sniffing native JSON vs QPLIB text."""
+    """Load a problem file, sniffing its format from path and content.
+
+    A .poly file, or text that starts with `min`, is the polynomial grammar,
+    reformulated as a QCQP the way `reformulate` does. Text that starts with
+    `{` is a native problem or sysid JSON document (the sysid instance's
+    problem is returned). Anything else is parsed as QPLIB.
+    """
     with open(path) as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    head = text.lstrip()
+    if path.endswith(".poly") or head.startswith("min"):
+        pp = parse_poly(text)
+        prob, _ = reformulate(pp)
+        _log.info("polynomial problem: %d variables lifted to %d", pp.n, prob.n)
+        return prob
+    if head.startswith("{"):
+        doc = json.loads(text)
+        if isinstance(doc, dict) and doc.get("format") == "qcqpen-sysid":
+            return sysid_from_json(text).problem
         return problem_from_json(text)
     return parse_qplib(text)
 

@@ -7,11 +7,14 @@ of X - xx' is PSD", imposed through Schur blocks
 
     [[1, x_K'], [x_K, X_KK]]  >=  0
 
-for variable subsets K. r = n gives the full semidefinite relaxation
-(one block over all variables); r = 2 gives one 3x3 block per stored
-off-diagonal pair plus 2x2 blocks for isolated diagonal entries. Entries
-of X that appear in no quadratic term can be dropped entirely (sparsity),
-which shrinks the cone without changing the bound.
+for variable subsets K. One function picks the subsets, and both the
+stored X entries and the blocks follow from that list. r = n gives the
+full semidefinite relaxation (one block over all variables); r = 2 gives
+one 3x3 block per stored off-diagonal pair; explicit subsets give one
+block each. In every mode a stored diagonal entry outside every subset
+gets a 2x2 block of its own. Entries of X that appear in no quadratic term
+can be dropped entirely (sparsity, r = 2), which shrinks the cone without
+changing the bound.
 
 Optional tightening rows: box-derived cuts on the diagonal
 
@@ -28,14 +31,12 @@ x = xhat; minimizers with X = xx' are feasible for the original QCQP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .quadratics import QcqpProblem, QuadraticFunction
 from .solver import ConicProgram, ConicSolution, PsdBlock
-
-_ENTRY_TOL = 0.0  # exact-zero sparsity test; callers control their own rounding
 
 
 @dataclass
@@ -66,7 +67,6 @@ class ExtractionMap:
     X_index: dict
     diag_stored: list
     problem: QcqpProblem
-    stored_pairs: list = field(default_factory=list)
 
 
 def rlt_system(p: QcqpProblem):
@@ -129,31 +129,36 @@ def _gather_terms(p: QcqpProblem, cuts) -> list:
     return terms
 
 
-def _stored_entries(p, cfg, cuts, penalized: bool):
-    """Decide which X entries exist: returns (pairs, diags) sorted."""
+def _block_subsets(p, cfg, cuts, penalized: bool):
+    """Variable subsets K of the Schur blocks, each sorted.
+
+    r = 2: the stored pairs, then each stored diagonal that lies outside
+    every pair; r = n: one subset holding every variable; explicit subsets:
+    as given, then a singleton for each penalized diagonal they miss. The
+    stored X entries are exactly those the blocks cover.
+    """
     n = p.n
     r = cfg.r if cfg.r is not None else n
+    diags = set(range(n)) if penalized else set()
     if cfg.subsets is not None:
         if not (2 <= r <= n):
             raise ValueError(f"subset order r={r} outside [2, {n}]")
-        pairs, diags = set(), set()
+        subsets = []
         for K in cfg.subsets:
-            K = sorted(set(int(i) for i in K))
+            K = tuple(sorted(set(int(i) for i in K)))
             if len(K) != r:
                 raise ValueError("every subset must have exactly r variables")
             if K[0] < 0 or K[-1] >= n:
                 raise ValueError("subset variable out of range")
-            diags.update(K)
-            pairs.update((a, b) for ai, a in enumerate(K) for b in K[ai + 1:])
+            subsets.append(K)
     elif r == n:
-        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-        diags = set(range(n))
+        return [tuple(range(n))]
     elif r == 2:
         if not cfg.sparsity:
             pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-            diags = set(range(n))
+            diags.update(range(n))  # n = 1 has no pair to cover X_00
         else:
-            pairs, diags = set(), set()
+            pairs = set()
             for q in _gather_terms(p, cuts):
                 nz = np.argwhere(q.A != 0.0)
                 for a, b in nz:
@@ -163,14 +168,13 @@ def _stored_entries(p, cfg, cuts, penalized: bool):
                         pairs.add((int(min(a, b)), int(max(a, b))))
             if cfg.bound_cuts:
                 diags.update(_bound_cut_vars(p))
-            diags.update(i for ij in pairs for i in ij)
+        subsets = sorted(pairs)
     else:
         raise ValueError(
             f"r={r} requires an explicit subset list (only r=2 and r=n "
             "have automatic block patterns)")
-    if penalized:
-        diags = set(range(n)) | diags
-    return sorted(pairs), sorted(diags)
+    covered = {i for K in subsets for i in K}
+    return subsets + [(i,) for i in sorted(diags - covered)]
 
 
 def _bound_cut_vars(p: QcqpProblem):
@@ -188,11 +192,14 @@ def _bound_cut_vars(p: QcqpProblem):
 class _Lifter:
     """Maps quadratic functions to rows over u = (x, stored X entries)."""
 
-    def __init__(self, p, pairs, diags):
+    def __init__(self, p, subsets):
         self.n = p.n
+        self.diags = sorted({i for K in subsets for i in K})
+        pairs = sorted({(a, b) for K in subsets
+                        for ai, a in enumerate(K) for b in K[ai + 1:]})
         self.X_index = {}
         k = p.n
-        for i in diags:
+        for i in self.diags:
             self.X_index[(i, i)] = k
             k += 1
         for (i, j) in pairs:
@@ -219,49 +226,15 @@ class _Lifter:
         return cols, vals, q.c
 
 
-def _add_blocks(prog, lifter, pairs, diags):
-    in_pair = set()
-    for (i, j) in pairs:
-        in_pair.add(i)
-        in_pair.add(j)
-        entries = {
-            (0, 0): (-1, 0.0, 1.0),
-            (1, 0): (i, 1.0, 0.0),
-            (2, 0): (j, 1.0, 0.0),
-            (1, 1): (lifter.X_index[(i, i)], 1.0, 0.0),
-            (2, 1): (lifter.X_index[(i, j)], 1.0, 0.0),
-            (2, 2): (lifter.X_index[(j, j)], 1.0, 0.0),
-        }
-        prog.add_psd_block(PsdBlock.from_entries(3, entries))
-    for i in diags:
-        if i not in in_pair:
-            entries = {
-                (0, 0): (-1, 0.0, 1.0),
-                (1, 0): (i, 1.0, 0.0),
-                (1, 1): (lifter.X_index[(i, i)], 1.0, 0.0),
-            }
-            prog.add_psd_block(PsdBlock.from_entries(2, entries))
-
-
-def _add_full_block(prog, lifter, n):
-    entries = {(0, 0): (-1, 0.0, 1.0)}
-    for i in range(n):
-        entries[(i + 1, 0)] = (i, 1.0, 0.0)
-        for j in range(i + 1):
-            entries[(i + 1, j + 1)] = (lifter.X_index[(min(i, j), max(i, j))], 1.0, 0.0)
-    prog.add_psd_block(PsdBlock.from_entries(n + 1, entries))
-
-
-def _add_subset_blocks(prog, lifter, subsets):
+def _add_blocks(prog, lifter, subsets):
+    """One block [[1, x_K'], [x_K, X_KK]] >= 0 per subset K."""
     for K in subsets:
-        K = sorted(set(int(i) for i in K))
-        r = len(K)
         entries = {(0, 0): (-1, 0.0, 1.0)}
         for ai, a in enumerate(K):
             entries[(ai + 1, 0)] = (a, 1.0, 0.0)
             for bi, b in enumerate(K[:ai + 1]):
-                entries[(ai + 1, bi + 1)] = (lifter.X_index[(min(a, b), max(a, b))], 1.0, 0.0)
-        prog.add_psd_block(PsdBlock.from_entries(r + 1, entries))
+                entries[(ai + 1, bi + 1)] = (lifter.X_index[(b, a)], 1.0, 0.0)
+        prog.add_psd_block(PsdBlock.from_entries(len(K) + 1, entries))
 
 
 def _build(p: QcqpProblem, cfg: RelaxationConfig, penalty=None):
@@ -272,8 +245,8 @@ def _build(p: QcqpProblem, cfg: RelaxationConfig, penalty=None):
     cuts = []
     if cfg.rlt_pairs is not None:
         cuts = rlt_cuts(p, cfg.rlt_pairs)
-    pairs, diags = _stored_entries(p, cfg, cuts, penalized=penalty is not None)
-    lifter = _Lifter(p, pairs, diags)
+    subsets = _block_subsets(p, cfg, cuts, penalized=penalty is not None)
+    lifter = _Lifter(p, subsets)
 
     c = np.zeros(lifter.n_vars)
     cols, vals, c0 = lifter.row(p.objective)
@@ -321,15 +294,10 @@ def _build(p: QcqpProblem, cfg: RelaxationConfig, penalty=None):
         rc, rv, rconst = lifter.row(q)
         prog.add_nonneg_row(rc, [-v for v in rv], rconst)
 
-    if cfg.subsets is not None:
-        _add_subset_blocks(prog, lifter, cfg.subsets)
-    elif r == n and n > 1:
-        _add_full_block(prog, lifter, n)
-    else:
-        _add_blocks(prog, lifter, pairs, diags)
+    _add_blocks(prog, lifter, subsets)
 
-    emap = ExtractionMap(n=n, X_index=lifter.X_index, diag_stored=diags,
-                         problem=p, stored_pairs=pairs)
+    emap = ExtractionMap(n=n, X_index=lifter.X_index,
+                         diag_stored=lifter.diags, problem=p)
     return prog, emap
 
 
@@ -345,8 +313,9 @@ def build_penalized(p: QcqpProblem, cfg: RelaxationConfig | None, xhat, eta: flo
     """Relaxation plus the proximal penalty eta*(tr X - 2 xhat'x + xhat'xhat).
 
     Same constraint rows as build_relaxation; every diagonal X_ii is stored
-    so the trace term is complete (isolated variables get 2x2 blocks).
-    eta must be positive.
+    so the trace term is complete, and under every block pattern a variable
+    that no block covers gets a 2x2 block [[1, x_i], [x_i, X_ii]] >= 0 of
+    its own. eta must be positive.
     """
     if eta <= 0:
         raise ValueError("penalty parameter eta must be positive")

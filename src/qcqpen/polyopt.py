@@ -454,9 +454,9 @@ def licq_transfer_check(pp: PolyProblem, x, tol: float = 1e-6) -> dict:
 
     Binding sets use |value| <= tol*(1 + |constant term|) for inequalities;
     equalities (and all auxiliary definitions) are always binding. Rank is
-    decided by sigma_min > 1e-8 * sigma_max on the binding Jacobian.
+    decided by `row_rank_test` on the binding Jacobian.
     """
-    from .regularity import binding_sets
+    from .regularity import binding_sets, row_rank_test
     from .quadratics import jacobian as qcqp_jacobian
 
     x = np.asarray(x, dtype=float).ravel()
@@ -466,25 +466,16 @@ def licq_transfer_check(pp: PolyProblem, x, tol: float = 1e-6) -> dict:
         const = poly.get((0,) * pp.n, 0.0)
         if sense == "=" or abs(val) <= tol * (1.0 + abs(const)):
             rows.append(poly_gradient(poly, x))
-    poly_ok = _rows_independent(np.array(rows).reshape(len(rows), pp.n))
+    poly_ok = not row_rank_test(np.array(rows).reshape(len(rows), pp.n))[1]
 
     qp, qmap = reformulate(pp)
     xbar = lift_point(qmap, x)
     b = binding_sets(qp, xbar, tol=tol)
     J = qcqp_jacobian(qp, xbar)[b["licq_binding"]]
-    qcqp_ok = _rows_independent(J)
+    qcqp_ok = not row_rank_test(J)[1]
     return {
         "poly_licq": poly_ok,
         "qcqp_licq": qcqp_ok,
         "poly_binding_rows": len(rows),
         "qcqp_binding": b["licq_binding"],
     }
-
-
-def _rows_independent(J: np.ndarray) -> bool:
-    if J.shape[0] == 0:
-        return True
-    if J.shape[0] > J.shape[1]:
-        return False
-    sv = np.linalg.svd(J, compute_uv=False)
-    return sv[-1] > 1e-8 * sv[0]

@@ -65,22 +65,30 @@ def binding_sets(p: QcqpProblem, x, d: float = 0.0, tol: float | None = None) ->
     return {"licq_binding": licq + eq_idx, "quasi_binding": quasi + eq_idx}
 
 
+def row_rank_test(J: np.ndarray):
+    """(sigma_min, dependent) for the rows of J.
+
+    sigma_min is the smallest singular value: +inf for no rows, 0 for more
+    rows than columns. The rows are dependent when there are more of them
+    than columns or when sigma_min <= 1e-8 * sigma_max (a zero J included).
+    """
+    if J.shape[0] == 0:
+        return float("inf"), False
+    if J.shape[0] > J.shape[1]:
+        return 0.0, True
+    sv = np.linalg.svd(J, compute_uv=False)
+    return float(sv[-1]), bool(sv[0] == 0.0 or sv[-1] <= 1e-8 * sv[0])
+
+
 def sensitivity(p: QcqpProblem, x, d: float = 0.0) -> float:
     """sigma_min of the quasi-binding Jacobian at x.
 
     +inf when no constraint is quasi-binding; 0 when the rows are linearly
-    dependent (sigma_min <= 1e-8 * sigma_max, or more rows than variables).
+    dependent (see `row_rank_test`).
     """
     rows = binding_sets(p, x, d=d)["quasi_binding"]
-    if not rows:
-        return float("inf")
-    J = jacobian(p, x)[rows]
-    if J.shape[0] > J.shape[1]:
-        return 0.0
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-8 * sv[0]:
-        return 0.0
-    return float(sv[-1])
+    sigma_min, dependent = row_rank_test(jacobian(p, x)[rows])
+    return 0.0 if dependent else sigma_min
 
 
 def pencil_norm_bound(p: QcqpProblem) -> float:
@@ -183,16 +191,8 @@ def check_regularity(p: QcqpProblem, x, r: int | None = None,
     else:
         d_ub, witness = float(distance), None
     quasi = binding_sets(p, x, d=d_ub)["quasi_binding"]
-    if quasi:
-        J = jacobian(p, x)[quasi]
-        sv = np.linalg.svd(J, compute_uv=False)
-        sigma_min = float(sv[-1]) if J.shape[0] <= J.shape[1] else 0.0
-        dependent = (J.shape[0] > J.shape[1] or sv[0] == 0.0
-                     or sv[-1] <= 1e-8 * sv[0])
-        sens = 0.0 if dependent else float(sv[-1])
-    else:
-        sigma_min = float("inf")
-        sens = float("inf")
+    sigma_min, dependent = row_rank_test(jacobian(p, x)[quasi])
+    sens = 0.0 if dependent else sigma_min
     pnorm = pencil_norm_bound(p)
     factor = 1.0 / (1.0 + math.comb(n - 1, r - 1))
     if sens == 0.0:

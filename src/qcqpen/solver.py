@@ -37,12 +37,14 @@ Deterministic: no randomization anywhere.
 
 from __future__ import annotations
 
-import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+
+_log = logging.getLogger("qcqpen.solver")
 
 # cached svec index data per matrix size: (rows, cols, weights)
 _SVEC_CACHE: dict = {}
@@ -165,43 +167,6 @@ class ConicProgram:
     def nn_matrix(self) -> sp.csr_matrix:
         return self._triplet_matrix(self.nn_rows)
 
-    def to_debug_json(self) -> str:
-        """JSON dump of the program structure, for debugging and tests.
-
-        Linear parts in triplet form {"row", "col", "val"}; PSD blocks list
-        their size and per-slot (slot, var, coef, const) entries, slots in
-        lower-triangle row-major order.
-        """
-        def triplets(rows, rhs):
-            out = []
-            for k, (cols, vals) in enumerate(rows):
-                out.append({
-                    "rhs": rhs[k],
-                    "terms": [{"col": int(c), "val": float(v)}
-                              for c, v in zip(cols, vals)],
-                })
-            return out
-
-        doc = {
-            "n_vars": self.n_vars,
-            "objective": {"c": self.c.tolist(), "c0": self.c0},
-            "equalities": triplets(self.eq_rows, self.eq_rhs),
-            "nonneg_rows": triplets(self.nn_rows, self.nn_rhs),
-            "psd_blocks": [
-                {
-                    "size": blk.size,
-                    "entries": [
-                        {"slot": int(t), "var": int(blk.var[t]),
-                         "coef": float(blk.coef[t]), "const": float(blk.const[t])}
-                        for t in range(blk.var.shape[0])
-                        if blk.var[t] >= 0 or blk.const[t] != 0.0
-                    ],
-                }
-                for blk in self.blocks
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
 
 @dataclass
 class SolverSettings:
@@ -214,7 +179,6 @@ class SolverSettings:
     # extended precision (x86 long double), which keeps the normal
     # equations factorizable far past the float64 conditioning wall
     extended_threshold: int = 300
-    verbose: bool = False
 
 
 @dataclass
@@ -262,6 +226,8 @@ class _BlockGroup:
         self.h = np.stack([blk.const for blk in blocks]) * w
         self.off = np.asarray(offsets, dtype=np.int64)
         self.slot = self.off[:, None] + np.arange(self.ns)[None, :]
+        # svec slots of the diagonal entries, (nb, m)
+        self.dslot = self.slot[:, rows == cols]
         self.mask = self.var >= 0
         self.varc = np.where(self.mask, self.var, 0)
         # index grids for the symmetric Kronecker product
@@ -437,11 +403,7 @@ def _lambda_vec(scaling, groups, l_nn, dim, dt=np.float64):
     if l_nn:
         lam[:l_nn] = scaling.lam_n
     for g, gd in zip(groups, scaling.groups):
-        lv = gd["lam"]
-        M = np.zeros((g.nb, g.m, g.m), dtype=dt)
-        idx = np.arange(g.m)
-        M[:, idx, idx] = lv
-        lam[g.slot.ravel()] = svec(M).ravel()
+        lam[g.dslot] = gd["lam"]
     return lam
 
 
@@ -754,14 +716,8 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         bump = 1.0 - min(margin, 0.0)
         if l_nn:
             out[:l_nn] += bump
-        idx_cache = {}
         for g in groups:
-            diag = idx_cache.get(g.m)
-            if diag is None:
-                rows, cols, _ = svec_index(g.m)
-                diag = np.nonzero(rows == cols)[0]
-                idx_cache[g.m] = diag
-            out[(g.slot[:, diag]).ravel()] += bump
+            out[g.dslot] += bump
         return out
 
     if sparse_kkt:
@@ -788,6 +744,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     e_vec = _cone_identity(groups, l_nn, sdim, dt)
 
     log: list = []
+    trace = _log.isEnabledFor(logging.DEBUG)
     status = "iteration_limit"
     it = 0
     step = 0.0
@@ -810,9 +767,10 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         score = max(pres, dres, relgap)
         log.append({"iter": it, "pcost": pcost + prog.c0, "dcost": dcost + prog.c0,
                     "gap": gap, "pres": pres, "dres": dres, "step": step})
-        if settings.verbose:
-            print(f"it {it:3d} p {pcost + prog.c0: .6e} d {dcost + prog.c0: .6e} "
-                  f"gap {gap:.2e} pres {pres:.2e} dres {dres:.2e} step {step:.3f}")
+        if trace:
+            _log.debug("it %3d p % .6e d % .6e gap %.2e pres %.2e dres %.2e "
+                       "step %.3f", it, pcost + prog.c0, dcost + prog.c0, gap,
+                       pres, dres, step)
         if best is None or score < best[0]:
             best = (score, u.copy(), y.copy(), z.copy(), s.copy(),
                     pcost, dcost, gap, pres, dres, relgap)
@@ -912,9 +870,6 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         z = z + step * dz
         s = s + step * ds
 
-    else:  # pragma: no cover
-        pass
-
     if status == "iteration_limit" and best is not None:
         # fall back to the best iterate seen
         _, u, y, z, s, pcost, dcost, gap, pres, dres, relgap = best
@@ -953,8 +908,7 @@ def _cone_identity(groups, l_nn, dim, dt=np.float64):
     if l_nn:
         e[:l_nn] = 1.0
     for g in groups:
-        M = np.broadcast_to(np.eye(g.m), (g.nb, g.m, g.m))
-        e[g.slot.ravel()] = svec(M).ravel()
+        e[g.dslot] = 1.0
     return e
 
 

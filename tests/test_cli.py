@@ -444,15 +444,27 @@ def test_no_command_raises_systemexit_1():
 # logging hook
 
 
-def test_qcqp_log_debug_emits_solver_lines(ball_json):
+@pytest.mark.parametrize("command", [
+    ["relax"],
+    ["sequential", "--eta", "0.5", "--max-rounds", "3"],
+], ids=["relax", "sequential"])
+def test_qcqp_log_debug_emits_solver_lines(ball_json, command):
     # fresh process: basicConfig only honours the first configuration
     code = ("import sys; from qcqpen.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
     env = dict(os.environ, QCQP_LOG="debug")
-    res = subprocess.run([sys.executable, "-c", code, "relax", ball_json],
-                         capture_output=True, text=True, env=env,
-                         timeout=120)
+    res = subprocess.run([sys.executable, "-c", code, command[0], ball_json]
+                         + command[1:], capture_output=True, text=True,
+                         env=env, timeout=120)
     assert res.returncode == 0
-    assert "bound: " in res.stdout
-    assert any(ln.lstrip().startswith("it ") or ln.startswith("it")
-               for ln in res.stdout.splitlines()[:-2])
+    # the iteration trace goes to stderr, through the solver's logger
+    assert any(ln.startswith("DEBUG it ") for ln in res.stderr.splitlines())
+    # stdout holds the command's own output and nothing else
+    lines = res.stdout.splitlines()
+    if command[0] == "relax":
+        assert [ln.split(":")[0] for ln in lines] == ["bound", "status"]
+    else:
+        assert lines[0] == "i,q0,lifted_obj,residual,time_s"
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        assert [int(r[0]) for r in rows] == [1, 2, 3]
+        assert all(len(r) == 5 for r in rows)

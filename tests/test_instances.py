@@ -7,10 +7,10 @@ import pytest
 from qcqpen import (QcqpProblem, QplibParseError, QuadraticFunction,
                     RelaxationConfig, SequentialConfig, SysIdParams,
                     UnsupportedProblemError, gen_sysid, load_problem,
-                    parse_qplib, problem_from_json, problem_to_json,
-                    read_refs_csv, run, sysid_from_json, sysid_to_json,
-                    write_results)
-from _support import random_box_qcqp
+                    parse_poly, parse_qplib, problem_from_json,
+                    problem_to_json, read_refs_csv, reformulate, run,
+                    sysid_from_json, sysid_to_json, write_results)
+from _support import POLY_EXAMPLE, random_box_qcqp
 
 BOX_QP = """\
 ! tiny box QP
@@ -194,6 +194,19 @@ def test_load_problem_sniffs_format(tmp_path):
     qpath.write_text(BOX_QP)
     assert load_problem(str(jpath)).n == p.n
     assert load_problem(str(qpath)).name == "tiny1"
+    # the degree-5 example, reformulated as reformulate() does
+    ppath = tmp_path / "example.poly"
+    ppath.write_text(POLY_EXAMPLE + "\n")
+    want, _ = reformulate(parse_poly(POLY_EXAMPLE))
+    got = load_problem(str(ppath))
+    assert got.n == want.n
+    assert problem_to_json(got) == problem_to_json(want)
+    # a sysid document loads as the instance's problem
+    inst = gen_sysid(SysIdParams(n=2, m=1, T=4, o=2, sigma=0.1, seed=3))
+    spath = tmp_path / "sysid.json"
+    spath.write_text(sysid_to_json(inst))
+    assert problem_to_json(load_problem(str(spath))) == \
+        problem_to_json(inst.problem)
 
 
 def test_qplib_reference_header():

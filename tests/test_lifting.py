@@ -169,9 +169,15 @@ def test_sparsity_pattern_r2():
     prog, emap = build_relaxation(p, RelaxationConfig(r=2))
     assert set(emap.X_index) == {(0, 0), (1, 1), (2, 2), (0, 1)}
     assert prog.n_vars == 7
+    # one 3x3 block for the stored pair, then a 2x2 for isolated x2
+    assert [b.size for b in prog.blocks] == [3, 2]
     dense, emap2 = build_relaxation(p, RelaxationConfig(r=2, sparsity=False))
     assert len(emap2.X_index) == 6
     assert dense.n_vars == 9
+    assert [b.size for b in dense.blocks] == [3, 3, 3]
+    full, emap3 = build_relaxation(p, RelaxationConfig())
+    assert len(emap3.X_index) == 6
+    assert [b.size for b in full.blocks] == [4]
 
 
 def test_block_order_validation():
@@ -196,6 +202,21 @@ def test_subset_blocks():
     assert (0, 2) in emap.X_index
     with pytest.raises(ValueError):
         build_relaxation(p, RelaxationConfig(r=2, subsets=[[0, 1, 2]]))
+
+
+def test_subset_blocks_cover_penalized_diagonals():
+    # the penalty's trace term reaches X_22, which no subset covers; without
+    # a block of its own X_22 is unbounded below and so is the program
+    ball = QuadraticFunction(np.eye(3), np.zeros(3), -1.0)
+    p = QcqpProblem(n=3, objective=QuadraticFunction(
+        np.zeros((3, 3)), np.array([-1.0, 0.5, 0.25])), inequalities=[ball])
+    cfg = RelaxationConfig(r=2, subsets=[[0, 1]])
+    prog, emap = build_penalized(p, cfg, np.zeros(3), 1.0)
+    assert [b.size for b in prog.blocks] == [3, 2]
+    assert emap.diag_stored == [0, 1, 2]
+    sol = solve_conic(prog)
+    assert sol.status == "optimal"
+    assert extract(sol, emap).residual >= -1e-9
 
 
 def test_penalized_validation():

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,10 +171,14 @@ def test_iteration_log_csv_format():
     assert len(first) == 7
 
 
-def test_verbose_prints_iterations(capsys):
-    solve_conic(_lp_fixture(), SolverSettings(verbose=True))
-    out = capsys.readouterr().out
-    assert "it" in out.splitlines()[0]
+def test_verbose_prints_iterations(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="qcqpen.solver"):
+        sol = solve_conic(_lp_fixture())
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "qcqpen.solver" and r.levelno == logging.DEBUG]
+    assert len(lines) == len(sol.log)
+    assert lines[0].startswith("it   0 p ")
+    assert capsys.readouterr().out == ""
 
 
 def test_tight_gap_on_penalized_relaxation():
