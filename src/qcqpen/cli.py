@@ -8,7 +8,8 @@ Exit codes: 0 success; 1 input or model errors (bad flags, unreadable or
 malformed files); 2 solver failure; 3 penalty-tuning failure.
 
 Option precedence is flags > --config JSON file > built-in defaults, and
---dump-config prints the resolved options without running. The QCQP_LOG
+--dump-config prints the resolved options without running; poly2qcqp and
+sysid-gen take neither, since they resolve no options. The QCQP_LOG
 environment variable (debug | info | warning | error) controls stderr
 verbosity; at debug the solver's per-iteration lines also go to stderr,
 so stdout carries only the command's own output.
@@ -452,7 +453,6 @@ def _build_parser() -> _Parser:
                         "as a QCQP JSON file")
     sp.add_argument("input")
     sp.add_argument("output")
-    _add_common(sp)
     sp.set_defaults(func=_cmd_poly2qcqp)
 
     sp = sub.add_parser("sysid-gen", help="generate a system "
@@ -466,7 +466,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", metavar="FILE")
     sp.add_argument("--problem-out", metavar="FILE", dest="problem_out")
-    _add_common(sp)
     sp.set_defaults(func=_cmd_sysid_gen)
 
     sp = sub.add_parser("bench", help="run a directory of instances and "

@@ -299,7 +299,10 @@ def problem_to_json(p: QcqpProblem, indent: int | None = None) -> str:
 
 
 def problem_from_json(text: str) -> QcqpProblem:
-    doc = json.loads(text)
+    return _problem_from_doc(json.loads(text))
+
+
+def _problem_from_doc(doc) -> QcqpProblem:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a {_FORMAT} document")
     if doc.get("version") != _VERSION:
@@ -335,8 +338,8 @@ def load_problem(path: str) -> QcqpProblem:
     if head.startswith("{"):
         doc = json.loads(text)
         if isinstance(doc, dict) and doc.get("format") == "qcqpen-sysid":
-            return sysid_from_json(text).problem
-        return problem_from_json(text)
+            return _sysid_from_doc(doc).problem
+        return _problem_from_doc(doc)
     return parse_qplib(text)
 
 
@@ -530,7 +533,10 @@ def sysid_to_json(inst: SysIdInstance, indent: int | None = None) -> str:
 
 
 def sysid_from_json(text: str) -> SysIdInstance:
-    doc = json.loads(text)
+    return _sysid_from_doc(json.loads(text))
+
+
+def _sysid_from_doc(doc) -> SysIdInstance:
     if not isinstance(doc, dict) or doc.get("format") != "qcqpen-sysid":
         raise ValueError("not a qcqpen-sysid document")
     if doc.get("version") != 1:

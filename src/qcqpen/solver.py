@@ -11,7 +11,9 @@ where each slack matrix S_beta is affine in u with at most one variable per
 entry: S[a, b] = const + coef * u[var]. Internally the PSD constraints are
 handled in scaled vector (svec) coordinates so that all cones become one
 product cone K: with s = (hn - Gn u, svec(S_1), svec(S_2), ...) the program
-is  min c'u  s.t.  Au = b,  Gu + s = h,  s in K.
+is  min c'u  s.t.  Au = b,  Gu + s = h,  s in K. As in CVXOPT's conelp,
+one G and one h span the whole product cone; they and A are built once per
+solve, and every product in the iteration is a plain matrix-vector product.
 
 The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method:
 at each iterate the scaling W with W z-bar = W^{-T} s-bar = lambda is
@@ -96,14 +98,13 @@ class PsdBlock:
     @staticmethod
     def from_entries(size: int, entries: dict) -> "PsdBlock":
         """entries: (a, b) with a >= b -> (var, coef, const); missing = zero."""
-        rows, cols, _ = svec_index(size)
-        ns = rows.shape[0]
+        ns = size * (size + 1) // 2
         var = np.full(ns, -1, dtype=np.int64)
         coef = np.zeros(ns)
         const = np.zeros(ns)
-        pos = {(int(a), int(b)): t for t, (a, b) in enumerate(zip(rows, cols))}
         for (a, b), (v, cf, ct) in entries.items():
-            t = pos[(max(a, b), min(a, b))]
+            a, b = max(a, b), min(a, b)
+            t = a * (a + 1) // 2 + b      # svec_index's row-major order
             var[t] = v
             coef[t] = cf
             const[t] = ct
@@ -173,8 +174,6 @@ class SolverSettings:
     max_iterations: int = 200
     feasibility_tol: float = 1e-8
     gap_tol: float = 1e-8
-    step_fraction: float = 0.99
-    refinement: int = 2
     # programs with at most this many variables run the KKT solves in
     # extended precision (x86 long double), which keeps the normal
     # equations factorizable far past the float64 conditioning wall
@@ -241,31 +240,30 @@ class _BlockGroup:
     def mats(self, vec: np.ndarray) -> np.ndarray:
         return smat(self.gather(vec), self.m)
 
-    def matvec_into(self, u: np.ndarray, out: np.ndarray):
-        """out[slots] += G_beta u for every block in the group."""
-        vals = np.where(self.mask, self.gcoef * u[self.varc], 0.0)
-        out[self.slot.ravel()] += vals.ravel()
 
-    def rmatvec_into(self, zvec: np.ndarray, out: np.ndarray):
-        """out += G_beta' z restricted to this group."""
-        zz = self.gather(zvec)
-        contrib = (self.gcoef * zz)[self.mask]
-        np.add.at(out, self.var[self.mask], contrib)
+def _build_groups(prog: ConicProgram, dt, sparse: bool):
+    """(groups, G, h): the blocks batched by size, and s = h - G u.
 
-
-def _build_groups(prog: ConicProgram):
+    G spans every cone slot, the nonnegative rows first and then each
+    block's svec slots. It is CSR on the sparse KKT path and a dense `dt`
+    array on the dense one, where a CSR G slowed long-double solves.
+    """
     sizes: dict = {}
     off = prog.n_nonneg
-    order: dict = {}
     for blk in prog.blocks:
         sizes.setdefault(blk.size, []).append((blk, off))
         off += blk.size * (blk.size + 1) // 2
-    groups = []
-    for m in sorted(sizes):
-        blocks = [b for b, _ in sizes[m]]
-        offsets = [o for _, o in sizes[m]]
-        groups.append(_BlockGroup(m, blocks, offsets))
-    return groups, off
+    groups = [_BlockGroup(m, *zip(*sizes[m])) for m in sorted(sizes)]
+    Gn = prog.nn_matrix().tocoo()
+    rows = np.concatenate([Gn.row] + [g.slot[g.mask] for g in groups])
+    cols = np.concatenate([Gn.col] + [g.var[g.mask] for g in groups])
+    vals = np.concatenate([Gn.data] + [g.gcoef[g.mask] for g in groups])
+    G = sp.csr_matrix((vals, (rows, cols)), shape=(off, prog.n_vars))
+    h = np.zeros(off, dtype=dt)
+    h[:prog.n_nonneg] = prog.nn_rhs
+    for g in groups:
+        h[g.slot] = g.h
+    return groups, G if sparse else G.toarray().astype(dt), h
 
 
 class _Scaling:
@@ -465,21 +463,15 @@ def _factor_regularized(M, ext, what):
 class _KktSolver:
     """Dense path: factorizes the reduced saddle system for a fixed scaling.
 
-    reg_used is the total diagonal shift added to H and to the Schur
-    complement.
+    G and A are dense arrays of the working dtype; the first l_nn rows of G
+    are the nonnegative rows. reg_used is the total diagonal shift added to
+    H and to the Schur complement.
     """
 
-    def __init__(self, prog, groups, Gn, A, scaling, dtype=np.float64):
-        n = prog.n_vars
-        self.ext = dtype != np.float64
-        H = np.zeros((n, n), dtype=dtype)
-        if Gn is not None and Gn.shape[0]:
-            d = 1.0 / (scaling.wn ** 2)
-            if sp.issparse(Gn):
-                Hn = (Gn.T @ Gn.multiply(np.asarray(d, dtype=np.float64)[:, None])).toarray()
-            else:
-                Hn = Gn.T @ (Gn * d[:, None])
-            H += Hn
+    def __init__(self, G, A, groups, l_nn, scaling):
+        self.ext = G.dtype != np.float64
+        Gn = G[:l_nn]
+        H = Gn.T @ (Gn * (1.0 / scaling.wn ** 2)[:, None])
         for g, gd in zip(groups, scaling.groups):
             K = _psd_hessian(g, gd)
             gc = np.where(g.mask, g.gcoef, 0.0)
@@ -487,11 +479,9 @@ class _KktSolver:
             np.add.at(H, (g.varc[:, :, None], g.varc[:, None, :]), C)
         self.cho, self.reg_used = _factor_regularized(
             H, self.ext, "normal equations not positive definite")
-        self.A = A
-        if A is not None and A.shape[0]:
-            At = A.toarray().T if sp.issparse(A) else np.asarray(A.T, dtype=dtype)
-            HiAt = self._base_solve(At)
-            S = At.T @ HiAt
+        if A.shape[0]:
+            HiAt = self._base_solve(A.T)
+            S = A @ HiAt
             S = 0.5 * (S + S.T)
             self.schur, schur_reg = _factor_regularized(
                 S, self.ext, "equality Schur complement singular")
@@ -556,14 +546,14 @@ class _SparseKkt:
     one bincount and factors it with one sparse LU.
     """
 
-    def __init__(self, n, groups, Gn, A):
-        m = A.shape[0] if A is not None else 0
+    def __init__(self, G, A, groups, l_nn):
+        m, n = A.shape
         self.n = n
         self.dim = N = n + m
         self.groups = groups
         rows, cols = [], []
-        # nonnegative row k adds d_k Gn[k, i] Gn[k, j] at (i, j)
-        Gn = sp.csr_matrix(Gn if Gn is not None else (0, n))
+        # nonnegative row k adds d_k G[k, i] G[k, j] at (i, j)
+        Gn = G[:l_nn]
         nk = np.diff(Gn.indptr)
         sq = nk * nk
         self.nn_row = np.repeat(np.arange(nk.size), sq)
@@ -586,7 +576,7 @@ class _SparseKkt:
         n_var = sum(r.size for r in rows)
         # constant entries: A, A', -delta I and explicit zeros on H's
         # diagonal, so that the factorization ladder can shift any of it
-        Ac = sp.coo_matrix(A if A is not None else (0, n))
+        Ac = A.tocoo()
         diag = np.arange(N)
         rows += [diag, n + Ac.row, Ac.col]
         cols += [diag, Ac.col, n + Ac.row]
@@ -652,79 +642,43 @@ class _LuKkt:
         return x[:self.n], x[self.n:]
 
 
+# fraction of the distance to the cone boundary that a step may take
+_STEP_FRACTION = 0.99
+# iterative refinement passes per Newton solve, against the unregularized
+# system
+_REFINEMENT = 2
+
+
 def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSolution:
     """Solve a ConicProgram with the built-in interior-point method."""
     settings = settings or SolverSettings()
-    n = prog.n_vars
-    groups, sdim = _build_groups(prog)
     l_nn = prog.n_nonneg
+    dt, sparse_kkt = _kkt_path(prog, settings)
+    groups, G, h = _build_groups(prog, dt, sparse_kkt)
+    sdim = h.size
     if sdim == 0:
         raise ValueError("program has no cone constraints")
-    dt, sparse_kkt = _kkt_path(prog, settings)
-    Gn = prog.nn_matrix() if l_nn else None
-    if Gn is not None and dt != np.float64:
-        Gn = Gn.toarray().astype(dt)
-    hn = np.asarray(prog.nn_rhs, dtype=dt)
-    A = prog.eq_matrix() if prog.n_eq else None
-    if A is not None and dt != np.float64:
-        A = A.toarray().astype(dt)
+    A = prog.eq_matrix()
+    A = A if sparse_kkt else A.toarray().astype(dt)
     b = np.asarray(prog.eq_rhs, dtype=dt)
     c = np.asarray(prog.c, dtype=dt)
 
     # cone order (for the barrier parameter)
     nu = l_nn + sum(g.nb * g.m for g in groups)
-
-    h = np.zeros(sdim, dtype=dt)
-    if l_nn:
-        h[:l_nn] = hn
-    for g in groups:
-        h[g.slot.ravel()] = g.h.ravel()
-
-    def G_mul(u):
-        out = np.zeros(sdim, dtype=dt)
-        if l_nn:
-            out[:l_nn] = Gn @ u
-        for g in groups:
-            g.matvec_into(u, out)
-        return out
-
-    def GT_mul(zv):
-        out = np.zeros(n, dtype=dt)
-        if l_nn:
-            out += Gn.T @ zv[:l_nn]
-        for g in groups:
-            g.rmatvec_into(zv, out)
-        return out
-
-    def A_mul(u):
-        return A @ u if A is not None else np.zeros(0, dtype=dt)
-
-    def AT_mul(yv):
-        return A.T @ yv if A is not None else np.zeros(n, dtype=dt)
+    e_vec = _cone_identity(groups, l_nn, sdim, dt)
 
     def shift_into_cone(vec):
         """vec + (1 + alpha) e if vec is not safely interior."""
-        margin = np.inf
-        if l_nn:
-            margin = min(margin, float(np.min(vec[:l_nn])))
-        for g in groups:
-            M = np.asarray(g.mats(vec), dtype=np.float64)
-            margin = min(margin, float(np.min(np.linalg.eigvalsh(M))))
+        margin = _cone_margin(groups, l_nn, vec)
         if margin > 1e-8 * max(1.0, float(np.linalg.norm(vec))):
             return vec
-        out = vec.copy()
-        bump = 1.0 - min(margin, 0.0)
-        if l_nn:
-            out[:l_nn] += bump
-        for g in groups:
-            out[g.dslot] += bump
-        return out
+        return vec + (1.0 - min(margin, 0.0)) * e_vec
 
     if sparse_kkt:
-        factor_kkt = _SparseKkt(n, groups, Gn, A).factor
+        factor_kkt = _SparseKkt(G, A, groups, l_nn).factor
     else:
         def factor_kkt(scaling):
-            return _KktSolver(prog, groups, Gn, A, scaling, dtype=dt)
+            return _KktSolver(G, A, groups, l_nn, scaling)
 
     # identity-scaled initial point
     id_scaling = _Scaling(np.ones(l_nn, dtype=dt), np.ones(l_nn, dtype=dt),
@@ -732,16 +686,15 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
                             "Rinv": np.broadcast_to(np.eye(g.m, dtype=dt), (g.nb, g.m, g.m)).copy(),
                             "lam": np.ones((g.nb, g.m), dtype=dt)} for g in groups])
     kkt0 = factor_kkt(id_scaling)
-    u, yy = kkt0.solve(GT_mul(h), b)
-    s = shift_into_cone(h - G_mul(u))
-    nu_v, w_v = kkt0.solve(c, np.zeros(prog.n_eq, dtype=dt))
+    u, yy = kkt0.solve(G.T @ h, b)
+    s = shift_into_cone(h - G @ u)
+    nu_v, w_v = kkt0.solve(c, np.zeros_like(b))
     y = -w_v
-    z = shift_into_cone(-G_mul(nu_v))
+    z = shift_into_cone(-(G @ nu_v))
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
-    e_vec = _cone_identity(groups, l_nn, sdim, dt)
 
     log: list = []
     trace = _log.isEnabledFor(logging.DEBUG)
@@ -752,12 +705,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     best = None  # (score, u, y, z, s, pcost, dcost, gap, pres, dres, relgap)
 
     for it in range(settings.max_iterations + 1):
-        res_y = A_mul(u) - b
-        res_z = G_mul(u) + s - h
-        res_x = c + AT_mul(y) + GT_mul(z)
+        res_y = A @ u - b
+        res_z = G @ u + s - h
+        res_x = c + A.T @ y + G.T @ z
         gap = float(s @ z)
         pcost = float(c @ u)
-        dcost = float(-h @ z - (b @ y if prog.n_eq else 0.0))
+        dcost = float(-h @ z - b @ y)
         pres = max(
             float(np.linalg.norm(res_y)) / norm_b,
             float(np.linalg.norm(res_z)) / norm_h,
@@ -781,15 +734,15 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             break
 
         # infeasibility certificates from the current iterate
-        by_hz = float(h @ z + (b @ y if prog.n_eq else 0.0))
+        by_hz = float(h @ z + b @ y)
         if by_hz < -1e-10:
-            cert = float(np.linalg.norm(AT_mul(y) + GT_mul(z))) / (-by_hz)
+            cert = float(np.linalg.norm(A.T @ y + G.T @ z)) / (-by_hz)
             if cert * norm_h <= ftol * 10:
                 status = "infeasible"
                 break
         if pcost < -1e-10:
-            ray = max(float(np.linalg.norm(A_mul(u))),
-                      float(np.linalg.norm(G_mul(u) + s)))
+            ray = max(float(np.linalg.norm(A @ u)),
+                      float(np.linalg.norm(G @ u + s)))
             if ray / (-pcost) * norm_c <= ftol * 10:
                 status = "unbounded"
                 break
@@ -817,20 +770,17 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             """
             v = _jordan_solve(scaling, groups, l_nn, dsc)
             bz = -rz_vec - _apply_w(scaling, groups, l_nn, v, "wt")
-            r1 = -rx + GT_mul(_apply_winv2(scaling, groups, l_nn, bz))
+            r1 = -rx + G.T @ _apply_winv2(scaling, groups, l_nn, bz)
             du, dy = kkt.solve(r1, -ry)
-            for _ in range(settings.refinement):
-                e1 = r1 - _H_mul(du) - AT_mul(dy)
-                e2 = -ry - A_mul(du)
-                c1, c2 = kkt.solve(e1, e2)
+            for _ in range(_REFINEMENT):
+                Hdu = G.T @ _apply_winv2(scaling, groups, l_nn, G @ du)
+                c1, c2 = kkt.solve(r1 - Hdu - A.T @ dy, -ry - A @ du)
                 du = du + c1
                 dy = dy + c2
-            dz = _apply_winv2(scaling, groups, l_nn, G_mul(du) - bz)
-            ds = -rz_vec - G_mul(du)
+            Gdu = G @ du
+            dz = _apply_winv2(scaling, groups, l_nn, Gdu - bz)
+            ds = -rz_vec - Gdu
             return du, dy, dz, ds
-
-        def _H_mul(du):
-            return GT_mul(_apply_winv2(scaling, groups, l_nn, G_mul(du)))
 
         # predictor
         ds_aff_target = -_jordan_prod(groups, l_nn, lam, lam)
@@ -859,7 +809,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         sig = _apply_w(scaling, groups, l_nn, dz, "w")
         amax = min(_max_cone_step(groups, scaling, l_nn, rho),
                    _max_cone_step(groups, scaling, l_nn, sig))
-        step = min(1.0, settings.step_fraction * amax)
+        step = min(1.0, _STEP_FRACTION * amax)
         if step <= 1e-10:
             break
         stall = stall + 1 if step < 1e-5 else 0
@@ -912,6 +862,17 @@ def _cone_identity(groups, l_nn, dim, dt=np.float64):
     return e
 
 
+def _cone_margin(groups, l_nn, vec) -> float:
+    """Smallest eigenvalue of vec in the cone (inf for an empty cone)."""
+    margin = np.inf
+    if l_nn:
+        margin = min(margin, float(np.min(vec[:l_nn])))
+    for g in groups:
+        M = np.asarray(g.mats(vec), dtype=np.float64)
+        margin = min(margin, float(np.min(np.linalg.eigvalsh(M))))
+    return margin
+
+
 def kkt_residuals(prog: ConicProgram, sol: ConicSolution) -> dict:
     """Recompute optimality residuals of a solution from scratch.
 
@@ -919,41 +880,16 @@ def kkt_residuals(prog: ConicProgram, sol: ConicSolution) -> dict:
     violation and the complementarity gap. Cone violations are the most
     negative slack (0 when inside the cone).
     """
-    groups, sdim = _build_groups(prog)
+    groups, G, h = _build_groups(prog, np.float64, True)
     l_nn = prog.n_nonneg
     u, y, z, s = sol.u, sol.y, sol.z, sol.s
-    A = prog.eq_matrix() if prog.n_eq else None
-    b = np.asarray(prog.eq_rhs, dtype=float)
-    Gn = prog.nn_matrix() if l_nn else None
-    h = np.zeros(sdim)
-    if l_nn:
-        h[:l_nn] = np.asarray(prog.nn_rhs, dtype=float)
-    Gu = np.zeros(sdim)
-    if l_nn:
-        Gu[:l_nn] = Gn @ u
-    for g in groups:
-        h[g.slot.ravel()] = g.h.ravel()
-        g.matvec_into(u, Gu)
-
-    def cone_min(vec):
-        worst = np.inf
-        if l_nn:
-            worst = min(worst, float(np.min(vec[:l_nn])))
-        for g in groups:
-            worst = min(worst, float(np.min(np.linalg.eigvalsh(g.mats(vec)))))
-        return worst if worst is not np.inf else 0.0
-
-    dual = prog.c + (A.T @ y if A is not None else 0.0)
-    if l_nn:
-        dual = dual + Gn.T @ z[:l_nn]
-    for g in groups:
-        g.rmatvec_into(z, dual)
-
+    A = prog.eq_matrix()
+    Gu = G @ u
     return {
-        "primal_eq": float(np.linalg.norm(A @ u - b, np.inf)) if A is not None else 0.0,
-        "primal_cone": max(0.0, -cone_min(h - Gu)),
+        "primal_eq": float(np.max(np.abs(A @ u - prog.eq_rhs), initial=0.0)),
+        "primal_cone": max(0.0, -_cone_margin(groups, l_nn, h - Gu)),
         "slack_consistency": float(np.linalg.norm(Gu + s - h, np.inf)),
-        "dual": float(np.linalg.norm(dual, np.inf)),
-        "dual_cone": max(0.0, -cone_min(z)),
+        "dual": float(np.linalg.norm(prog.c + A.T @ y + G.T @ z, np.inf)),
+        "dual_cone": max(0.0, -_cone_margin(groups, l_nn, z)),
         "complementarity": abs(float(s @ z)),
     }

@@ -428,10 +428,22 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_flag_raises_systemexit_1(ball_json):
-    with pytest.raises(SystemExit) as ei:
-        main(["solve", ball_json, "--bogus"])
-    assert ei.value.code == 1
+def test_unknown_flag_raises_systemexit_1(ball_json, tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "t.poly").write_text(POLY_EXAMPLE + "\n")
+    monkeypatch.chdir(work)
+    for argv in (
+            ["solve", ball_json, "--bogus"],
+            # commands that resolve no options take neither --config nor
+            # --dump-config
+            ["poly2qcqp", "t.poly", "out.json", "--dump-config"],
+            ["sysid-gen", "--n", "2", "--m", "1", "--T", "4", "--o", "2",
+             "--sigma", "0.1", "--config", "nonexistent.json"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 1, argv
+    assert os.listdir(work) == ["t.poly"]
 
 
 def test_no_command_raises_systemexit_1():

@@ -186,13 +186,19 @@ def test_json_format_guards():
         problem_from_json(json.dumps(wrong_dim))
 
 
-def test_load_problem_sniffs_format(tmp_path):
+def test_load_problem_sniffs_format(tmp_path, monkeypatch):
+    # each JSON document is parsed once
+    loads = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda *a, **k: loads.append(1) or real_loads(*a, **k))
     p, _ = random_box_qcqp(5)
     jpath = tmp_path / "inst.json"
     jpath.write_text(problem_to_json(p, indent=2))
     qpath = tmp_path / "inst.qplib"
     qpath.write_text(BOX_QP)
     assert load_problem(str(jpath)).n == p.n
+    assert len(loads) == 1
     assert load_problem(str(qpath)).name == "tiny1"
     # the degree-5 example, reformulated as reformulate() does
     ppath = tmp_path / "example.poly"
@@ -205,8 +211,10 @@ def test_load_problem_sniffs_format(tmp_path):
     inst = gen_sysid(SysIdParams(n=2, m=1, T=4, o=2, sigma=0.1, seed=3))
     spath = tmp_path / "sysid.json"
     spath.write_text(sysid_to_json(inst))
+    loads.clear()
     assert problem_to_json(load_problem(str(spath))) == \
         problem_to_json(inst.problem)
+    assert len(loads) == 1
 
 
 def test_qplib_reference_header():

@@ -238,3 +238,37 @@ def test_total_time_counts_initial_point_and_tuning():
     assert doc["init_s"] == tr.init_s and doc["tune_s"] == tr.tune_s
     fixed = run(p, SequentialConfig(eta=5.0, init="zero", max_rounds=2))
     assert fixed.tune_s == 0.0
+
+
+# the names perfbench/spans.py replaces in qcqpen.sequential to time each
+# layer; a refactor that stops calling one of them through the module
+# namespace would silently drop that layer from the benchmark
+_SPAN_NAMES = ("run", "resolve_initial_point", "tune_eta", "build_relaxation",
+               "build_penalized", "extract", "solve_conic")
+
+
+def test_layer_calls_go_through_sequential_namespace(monkeypatch):
+    import qcqpen.sequential as sequential
+    calls = dict.fromkeys(_SPAN_NAMES, 0)
+    for name in _SPAN_NAMES:
+        def counted(*args, _fn=getattr(sequential, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sequential, name, counted)
+    p = _shifted_ball_problem()
+    cfg = SequentialConfig(eta=0.5, max_rounds=3, stop_rel=None,
+                           init="relaxation")
+    trace = sequential.run(p, cfg)
+    assert len(trace.rounds) == 3
+    # the initial relaxation takes one solve and one extract, then each
+    # round one build_penalized, one solve_conic and one extract
+    assert calls == {"run": 1, "resolve_initial_point": 1, "tune_eta": 0,
+                     "build_relaxation": 1, "build_penalized": 3,
+                     "extract": 4, "solve_conic": 4}
+    calls.update(dict.fromkeys(_SPAN_NAMES, 0))
+    sequential.run(p, SequentialConfig(max_rounds=1, stop_rel=None,
+                                       init="zero", tune_rounds=2))
+    assert calls["run"] == calls["resolve_initial_point"] == 1
+    assert calls["tune_eta"] == 1
+    assert calls["build_penalized"] == calls["solve_conic"] >= 2

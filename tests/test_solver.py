@@ -2,14 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from qcqpen import (ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
-from qcqpen.solver import (PsdBlock, _KktSolver, _Scaling, _SparseKkt,
-                           _apply_winv2, _build_groups, _kkt_path,
-                           _nt_scaling, kkt_residuals, smat, svec,
-                           svec_index)
+from qcqpen.solver import (_REFINEMENT, PsdBlock, _KktSolver, _Scaling,
+                           _SparseKkt, _apply_winv2, _build_groups,
+                           _kkt_path, _nt_scaling, kkt_residuals, smat,
+                           svec, svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
 from qcqpen.lifting import RelaxationConfig, build_penalized
@@ -200,9 +201,10 @@ def test_long_double_ladder_factors_singular_normal_matrix():
     dt = np.longdouble
     prog = ConicProgram(2, [0.0, 0.0])
     prog.add_nonneg_row([0, 1], [1.0, 1.0], 1.0)
-    Gn = prog.nn_matrix().toarray().astype(dt)
+    _, G, _ = _build_groups(prog, dt, False)
+    A = prog.eq_matrix().toarray().astype(dt)
     scaling = _Scaling(np.ones(1, dtype=dt), np.ones(1, dtype=dt), [])
-    kkt = _KktSolver(prog, [], Gn, None, scaling, dtype=dt)
+    kkt = _KktSolver(G, A, [], 1, scaling)
     assert 0.0 < kkt.reg_used
 
 
@@ -215,12 +217,11 @@ def test_reg_used_counts_schur_shift():
     prog.add_equality_row([0], [1.0], 1.0)
     prog.add_equality_row([0], [1.0], 1.0)
     for dt in (np.float64, np.longdouble):
-        Gn, A = prog.nn_matrix(), prog.eq_matrix()
-        if dt != np.float64:
-            Gn, A = Gn.toarray().astype(dt), A.toarray().astype(dt)
+        _, G, _ = _build_groups(prog, dt, False)
+        A = prog.eq_matrix().toarray().astype(dt)
         scaling = _Scaling(np.ones(2, dtype=dt), np.ones(2, dtype=dt), [])
-        kkt = _KktSolver(prog, [], Gn, A, scaling, dtype=dt)
-        h_only = _KktSolver(prog, [], Gn, None, scaling, dtype=dt)
+        kkt = _KktSolver(G, A, [], 2, scaling)
+        h_only = _KktSolver(G, A[:0], [], 2, scaling)
         assert h_only.reg_used == 0.0
         assert kkt.reg_used > h_only.reg_used
 
@@ -249,26 +250,76 @@ def _random_interior_scaling(prog, groups, sdim, seed):
     return _nt_scaling(groups, s, z, l_nn)
 
 
-def _dense_g(prog, groups, sdim):
+def test_build_groups_matches_entrywise():
+    # nonnegative rows, an equality and blocks of sizes 3, 2, 3 in that
+    # order, with constant and variable entries
+    prog = ConicProgram(5, np.ones(5))
+    prog.add_nonneg_row([0, 3], [1.5, -2.0], 0.5)
+    prog.add_nonneg_row([4], [-1.0], 0.0)
+    prog.add_equality_row([1, 2], [1.0, 1.0], 1.0)
+    prog.add_psd_block(PsdBlock.from_entries(3, {
+        (0, 0): (0, 1.0, 1.0), (1, 0): (1, 0.5, 0.0),
+        (2, 2): (-1, 0.0, 2.0), (1, 2): (4, -3.0, 0.25)}))
+    prog.add_psd_block(PsdBlock.from_entries(2, {
+        (0, 0): (2, 2.0, 0.0), (0, 1): (3, 1.0, -1.0), (1, 1): (0, 1.0, 0.0)}))
+    prog.add_psd_block(PsdBlock.from_entries(3, {
+        (2, 0): (3, -1.0, 0.5), (1, 1): (-1, 0.0, 4.0), (2, 2): (4, 2.0, 1.0)}))
+    sdim = prog.n_nonneg + 6 + 3 + 6
+    # s = h - G u entry by entry: nonnegative rows first, then each block's
+    # svec slots, where slot t of a block holds w_t (const_t + coef_t u[var])
     G = np.zeros((sdim, prog.n_vars))
-    if prog.n_nonneg:
-        G[:prog.n_nonneg] = prog.nn_matrix().toarray()
-    for g in groups:
-        G[g.slot[g.mask], g.var[g.mask]] = g.gcoef[g.mask]
-    return G
+    h = np.zeros(sdim)
+    for k, ((cols, vals), rhs) in enumerate(zip(prog.nn_rows, prog.nn_rhs)):
+        for j, v in zip(cols, vals):
+            G[k, j] += v
+        h[k] = rhs
+    t = prog.n_nonneg
+    for blk in prog.blocks:
+        for v, cf, ct, wt in zip(blk.var, blk.coef, blk.const,
+                                 svec_index(blk.size)[2]):
+            if v >= 0:
+                G[t, v] = -wt * cf
+            h[t] = wt * ct
+            t += 1
+    groups, Gs, hs = _build_groups(prog, np.float64, True)
+    assert [g.m for g in groups] == [2, 3]
+    assert sp.issparse(Gs) and Gs.format == "csr"
+    assert np.array_equal(Gs.toarray(), G)
+    assert np.array_equal(hs, h)
+    for dt in (np.float64, np.longdouble):
+        _, Gd, hd = _build_groups(prog, dt, False)
+        assert isinstance(Gd, np.ndarray) and Gd.dtype == dt
+        assert hd.dtype == dt
+        assert np.array_equal(Gd, Gs.toarray().astype(dt))
+        assert np.array_equal(hd, hs.astype(dt))
+
+
+def test_from_entries_slots_follow_svec_index():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 5):
+        rows, cols, _ = svec_index(m)
+        entries = {(int(b), int(a)) if rng.random() < 0.5 else (int(a), int(b)):
+                   (int(t), float(rng.normal()), float(rng.normal()))
+                   for t, (a, b) in enumerate(zip(rows, cols))
+                   if rng.random() < 0.7}
+        blk = PsdBlock.from_entries(m, entries)
+        for t, (a, b) in enumerate(zip(rows, cols)):
+            v, cf, ct = entries.get((int(a), int(b)),
+                                    entries.get((int(b), int(a)), (-1, 0.0, 0.0)))
+            assert (blk.var[t], blk.coef[t], blk.const[t]) == (v, cf, ct)
 
 
 def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
     prog = sysid_program
     assert _kkt_path(prog, SolverSettings()) == (np.float64, True)
-    groups, sdim = _build_groups(prog)
-    scaling = _random_interior_scaling(prog, groups, sdim, seed=3)
-    Gn, A = prog.nn_matrix(), prog.eq_matrix()
+    groups, G, h = _build_groups(prog, np.float64, True)
+    scaling = _random_interior_scaling(prog, groups, h.size, seed=3)
+    A = prog.eq_matrix()
     # H = G' (W'W)^{-1} G built column by column, apart from both paths
-    G = _dense_g(prog, groups, sdim)
-    H = G.T @ np.column_stack([_apply_winv2(scaling, groups, prog.n_nonneg,
-                                            G[:, j])
-                               for j in range(prog.n_vars)])
+    Gd = G.toarray()
+    H = Gd.T @ np.column_stack([_apply_winv2(scaling, groups, prog.n_nonneg,
+                                             Gd[:, j])
+                                for j in range(prog.n_vars)])
     Ad = A.toarray()
     rng = np.random.default_rng(4)
     r1 = rng.normal(size=prog.n_vars)
@@ -277,14 +328,14 @@ def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
 
     def refined(kkt):
         du, dy = kkt.solve(r1, r2)
-        for _ in range(SolverSettings().refinement):
+        for _ in range(_REFINEMENT):
             c1, c2 = kkt.solve(r1 - H @ du - Ad.T @ dy, r2 - Ad @ du)
             du, dy = du + c1, dy + c2
         res = np.concatenate([r1 - H @ du - Ad.T @ dy, r2 - Ad @ du])
         return du, dy, np.linalg.norm(res) / norm
 
-    dense = _KktSolver(prog, groups, Gn, A, scaling)
-    sparse = _SparseKkt(prog.n_vars, groups, Gn, A).factor(scaling)
+    dense = _KktSolver(Gd, Ad, groups, prog.n_nonneg, scaling)
+    sparse = _SparseKkt(G, A, groups, prog.n_nonneg).factor(scaling)
     du_d, dy_d, res_d = refined(dense)
     du_s, dy_s, res_s = refined(sparse)
     assert res_d <= 1e-10
@@ -331,9 +382,9 @@ def test_sparse_kkt_singular_is_regularized():
     prog.add_nonneg_row([0], [-1.0], 0.0)
     prog.add_nonneg_row([0, 1], [-1.0, -1.0], 0.0)
     prog.add_equality_row([0, 1], [1.0, 1.0], 1.0)
-    groups, _ = _build_groups(prog)
+    groups, G, _ = _build_groups(prog, np.float64, True)
     scaling = _Scaling(np.ones(2), np.ones(2), [])
-    pattern = _SparseKkt(3, groups, prog.nn_matrix(), prog.eq_matrix())
+    pattern = _SparseKkt(G, prog.eq_matrix(), groups, prog.n_nonneg)
     kkt = pattern.factor(scaling)
     assert kkt.reg_used > pattern.delta
     du, dy = kkt.solve(np.array([1.0, 2.0, 0.0]), np.array([1.0]))
