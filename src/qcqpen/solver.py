@@ -22,10 +22,14 @@ H = G' (W'W)^{-1} G with the equalities kept beside it, and steps are damped
 by a fraction of the distance to the cone boundary. The reduced system is
 solved on one of two paths, chosen once per solve by `_kkt_path`:
 
-- dense: H is assembled dense and Cholesky-factored, and the equalities go
-  through a second Cholesky of the Schur complement A H^{-1} A'. Programs
-  with at most `extended_threshold` variables run it in long double; larger
-  ones run it in float64 when H would be dense.
+- dense: only H's diagonal and lower triangle are assembled, which is all
+  that the Cholesky factorization reads (as CVXOPT's potrf-based KKT
+  solvers do). A pair map built once per solve gives, per pair of variable
+  slots of a PSD block, its entries of W^{-1} and its place in H; places
+  that repeat are added in layers, one occurrence per place and layer. The
+  equalities go through a second Cholesky of the Schur complement
+  A H^{-1} A'. Programs with at most `extended_threshold` variables run it
+  in long double; larger ones run it in float64 when H would be dense.
 - sparse (float64 only): when the count of H entries the cone rows scatter,
   the sum of nnz^2 over nonnegative rows plus (variables in block)^2 over
   PSD blocks, is below a tenth of n^2, the quasidefinite augmented matrix
@@ -228,8 +232,7 @@ class _BlockGroup:
         # svec slots of the diagonal entries, (nb, m)
         self.dslot = self.slot[:, rows == cols]
         self.mask = self.var >= 0
-        self.varc = np.where(self.mask, self.var, 0)
-        # index grids for the symmetric Kronecker product
+        # row and column of each svec slot
         self.ka = np.asarray(rows)
         self.kb = np.asarray(cols)
 
@@ -272,7 +275,7 @@ class _Scaling:
     def __init__(self, wn, lam_n, group_data):
         self.wn = wn                  # nonneg scaling sqrt(s/z)
         self.lam_n = lam_n
-        self.groups = group_data      # per group: dict R, Rinv, lam (vector)
+        self.groups = group_data      # per group: dict R, Rinv, Winv, lam
 
 
 def _nt_scaling(groups, s, z, l_nn, dt=np.float64):
@@ -301,25 +304,41 @@ def _nt_scaling(groups, s, z, l_nn, dt=np.float64):
         R = Ls @ Q * (d[..., None, :] ** -0.25)
         Rinv = (d[..., :, None] ** 0.25) * np.swapaxes(Q, -1, -2) @ \
             np.linalg.inv(Ls)
-        gdata.append({"R": R.astype(dt), "Rinv": Rinv.astype(dt),
+        Rinv = Rinv.astype(dt)
+        gdata.append({"R": R.astype(dt), "Rinv": Rinv,
+                      "Winv": np.swapaxes(Rinv, -1, -2) @ Rinv,
                       "lam": np.sqrt(d).astype(dt)})
     return _Scaling(wn, lam_n, gdata)
 
 
-def _sym_kron(P: np.ndarray, g: _BlockGroup) -> np.ndarray:
-    """Batched symmetric Kronecker: K svec(M) = svec(P M P), K is (nb,ns,ns)."""
-    a, b, w = g.ka, g.kb, g.w
-    A1 = P[:, a[:, None], a[None, :]] * P[:, b[:, None], b[None, :]]
-    A2 = P[:, a[:, None], b[None, :]] * P[:, b[:, None], a[None, :]]
-    ww = w[:, None] * w[None, :]
-    return 0.5 * ww * (A1 + A2)
+def _pair_index(g: _BlockGroup, blk, t1, t2):
+    """(idx, kww) for the slot pairs (blk, t1, t2) of a group.
+
+    Slot t holds entry (a_t, b_t). idx is (4, pairs) int32: the flat places
+    of P[a1, a2], P[b1, b2], P[a1, b2] and P[b1, a2] in the group's
+    (nb, m, m) W^{-1}; kww is 0.5 w_t1 w_t2.
+    """
+    a, b, m = g.ka.astype(np.int32), g.kb.astype(np.int32), g.m
+    base = (blk * (m * m)).astype(np.int32)
+    a1, b1 = base + a[t1] * m, base + b[t1] * m
+    a2, b2 = a[t2], b[t2]
+    idx = np.stack([a1 + a2, b1 + b2, a1 + b2, b1 + a2])
+    return idx, 0.5 * (g.w[t1] * g.w[t2])
 
 
-def _psd_hessian(g: _BlockGroup, gd: dict) -> np.ndarray:
-    """(nb, ns, ns) svec matrices of the maps M -> Winv M Winv of a group."""
-    Rinv = gd["Rinv"]
-    Winv = np.swapaxes(Rinv, -1, -2) @ Rinv   # W_nt^{-1}
-    return _sym_kron(Winv, g)
+def _pair_entries(Winv, idx, kww):
+    """Entries K[t1, t2] at the pairs of `_pair_index`, where K is the
+    symmetric Kronecker product with K svec(M) = svec(P M P), P = W^{-1}:
+    kww (P[a1, a2] P[b1, b2] + P[a1, b2] P[b1, a2]) (Todd, Toh and
+    Tutuncu, SIAM J. Optim. 1998)."""
+    P = Winv.reshape(-1)
+    vals = P.take(idx[0])
+    vals *= P.take(idx[1])
+    cross = P.take(idx[2])
+    cross *= P.take(idx[3])
+    vals += cross
+    vals *= kww
+    return vals
 
 
 def _apply_w(scaling, groups, l_nn, vec, mode):
@@ -461,22 +480,16 @@ def _factor_regularized(M, ext, what):
 
 
 class _KktSolver:
-    """Dense path: factorizes the reduced saddle system for a fixed scaling.
+    """Cholesky factors of the reduced saddle system [H A'; A 0].
 
-    G and A are dense arrays of the working dtype; the first l_nn rows of G
-    are the nonnegative rows. reg_used is the total diagonal shift added to
-    H and to the Schur complement.
+    H and A are dense arrays of the working dtype. Only H's diagonal and
+    lower triangle are read: its strict upper triangle is not valid. H's
+    diagonal is shifted in place when it does not factor. reg_used is the
+    total diagonal shift added to H and to the Schur complement.
     """
 
-    def __init__(self, G, A, groups, l_nn, scaling):
-        self.ext = G.dtype != np.float64
-        Gn = G[:l_nn]
-        H = Gn.T @ (Gn * (1.0 / scaling.wn ** 2)[:, None])
-        for g, gd in zip(groups, scaling.groups):
-            K = _psd_hessian(g, gd)
-            gc = np.where(g.mask, g.gcoef, 0.0)
-            C = K * gc[:, :, None] * gc[:, None, :]
-            np.add.at(H, (g.varc[:, :, None], g.varc[:, None, :]), C)
+    def __init__(self, H, A):
+        self.ext = H.dtype != np.float64
         self.cho, self.reg_used = _factor_regularized(
             H, self.ext, "normal equations not positive definite")
         if A.shape[0]:
@@ -510,6 +523,60 @@ class _KktSolver:
             du = w - self.HiAt @ dy
             return du, dy
         return w, np.zeros(0)
+
+
+class _DenseKkt:
+    """Dense path: H = G' (W'W)^{-1} G through a pair map built once per solve.
+
+    Per group, the pairs of variable slots (blk, t1, t2) with
+    var(t1) >= var(t2) are kept in (block, t1, t2) order, with their W^{-1}
+    indices (`_pair_index`), gcoef factors and flat place in H: only H's
+    lower triangle is computed. Places that repeat are split into layers,
+    the k-th occurrence of each place in layer k, and the pairs are stored
+    layer by layer, so that `normal_matrix` adds each layer with one
+    fancy-indexed sum and every place receives its terms in (block, t1, t2)
+    order.
+    """
+
+    def __init__(self, G, A, groups, l_nn):
+        self.Gn = G[:l_nn]
+        self.A = A
+        n = G.shape[1]
+        self.maps = []
+        for g in groups:
+            both = g.mask[:, :, None] & g.mask[:, None, :]
+            both &= g.var[:, :, None] >= g.var[:, None, :]
+            blk, t1, t2 = np.nonzero(both)
+            dest = g.var[blk, t1] * n + g.var[blk, t2]
+            # rank: how many earlier pairs share the place
+            srt = np.argsort(dest, kind="stable")
+            new = np.flatnonzero(np.diff(dest[srt], prepend=-1))
+            rank = np.empty_like(srt)
+            rank[srt] = np.arange(srt.size) - np.repeat(
+                new, np.diff(new, append=srt.size))
+            order = np.argsort(rank, kind="stable")
+            bounds = np.concatenate([[0], np.cumsum(np.bincount(rank))])
+            blk, t1, t2 = blk[order], t1[order], t2[order]
+            idx, kww = _pair_index(g, blk, t1, t2)
+            self.maps.append((idx, kww, g.gcoef[blk, t1], g.gcoef[blk, t2],
+                              dest[order], bounds))
+
+    def normal_matrix(self, scaling) -> np.ndarray:
+        """H at `scaling`; its strict upper triangle is not valid."""
+        Gn = self.Gn
+        H = Gn.T @ (Gn * (1.0 / scaling.wn ** 2)[:, None])
+        Hf = H.reshape(-1)
+        for (idx, kww, gc1, gc2, dest, bounds), gd in zip(self.maps,
+                                                          scaling.groups):
+            vals = _pair_entries(gd["Winv"], idx, kww)
+            vals *= gc1
+            vals *= gc2
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                Hf[dest[lo:hi]] += vals[lo:hi]
+        return H
+
+    def factor(self, scaling) -> _KktSolver:
+        return _KktSolver(self.normal_matrix(scaling), self.A)
 
 
 # absolute static regularization of the equality block on the sparse path;
@@ -550,7 +617,6 @@ class _SparseKkt:
         m, n = A.shape
         self.n = n
         self.dim = N = n + m
-        self.groups = groups
         rows, cols = [], []
         # nonnegative row k adds d_k G[k, i] G[k, j] at (i, j)
         Gn = G[:l_nn]
@@ -567,12 +633,11 @@ class _SparseKkt:
         # PSD slots t1, t2 of one block add K[t1, t2] gc[t1] gc[t2]
         self.psd = []
         for g in groups:
-            shape = (g.nb, g.ns, g.ns)
-            sel = np.flatnonzero(g.mask[:, :, None] & g.mask[:, None, :])
-            gc = np.where(g.mask, g.gcoef, 0.0)
-            self.psd.append((sel, (gc[:, :, None] * gc[:, None, :]).ravel()[sel]))
-            rows.append(np.broadcast_to(g.varc[:, :, None], shape).ravel()[sel])
-            cols.append(np.broadcast_to(g.varc[:, None, :], shape).ravel()[sel])
+            blk, t1, t2 = np.nonzero(g.mask[:, :, None] & g.mask[:, None, :])
+            self.psd.append(_pair_index(g, blk, t1, t2)
+                            + (g.gcoef[blk, t1] * g.gcoef[blk, t2],))
+            rows.append(g.var[blk, t1])
+            cols.append(g.var[blk, t2])
         n_var = sum(r.size for r in rows)
         # constant entries: A, A', -delta I and explicit zeros on H's
         # diagonal, so that the factorization ladder can shift any of it
@@ -605,8 +670,8 @@ class _SparseKkt:
         from scipy.sparse.linalg import splu
 
         vals = [self.nn_coef / scaling.wn[self.nn_row] ** 2]
-        for g, gd, (sel, gcgc) in zip(self.groups, scaling.groups, self.psd):
-            vals.append(_psd_hessian(g, gd).ravel()[sel] * gcgc)
+        for gd, (idx, kww, gcgc) in zip(scaling.groups, self.psd):
+            vals.append(_pair_entries(gd["Winv"], idx, kww) * gcgc)
         data = self.base + np.bincount(self.inv, weights=np.concatenate(vals),
                                        minlength=self.base.size)
         n = self.n
@@ -674,19 +739,18 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             return vec
         return vec + (1.0 - min(margin, 0.0)) * e_vec
 
-    if sparse_kkt:
-        factor_kkt = _SparseKkt(G, A, groups, l_nn).factor
-    else:
-        def factor_kkt(scaling):
-            return _KktSolver(G, A, groups, l_nn, scaling)
+    kkt_class = _SparseKkt if sparse_kkt else _DenseKkt
+    factor_kkt = kkt_class(G, A, groups, l_nn).factor
+    GT, AT = G.T, A.T
 
-    # identity-scaled initial point
+    # identity-scaled initial point: R = Rinv = Winv = I
+    eyes = [np.tile(np.eye(g.m, dtype=dt), (g.nb, 1, 1)) for g in groups]
     id_scaling = _Scaling(np.ones(l_nn, dtype=dt), np.ones(l_nn, dtype=dt),
-                          [{"R": np.broadcast_to(np.eye(g.m, dtype=dt), (g.nb, g.m, g.m)).copy(),
-                            "Rinv": np.broadcast_to(np.eye(g.m, dtype=dt), (g.nb, g.m, g.m)).copy(),
-                            "lam": np.ones((g.nb, g.m), dtype=dt)} for g in groups])
+                          [{"R": eye, "Rinv": eye, "Winv": eye,
+                            "lam": np.ones((g.nb, g.m), dtype=dt)}
+                           for g, eye in zip(groups, eyes)])
     kkt0 = factor_kkt(id_scaling)
-    u, yy = kkt0.solve(G.T @ h, b)
+    u, yy = kkt0.solve(GT @ h, b)
     s = shift_into_cone(h - G @ u)
     nu_v, w_v = kkt0.solve(c, np.zeros_like(b))
     y = -w_v
@@ -707,7 +771,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     for it in range(settings.max_iterations + 1):
         res_y = A @ u - b
         res_z = G @ u + s - h
-        res_x = c + A.T @ y + G.T @ z
+        res_x = c + AT @ y + GT @ z
         gap = float(s @ z)
         pcost = float(c @ u)
         dcost = float(-h @ z - b @ y)
@@ -736,7 +800,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         # infeasibility certificates from the current iterate
         by_hz = float(h @ z + b @ y)
         if by_hz < -1e-10:
-            cert = float(np.linalg.norm(A.T @ y + G.T @ z)) / (-by_hz)
+            cert = float(np.linalg.norm(AT @ y + GT @ z)) / (-by_hz)
             if cert * norm_h <= ftol * 10:
                 status = "infeasible"
                 break
@@ -770,11 +834,11 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             """
             v = _jordan_solve(scaling, groups, l_nn, dsc)
             bz = -rz_vec - _apply_w(scaling, groups, l_nn, v, "wt")
-            r1 = -rx + G.T @ _apply_winv2(scaling, groups, l_nn, bz)
+            r1 = -rx + GT @ _apply_winv2(scaling, groups, l_nn, bz)
             du, dy = kkt.solve(r1, -ry)
             for _ in range(_REFINEMENT):
-                Hdu = G.T @ _apply_winv2(scaling, groups, l_nn, G @ du)
-                c1, c2 = kkt.solve(r1 - Hdu - A.T @ dy, -ry - A @ du)
+                Hdu = GT @ _apply_winv2(scaling, groups, l_nn, G @ du)
+                c1, c2 = kkt.solve(r1 - Hdu - AT @ dy, -ry - A @ du)
                 du = du + c1
                 dy = dy + c2
             Gdu = G @ du
@@ -844,8 +908,7 @@ def _apply_winv2(scaling, groups, l_nn, vec):
     if l_nn:
         out[:l_nn] = vec[:l_nn] / (scaling.wn ** 2)
     for g, gd in zip(groups, scaling.groups):
-        Rinv = gd["Rinv"]
-        Winv = np.swapaxes(Rinv, -1, -2) @ Rinv
+        Winv = gd["Winv"]
         M = g.mats(vec)
         res = Winv @ M @ Winv
         res = 0.5 * (res + np.swapaxes(res, -1, -2))

@@ -1,8 +1,10 @@
-"""Every module under src/qcqpen reads each name it imports.
+"""Every module under src/qcqpen reads each name it imports, and every
+top-level private definition is read somewhere in the package.
 
-A stdlib-ast stand-in for a linter's unused-import check, since the test
-dependencies ship no linter. `__init__.py` is skipped because it imports
-names to re-export them; `from __future__` lines are compiler directives.
+Stdlib-ast stand-ins for a linter's unused-import and dead-code checks,
+since the test dependencies ship no linter. The import check skips
+`__init__.py` because it imports names to re-export them; `from __future__`
+lines are compiler directives.
 """
 
 import ast
@@ -46,3 +48,54 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """'module:name' for each top-level private definition (function,
+    class or assignment; dunders exempt) that no module in `sources`
+    (module name -> source) reads, as a name or as an attribute."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}:{name}" for name in names
+                       if name.startswith("_") and not name.endswith("__")
+                       and name not in read]
+    return sorted(unread)
+
+
+def test_unread_checker_flags_dead_definitions():
+    sources = {
+        "a.py": ("_used = 1\n_dead, _pair_used = 2, 3\n_ann: int = 4\n"
+                 "__version__ = '1'\n"
+                 "def _f():\n    return _used\n"
+                 "def _g():\n    pass\n"
+                 "class _C:\n    _attr = 5\n"
+                 "def public():\n    def _inner():\n        pass\n"
+                 "    return _pair_used\n"),
+        "b.py": "import a\n\nx = a._f()\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.py:_C", "a.py:_ann", "a.py:_dead", "a.py:_g"]
+
+
+def test_no_unread_private_definitions():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_names(sources) == []

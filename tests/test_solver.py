@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qcqpen import (ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
-from qcqpen.solver import (_REFINEMENT, PsdBlock, _KktSolver, _Scaling,
-                           _SparseKkt, _apply_winv2, _build_groups,
-                           _kkt_path, _nt_scaling, kkt_residuals, smat,
-                           svec, svec_index)
+from qcqpen.solver import (_REFINEMENT, PsdBlock, _DenseKkt, _KktSolver,
+                           _Scaling, _SparseKkt, _apply_winv2, _build_groups,
+                           _kkt_path, _nt_scaling, _pair_entries,
+                           _pair_index, kkt_residuals, smat, svec,
+                           svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
 from qcqpen.lifting import RelaxationConfig, build_penalized
@@ -204,7 +205,7 @@ def test_long_double_ladder_factors_singular_normal_matrix():
     _, G, _ = _build_groups(prog, dt, False)
     A = prog.eq_matrix().toarray().astype(dt)
     scaling = _Scaling(np.ones(1, dtype=dt), np.ones(1, dtype=dt), [])
-    kkt = _KktSolver(G, A, [], 1, scaling)
+    kkt = _DenseKkt(G, A, [], 1).factor(scaling)
     assert 0.0 < kkt.reg_used
 
 
@@ -220,8 +221,8 @@ def test_reg_used_counts_schur_shift():
         _, G, _ = _build_groups(prog, dt, False)
         A = prog.eq_matrix().toarray().astype(dt)
         scaling = _Scaling(np.ones(2, dtype=dt), np.ones(2, dtype=dt), [])
-        kkt = _KktSolver(G, A, [], 2, scaling)
-        h_only = _KktSolver(G, A[:0], [], 2, scaling)
+        kkt = _DenseKkt(G, A, [], 2).factor(scaling)
+        h_only = _DenseKkt(G, A[:0], [], 2).factor(scaling)
         assert h_only.reg_used == 0.0
         assert kkt.reg_used > h_only.reg_used
 
@@ -235,7 +236,7 @@ def sysid_program():
     return prog
 
 
-def _random_interior_scaling(prog, groups, sdim, seed):
+def _random_interior_scaling(prog, groups, sdim, seed, dt=np.float64):
     rng = np.random.default_rng(seed)
     l_nn = prog.n_nonneg
     s = np.empty(sdim)
@@ -247,7 +248,7 @@ def _random_interior_scaling(prog, groups, sdim, seed):
             B = rng.normal(size=(g.nb, g.m, g.m))
             M = B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(g.m)
             vec[g.slot] = svec(M)
-    return _nt_scaling(groups, s, z, l_nn)
+    return _nt_scaling(groups, s, z, l_nn, dt)
 
 
 def test_build_groups_matches_entrywise():
@@ -334,7 +335,7 @@ def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
         res = np.concatenate([r1 - H @ du - Ad.T @ dy, r2 - Ad @ du])
         return du, dy, np.linalg.norm(res) / norm
 
-    dense = _KktSolver(Gd, Ad, groups, prog.n_nonneg, scaling)
+    dense = _DenseKkt(Gd, Ad, groups, prog.n_nonneg).factor(scaling)
     sparse = _SparseKkt(G, A, groups, prog.n_nonneg).factor(scaling)
     du_d, dy_d, res_d = refined(dense)
     du_s, dy_s, res_s = refined(sparse)
@@ -389,3 +390,121 @@ def test_sparse_kkt_singular_is_regularized():
     assert kkt.reg_used > pattern.delta
     du, dy = kkt.solve(np.array([1.0, 2.0, 0.0]), np.array([1.0]))
     assert np.all(np.isfinite(du)) and np.all(np.isfinite(dy))
+
+
+def _reference_normal_matrix(G, groups, l_nn, scaling):
+    """H = G'(W'W)^{-1}G from the full symmetric Kronecker of every block,
+    scattered with np.add.at: the dense assembly the pair map replaced."""
+    Gn = G[:l_nn]
+    H = Gn.T @ (Gn * (1.0 / scaling.wn ** 2)[:, None])
+    for g, gd in zip(groups, scaling.groups):
+        Rinv = gd["Rinv"]
+        P = np.swapaxes(Rinv, -1, -2) @ Rinv
+        a, b, w = g.ka, g.kb, g.w
+        A1 = P[:, a[:, None], a[None, :]] * P[:, b[:, None], b[None, :]]
+        A2 = P[:, a[:, None], b[None, :]] * P[:, b[:, None], a[None, :]]
+        ww = w[:, None] * w[None, :]
+        K = 0.5 * ww * (A1 + A2)
+        gc = np.where(g.mask, g.gcoef, 0.0)
+        C = K * gc[:, :, None] * gc[:, None, :]
+        varc = np.where(g.mask, g.var, 0)
+        np.add.at(H, (varc[:, :, None], varc[:, None, :]), C)
+    return H
+
+
+def _moment_block(rng, index, lifted):
+    """[[1, x'], [x, X]] over the variables `index`; lifted maps (i, j),
+    i >= j, to the variable of X[i, j]. Coefficients are random."""
+    entries = {(0, 0): (-1, 0.0, 1.0)}
+    for a, i in enumerate(index):
+        entries[(a + 1, 0)] = (i, rng.uniform(0.5, 2.0), 0.0)
+        for b, j in enumerate(index[:a + 1]):
+            entries[(a + 1, b + 1)] = (lifted[max(i, j), min(i, j)],
+                                       rng.uniform(0.5, 2.0), 0.0)
+    return PsdBlock.from_entries(len(index) + 1, entries)
+
+
+def _dense_kkt_program(case, extra=0):
+    """'full': one 4x4 moment block over x0..x2 and X. 'shared': two 3x3
+    r = 2-style blocks over (x0, x1) and (x0, x2), which share x0 and
+    X00. Each x_i gets a box row. `extra` variables appear in no cone row,
+    only in one equality row."""
+    rng = np.random.default_rng(11)
+    pairs = ([(i, j) for i in range(3) for j in range(i + 1)]
+             if case == "full" else [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2)])
+    lifted = {p: 3 + k for k, p in enumerate(pairs)}
+    n = 3 + len(pairs) + extra
+    prog = ConicProgram(n, rng.normal(size=n))
+    for i in range(3):
+        prog.add_nonneg_row([i], [1.0], 1.0)
+        prog.add_nonneg_row([i, lifted[i, i]], [-1.0, 0.5], 1.0)
+    if case == "full":
+        prog.add_psd_block(_moment_block(rng, [0, 1, 2], lifted))
+    else:
+        prog.add_psd_block(_moment_block(rng, [0, 1], lifted))
+        prog.add_psd_block(_moment_block(rng, [0, 2], lifted))
+    if extra:
+        prog.add_equality_row(list(range(n - extra - 1, n)),
+                              np.ones(extra + 1), 1.0)
+    return prog
+
+
+@pytest.mark.parametrize("dt", [np.float64, np.longdouble])
+@pytest.mark.parametrize("case", ["full", "shared"])
+def test_dense_normal_matrix_matches_add_at_reference(case, dt):
+    # the pair map computes H's lower triangle bit for bit as the full
+    # symmetric Kronecker and np.add.at did
+    prog = _dense_kkt_program(case)
+    groups, G, h = _build_groups(prog, dt, False)
+    A = prog.eq_matrix().toarray().astype(dt)
+    dense = _DenseKkt(G, A, groups, prog.n_nonneg)
+    layers = [len(bounds) - 1 for *_, bounds in dense.maps]
+    assert layers == ([1] if case == "full" else [2])
+    for seed in range(3):
+        scaling = _random_interior_scaling(prog, groups, h.size, seed, dt)
+        H = dense.normal_matrix(scaling)
+        assert H.dtype == dt
+        ref = _reference_normal_matrix(G, groups, prog.n_nonneg, scaling)
+        assert np.array_equal(np.tril(H), np.tril(ref))
+
+
+@pytest.mark.parametrize("case", ["full", "shared"])
+def test_pair_entries_match_svec_of_winv_map(case):
+    # column t of the block's Hessian is svec(W^-1 smat(e_t) W^-1)
+    prog = _dense_kkt_program(case)
+    groups, _, h = _build_groups(prog, np.float64, True)
+    scaling = _random_interior_scaling(prog, groups, h.size, seed=7)
+    for g, gd in zip(groups, scaling.groups):
+        blk, t1, t2 = np.indices((g.nb, g.ns, g.ns)).reshape(3, -1)
+        idx, kww = _pair_index(g, blk, t1, t2)
+        assert idx.dtype == np.int32
+        K = _pair_entries(gd["Winv"], idx, kww).reshape(g.nb, g.ns, g.ns)
+        P = gd["Winv"]
+        for k in range(g.nb):
+            ref = np.column_stack([svec(P[k] @ smat(e, g.m) @ P[k])
+                                   for e in np.eye(g.ns)])
+            assert np.allclose(K[k], ref, rtol=1e-12,
+                               atol=1e-14 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("dt", [np.float64, np.longdouble])
+def test_kkt_solver_ignores_strict_upper_triangle(dt):
+    # H's strict upper triangle is not valid: NaN there must change neither
+    # the diagonal shift nor the solve. The two extra variables are in no
+    # cone row, so H is singular and the ladder runs.
+    prog = _dense_kkt_program("shared", extra=2)
+    groups, G, h = _build_groups(prog, dt, False)
+    A = prog.eq_matrix().toarray().astype(dt)
+    scaling = _random_interior_scaling(prog, groups, h.size, 2, dt)
+    H = _DenseKkt(G, A, groups, prog.n_nonneg).normal_matrix(scaling)
+    broken = H.copy()
+    broken[np.triu_indices(prog.n_vars, 1)] = np.nan
+    kkt, ref = _KktSolver(broken, A), _KktSolver(H, A)
+    assert ref.reg_used > 0.0
+    assert kkt.reg_used == ref.reg_used
+    rng = np.random.default_rng(1)
+    r1 = rng.normal(size=prog.n_vars).astype(dt)
+    r2 = rng.normal(size=prog.n_eq).astype(dt)
+    for got, want in zip(kkt.solve(r1, r2), ref.solve(r1, r2)):
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(got, want)
