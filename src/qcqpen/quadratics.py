@@ -10,11 +10,15 @@ so grad q = 2(Ax + b) and hess q = 2A. A QCQP is
 
 Constraints are indexed 0..len(I)-1 for inequalities followed by
 len(I)..len(I)+len(E)-1 for equalities everywhere in this package.
+
+A is read-only after construction, so `QuadraticFunction.terms`, the
+nonzeros of its upper triangle, is scanned once and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +30,22 @@ def _as_sym(A, n: int) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
+def _upper_terms(A: np.ndarray):
+    """(rows, cols, vals) of the nonzeros of A's upper triangle, diagonal
+    included, in row-major order: one scan of A."""
+    rows, cols = np.nonzero(A)
+    keep = rows <= cols
+    rows, cols = rows[keep], cols[keep]
+    vals = A[rows, cols]
+    for arr in (rows, cols, vals):
+        arr.setflags(write=False)
+    return rows, cols, vals
+
+
 @dataclass
 class QuadraticFunction:
-    """q(x) = x'Ax + 2b'x + c, A symmetrized on construction."""
+    """q(x) = x'Ax + 2b'x + c, A symmetrized and made read-only on
+    construction."""
 
     A: np.ndarray
     b: np.ndarray
@@ -38,7 +55,14 @@ class QuadraticFunction:
         self.b = np.asarray(self.b, dtype=float).ravel()
         n = self.b.shape[0]
         self.A = _as_sym(self.A, n)
+        self.A.setflags(write=False)
         self.c = float(self.c)
+
+    @cached_property
+    def terms(self):
+        """(rows, cols, vals): the nonzeros of A's upper triangle, diagonal
+        included, row-major; the order of np.argwhere(np.triu(A) != 0)."""
+        return _upper_terms(self.A)
 
     @property
     def n(self) -> int:

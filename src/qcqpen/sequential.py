@@ -15,6 +15,11 @@ feasible points. The penalty is either given or auto-tuned: the tuner
 bisects a log-spaced grid for the smallest eta whose first six rounds are
 all tight, falling back to a linear scan if tightness is not monotone in
 eta across the evaluated candidates.
+
+The reported point x_final is the last round's point. Tightness tests the
+trace residual alone, so an inaccurate solve can leave that point slightly
+infeasible; when its violation exceeds tight_tol, regularity's minimum-norm
+linearization steps (`estimate_distance`) move it onto the feasible set.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 
 from .lifting import RelaxationConfig, build_penalized, build_relaxation, extract
 from .quadratics import QcqpProblem
+from .regularity import estimate_distance
 from .solver import SolverSettings, solve_conic
 
 _OK_STATUSES = ("optimal", "near_optimal")
@@ -82,6 +88,12 @@ class SequentialTrace:
     label: str = ""
     init_s: float = 0.0              # resolve_initial_point
     tune_s: float = 0.0              # tune_eta, 0 with a fixed eta
+    # feasibility restoration of x_final: the step's length (0 when x_final
+    # was within tight_tol, inf when the step failed and x_final was kept)
+    # and the violation of the last round's point and of x_final
+    restore_distance: float = 0.0
+    violation_before: float = 0.0
+    violation_after: float = 0.0
 
     @property
     def objective(self) -> float:
@@ -245,10 +257,19 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
             raise ValueError("eta must be positive")
     rounds, i_feas, i_stop, x, status = _run_rounds(
         p, cfg, x0, eta, cfg.max_rounds, cfg.stop_rel)
+    violation_before = violation_after = p.violation(x)
+    restore_distance = 0.0
+    if violation_before > cfg.tight_tol:
+        restore_distance, witness = estimate_distance(p, x)
+        if witness is not None:
+            x = witness
+            violation_after = p.violation(x)
     return SequentialTrace(rounds=rounds, eta=eta, i_feas=i_feas,
                            i_stop=i_stop, x_final=x, x_init=x0,
                            status=status, label=label, init_s=init_s,
-                           tune_s=tune_s)
+                           tune_s=tune_s, restore_distance=restore_distance,
+                           violation_before=violation_before,
+                           violation_after=violation_after)
 
 
 def trace_csv(trace: SequentialTrace) -> str:
@@ -268,6 +289,9 @@ def trace_json(trace: SequentialTrace) -> str:
         "status": trace.status,
         "init_s": trace.init_s,
         "tune_s": trace.tune_s,
+        "restore_distance": trace.restore_distance,
+        "violation_before": trace.violation_before,
+        "violation_after": trace.violation_after,
         "x_init": trace.x_init.tolist(),
         "x_final": trace.x_final.tolist(),
         "rounds": [

@@ -1,5 +1,9 @@
 """Shared instance generators for the test suite."""
 
+import importlib
+import pathlib
+import sys
+
 import numpy as np
 
 from qcqpen import QcqpProblem, QuadraticFunction
@@ -159,3 +163,20 @@ def lifted_vector(emap, x, X=None):
     for (i, j), k in emap.X_index.items():
         u[k] = X[i, j]
     return u
+
+
+PERFBENCH = str(pathlib.Path(__file__).resolve().parent.parent / "perfbench")
+
+
+def perfbench_module(name):
+    """Import perfbench/<name>.py without writing bytecode next to it. Its
+    modules import one another by bare name, so the directory joins
+    sys.path."""
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
+    prior = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = prior

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import qcqpen.quadratics
 from qcqpen import (QcqpProblem, QuadraticFunction, RelaxationConfig,
-                    build_penalized, build_relaxation, extract, rlt_cuts,
-                    rlt_pair_list, rlt_system, solve_conic)
+                    SysIdParams, build_penalized, build_relaxation, extract,
+                    gen_sysid, rlt_cuts, rlt_pair_list, rlt_system,
+                    solve_conic)
+from qcqpen.solver import PsdBlock
 from _support import lifted_vector, random_box_qcqp, sample_feasible
 
 OK = ("optimal", "near_optimal")
@@ -225,3 +228,141 @@ def test_penalized_validation():
         build_penalized(p, None, np.zeros(p.n), 0.0)
     with pytest.raises(ValueError):
         build_penalized(p, None, np.zeros(p.n + 1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# rows and blocks against the dense-scan formulas that the O(nnz) lifting
+# replaced; both must give the same program bit for bit
+
+
+def _dense_scan_row(q, X_index):
+    cols, vals = [], []
+    for i in range(q.n):
+        if q.b[i] != 0.0:
+            cols.append(i)
+            vals.append(2.0 * q.b[i])
+    for a, b in np.argwhere(np.triu(q.A) != 0.0):
+        a, b = int(a), int(b)
+        cols.append(X_index[(a, b)])
+        vals.append(q.A[a, b] if a == b else 2.0 * q.A[a, b])
+    return np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float), q.c
+
+
+def _assert_row(row, rhs, ref, ref_rhs):
+    assert np.array_equal(row[0], ref[0]) and row[0].dtype == ref[0].dtype
+    assert np.array_equal(row[1], ref[1]) and row[1].dtype == ref[1].dtype
+    assert rhs == ref_rhs
+
+
+def _sysid_small():
+    return gen_sysid(SysIdParams(n=2, m=1, T=3, o=2, sigma=0.01,
+                                 seed=0)).problem
+
+
+def _stored_pair_subsets(p, rlt_pairs=None):
+    _, emap = build_relaxation(p, RelaxationConfig(r=2, rlt_pairs=rlt_pairs))
+    return [list(k) for k in emap.X_index if k[0] != k[1]]
+
+
+_SYSID = _sysid_small()
+_REFERENCE_CONFIGS = {
+    "r2": RelaxationConfig(r=2),
+    "r2_dense": RelaxationConfig(r=2, sparsity=False),
+    "full": RelaxationConfig(),
+    "subsets_rlt": RelaxationConfig(r=2, rlt_pairs="all",
+                                    subsets=_stored_pair_subsets(_SYSID,
+                                                                 "all")),
+    "r2_rlt": RelaxationConfig(r=2, rlt_pairs="all"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_CONFIGS))
+def test_rows_match_dense_scan_reference(name):
+    p, cfg = _SYSID, _REFERENCE_CONFIGS[name]
+    xhat = np.random.default_rng(0).normal(size=p.n)
+    prog, emap = build_penalized(p, cfg, xhat, 0.7)
+    X = emap.X_index
+    cols, vals, c0 = _dense_scan_row(p.objective, X)
+    c = np.zeros(prog.n_vars)
+    c[cols] = vals
+    c[:p.n] -= 2.0 * 0.7 * xhat
+    for i in range(p.n):
+        c[X[(i, i)]] += 0.7
+    assert np.array_equal(prog.c, c)
+    assert prog.c0 == c0 + 0.7 * float(xhat @ xhat)
+    for k, q in enumerate(p.inequalities):
+        ref = _dense_scan_row(q, X)
+        _assert_row(prog.nn_rows[k], prog.nn_rhs[k], ref, -ref[2])
+    for k, q in enumerate(p.equalities):
+        ref = _dense_scan_row(q, X)
+        _assert_row(prog.eq_rows[k], prog.eq_rhs[k], ref, -ref[2])
+    cuts = rlt_cuts(p, cfg.rlt_pairs) if cfg.rlt_pairs else []
+    assert len(cuts) == (36 if cfg.rlt_pairs else 0)
+    assert prog.n_nonneg == p.n_ineq + len(cuts)
+    for k, (_, q) in enumerate(cuts):
+        cols, vals, const = _dense_scan_row(q, X)
+        row = prog.nn_rows[p.n_ineq + k]
+        _assert_row(row, prog.nn_rhs[p.n_ineq + k], (cols, -vals), const)
+
+
+def test_unstored_term_names_its_entry():
+    p = _SYSID
+    a, b = next((a, b) for q in p.constraints
+                for a, b in zip(*q.terms[:2]) if a != b)
+    with pytest.raises(ValueError, match=rf"term X\[{a},{b}\] is not stored"):
+        build_relaxation(p, RelaxationConfig(
+            r=2, subsets=[K for K in _stored_pair_subsets(p)
+                          if K != [a, b]]))
+
+
+def _block_subset(block):
+    # x_{K[a-1]} sits at slot (a, 0), svec index a(a+1)/2
+    return [int(block.var[a * (a + 1) // 2]) for a in range(1, block.size)]
+
+
+@pytest.mark.parametrize("cfg, subsets", [
+    (RelaxationConfig(r=2), [[0, 1], [1, 2], [3]]),
+    (RelaxationConfig(r=2, sparsity=False),
+     [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]),
+    (RelaxationConfig(), [[0, 1, 2, 3]]),
+    (RelaxationConfig(r=3, subsets=[[0, 1, 2], [1, 2, 3]]),
+     [[0, 1, 2], [1, 2, 3]]),
+], ids=["r2", "r2_dense", "full", "subsets"])
+def test_block_arrays_match_from_entries(cfg, subsets):
+    # X_01 and X_12 in the objective, a ball over x0..x2, and x3 reached
+    # only by the penalty's trace term
+    A0 = np.zeros((4, 4))
+    A0[0, 1] = A0[1, 0] = A0[2, 1] = A0[1, 2] = 1.0
+    ball = QuadraticFunction(np.diag([1.0, 1.0, 1.0, 0.0]), np.zeros(4), -1.0)
+    p = QcqpProblem(n=4, objective=QuadraticFunction(A0, np.ones(4)),
+                    inequalities=[ball])
+    prog, emap = build_penalized(p, cfg, np.zeros(p.n), 1.0)
+    assert [_block_subset(b) for b in prog.blocks] == subsets
+    for block, K in zip(prog.blocks, subsets):
+        entries = {(0, 0): (-1, 0.0, 1.0)}
+        for ai, a in enumerate(K):
+            entries[(ai + 1, 0)] = (a, 1.0, 0.0)
+            for bi, b in enumerate(K[:ai + 1]):
+                entries[(ai + 1, bi + 1)] = (emap.X_index[(b, a)], 1.0, 0.0)
+        ref = PsdBlock.from_entries(len(K) + 1, entries)
+        assert block.size == ref.size
+        for got, want in ((block.var, ref.var), (block.coef, ref.coef),
+                          (block.const, ref.const)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+def test_each_matrix_is_scanned_once_across_builds(monkeypatch):
+    scans = {}
+    scan = qcqpen.quadratics._upper_terms
+
+    def counted(A):
+        scans[id(A)] = scans.get(id(A), 0) + 1
+        return scan(A)
+
+    monkeypatch.setattr(qcqpen.quadratics, "_upper_terms", counted)
+    p, _ = random_box_qcqp(15, n=4)
+    quads = [p.objective] + p.constraints
+    for eta in (0.5, 1.0, 2.0):
+        build_penalized(p, RelaxationConfig(r=2, bound_cuts=True),
+                        np.zeros(p.n), eta)
+    assert scans == {id(q.A): 1 for q in quads}

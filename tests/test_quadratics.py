@@ -102,3 +102,54 @@ def test_jacobian_rows_are_gradients():
         assert J[k] == pytest.approx(q.gradient(x))
     empty = QcqpProblem(n=2, objective=p.objective)
     assert jacobian(empty, x).shape == (0, 2)
+
+
+def _triu_scan(A):
+    # the dense scan that terms replaces
+    nz = np.argwhere(np.triu(A) != 0.0)
+    return nz[:, 0], nz[:, 1], A[nz[:, 0], nz[:, 1]]
+
+
+def _signed_zeros(n):
+    A = np.zeros((n, n))
+    A[0, 1] = A[1, 0] = -0.0
+    A[2, 2] = -0.0
+    A[1, 2] = 3.0
+    A[0, 2] = -0.0
+    A[2, 0] = 0.0
+    return A
+
+
+@pytest.mark.parametrize("A", [
+    np.random.default_rng(0).normal(size=(6, 6)),
+    np.where(np.random.default_rng(1).random((9, 9)) < 0.2,
+             np.random.default_rng(2).normal(size=(9, 9)), 0.0),
+    np.where(np.random.default_rng(3).random((40, 40)) < 0.02, 1.5, 0.0),
+    _signed_zeros(4),
+    np.zeros((5, 5)),
+    np.array([[2.0]]),
+    np.array([[0.0]]),
+], ids=["dense", "sparse", "sparse40", "signed_zeros", "zero", "n1", "n1zero"])
+def test_terms_match_triu_scan_in_order(A):
+    q = QuadraticFunction(A, np.zeros(A.shape[0]))
+    rows, cols, vals = q.terms
+    want = _triu_scan(q.A)
+    for got, ref in zip((rows, cols, vals), want):
+        assert np.array_equal(got, ref)
+        assert got.dtype == ref.dtype
+    assert q.terms is q.terms                      # scanned once
+
+
+def test_matrix_is_read_only():
+    q = QuadraticFunction(np.eye(3), np.zeros(3))
+    with pytest.raises(ValueError):
+        q.A[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        q.A += 1.0
+    for arr in q.terms:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the caller's array is copied, not frozen
+    M = np.eye(2)
+    QuadraticFunction(M, np.zeros(2))
+    M[0, 1] = 1.0

@@ -9,7 +9,7 @@ from qcqpen import (EtaTuningError, QcqpProblem, QuadraticFunction,
                     extract, gap_percent, gen_sysid, resolve_initial_point,
                     run, solve_conic, trace_csv, trace_json, tune_eta)
 from qcqpen.sequential import _round_solver_settings, _run_rounds
-from _support import random_feasible_qcqp
+from _support import perfbench_module, random_feasible_qcqp
 
 import json
 
@@ -206,6 +206,59 @@ def test_trace_json_fields():
     assert len(doc["rounds"]) == len(tr.rounds)
     assert doc["rounds"][0]["solver_status"] in ("optimal", "near_optimal")
     assert doc["x_final"] == list(tr.x_final)
+
+
+def test_reported_point_restored_onto_ball():
+    # zero rounds report the anchor itself: a point just outside |x| <= 1
+    # is moved onto the ball by a minimum-norm linearization step
+    p = _shifted_ball_problem()
+    x0 = np.array([1.0 + 1e-4, 0.0])
+    tr = run(p, SequentialConfig(eta=1.0, init=x0, max_rounds=0))
+    assert tr.violation_before == pytest.approx(p.violation(x0), rel=1e-12)
+    assert tr.violation_before > 2e-4
+    assert tr.violation_after == p.violation(tr.x_final) < 1e-8
+    assert tr.restore_distance == pytest.approx(1e-4, rel=1e-3)
+    assert tr.restore_distance == np.linalg.norm(tr.x_final - x0)
+    doc = json.loads(trace_json(tr))
+    assert doc["restore_distance"] == tr.restore_distance
+    assert doc["violation_before"] == tr.violation_before
+    assert doc["violation_after"] == tr.violation_after
+    # within tight_tol the point is left alone
+    inside = np.array([1.0 + 1e-8, 0.0])
+    tr = run(p, SequentialConfig(eta=1.0, init=inside, max_rounds=0))
+    assert tr.restore_distance == 0.0
+    assert np.array_equal(tr.x_final, inside)
+    assert tr.violation_before == tr.violation_after > 0.0
+
+
+def test_failed_restoration_keeps_the_point():
+    # |x|^2 + 1 <= 0 has no feasible point, so the step fails
+    p = QcqpProblem(n=2, objective=QuadraticFunction(np.eye(2), np.zeros(2)),
+                    inequalities=[QuadraticFunction(np.eye(2), np.zeros(2),
+                                                    1.0)])
+    x0 = np.array([0.5, 0.0])
+    tr = run(p, SequentialConfig(eta=1.0, init=x0, max_rounds=0))
+    assert tr.restore_distance == float("inf")
+    assert np.array_equal(tr.x_final, x0)
+    assert tr.violation_before == tr.violation_after == p.violation(x0)
+    assert json.loads(trace_json(tr))["restore_distance"] == float("inf")
+
+
+def test_tuned_round_point_restored_feasible():
+    # the benchmark's feas_n2: the tuned round ends near_optimal with a
+    # negative trace residual at a point 2e-6 outside a constraint, more
+    # than the 1e-6 that criterion 3 allows
+    inst = perfbench_module("inputs").feasible_qcqp(1, 2, 2)
+    p = inst.problem
+    cfg = SequentialConfig(eta="auto", max_rounds=1, stop_rel=None,
+                           init=inst.xstar,
+                           solver=SolverSettings(max_iterations=80))
+    tr = run(p, cfg)
+    assert tr.i_feas == 1
+    assert tr.violation_before > 1e-6
+    assert tr.violation_after == p.violation(tr.x_final) < 1e-9
+    assert 0.0 < tr.restore_distance < 1e-6
+    assert p.objective.value(tr.x_final) <= p.objective.value(inst.xstar)
 
 
 def test_sysid_rounds_stay_tight():
