@@ -603,16 +603,19 @@ def write_results(traces, refs=None) -> str:
 
 
 def read_refs_csv(text: str) -> dict:
-    """Reference objectives from CSV with (instance, value) per row."""
+    """Reference objectives from CSV with (instance, value) per row.
+
+    The first row that is not blank or a comment may be a header.
+    """
     out = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        row = raw.strip()
-        if not row or row.startswith("#"):
-            continue
+    rows = [(no, raw.strip())
+            for no, raw in enumerate(text.splitlines(), start=1)
+            if raw.strip() and not raw.strip().startswith("#")]
+    for k, (no, row) in enumerate(rows):
         parts = [p.strip() for p in row.split(",")]
         if len(parts) < 2:
             raise ValueError(f"refs line {no}: expected 'instance,value'")
-        if no == 1 and parts[0].lower() in ("instance", "name"):
+        if k == 0 and parts[0].lower() in ("instance", "name"):
             continue
         out[parts[0]] = float(parts[1])
     return out

@@ -13,8 +13,7 @@ With a sufficiently large penalty eta every round is tight and the
 objective sequence is nonincreasing, so the loop is a descent method over
 feasible points. The penalty is either given or auto-tuned: the tuner
 bisects a log-spaced grid for the smallest eta whose first six rounds are
-all tight, falling back to a linear scan if tightness is not monotone in
-eta across the evaluated candidates.
+all tight, assuming tightness is monotone in eta.
 
 The reported point x_final is the last round's point. Tightness tests the
 trace residual alone, so an inaccurate solve can leave that point slightly
@@ -194,9 +193,12 @@ def _run_rounds(p, cfg, xhat, eta, max_rounds, stop_rel):
 def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None) -> float:
     """Smallest grid eta whose first `tune_rounds` rounds are all tight.
 
-    Bisects the sorted grid assuming tightness is monotone in eta; if the
-    evaluations contradict monotonicity, rescans linearly from the small
-    end. Raises EtaTuningError when even the largest candidate fails.
+    Bisects the sorted grid, assuming tightness is monotone in eta. Every
+    loose candidate it evaluates lies below every tight one, so its
+    evaluations never contradict that assumption. When tightness is not
+    monotone, the result is a tight candidate whose lower neighbour on the
+    grid is loose. Raises EtaTuningError when even the largest candidate
+    fails.
     """
     grid = eta_grid()
     if x0 is None:
@@ -225,17 +227,6 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None) -> float:
             hi = mid
         else:
             lo = mid + 1
-    # monotonicity audit over everything evaluated
-    evaluated = sorted(memo)
-    monotone = True
-    for a in evaluated:
-        for b in evaluated:
-            if a < b and memo[a] and not memo[b]:
-                monotone = False
-    if not monotone:
-        for idx in range(len(grid)):
-            if tight_at(idx):
-                return grid[idx]
     return grid[hi]
 
 

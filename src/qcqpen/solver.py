@@ -19,22 +19,25 @@ The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method:
 at each iterate the scaling W with W z-bar = W^{-T} s-bar = lambda is
 computed per block, the Newton system is reduced to the normal matrix
 H = G' (W'W)^{-1} G with the equalities kept beside it, and steps are damped
-by a fraction of the distance to the cone boundary. The reduced system is
-solved on one of two paths, chosen once per solve by `_kkt_path`:
+by a fraction of the distance to the cone boundary. G and A are CSR in the
+working dtype: long double, where it is wider than float64, for programs
+with at most `_EXTENDED_THRESHOLD` variables, and float64 otherwise.
 
-- dense: only H's diagonal and lower triangle are assembled, which is all
-  that the Cholesky factorization reads (as CVXOPT's potrf-based KKT
-  solvers do). A pair map built once per solve gives, per pair of variable
-  slots of a PSD block, its entries of W^{-1} and its place in H; places
-  that repeat are added in layers, one occurrence per place and layer. The
-  equalities go through a second Cholesky of the Schur complement
-  A H^{-1} A'. Programs with at most `extended_threshold` variables run it
-  in long double; larger ones run it in float64 when H would be dense.
+Every term of H's diagonal and lower triangle comes from one pair list
+built once per solve (`_NormalMap`): each pair of entries of a nonnegative
+row, then each pair of variable slots of a PSD block, with its place in H.
+That is all a Cholesky factorization reads (as in CVXOPT's potrf-based KKT
+solvers). The reduced system is then factored on one of two paths, chosen
+once per solve by `_kkt_path`:
+
+- dense: H is summed from the terms with one np.add.at, which adds them in
+  list order, and Cholesky-factored; the equalities go through a second
+  Cholesky of the Schur complement A H^{-1} A'.
 - sparse (float64 only): when the count of H entries the cone rows scatter,
   the sum of nnz^2 over nonnegative rows plus (variables in block)^2 over
-  PSD blocks, is below a tenth of n^2, the quasidefinite augmented matrix
-  [[H, A'], [A, -delta I]] is filled through a scatter map built once per
-  solve and factored with one sparse LU per iteration (Vanderbei, "Symmetric
+  PSD blocks, is below a tenth of n^2, the terms are summed per place into
+  the quasidefinite augmented matrix [[H, A'], [A, -delta I]] in CSC form
+  and factored with one sparse LU per iteration (Vanderbei, "Symmetric
   quasi-definite matrices", 1995; as in ECOS).
 
 Either way iterative refinement runs against the unregularized system.
@@ -178,10 +181,6 @@ class SolverSettings:
     max_iterations: int = 200
     feasibility_tol: float = 1e-8
     gap_tol: float = 1e-8
-    # programs with at most this many variables run the KKT solves in
-    # extended precision (x86 long double), which keeps the normal
-    # equations factorizable far past the float64 conditioning wall
-    extended_threshold: int = 300
 
 
 @dataclass
@@ -244,12 +243,11 @@ class _BlockGroup:
         return smat(self.gather(vec), self.m)
 
 
-def _build_groups(prog: ConicProgram, dt, sparse: bool):
+def _build_groups(prog: ConicProgram, dt):
     """(groups, G, h): the blocks batched by size, and s = h - G u.
 
-    G spans every cone slot, the nonnegative rows first and then each
-    block's svec slots. It is CSR on the sparse KKT path and a dense `dt`
-    array on the dense one, where a CSR G slowed long-double solves.
+    G is CSR in `dt` and spans every cone slot, the nonnegative rows first
+    and then each block's svec slots.
     """
     sizes: dict = {}
     off = prog.n_nonneg
@@ -266,7 +264,7 @@ def _build_groups(prog: ConicProgram, dt, sparse: bool):
     h[:prog.n_nonneg] = prog.nn_rhs
     for g in groups:
         h[g.slot] = g.h
-    return groups, G if sparse else G.toarray().astype(dt), h
+    return groups, G.astype(dt, copy=False), h
 
 
 class _Scaling:
@@ -341,6 +339,16 @@ def _pair_entries(Winv, idx, kww):
     return vals
 
 
+def _congruence(groups, factors, vec, out):
+    """out's PSD slots := svec(sym(L mat(v) R)) per group, with (L, R) from
+    `factors`; returns out."""
+    for g, (L, R) in zip(groups, factors):
+        res = L @ g.mats(vec) @ R
+        res = 0.5 * (res + np.swapaxes(res, -1, -2))
+        out[g.slot.ravel()] = svec(res).ravel()
+    return out
+
+
 def _apply_w(scaling, groups, l_nn, vec, mode):
     """Apply W ('w'), W' ('wt'), W^{-T} ('wit') blockwise to an s-space vector.
 
@@ -352,20 +360,13 @@ def _apply_w(scaling, groups, l_nn, vec, mode):
     if l_nn:
         wn = scaling.wn
         out[:l_nn] = vec[:l_nn] * (wn if mode in ("w", "wt") else 1.0 / wn)
-    for g, gd in zip(groups, scaling.groups):
-        M = g.mats(vec)
+    factors = []
+    for gd in scaling.groups:
         R, Rinv = gd["R"], gd["Rinv"]
         Rt = np.swapaxes(R, -1, -2)
-        Rit = np.swapaxes(Rinv, -1, -2)
-        if mode == "w":
-            res = Rt @ M @ R
-        elif mode == "wt":
-            res = R @ M @ Rt
-        else:
-            res = Rinv @ M @ Rit
-        res = 0.5 * (res + np.swapaxes(res, -1, -2))
-        out[g.slot.ravel()] = svec(res).ravel()
-    return out
+        factors.append({"w": (Rt, R), "wt": (R, Rt),
+                        "wit": (Rinv, np.swapaxes(Rinv, -1, -2))}[mode])
+    return _congruence(groups, factors, vec, out)
 
 
 def _max_cone_step(groups, scaling, l_nn, scaled_dir):
@@ -482,10 +483,10 @@ def _factor_regularized(M, ext, what):
 class _KktSolver:
     """Cholesky factors of the reduced saddle system [H A'; A 0].
 
-    H and A are dense arrays of the working dtype. Only H's diagonal and
-    lower triangle are read: its strict upper triangle is not valid. H's
-    diagonal is shifted in place when it does not factor. reg_used is the
-    total diagonal shift added to H and to the Schur complement.
+    H is a dense array of the working dtype; only its diagonal and lower
+    triangle are read, and the diagonal is shifted in place when it does
+    not factor. A is CSR, densified to form the Schur complement. reg_used
+    is the total diagonal shift added to H and to the Schur complement.
     """
 
     def __init__(self, H, A):
@@ -493,7 +494,8 @@ class _KktSolver:
         self.cho, self.reg_used = _factor_regularized(
             H, self.ext, "normal equations not positive definite")
         if A.shape[0]:
-            HiAt = self._base_solve(A.T)
+            A = A.toarray()
+            HiAt = self._cho_solve(self.cho, A.T)
             S = A @ HiAt
             S = 0.5 * (S + S.T)
             self.schur, schur_reg = _factor_regularized(
@@ -504,79 +506,86 @@ class _KktSolver:
             self.schur = None
             self.HiAt = None
 
-    def _base_solve(self, r):
+    def _cho_solve(self, fac, r):
         if self.ext:
-            return _cho_solve_ext(self.cho, r)
-        return sla.cho_solve(self.cho, r, check_finite=False)
-
-    def _schur_solve(self, r):
-        if self.ext:
-            return _cho_solve_ext(self.schur, r)
-        return sla.cho_solve(self.schur, r, check_finite=False)
+            return _cho_solve_ext(fac, r)
+        return sla.cho_solve(fac, r, check_finite=False)
 
     def solve(self, r1, r2):
         """Solve [H A'; A 0] [du; dy] = [r1; r2]."""
-        w = self._base_solve(r1)
+        w = self._cho_solve(self.cho, r1)
         if self.schur is not None:
             rhs = self.HiAt.T @ r1 - r2
-            dy = self._schur_solve(rhs)
+            dy = self._cho_solve(self.schur, rhs)
             du = w - self.HiAt @ dy
             return du, dy
         return w, np.zeros(0)
 
 
-class _DenseKkt:
-    """Dense path: H = G' (W'W)^{-1} G through a pair map built once per solve.
+class _NormalMap:
+    """Every term of H = G' (W'W)^{-1} G on its diagonal and lower triangle.
 
-    Per group, the pairs of variable slots (blk, t1, t2) with
-    var(t1) >= var(t2) are kept in (block, t1, t2) order, with their W^{-1}
-    indices (`_pair_index`), gcoef factors and flat place in H: only H's
-    lower triangle is computed. Places that repeat are split into layers,
-    the k-th occurrence of each place in layer k, and the pairs are stored
-    layer by layer, so that `normal_matrix` adds each layer with one
-    fancy-indexed sum and every place receives its terms in (block, t1, t2)
-    order.
+    Built once per solve: one list of pairs, each with its flat place
+    i * n + j, i >= j, in `place`. First, row by row, each pair of entries
+    of a nonnegative row k at columns i >= j, with the term
+    G[k, i] (G[k, j] (1 / wn_k^2)). Then, per group in (block, t1, t2) order,
+    each pair of variable slots with var(t1) >= var(t2), with the term
+    K[t1, t2] gc[t1] gc[t2] (`_pair_entries`).
     """
 
-    def __init__(self, G, A, groups, l_nn):
-        self.Gn = G[:l_nn]
-        self.A = A
-        n = G.shape[1]
-        self.maps = []
+    def __init__(self, G, groups, l_nn):
+        n = self.n = G.shape[1]
+        Gn = G[:l_nn]
+        self.data = Gn.data
+        nk = np.diff(Gn.indptr)
+        self.entry_row = np.repeat(np.arange(l_nn), nk)
+        # the r-th entry of a row pairs with the row's first r + 1 entries,
+        # whose columns are j <= i because CSR keeps each row sorted
+        first = np.repeat(Gn.indptr[:-1], nk)
+        self.reps = np.arange(Gn.nnz) - first + 1
+        self.partner = np.arange(int(self.reps.sum()))
+        self.partner -= np.repeat(np.cumsum(self.reps) - self.reps - first,
+                                  self.reps)
+        cols = Gn.indices.astype(np.int64)
+        places = [np.repeat(cols * n, self.reps) + cols[self.partner]]
+        self.psd = []
         for g in groups:
             both = g.mask[:, :, None] & g.mask[:, None, :]
             both &= g.var[:, :, None] >= g.var[:, None, :]
             blk, t1, t2 = np.nonzero(both)
-            dest = g.var[blk, t1] * n + g.var[blk, t2]
-            # rank: how many earlier pairs share the place
-            srt = np.argsort(dest, kind="stable")
-            new = np.flatnonzero(np.diff(dest[srt], prepend=-1))
-            rank = np.empty_like(srt)
-            rank[srt] = np.arange(srt.size) - np.repeat(
-                new, np.diff(new, append=srt.size))
-            order = np.argsort(rank, kind="stable")
-            bounds = np.concatenate([[0], np.cumsum(np.bincount(rank))])
-            blk, t1, t2 = blk[order], t1[order], t2[order]
-            idx, kww = _pair_index(g, blk, t1, t2)
-            self.maps.append((idx, kww, g.gcoef[blk, t1], g.gcoef[blk, t2],
-                              dest[order], bounds))
+            self.psd.append(_pair_index(g, blk, t1, t2)
+                            + (g.gcoef[blk, t1], g.gcoef[blk, t2]))
+            places.append(g.var[blk, t1] * n + g.var[blk, t2])
+        self.place = np.concatenate(places)
+
+    def terms(self, scaling) -> np.ndarray:
+        """The pairs' terms at `scaling`, in the working dtype."""
+        out = np.empty(self.place.size, dtype=self.data.dtype)
+        lo = self.partner.size
+        scaled = self.data * (1.0 / scaling.wn ** 2)[self.entry_row]
+        # partner is in range by construction: "clip" only skips the
+        # buffered bounds check
+        np.take(scaled, self.partner, out=out[:lo], mode="clip")
+        out[:lo] *= np.repeat(self.data, self.reps)
+        for (idx, kww, gc1, gc2), gd in zip(self.psd, scaling.groups):
+            seg = out[lo:lo + kww.size]
+            np.multiply(_pair_entries(gd["Winv"], idx, kww), gc1, out=seg)
+            seg *= gc2
+            lo += kww.size
+        return out
 
     def normal_matrix(self, scaling) -> np.ndarray:
-        """H at `scaling`; its strict upper triangle is not valid."""
-        Gn = self.Gn
-        H = Gn.T @ (Gn * (1.0 / scaling.wn ** 2)[:, None])
-        Hf = H.reshape(-1)
-        for (idx, kww, gc1, gc2, dest, bounds), gd in zip(self.maps,
-                                                          scaling.groups):
-            vals = _pair_entries(gd["Winv"], idx, kww)
-            vals *= gc1
-            vals *= gc2
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                Hf[dest[lo:hi]] += vals[lo:hi]
-        return H
+        """Dense H at `scaling`; its strict upper triangle is zero.
 
-    def factor(self, scaling) -> _KktSolver:
-        return _KktSolver(self.normal_matrix(scaling), self.A)
+        np.add.at adds in index order, so every place receives its terms in
+        list order.
+        """
+        # terms before H: the other way round, glibc gave H fresh pages on
+        # every call (2,000 page faults, 6 ms on dense_full's program)
+        terms = self.terms(scaling)
+        H = np.zeros(self.n * self.n, dtype=terms.dtype)
+        np.add.at(H, self.place, terms)
+        return H.reshape(self.n, self.n)
 
 
 # absolute static regularization of the equality block on the sparse path;
@@ -585,19 +594,23 @@ class _DenseKkt:
 _SPARSE_DELTA = 1e-12
 # the sparse path runs when the scatter count is below this share of n^2
 _SPARSE_SHARE = 0.1
+# programs with at most this many variables run the KKT solves in extended
+# precision (x86 long double), which keeps the normal equations
+# factorizable far past the float64 conditioning wall
+_EXTENDED_THRESHOLD = 300
 
 
-def _kkt_path(prog: ConicProgram, settings: SolverSettings):
+def _kkt_path(prog: ConicProgram):
     """(dtype, sparse) of the KKT solves, from counts known before assembly.
 
-    Long double is used up to `extended_threshold` variables when it is
+    Long double is used up to _EXTENDED_THRESHOLD variables when it is
     truly wider than float64, always on the dense path. A float64 program
     goes sparse when the entries its cone rows scatter into H, nnz^2 per
     nonnegative row plus (variables in block)^2 per PSD block, number fewer
     than _SPARSE_SHARE * n^2.
     """
     n = prog.n_vars
-    if n <= settings.extended_threshold and np.finfo(np.longdouble).eps < 1e-17:
+    if n <= _EXTENDED_THRESHOLD and np.finfo(np.longdouble).eps < 1e-17:
         return np.longdouble, False
     count = sum(len(cols) ** 2 for cols, _ in prog.nn_rows)
     count += sum(int(np.count_nonzero(blk.var >= 0)) ** 2 for blk in prog.blocks)
@@ -607,51 +620,35 @@ def _kkt_path(prog: ConicProgram, settings: SolverSettings):
 class _SparseKkt:
     """Sparse path: the augmented matrix [[H, A'], [A, -delta I]] in CSC.
 
-    Built once per solve. Every pair of entries of a nonnegative row and
-    every pair of variable slots of a PSD block is mapped to its place among
-    the distinct (row, col) entries, so `factor` fills the data array with
-    one bincount and factors it with one sparse LU.
+    Built once per solve from a `_NormalMap`: each pair's place in H's lower
+    triangle is mapped to its CSC entry, and each place off the diagonal to
+    the entry that mirrors it, so `factor` fills the data array with one
+    bincount and one copy and factors it with one sparse LU.
     """
 
-    def __init__(self, G, A, groups, l_nn):
+    def __init__(self, nmap: _NormalMap, A):
         m, n = A.shape
+        self.nmap = nmap
         self.n = n
         self.dim = N = n + m
-        rows, cols = [], []
-        # nonnegative row k adds d_k G[k, i] G[k, j] at (i, j)
-        Gn = G[:l_nn]
-        nk = np.diff(Gn.indptr)
-        sq = nk * nk
-        self.nn_row = np.repeat(np.arange(nk.size), sq)
-        pos = np.arange(self.nn_row.size) - np.repeat(np.cumsum(sq) - sq, sq)
-        first = np.repeat(Gn.indptr[:-1], sq)
-        per = np.repeat(nk, sq)
-        a, b = first + pos // per, first + pos % per
-        self.nn_coef = Gn.data[a] * Gn.data[b]
-        rows.append(Gn.indices[a])
-        cols.append(Gn.indices[b])
-        # PSD slots t1, t2 of one block add K[t1, t2] gc[t1] gc[t2]
-        self.psd = []
-        for g in groups:
-            blk, t1, t2 = np.nonzero(g.mask[:, :, None] & g.mask[:, None, :])
-            self.psd.append(_pair_index(g, blk, t1, t2)
-                            + (g.gcoef[blk, t1] * g.gcoef[blk, t2],))
-            rows.append(g.var[blk, t1])
-            cols.append(g.var[blk, t2])
-        n_var = sum(r.size for r in rows)
+        lower, pair = np.unique(nmap.place, return_inverse=True)
+        i, j = np.divmod(lower, n)
+        off = i != j
         # constant entries: A, A', -delta I and explicit zeros on H's
         # diagonal, so that the factorization ladder can shift any of it
         Ac = A.tocoo()
         diag = np.arange(N)
-        rows += [diag, n + Ac.row, Ac.col]
-        cols += [diag, Ac.col, n + Ac.row]
+        rows = np.concatenate([i, j[off], diag, n + Ac.row, Ac.col])
+        cols = np.concatenate([j, i[off], diag, Ac.col, n + Ac.row])
         const = np.concatenate([np.zeros(n), np.full(m, -_SPARSE_DELTA),
                                 Ac.data, Ac.data])
-        key = (np.concatenate(cols).astype(np.int64) * N
-               + np.concatenate(rows).astype(np.int64))
-        uniq, inv = np.unique(key, return_inverse=True)
-        self.inv = inv[:n_var]
-        self.base = np.bincount(inv[n_var:], weights=const, minlength=uniq.size)
+        uniq, inv = np.unique(cols * N + rows, return_inverse=True)
+        n_low, n_up = lower.size, int(np.count_nonzero(off))
+        self.pair = inv[:n_low][pair]
+        self.lower = inv[:n_low][off]
+        self.upper = inv[n_low:n_low + n_up]
+        self.base = np.bincount(inv[n_low + n_up:], weights=const,
+                                minlength=uniq.size)
         self.indices = uniq % N
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(uniq // N, minlength=N))])
@@ -669,11 +666,10 @@ class _SparseKkt:
         # every process, also to those that never take the sparse path
         from scipy.sparse.linalg import splu
 
-        vals = [self.nn_coef / scaling.wn[self.nn_row] ** 2]
-        for gd, (idx, kww, gcgc) in zip(scaling.groups, self.psd):
-            vals.append(_pair_entries(gd["Winv"], idx, kww) * gcgc)
-        data = self.base + np.bincount(self.inv, weights=np.concatenate(vals),
-                                       minlength=self.base.size)
+        data = np.bincount(self.pair, weights=self.nmap.terms(scaling),
+                           minlength=self.base.size)
+        data[self.upper] = data[self.lower]
+        data += self.base
         n = self.n
         eps = _REG_START_F64 * max(1.0, float(np.max(data[self.diag[:n]])))
         reg = self.delta
@@ -718,13 +714,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     """Solve a ConicProgram with the built-in interior-point method."""
     settings = settings or SolverSettings()
     l_nn = prog.n_nonneg
-    dt, sparse_kkt = _kkt_path(prog, settings)
-    groups, G, h = _build_groups(prog, dt, sparse_kkt)
+    dt, sparse_kkt = _kkt_path(prog)
+    groups, G, h = _build_groups(prog, dt)
     sdim = h.size
     if sdim == 0:
         raise ValueError("program has no cone constraints")
-    A = prog.eq_matrix()
-    A = A if sparse_kkt else A.toarray().astype(dt)
+    A = prog.eq_matrix().astype(dt, copy=False)
     b = np.asarray(prog.eq_rhs, dtype=dt)
     c = np.asarray(prog.c, dtype=dt)
 
@@ -739,8 +734,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             return vec
         return vec + (1.0 - min(margin, 0.0)) * e_vec
 
-    kkt_class = _SparseKkt if sparse_kkt else _DenseKkt
-    factor_kkt = kkt_class(G, A, groups, l_nn).factor
+    nmap = _NormalMap(G, groups, l_nn)
+    if sparse_kkt:
+        factor_kkt = _SparseKkt(nmap, A).factor
+    else:
+        def factor_kkt(scaling):
+            return _KktSolver(nmap.normal_matrix(scaling), A)
     GT, AT = G.T, A.T
 
     # identity-scaled initial point: R = Rinv = Winv = I
@@ -749,10 +748,10 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
                           [{"R": eye, "Rinv": eye, "Winv": eye,
                             "lam": np.ones((g.nb, g.m), dtype=dt)}
                            for g, eye in zip(groups, eyes)])
-    kkt0 = factor_kkt(id_scaling)
-    u, yy = kkt0.solve(GT @ h, b)
+    kkt = factor_kkt(id_scaling)
+    u, yy = kkt.solve(GT @ h, b)
     s = shift_into_cone(h - G @ u)
-    nu_v, w_v = kkt0.solve(c, np.zeros_like(b))
+    nu_v, w_v = kkt.solve(c, np.zeros_like(b))
     y = -w_v
     z = shift_into_cone(-(G @ nu_v))
 
@@ -769,9 +768,10 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     best = None  # (score, u, y, z, s, pcost, dcost, gap, pres, dres, relgap)
 
     for it in range(settings.max_iterations + 1):
-        res_y = A @ u - b
-        res_z = G @ u + s - h
-        res_x = c + AT @ y + GT @ z
+        Au, Gu_s, ATy, GTz = A @ u, G @ u + s, AT @ y, GT @ z
+        res_y = Au - b
+        res_z = Gu_s - h
+        res_x = c + ATy + GTz
         gap = float(s @ z)
         pcost = float(c @ u)
         dcost = float(-h @ z - b @ y)
@@ -800,13 +800,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         # infeasibility certificates from the current iterate
         by_hz = float(h @ z + b @ y)
         if by_hz < -1e-10:
-            cert = float(np.linalg.norm(AT @ y + GT @ z)) / (-by_hz)
+            cert = float(np.linalg.norm(ATy + GTz)) / (-by_hz)
             if cert * norm_h <= ftol * 10:
                 status = "infeasible"
                 break
         if pcost < -1e-10:
-            ray = max(float(np.linalg.norm(A @ u)),
-                      float(np.linalg.norm(G @ u + s)))
+            ray = max(float(np.linalg.norm(Au)), float(np.linalg.norm(Gu_s)))
             if ray / (-pcost) * norm_c <= ftol * 10:
                 status = "unbounded"
                 break
@@ -815,6 +814,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         if it > 5 and score > max(1e5 * best[0], 1e-2):
             break  # diverging; the best iterate is returned below
 
+        kkt = None  # frees the last factor before the next is built
         try:
             scaling = _nt_scaling(groups, s, z, l_nn, dt)
             kkt = factor_kkt(scaling)
@@ -907,13 +907,8 @@ def _apply_winv2(scaling, groups, l_nn, vec):
     out = np.empty_like(vec)
     if l_nn:
         out[:l_nn] = vec[:l_nn] / (scaling.wn ** 2)
-    for g, gd in zip(groups, scaling.groups):
-        Winv = gd["Winv"]
-        M = g.mats(vec)
-        res = Winv @ M @ Winv
-        res = 0.5 * (res + np.swapaxes(res, -1, -2))
-        out[g.slot.ravel()] = svec(res).ravel()
-    return out
+    return _congruence(groups, [(gd["Winv"], gd["Winv"])
+                                for gd in scaling.groups], vec, out)
 
 
 def _cone_identity(groups, l_nn, dim, dt=np.float64):
@@ -943,7 +938,7 @@ def kkt_residuals(prog: ConicProgram, sol: ConicSolution) -> dict:
     violation and the complementarity gap. Cone violations are the most
     negative slack (0 when inside the cone).
     """
-    groups, G, h = _build_groups(prog, np.float64, True)
+    groups, G, h = _build_groups(prog, np.float64)
     l_nn = prog.n_nonneg
     u, y, z, s = sol.u, sol.y, sol.z, sol.s
     A = prog.eq_matrix()

@@ -374,5 +374,6 @@ def test_read_refs_csv():
     text = "instance,value\nq1,-1.5\n# comment\nq2, 2.0\n"
     refs = read_refs_csv(text)
     assert refs == {"q1": -1.5, "q2": 2.0}
+    assert read_refs_csv("# refs\ninstance,value\na,1.5\n") == {"a": 1.5}
     with pytest.raises(ValueError):
         read_refs_csv("lonely-token\n")

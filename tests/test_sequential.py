@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qcqpen import (EtaTuningError, QcqpProblem, QuadraticFunction,
                     SolverSettings, SysIdParams, build_relaxation, eta_grid,
                     extract, gap_percent, gen_sysid, resolve_initial_point,
                     run, solve_conic, trace_csv, trace_json, tune_eta)
+import qcqpen.sequential as sequential
 from qcqpen.sequential import _round_solver_settings, _run_rounds
 from _support import perfbench_module, random_feasible_qcqp
 
@@ -146,6 +148,43 @@ def test_tune_eta_matches_linear_scan():
             break
     else:
         pytest.fail("linear scan found no tight penalty")
+
+
+@pytest.mark.parametrize("pattern", [
+    "monotone", "hole_above", "tight_below", "alternating"])
+def test_tune_eta_bisection_contract(pattern, monkeypatch):
+    # tightness per grid index, served by a stand-in for the round loop
+    grid = eta_grid()
+    last = len(grid) - 1
+    tight = {
+        "monotone": lambda i: i >= 9,
+        "hole_above": lambda i: i >= 4 and i != 13,
+        "tight_below": lambda i: i in (2, 3) or i >= 17,
+        "alternating": lambda i: i % 2 == 1 or i == last,
+    }[pattern]
+    calls = []
+
+    def fake_rounds(p, cfg, xhat, eta, max_rounds, stop_rel):
+        idx = grid.index(eta)
+        calls.append(idx)
+        rounds = [types.SimpleNamespace(residual=0.0 if tight(idx) else 1.0)
+                  for _ in range(max_rounds)]
+        return rounds, None, None, xhat, "optimal"
+
+    monkeypatch.setattr(sequential, "_run_rounds", fake_rounds)
+    cfg = SequentialConfig(init="zero", tune_rounds=2)
+    eta = tune_eta(_shifted_ball_problem(), cfg, x0=np.zeros(2))
+    k = grid.index(eta)
+    # no candidate is solved twice, and bisection's evaluations are always
+    # consistent with monotone tightness: loose ones below tight ones
+    assert len(calls) == len(set(calls)) <= math.ceil(math.log2(len(grid))) + 1
+    loose = [i for i in calls if not tight(i)]
+    assert max(loose, default=-1) < min(i for i in calls if tight(i))
+    # the result is tight and its lower neighbour, evaluated, is loose
+    assert tight(k)
+    assert k == 0 or (k - 1 in calls and not tight(k - 1))
+    if pattern == "monotone":
+        assert k == 9
 
 
 def test_tune_eta_sound_on_nonconvex():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcqpen import (ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
-from qcqpen.solver import (_REFINEMENT, PsdBlock, _DenseKkt, _KktSolver,
+from qcqpen.solver import (_REFINEMENT, PsdBlock, _KktSolver, _NormalMap,
                            _Scaling, _SparseKkt, _apply_winv2, _build_groups,
                            _kkt_path, _nt_scaling, _pair_entries,
                            _pair_index, kkt_residuals, smat, svec,
@@ -202,10 +202,10 @@ def test_long_double_ladder_factors_singular_normal_matrix():
     dt = np.longdouble
     prog = ConicProgram(2, [0.0, 0.0])
     prog.add_nonneg_row([0, 1], [1.0, 1.0], 1.0)
-    _, G, _ = _build_groups(prog, dt, False)
-    A = prog.eq_matrix().toarray().astype(dt)
+    _, G, _ = _build_groups(prog, dt)
+    A = prog.eq_matrix().astype(dt)
     scaling = _Scaling(np.ones(1, dtype=dt), np.ones(1, dtype=dt), [])
-    kkt = _DenseKkt(G, A, [], 1).factor(scaling)
+    kkt = _KktSolver(_NormalMap(G, [], 1).normal_matrix(scaling), A)
     assert 0.0 < kkt.reg_used
 
 
@@ -218,11 +218,12 @@ def test_reg_used_counts_schur_shift():
     prog.add_equality_row([0], [1.0], 1.0)
     prog.add_equality_row([0], [1.0], 1.0)
     for dt in (np.float64, np.longdouble):
-        _, G, _ = _build_groups(prog, dt, False)
-        A = prog.eq_matrix().toarray().astype(dt)
+        _, G, _ = _build_groups(prog, dt)
+        A = prog.eq_matrix().astype(dt)
         scaling = _Scaling(np.ones(2, dtype=dt), np.ones(2, dtype=dt), [])
-        kkt = _DenseKkt(G, A, [], 2).factor(scaling)
-        h_only = _DenseKkt(G, A[:0], [], 2).factor(scaling)
+        nmap = _NormalMap(G, [], 2)
+        kkt = _KktSolver(nmap.normal_matrix(scaling), A)
+        h_only = _KktSolver(nmap.normal_matrix(scaling), A[:0])
         assert h_only.reg_used == 0.0
         assert kkt.reg_used > h_only.reg_used
 
@@ -282,17 +283,13 @@ def test_build_groups_matches_entrywise():
                 G[t, v] = -wt * cf
             h[t] = wt * ct
             t += 1
-    groups, Gs, hs = _build_groups(prog, np.float64, True)
-    assert [g.m for g in groups] == [2, 3]
-    assert sp.issparse(Gs) and Gs.format == "csr"
-    assert np.array_equal(Gs.toarray(), G)
-    assert np.array_equal(hs, h)
     for dt in (np.float64, np.longdouble):
-        _, Gd, hd = _build_groups(prog, dt, False)
-        assert isinstance(Gd, np.ndarray) and Gd.dtype == dt
-        assert hd.dtype == dt
-        assert np.array_equal(Gd, Gs.toarray().astype(dt))
-        assert np.array_equal(hd, hs.astype(dt))
+        groups, Gs, hs = _build_groups(prog, dt)
+        assert [g.m for g in groups] == [2, 3]
+        assert sp.issparse(Gs) and Gs.format == "csr" and Gs.dtype == dt
+        assert hs.dtype == dt
+        assert np.array_equal(Gs.toarray(), G.astype(dt))
+        assert np.array_equal(hs, h.astype(dt))
 
 
 def test_from_entries_slots_follow_svec_index():
@@ -310,35 +307,42 @@ def test_from_entries_slots_follow_svec_index():
             assert (blk.var[t], blk.coef[t], blk.const[t]) == (v, cf, ct)
 
 
+def _columnwise_normal_matrix(G, groups, l_nn, scaling):
+    """H = G' (W'W)^{-1} G built column by column, apart from both paths."""
+    Gd = G.toarray()
+    return Gd.T @ np.column_stack([_apply_winv2(scaling, groups, l_nn,
+                                                Gd[:, j])
+                                   for j in range(Gd.shape[1])])
+
+
+def _refined(kkt, H, A, r1, r2):
+    """(du, dy, relative residual) after _REFINEMENT passes against
+    [H A'; A 0]."""
+    Ad = A.toarray()
+    du, dy = kkt.solve(r1, r2)
+    for _ in range(_REFINEMENT):
+        c1, c2 = kkt.solve(r1 - H @ du - Ad.T @ dy, r2 - Ad @ du)
+        du, dy = du + c1, dy + c2
+    res = np.concatenate([r1 - H @ du - Ad.T @ dy, r2 - Ad @ du])
+    rhs = np.concatenate([r1, r2])
+    return du, dy, np.linalg.norm(res) / np.linalg.norm(rhs)
+
+
 def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
     prog = sysid_program
-    assert _kkt_path(prog, SolverSettings()) == (np.float64, True)
-    groups, G, h = _build_groups(prog, np.float64, True)
+    assert _kkt_path(prog) == (np.float64, True)
+    groups, G, h = _build_groups(prog, np.float64)
     scaling = _random_interior_scaling(prog, groups, h.size, seed=3)
     A = prog.eq_matrix()
-    # H = G' (W'W)^{-1} G built column by column, apart from both paths
-    Gd = G.toarray()
-    H = Gd.T @ np.column_stack([_apply_winv2(scaling, groups, prog.n_nonneg,
-                                             Gd[:, j])
-                                for j in range(prog.n_vars)])
-    Ad = A.toarray()
+    H = _columnwise_normal_matrix(G, groups, prog.n_nonneg, scaling)
     rng = np.random.default_rng(4)
     r1 = rng.normal(size=prog.n_vars)
     r2 = rng.normal(size=prog.n_eq)
-    norm = np.linalg.norm(np.concatenate([r1, r2]))
-
-    def refined(kkt):
-        du, dy = kkt.solve(r1, r2)
-        for _ in range(_REFINEMENT):
-            c1, c2 = kkt.solve(r1 - H @ du - Ad.T @ dy, r2 - Ad @ du)
-            du, dy = du + c1, dy + c2
-        res = np.concatenate([r1 - H @ du - Ad.T @ dy, r2 - Ad @ du])
-        return du, dy, np.linalg.norm(res) / norm
-
-    dense = _DenseKkt(Gd, Ad, groups, prog.n_nonneg).factor(scaling)
-    sparse = _SparseKkt(G, A, groups, prog.n_nonneg).factor(scaling)
-    du_d, dy_d, res_d = refined(dense)
-    du_s, dy_s, res_s = refined(sparse)
+    nmap = _NormalMap(G, groups, prog.n_nonneg)
+    dense = _KktSolver(nmap.normal_matrix(scaling), A)
+    sparse = _SparseKkt(nmap, A).factor(scaling)
+    du_d, dy_d, res_d = _refined(dense, H, A, r1, r2)
+    du_s, dy_s, res_s = _refined(sparse, H, A, r1, r2)
     assert res_d <= 1e-10
     assert res_s <= 1e-10
     assert sparse.reg_used > 0.0
@@ -350,13 +354,14 @@ def test_sparse_path_solves_like_dense(sysid_program, monkeypatch):
     import qcqpen.solver as solver
     sol = solve_conic(sysid_program)
     monkeypatch.setattr(solver, "_SPARSE_SHARE", 0.0)
-    assert not _kkt_path(sysid_program, SolverSettings())[1]
+    assert not _kkt_path(sysid_program)[1]
     ref = solve_conic(sysid_program)
     assert sol.status in OK and ref.status in OK
     assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
 
 
-def test_kkt_path_choice(sysid_program):
+def test_kkt_path_choice(sysid_program, monkeypatch):
+    import qcqpen.solver as solver
     # a full moment matrix over more than 300 lifted variables: dense H
     n = 24
     rng = np.random.default_rng(0)
@@ -365,14 +370,14 @@ def test_kkt_path_choice(sysid_program):
     ball = QuadraticFunction(np.eye(n), np.zeros(n), -1.0)
     full, _ = build_relaxation(QcqpProblem(n, obj, inequalities=[ball]),
                                RelaxationConfig(r=None))
-    assert full.n_vars > SolverSettings().extended_threshold
-    assert _kkt_path(full, SolverSettings()) == (np.float64, False)
+    assert full.n_vars > solver._EXTENDED_THRESHOLD
+    assert _kkt_path(full) == (np.float64, False)
     # every long-double program, even one whose H is sparse, stays dense
     if np.finfo(np.longdouble).eps < 1e-17:
-        wide = SolverSettings(extended_threshold=10 ** 6)
+        monkeypatch.setattr(solver, "_EXTENDED_THRESHOLD", 10 ** 6)
         for prog in (sysid_program, full, _lp_fixture(),
                      _diag_sdp_fixture()[0]):
-            assert _kkt_path(prog, wide) == (np.longdouble, False)
+            assert _kkt_path(prog) == (np.longdouble, False)
 
 
 def test_sparse_kkt_singular_is_regularized():
@@ -383,9 +388,10 @@ def test_sparse_kkt_singular_is_regularized():
     prog.add_nonneg_row([0], [-1.0], 0.0)
     prog.add_nonneg_row([0, 1], [-1.0, -1.0], 0.0)
     prog.add_equality_row([0, 1], [1.0, 1.0], 1.0)
-    groups, G, _ = _build_groups(prog, np.float64, True)
+    groups, G, _ = _build_groups(prog, np.float64)
     scaling = _Scaling(np.ones(2), np.ones(2), [])
-    pattern = _SparseKkt(G, prog.eq_matrix(), groups, prog.n_nonneg)
+    pattern = _SparseKkt(_NormalMap(G, groups, prog.n_nonneg),
+                         prog.eq_matrix())
     kkt = pattern.factor(scaling)
     assert kkt.reg_used > pattern.delta
     du, dy = kkt.solve(np.array([1.0, 2.0, 0.0]), np.array([1.0]))
@@ -394,7 +400,8 @@ def test_sparse_kkt_singular_is_regularized():
 
 def _reference_normal_matrix(G, groups, l_nn, scaling):
     """H = G'(W'W)^{-1}G from the full symmetric Kronecker of every block,
-    scattered with np.add.at: the dense assembly the pair map replaced."""
+    scattered with np.add.at, from a dense G: the assembly the pair list
+    replaced."""
     Gn = G[:l_nn]
     H = Gn.T @ (Gn * (1.0 / scaling.wn ** 2)[:, None])
     for g, gd in zip(groups, scaling.groups):
@@ -452,27 +459,55 @@ def _dense_kkt_program(case, extra=0):
 @pytest.mark.parametrize("dt", [np.float64, np.longdouble])
 @pytest.mark.parametrize("case", ["full", "shared"])
 def test_dense_normal_matrix_matches_add_at_reference(case, dt):
-    # the pair map computes H's lower triangle bit for bit as the full
+    # the pair list computes H's lower triangle bit for bit as the full
     # symmetric Kronecker and np.add.at did
     prog = _dense_kkt_program(case)
-    groups, G, h = _build_groups(prog, dt, False)
-    A = prog.eq_matrix().toarray().astype(dt)
-    dense = _DenseKkt(G, A, groups, prog.n_nonneg)
-    layers = [len(bounds) - 1 for *_, bounds in dense.maps]
-    assert layers == ([1] if case == "full" else [2])
+    groups, G, h = _build_groups(prog, dt)
+    nmap = _NormalMap(G, groups, prog.n_nonneg)
     for seed in range(3):
         scaling = _random_interior_scaling(prog, groups, h.size, seed, dt)
-        H = dense.normal_matrix(scaling)
+        H = nmap.normal_matrix(scaling)
         assert H.dtype == dt
-        ref = _reference_normal_matrix(G, groups, prog.n_nonneg, scaling)
+        ref = _reference_normal_matrix(G.toarray(), groups, prog.n_nonneg,
+                                       scaling)
         assert np.array_equal(np.tril(H), np.tril(ref))
+
+
+@pytest.mark.parametrize("dt", [np.float64, np.longdouble])
+def test_dense_nonnegative_rows_on_dense_path(dt):
+    # three nonnegative rows over every variable beside the box rows, so
+    # that places of H receive up to five row terms, and the full moment
+    # block; one equality row
+    prog = _dense_kkt_program("full", extra=1)
+    rng = np.random.default_rng(12)
+    n = prog.n_vars
+    for _ in range(3):
+        prog.add_nonneg_row(np.arange(n), rng.normal(size=n), 1.0)
+    groups, G, h = _build_groups(prog, dt)
+    nmap = _NormalMap(G, groups, prog.n_nonneg)
+    scaling = _random_interior_scaling(prog, groups, h.size, 5, dt)
+    H = nmap.normal_matrix(scaling)
+    ref = _columnwise_normal_matrix(G, groups, prog.n_nonneg, scaling)
+    assert H.dtype == ref.dtype == dt
+    assert np.allclose(np.tril(H), np.tril(ref), rtol=1e-12,
+                       atol=1e-12 * np.abs(ref).max())
+    if dt != np.float64:
+        return
+    # the dense and the sparse factorization of the same pair list
+    A = prog.eq_matrix()
+    r1 = rng.normal(size=n)
+    r2 = rng.normal(size=prog.n_eq)
+    dense = _KktSolver(H, A)
+    sparse = _SparseKkt(nmap, A).factor(scaling)
+    for kkt in (dense, sparse):
+        assert _refined(kkt, ref, A, r1, r2)[2] <= 1e-10
 
 
 @pytest.mark.parametrize("case", ["full", "shared"])
 def test_pair_entries_match_svec_of_winv_map(case):
     # column t of the block's Hessian is svec(W^-1 smat(e_t) W^-1)
     prog = _dense_kkt_program(case)
-    groups, _, h = _build_groups(prog, np.float64, True)
+    groups, _, h = _build_groups(prog, np.float64)
     scaling = _random_interior_scaling(prog, groups, h.size, seed=7)
     for g, gd in zip(groups, scaling.groups):
         blk, t1, t2 = np.indices((g.nb, g.ns, g.ns)).reshape(3, -1)
@@ -493,10 +528,10 @@ def test_kkt_solver_ignores_strict_upper_triangle(dt):
     # the diagonal shift nor the solve. The two extra variables are in no
     # cone row, so H is singular and the ladder runs.
     prog = _dense_kkt_program("shared", extra=2)
-    groups, G, h = _build_groups(prog, dt, False)
-    A = prog.eq_matrix().toarray().astype(dt)
+    groups, G, h = _build_groups(prog, dt)
+    A = prog.eq_matrix().astype(dt)
     scaling = _random_interior_scaling(prog, groups, h.size, 2, dt)
-    H = _DenseKkt(G, A, groups, prog.n_nonneg).normal_matrix(scaling)
+    H = _NormalMap(G, groups, prog.n_nonneg).normal_matrix(scaling)
     broken = H.copy()
     broken[np.triu_indices(prog.n_vars, 1)] = np.nan
     kkt, ref = _KktSolver(broken, A), _KktSolver(H, A)
