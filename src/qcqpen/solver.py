@@ -17,30 +17,28 @@ solve, and every product in the iteration is a plain matrix-vector product.
 
 The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method:
 at each iterate the scaling W with W z-bar = W^{-T} s-bar = lambda is
-computed per block, the Newton system is reduced to the normal matrix
-H = G' (W'W)^{-1} G with the equalities kept beside it, and steps are damped
-by a fraction of the distance to the cone boundary. G and A are CSR in the
-working dtype: long double, where it is wider than float64, for programs
-with at most `_EXTENDED_THRESHOLD` variables, and float64 otherwise.
+computed per block, the Newton system
+[[0, A', G'], [A, 0, 0], [G, 0, -W'W]] [du; dy; dz] = [bu; by; bz] is solved
+in float64 on one of three paths, chosen once per solve by `_kkt_path`, and
+steps are damped by a fraction of the distance to the cone boundary.
 
-Every term of H's diagonal and lower triangle comes from one pair list
-built once per solve (`_NormalMap`): each pair of entries of a nonnegative
-row, then each pair of variable slots of a PSD block, with its place in H.
-That is all a Cholesky factorization reads (as in CVXOPT's potrf-based KKT
-solvers). The reduced system is then factored on one of two paths, chosen
-once per solve by `_kkt_path`:
+- full: programs with at most `_FULL_KKT_THRESHOLD` variables factor that
+  matrix with one dense LU per iteration.
+- dense: dz is eliminated, and the normal matrix H = G' (W'W)^{-1} G is
+  summed from `_NormalMap`'s pair list (each pair of entries of a
+  nonnegative row, then each pair of variable slots of a PSD block, with
+  its place in H's lower triangle) with one np.add.at and Cholesky-factored;
+  the equalities go through a second Cholesky of the Schur complement
+  A H^{-1} A' (as in CVXOPT's potrf-based KKT solvers).
+- sparse: when the count of H entries the cone rows scatter is below a
+  tenth of n^2, the same terms are summed into the quasidefinite augmented
+  matrix [[H, A'], [A, -delta I]] in CSC form and factored with one sparse
+  LU (Vanderbei, "Symmetric quasi-definite matrices", 1995; as in ECOS).
 
-- dense: H is summed from the terms with one np.add.at, which adds them in
-  list order, and Cholesky-factored; the equalities go through a second
-  Cholesky of the Schur complement A H^{-1} A'.
-- sparse (float64 only): when the count of H entries the cone rows scatter,
-  the sum of nnz^2 over nonnegative rows plus (variables in block)^2 over
-  PSD blocks, is below a tenth of n^2, the terms are summed per place into
-  the quasidefinite augmented matrix [[H, A'], [A, -delta I]] in CSC form
-  and factored with one sparse LU per iteration (Vanderbei, "Symmetric
-  quasi-definite matrices", 1995; as in ECOS).
+Every path refines its solves against the full system, the W'W dz term
+included, as CVXOPT's conelp does (Vandenberghe, "The CVXOPT linear and
+quadratic cone program solvers", 2010).
 
-Either way iterative refinement runs against the unregularized system.
 Deterministic: no randomization anywhere.
 """
 
@@ -243,10 +241,10 @@ class _BlockGroup:
         return smat(self.gather(vec), self.m)
 
 
-def _build_groups(prog: ConicProgram, dt):
+def _build_groups(prog: ConicProgram):
     """(groups, G, h): the blocks batched by size, and s = h - G u.
 
-    G is CSR in `dt` and spans every cone slot, the nonnegative rows first
+    G is CSR and spans every cone slot, the nonnegative rows first
     and then each block's svec slots.
     """
     sizes: dict = {}
@@ -260,11 +258,11 @@ def _build_groups(prog: ConicProgram, dt):
     cols = np.concatenate([Gn.col] + [g.var[g.mask] for g in groups])
     vals = np.concatenate([Gn.data] + [g.gcoef[g.mask] for g in groups])
     G = sp.csr_matrix((vals, (rows, cols)), shape=(off, prog.n_vars))
-    h = np.zeros(off, dtype=dt)
+    h = np.zeros(off)
     h[:prog.n_nonneg] = prog.nn_rhs
     for g in groups:
         h[g.slot] = g.h
-    return groups, G.astype(dt, copy=False), h
+    return groups, G, h
 
 
 class _Scaling:
@@ -273,26 +271,19 @@ class _Scaling:
     def __init__(self, wn, lam_n, group_data):
         self.wn = wn                  # nonneg scaling sqrt(s/z)
         self.lam_n = lam_n
-        self.groups = group_data      # per group: dict R, Rinv, Winv, lam
+        # per group: dict R, Rinv, Winv = (R R')^{-1}, WW = R R', lam
+        self.groups = group_data
 
 
-def _nt_scaling(groups, s, z, l_nn, dt=np.float64):
-    """Compute the NT scaling at (s, z); requires strict interiority.
-
-    The eigen/Cholesky work runs in float64 (LAPACK); results are stored in
-    dt so that extended-precision KKT assembly stays internally consistent.
-    """
-    if l_nn:
-        sn, zn = s[:l_nn], z[:l_nn]
-        wn = np.sqrt(sn / zn)
-        lam_n = np.sqrt(sn * zn)
-    else:
-        wn = np.zeros(0, dtype=dt)
-        lam_n = np.zeros(0, dtype=dt)
+def _nt_scaling(groups, s, z, l_nn):
+    """Compute the NT scaling at (s, z); requires strict interiority."""
+    sn, zn = s[:l_nn], z[:l_nn]
+    wn = np.sqrt(sn / zn)
+    lam_n = np.sqrt(sn * zn)
     gdata = []
     for g in groups:
-        S = np.asarray(g.mats(s), dtype=np.float64)
-        Z = np.asarray(g.mats(z), dtype=np.float64)
+        S = g.mats(s)
+        Z = g.mats(z)
         Ls = np.linalg.cholesky(S)
         M = np.swapaxes(Ls, -1, -2) @ Z @ Ls
         M = 0.5 * (M + np.swapaxes(M, -1, -2))
@@ -302,10 +293,10 @@ def _nt_scaling(groups, s, z, l_nn, dt=np.float64):
         R = Ls @ Q * (d[..., None, :] ** -0.25)
         Rinv = (d[..., :, None] ** 0.25) * np.swapaxes(Q, -1, -2) @ \
             np.linalg.inv(Ls)
-        Rinv = Rinv.astype(dt)
-        gdata.append({"R": R.astype(dt), "Rinv": Rinv,
+        gdata.append({"R": R, "Rinv": Rinv,
                       "Winv": np.swapaxes(Rinv, -1, -2) @ Rinv,
-                      "lam": np.sqrt(d).astype(dt)})
+                      "WW": R @ np.swapaxes(R, -1, -2),
+                      "lam": np.sqrt(d)})
     return _Scaling(wn, lam_n, gdata)
 
 
@@ -324,12 +315,12 @@ def _pair_index(g: _BlockGroup, blk, t1, t2):
     return idx, 0.5 * (g.w[t1] * g.w[t2])
 
 
-def _pair_entries(Winv, idx, kww):
+def _pair_entries(P, idx, kww):
     """Entries K[t1, t2] at the pairs of `_pair_index`, where K is the
-    symmetric Kronecker product with K svec(M) = svec(P M P), P = W^{-1}:
-    kww (P[a1, a2] P[b1, b2] + P[a1, b2] P[b1, a2]) (Todd, Toh and
-    Tutuncu, SIAM J. Optim. 1998)."""
-    P = Winv.reshape(-1)
+    symmetric Kronecker product with K svec(M) = svec(P M P), for P = W^{-1}
+    or P = R R': kww (P[a1, a2] P[b1, b2] + P[a1, b2] P[b1, a2]) (Todd, Toh
+    and Tutuncu, SIAM J. Optim. 1998)."""
+    P = P.reshape(-1)
     vals = P.take(idx[0])
     vals *= P.take(idx[1])
     cross = P.take(idx[2])
@@ -350,22 +341,25 @@ def _congruence(groups, factors, vec, out):
 
 
 def _apply_w(scaling, groups, l_nn, vec, mode):
-    """Apply W ('w'), W' ('wt'), W^{-T} ('wit') blockwise to an s-space vector.
+    """Apply W ('w'), W' ('wt'), W^{-T} ('wit'), W'W ('ww') or (W'W)^{-1}
+    ('winv2') blockwise to an s-space vector.
 
     W diag: nonneg part multiplies by wn (W = W' there); PSD part maps
     z -> svec(R' mat(z) R) for 'w', s -> svec(R^{-1} mat(s) R^{-T}) for
-    'wit', v -> svec(R mat(v) R') for 'wt'.
+    'wit', v -> svec(R mat(v) R') for 'wt', v -> svec(P mat(v) P) with
+    P = R R' for 'ww' and P = W^{-1} for 'winv2'.
     """
     out = np.empty_like(vec)
-    if l_nn:
-        wn = scaling.wn
-        out[:l_nn] = vec[:l_nn] * (wn if mode in ("w", "wt") else 1.0 / wn)
+    out[:l_nn] = vec[:l_nn] * scaling.wn ** {"w": 1, "wt": 1, "wit": -1,
+                                             "ww": 2, "winv2": -2}[mode]
     factors = []
     for gd in scaling.groups:
         R, Rinv = gd["R"], gd["Rinv"]
         Rt = np.swapaxes(R, -1, -2)
         factors.append({"w": (Rt, R), "wt": (R, Rt),
-                        "wit": (Rinv, np.swapaxes(Rinv, -1, -2))}[mode])
+                        "wit": (Rinv, np.swapaxes(Rinv, -1, -2)),
+                        "ww": (gd["WW"], gd["WW"]),
+                        "winv2": (gd["Winv"], gd["Winv"])}[mode])
     return _congruence(groups, factors, vec, out)
 
 
@@ -383,7 +377,7 @@ def _max_cone_step(groups, scaling, l_nn, scaled_dir):
         D = g.mats(scaled_dir)
         scale = 1.0 / np.sqrt(lam)
         T = D * scale[..., :, None] * scale[..., None, :]
-        T = np.asarray(0.5 * (T + np.swapaxes(T, -1, -2)), dtype=np.float64)
+        T = 0.5 * (T + np.swapaxes(T, -1, -2))
         emin = float(np.min(np.linalg.eigvalsh(T)))
         if emin < 0:
             alpha = min(alpha, -1.0 / emin)
@@ -416,63 +410,30 @@ def _jordan_prod(groups, l_nn, a, b):
     return out
 
 
-def _lambda_vec(scaling, groups, l_nn, dim, dt=np.float64):
-    lam = np.zeros(dim, dtype=dt)
-    if l_nn:
-        lam[:l_nn] = scaling.lam_n
+def _lambda_vec(scaling, groups, l_nn, dim):
+    lam = np.zeros(dim)
+    lam[:l_nn] = scaling.lam_n
     for g, gd in zip(groups, scaling.groups):
         lam[g.dslot] = gd["lam"]
     return lam
 
 
-def _chol_ext(H: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor for dtypes LAPACK does not cover (long double)."""
-    L = np.tril(H)
-    n = L.shape[0]
-    for j in range(n):
-        d = L[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0:
-            raise np.linalg.LinAlgError("matrix not positive definite")
-        d = np.sqrt(d)
-        L[j, j] = d
-        if j + 1 < n:
-            L[j + 1:, j] = (L[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / d
-    return L
+# first diagonal shift of the factorization ladders, relative to the largest
+# diagonal entry: about 45 machine epsilons
+_REG_START = 1e-14
 
 
-def _cho_solve_ext(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L' x = b by substitution; b may have trailing columns."""
-    x = np.array(b, dtype=L.dtype, copy=True)
-    n = L.shape[0]
-    for j in range(n):
-        x[j] = (x[j] - L[j, :j] @ x[:j]) / L[j, j]
-    for j in range(n - 1, -1, -1):
-        x[j] = (x[j] - L[j + 1:, j] @ x[j + 1:]) / L[j, j]
-    return x
-
-
-# first diagonal shift of the factorization ladder, relative to the largest
-# diagonal entry: 1e-14 (about 45 machine epsilons) in float64, and the same
-# multiple of long double's epsilon, so that every step registers in it
-_REG_START_F64 = 1e-14
-_REG_START_EXT = _REG_START_F64 * float(np.finfo(np.longdouble).eps
-                                        / np.finfo(np.float64).eps)
-
-
-def _factor_regularized(M, ext, what):
+def _factor_regularized(M, what):
     """Cholesky factor of M, shifting its diagonal until it factors.
 
     Up to six shifts, each 100 times the last, are added in place; returns
     (factor, total shift) or raises LinAlgError(what).
     """
-    scale = max(1.0, float(np.max(np.abs(np.diag(M)))))
-    eps = (_REG_START_EXT if ext else _REG_START_F64) * scale
+    eps = _REG_START * max(1.0, float(np.max(np.abs(np.diag(M)))))
     reg = 0.0
     for _ in range(6):
         try:
-            fac = _chol_ext(M) if ext else \
-                sla.cho_factor(M, lower=True, check_finite=False)
-            return fac, reg
+            return sla.cho_factor(M, lower=True, check_finite=False), reg
         except np.linalg.LinAlgError:
             M[np.diag_indices_from(M)] += eps
             reg += eps
@@ -483,40 +444,33 @@ def _factor_regularized(M, ext, what):
 class _KktSolver:
     """Cholesky factors of the reduced saddle system [H A'; A 0].
 
-    H is a dense array of the working dtype; only its diagonal and lower
-    triangle are read, and the diagonal is shifted in place when it does
-    not factor. A is CSR, densified to form the Schur complement. reg_used
+    H is a dense array; only its diagonal and lower triangle are read, and
+    the diagonal is shifted in place when it does not factor. A is CSR, densified to form the Schur complement. reg_used
     is the total diagonal shift added to H and to the Schur complement.
     """
 
     def __init__(self, H, A):
-        self.ext = H.dtype != np.float64
         self.cho, self.reg_used = _factor_regularized(
-            H, self.ext, "normal equations not positive definite")
+            H, "normal equations not positive definite")
         if A.shape[0]:
             A = A.toarray()
-            HiAt = self._cho_solve(self.cho, A.T)
+            HiAt = sla.cho_solve(self.cho, A.T, check_finite=False)
             S = A @ HiAt
             S = 0.5 * (S + S.T)
             self.schur, schur_reg = _factor_regularized(
-                S, self.ext, "equality Schur complement singular")
+                S, "equality Schur complement singular")
             self.reg_used += schur_reg
             self.HiAt = HiAt
         else:
             self.schur = None
             self.HiAt = None
 
-    def _cho_solve(self, fac, r):
-        if self.ext:
-            return _cho_solve_ext(fac, r)
-        return sla.cho_solve(fac, r, check_finite=False)
-
     def solve(self, r1, r2):
         """Solve [H A'; A 0] [du; dy] = [r1; r2]."""
-        w = self._cho_solve(self.cho, r1)
+        w = sla.cho_solve(self.cho, r1, check_finite=False)
         if self.schur is not None:
             rhs = self.HiAt.T @ r1 - r2
-            dy = self._cho_solve(self.schur, rhs)
+            dy = sla.cho_solve(self.schur, rhs, check_finite=False)
             du = w - self.HiAt @ dy
             return du, dy
         return w, np.zeros(0)
@@ -559,8 +513,8 @@ class _NormalMap:
         self.place = np.concatenate(places)
 
     def terms(self, scaling) -> np.ndarray:
-        """The pairs' terms at `scaling`, in the working dtype."""
-        out = np.empty(self.place.size, dtype=self.data.dtype)
+        """The pairs' terms at `scaling`."""
+        out = np.empty(self.place.size)
         lo = self.partner.size
         scaled = self.data * (1.0 / scaling.wn ** 2)[self.entry_row]
         # partner is in range by construction: "clip" only skips the
@@ -583,7 +537,7 @@ class _NormalMap:
         # terms before H: the other way round, glibc gave H fresh pages on
         # every call (2,000 page faults, 6 ms on dense_full's program)
         terms = self.terms(scaling)
-        H = np.zeros(self.n * self.n, dtype=terms.dtype)
+        H = np.zeros(self.n * self.n)
         np.add.at(H, self.place, terms)
         return H.reshape(self.n, self.n)
 
@@ -594,27 +548,22 @@ class _NormalMap:
 _SPARSE_DELTA = 1e-12
 # the sparse path runs when the scatter count is below this share of n^2
 _SPARSE_SHARE = 0.1
-# programs with at most this many variables run the KKT solves in extended
-# precision (x86 long double), which keeps the normal equations
-# factorizable far past the float64 conditioning wall
-_EXTENDED_THRESHOLD = 300
+# programs with at most this many variables factor the full KKT matrix; at
+# dense_full's 495 its LU is 3.3 times slower per solve than the dense path
+_FULL_KKT_THRESHOLD = 300
 
 
-def _kkt_path(prog: ConicProgram):
-    """(dtype, sparse) of the KKT solves, from counts known before assembly.
-
-    Long double is used up to _EXTENDED_THRESHOLD variables when it is
-    truly wider than float64, always on the dense path. A float64 program
-    goes sparse when the entries its cone rows scatter into H, nnz^2 per
-    nonnegative row plus (variables in block)^2 per PSD block, number fewer
-    than _SPARSE_SHARE * n^2.
-    """
+def _kkt_path(prog: ConicProgram) -> str:
+    """'full' up to _FULL_KKT_THRESHOLD variables. Above it 'sparse' when
+    the entries the cone rows scatter into H, nnz^2 per nonnegative row plus
+    (variables in block)^2 per PSD block, number fewer than
+    _SPARSE_SHARE * n^2, and 'dense' otherwise."""
     n = prog.n_vars
-    if n <= _EXTENDED_THRESHOLD and np.finfo(np.longdouble).eps < 1e-17:
-        return np.longdouble, False
+    if n <= _FULL_KKT_THRESHOLD:
+        return "full"
     count = sum(len(cols) ** 2 for cols, _ in prog.nn_rows)
     count += sum(int(np.count_nonzero(blk.var >= 0)) ** 2 for blk in prog.blocks)
-    return np.float64, count < _SPARSE_SHARE * n * n
+    return "sparse" if count < _SPARSE_SHARE * n * n else "dense"
 
 
 class _SparseKkt:
@@ -671,7 +620,7 @@ class _SparseKkt:
         data[self.upper] = data[self.lower]
         data += self.base
         n = self.n
-        eps = _REG_START_F64 * max(1.0, float(np.max(data[self.diag[:n]])))
+        eps = _REG_START * max(1.0, float(np.max(data[self.diag[:n]])))
         reg = self.delta
         for _ in range(6):
             K = sp.csc_matrix((data, self.indices, self.indptr),
@@ -680,7 +629,7 @@ class _SparseKkt:
                 lu = splu(K, permc_spec="MMD_AT_PLUS_A",
                           diag_pivot_thresh=0.0,
                           options={"SymmetricMode": True})
-                return _LuKkt(lu, n, reg)
+                return _LuKkt(lu.solve, [n], reg)
             except RuntimeError:
                 data[self.diag[:n]] += eps
                 data[self.diag[n:]] -= eps
@@ -690,23 +639,103 @@ class _SparseKkt:
 
 
 class _LuKkt:
-    """One sparse LU of the augmented system; solves like _KktSolver."""
+    """One LU, sparse or dense, of the augmented [[H, A'], [A, -delta I]]
+    (cuts [n]) or of the full KKT matrix (cuts [n, n + m])."""
 
-    def __init__(self, lu, n, reg_used):
-        self.lu = lu
-        self.n = n
+    def __init__(self, lu_solve, cuts, reg_used):
+        self.lu_solve = lu_solve
+        self.cuts = cuts
         self.reg_used = reg_used
 
-    def solve(self, r1, r2):
-        """Solve [H A'; A -delta I] [du; dy] = [r1; r2]."""
-        x = self.lu.solve(np.concatenate([r1, r2]))
-        return x[:self.n], x[self.n:]
+    def solve(self, *rhs):
+        """The solution's blocks for the right-hand side's blocks."""
+        return np.split(self.lu_solve(np.concatenate(rhs)), self.cuts)
+
+
+class _FullKkt:
+    """Full path: one dense LU of [[0, A', G'], [A, 0, 0], [G, 0, -W'W]].
+
+    Built once per solve: the constant part K0, the places of the
+    nonnegative diagonal, and every slot pair (blk, t1, t2) of each PSD
+    block, constant slots included, with its `_pair_index`.
+    """
+
+    def __init__(self, G, A, groups, l_nn):
+        self.m, self.n = A.shape
+        self.K0 = sp.bmat([[None, A.T, G.T], [A, None, None],
+                           [G, None, None]]).toarray()
+        o, N = self.n + self.m, self.K0.shape[0]
+        self.nn_diag = (o + np.arange(l_nn)) * (N + 1)
+        self.psd = []
+        for g in groups:
+            blk, t1, t2 = np.indices((g.nb, g.ns, g.ns)).reshape(3, -1)
+            place = (o + g.slot[blk, t1]) * N + o + g.slot[blk, t2]
+            self.psd.append(_pair_index(g, blk, t1, t2) + (place,))
+
+    def matrix(self, scaling) -> np.ndarray:
+        """The full KKT matrix at `scaling`."""
+        K = self.K0.copy()
+        K.flat[self.nn_diag] = -scaling.wn ** 2
+        for (idx, kww, place), gd in zip(self.psd, scaling.groups):
+            K.flat[place] = -_pair_entries(gd["WW"], idx, kww)
+        return K
+
+    def factor(self, scaling) -> _LuKkt:
+        """LU of the full KKT matrix at `scaling`.
+
+        Only on an exactly zero pivot, up to five diagonal shifts, each 100
+        times the last, are added to the variable block and subtracted from
+        the equality block; raises LinAlgError when all fail.
+        """
+        K = self.matrix(scaling)
+        n, o = self.n, self.n + self.m
+        eps = _REG_START * max(1.0, float(np.max(np.abs(np.diag(K)))))
+        reg = 0.0
+        for _ in range(6):
+            lu, piv, info = sla.lapack.dgetrf(K)
+            if info == 0:     # info > 0: U[info - 1, info - 1] is zero
+                return _LuKkt(lambda r: sla.lu_solve((lu, piv), r,
+                                                     check_finite=False),
+                              [n, o], reg)
+            K[range(n), range(n)] += eps
+            K[range(n, o), range(n, o)] -= eps
+            reg += eps
+            eps *= 100.0
+        raise np.linalg.LinAlgError("KKT system singular")
+
+
+class _Eliminated:
+    """A normal path's solve of the full KKT system: dz is eliminated, so
+    [H A'; A 0] [du; dy] = [bu + G'W^-2 bz; by] goes to the factored
+    reduced system and dz = W^-2 (G du - bz)."""
+
+    def __init__(self, reduced, G, scaling, groups, l_nn):
+        self.reduced = reduced
+        self.reg_used = reduced.reg_used
+        self.G = G
+        self.winv2 = lambda v: _apply_w(scaling, groups, l_nn, v, "winv2")
+
+    def solve(self, bu, by, bz):
+        du, dy = self.reduced.solve(bu + self.G.T @ self.winv2(bz), by)
+        return du, dy, self.winv2(self.G @ du - bz)
+
+
+def _kkt_factory(path, G, A, groups, l_nn):
+    """factor(scaling) for `path` (see `_kkt_path`), built once per solve;
+    what it returns solves (bu, by, bz) -> (du, dy, dz)."""
+    if path == "full":
+        return _FullKkt(G, A, groups, l_nn).factor
+    nmap = _NormalMap(G, groups, l_nn)
+    reduce = (_SparseKkt(nmap, A).factor if path == "sparse" else
+              lambda scaling: _KktSolver(nmap.normal_matrix(scaling), A))
+    return lambda scaling: _Eliminated(reduce(scaling), G, scaling, groups,
+                                       l_nn)
 
 
 # fraction of the distance to the cone boundary that a step may take
 _STEP_FRACTION = 0.99
 # iterative refinement passes per Newton solve, against the unregularized
-# system
+# full KKT system
 _REFINEMENT = 2
 
 
@@ -714,18 +743,17 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     """Solve a ConicProgram with the built-in interior-point method."""
     settings = settings or SolverSettings()
     l_nn = prog.n_nonneg
-    dt, sparse_kkt = _kkt_path(prog)
-    groups, G, h = _build_groups(prog, dt)
+    groups, G, h = _build_groups(prog)
     sdim = h.size
     if sdim == 0:
         raise ValueError("program has no cone constraints")
-    A = prog.eq_matrix().astype(dt, copy=False)
-    b = np.asarray(prog.eq_rhs, dtype=dt)
-    c = np.asarray(prog.c, dtype=dt)
+    A = prog.eq_matrix()
+    b = np.asarray(prog.eq_rhs, dtype=float)
+    c = prog.c
 
     # cone order (for the barrier parameter)
     nu = l_nn + sum(g.nb * g.m for g in groups)
-    e_vec = _cone_identity(groups, l_nn, sdim, dt)
+    e_vec = _cone_identity(groups, l_nn, sdim)
 
     def shift_into_cone(vec):
         """vec + (1 + alpha) e if vec is not safely interior."""
@@ -734,24 +762,14 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             return vec
         return vec + (1.0 - min(margin, 0.0)) * e_vec
 
-    nmap = _NormalMap(G, groups, l_nn)
-    if sparse_kkt:
-        factor_kkt = _SparseKkt(nmap, A).factor
-    else:
-        def factor_kkt(scaling):
-            return _KktSolver(nmap.normal_matrix(scaling), A)
+    factor_kkt = _kkt_factory(_kkt_path(prog), G, A, groups, l_nn)
     GT, AT = G.T, A.T
 
-    # identity-scaled initial point: R = Rinv = Winv = I
-    eyes = [np.tile(np.eye(g.m, dtype=dt), (g.nb, 1, 1)) for g in groups]
-    id_scaling = _Scaling(np.ones(l_nn, dtype=dt), np.ones(l_nn, dtype=dt),
-                          [{"R": eye, "Rinv": eye, "Winv": eye,
-                            "lam": np.ones((g.nb, g.m), dtype=dt)}
-                           for g, eye in zip(groups, eyes)])
-    kkt = factor_kkt(id_scaling)
-    u, yy = kkt.solve(GT @ h, b)
+    # initial point from the identity scaling, the NT scaling at s = z = e
+    kkt = factor_kkt(_nt_scaling(groups, e_vec, e_vec, l_nn))
+    u = kkt.solve(np.zeros(prog.n_vars), b, h)[0]
     s = shift_into_cone(h - G @ u)
-    nu_v, w_v = kkt.solve(c, np.zeros_like(b))
+    nu_v, w_v, _ = kkt.solve(c, np.zeros_like(b), np.zeros(sdim))
     y = -w_v
     z = shift_into_cone(-(G @ nu_v))
 
@@ -816,12 +834,13 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
 
         kkt = None  # frees the last factor before the next is built
         try:
-            scaling = _nt_scaling(groups, s, z, l_nn, dt)
+            scaling = _nt_scaling(groups, s, z, l_nn)
             kkt = factor_kkt(scaling)
         except np.linalg.LinAlgError:
             break
 
-        lam = _lambda_vec(scaling, groups, l_nn, sdim, dt)
+        lam = _lambda_vec(scaling, groups, l_nn, sdim)
+        lam2 = lam * lam      # lambda o lambda: lambda is diagonal
         mu = gap / nu
 
         def kkt_step(rx, ry, rz_vec, dsc):
@@ -833,47 +852,48 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             the scaling is ill-conditioned near convergence.
             """
             v = _jordan_solve(scaling, groups, l_nn, dsc)
+            bu, by = -rx, -ry
             bz = -rz_vec - _apply_w(scaling, groups, l_nn, v, "wt")
-            r1 = -rx + GT @ _apply_winv2(scaling, groups, l_nn, bz)
-            du, dy = kkt.solve(r1, -ry)
+            du, dy, dz = kkt.solve(bu, by, bz)
             for _ in range(_REFINEMENT):
-                Hdu = GT @ _apply_winv2(scaling, groups, l_nn, G @ du)
-                c1, c2 = kkt.solve(r1 - Hdu - AT @ dy, -ry - A @ du)
-                du = du + c1
-                dy = dy + c2
-            Gdu = G @ du
-            dz = _apply_winv2(scaling, groups, l_nn, Gdu - bz)
-            ds = -rz_vec - Gdu
+                wwdz = _apply_w(scaling, groups, l_nn, dz, "ww")
+                cu, cy, cz = kkt.solve(bu - AT @ dy - GT @ dz, by - A @ du,
+                                       bz - G @ du + wwdz)
+                du = du + cu
+                dy = dy + cy
+                dz = dz + cz
+            ds = -rz_vec - G @ du
             return du, dy, dz, ds
 
+        def max_step(ds, dz):
+            """(amax, rho, sig): the largest step to the cone boundary, and
+            the scaled directions rho = W^{-T} ds and sig = W dz."""
+            rho = _apply_w(scaling, groups, l_nn, ds, "wit")
+            sig = _apply_w(scaling, groups, l_nn, dz, "w")
+            amax = min(_max_cone_step(groups, scaling, l_nn, rho),
+                       _max_cone_step(groups, scaling, l_nn, sig))
+            return amax, rho, sig
+
         # predictor
-        ds_aff_target = -_jordan_prod(groups, l_nn, lam, lam)
         try:
-            du_a, dy_a, dz_a, ds_a = kkt_step(res_x, res_y, res_z, ds_aff_target)
+            du_a, dy_a, dz_a, ds_a = kkt_step(res_x, res_y, res_z, -lam2)
         except np.linalg.LinAlgError:
             break
-        rho = _apply_w(scaling, groups, l_nn, ds_a, "wit")
-        sig = _apply_w(scaling, groups, l_nn, dz_a, "w")
-        amax = min(_max_cone_step(groups, scaling, l_nn, rho),
-                   _max_cone_step(groups, scaling, l_nn, sig))
+        amax, rho, sig = max_step(ds_a, dz_a)
         alpha_aff = min(1.0, amax)
         gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
         sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
 
         # combined corrector step
         corr = _jordan_prod(groups, l_nn, rho, sig)
-        ds_comb = -_jordan_prod(groups, l_nn, lam, lam) - corr + sigma * mu * e_vec
+        ds_comb = -lam2 - corr + sigma * mu * e_vec
         scale_r = 1.0 - sigma
         try:
             du, dy, dz, ds = kkt_step(scale_r * res_x, scale_r * res_y,
                                       scale_r * res_z, ds_comb)
         except np.linalg.LinAlgError:
             break
-        rho = _apply_w(scaling, groups, l_nn, ds, "wit")
-        sig = _apply_w(scaling, groups, l_nn, dz, "w")
-        amax = min(_max_cone_step(groups, scaling, l_nn, rho),
-                   _max_cone_step(groups, scaling, l_nn, sig))
-        step = min(1.0, _STEP_FRACTION * amax)
+        step = min(1.0, _STEP_FRACTION * max_step(ds, dz)[0])
         if step <= 1e-10:
             break
         stall = stall + 1 if step < 1e-5 else 0
@@ -893,28 +913,14 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         elif pres <= 100 * ftol and dres <= 100 * ftol and relgap <= 100 * gtol:
             status = "near_optimal"
 
-    return ConicSolution(status=status,
-                         u=np.asarray(u, dtype=np.float64),
-                         y=np.asarray(y, dtype=np.float64),
-                         z=np.asarray(z, dtype=np.float64),
-                         s=np.asarray(s, dtype=np.float64),
+    return ConicSolution(status=status, u=u, y=y, z=z, s=s,
                          pcost=pcost + prog.c0, dcost=dcost + prog.c0,
                          gap=gap, pres=pres, dres=dres, iterations=it, log=log)
 
 
-def _apply_winv2(scaling, groups, l_nn, vec):
-    """Apply (W'W)^{-1}: nonneg scale z/s; PSD map M -> Winv M Winv."""
-    out = np.empty_like(vec)
-    if l_nn:
-        out[:l_nn] = vec[:l_nn] / (scaling.wn ** 2)
-    return _congruence(groups, [(gd["Winv"], gd["Winv"])
-                                for gd in scaling.groups], vec, out)
-
-
-def _cone_identity(groups, l_nn, dim, dt=np.float64):
-    e = np.zeros(dim, dtype=dt)
-    if l_nn:
-        e[:l_nn] = 1.0
+def _cone_identity(groups, l_nn, dim):
+    e = np.zeros(dim)
+    e[:l_nn] = 1.0
     for g in groups:
         e[g.dslot] = 1.0
     return e
@@ -926,8 +932,7 @@ def _cone_margin(groups, l_nn, vec) -> float:
     if l_nn:
         margin = min(margin, float(np.min(vec[:l_nn])))
     for g in groups:
-        M = np.asarray(g.mats(vec), dtype=np.float64)
-        margin = min(margin, float(np.min(np.linalg.eigvalsh(M))))
+        margin = min(margin, float(np.min(np.linalg.eigvalsh(g.mats(vec)))))
     return margin
 
 
@@ -938,7 +943,7 @@ def kkt_residuals(prog: ConicProgram, sol: ConicSolution) -> dict:
     violation and the complementarity gap. Cone violations are the most
     negative slack (0 when inside the cone).
     """
-    groups, G, h = _build_groups(prog, np.float64)
+    groups, G, h = _build_groups(prog)
     l_nn = prog.n_nonneg
     u, y, z, s = sol.u, sol.y, sol.z, sol.s
     A = prog.eq_matrix()

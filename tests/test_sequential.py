@@ -1,5 +1,6 @@
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from qcqpen import (EtaTuningError, QcqpProblem, QuadraticFunction,
                     RelaxationConfig, SequentialConfig, SolveError,
                     SolverSettings, SysIdParams, build_relaxation, eta_grid,
-                    extract, gap_percent, gen_sysid, resolve_initial_point,
-                    run, solve_conic, trace_csv, trace_json, tune_eta)
+                    extract, gap_percent, gen_sysid, jacobian,
+                    resolve_initial_point, run, solve_conic, trace_csv,
+                    trace_json, tune_eta)
 import qcqpen.sequential as sequential
 from qcqpen.sequential import _round_solver_settings, _run_rounds
 from _support import perfbench_module, random_feasible_qcqp
@@ -283,10 +285,9 @@ def test_failed_restoration_keeps_the_point():
     assert json.loads(trace_json(tr))["restore_distance"] == float("inf")
 
 
-def test_tuned_round_point_restored_feasible():
-    # the benchmark's feas_n2: the tuned round ends near_optimal with a
-    # negative trace residual at a point 2e-6 outside a constraint, more
-    # than the 1e-6 that criterion 3 allows
+def test_tuned_round_point_restored_feasible(monkeypatch):
+    # the benchmark's feas_n2: the tuned round ends within tight_tol, so
+    # restoration leaves its point alone
     inst = perfbench_module("inputs").feasible_qcqp(1, 2, 2)
     p = inst.problem
     cfg = SequentialConfig(eta="auto", max_rounds=1, stop_rel=None,
@@ -294,10 +295,26 @@ def test_tuned_round_point_restored_feasible():
                            solver=SolverSettings(max_iterations=80))
     tr = run(p, cfg)
     assert tr.i_feas == 1
+    assert tr.violation_before == tr.violation_after <= cfg.tight_tol
+    assert tr.restore_distance == 0.0
+    # the same round made to end 2e-6 outside its first constraint, more
+    # than the 1e-6 that criterion 3 allows, with the other constraint held
+    # to first order: run restores the point to where the round ended
+    x = tr.x_final
+    target = np.zeros(len(p.constraints))
+    target[0] = 2e-6 - p.constraints[0].value(x)
+    shift = np.linalg.lstsq(jacobian(p, x), target, rcond=None)[0]
+
+    def outside(*args, _rounds=sequential._run_rounds, **kwargs):
+        rounds, i_feas, i_stop, x, status = _rounds(*args, **kwargs)
+        return rounds, i_feas, i_stop, x + shift, status
+    monkeypatch.setattr(sequential, "_run_rounds", outside)
+    tr = run(p, replace(cfg, eta=tr.eta))
+    assert tr.i_feas == 1
     assert tr.violation_before > 1e-6
     assert tr.violation_after == p.violation(tr.x_final) < 1e-9
-    assert 0.0 < tr.restore_distance < 1e-6
-    assert p.objective.value(tr.x_final) <= p.objective.value(inst.xstar)
+    assert tr.restore_distance == pytest.approx(np.linalg.norm(shift),
+                                                rel=1e-2)
 
 
 def test_sysid_rounds_stay_tight():

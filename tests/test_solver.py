@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from qcqpen import (ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
-from qcqpen.solver import (_REFINEMENT, PsdBlock, _KktSolver, _NormalMap,
-                           _Scaling, _SparseKkt, _apply_winv2, _build_groups,
-                           _kkt_path, _nt_scaling, _pair_entries,
-                           _pair_index, kkt_residuals, smat, svec,
-                           svec_index)
+from qcqpen.solver import (_REFINEMENT, PsdBlock, _FullKkt, _KktSolver,
+                           _NormalMap, _Scaling, _SparseKkt, _apply_w,
+                           _build_groups, _kkt_factory, _kkt_path,
+                           _nt_scaling, _pair_entries, _pair_index,
+                           kkt_residuals, smat, svec, svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
 from qcqpen.lifting import RelaxationConfig, build_penalized
@@ -195,20 +196,6 @@ def test_tight_gap_on_penalized_relaxation():
     assert sol.gap / max(1.0, abs(sol.pcost)) <= 1.3e-10
 
 
-def test_long_double_ladder_factors_singular_normal_matrix():
-    # one nonnegative row [1, 1] over two variables gives the exactly
-    # singular H = [[1, 1], [1, 1]]; the diagonal shifts must be large
-    # enough to register in long double, not only in float64
-    dt = np.longdouble
-    prog = ConicProgram(2, [0.0, 0.0])
-    prog.add_nonneg_row([0, 1], [1.0, 1.0], 1.0)
-    _, G, _ = _build_groups(prog, dt)
-    A = prog.eq_matrix().astype(dt)
-    scaling = _Scaling(np.ones(1, dtype=dt), np.ones(1, dtype=dt), [])
-    kkt = _KktSolver(_NormalMap(G, [], 1).normal_matrix(scaling), A)
-    assert 0.0 < kkt.reg_used
-
-
 def test_reg_used_counts_schur_shift():
     # duplicate equality rows make the Schur complement A H^-1 A' singular
     # while H = I needs no shift; reg_used must report the Schur shift
@@ -217,15 +204,14 @@ def test_reg_used_counts_schur_shift():
     prog.add_nonneg_row([1], [-1.0], 0.0)
     prog.add_equality_row([0], [1.0], 1.0)
     prog.add_equality_row([0], [1.0], 1.0)
-    for dt in (np.float64, np.longdouble):
-        _, G, _ = _build_groups(prog, dt)
-        A = prog.eq_matrix().astype(dt)
-        scaling = _Scaling(np.ones(2, dtype=dt), np.ones(2, dtype=dt), [])
-        nmap = _NormalMap(G, [], 2)
-        kkt = _KktSolver(nmap.normal_matrix(scaling), A)
-        h_only = _KktSolver(nmap.normal_matrix(scaling), A[:0])
-        assert h_only.reg_used == 0.0
-        assert kkt.reg_used > h_only.reg_used
+    _, G, _ = _build_groups(prog)
+    A = prog.eq_matrix()
+    scaling = _Scaling(np.ones(2), np.ones(2), [])
+    nmap = _NormalMap(G, [], 2)
+    kkt = _KktSolver(nmap.normal_matrix(scaling), A)
+    h_only = _KktSolver(nmap.normal_matrix(scaling), A[:0])
+    assert h_only.reg_used == 0.0
+    assert kkt.reg_used > h_only.reg_used
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +223,7 @@ def sysid_program():
     return prog
 
 
-def _random_interior_scaling(prog, groups, sdim, seed, dt=np.float64):
+def _random_interior_scaling(prog, groups, sdim, seed):
     rng = np.random.default_rng(seed)
     l_nn = prog.n_nonneg
     s = np.empty(sdim)
@@ -249,7 +235,7 @@ def _random_interior_scaling(prog, groups, sdim, seed, dt=np.float64):
             B = rng.normal(size=(g.nb, g.m, g.m))
             M = B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(g.m)
             vec[g.slot] = svec(M)
-    return _nt_scaling(groups, s, z, l_nn, dt)
+    return _nt_scaling(groups, s, z, l_nn)
 
 
 def test_build_groups_matches_entrywise():
@@ -283,13 +269,11 @@ def test_build_groups_matches_entrywise():
                 G[t, v] = -wt * cf
             h[t] = wt * ct
             t += 1
-    for dt in (np.float64, np.longdouble):
-        groups, Gs, hs = _build_groups(prog, dt)
-        assert [g.m for g in groups] == [2, 3]
-        assert sp.issparse(Gs) and Gs.format == "csr" and Gs.dtype == dt
-        assert hs.dtype == dt
-        assert np.array_equal(Gs.toarray(), G.astype(dt))
-        assert np.array_equal(hs, h.astype(dt))
+    groups, Gs, hs = _build_groups(prog)
+    assert [g.m for g in groups] == [2, 3]
+    assert sp.issparse(Gs) and Gs.format == "csr"
+    assert np.array_equal(Gs.toarray(), G)
+    assert np.array_equal(hs, h)
 
 
 def test_from_entries_slots_follow_svec_index():
@@ -310,8 +294,8 @@ def test_from_entries_slots_follow_svec_index():
 def _columnwise_normal_matrix(G, groups, l_nn, scaling):
     """H = G' (W'W)^{-1} G built column by column, apart from both paths."""
     Gd = G.toarray()
-    return Gd.T @ np.column_stack([_apply_winv2(scaling, groups, l_nn,
-                                                Gd[:, j])
+    return Gd.T @ np.column_stack([_apply_w(scaling, groups, l_nn, Gd[:, j],
+                                            "winv2")
                                    for j in range(Gd.shape[1])])
 
 
@@ -330,8 +314,8 @@ def _refined(kkt, H, A, r1, r2):
 
 def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
     prog = sysid_program
-    assert _kkt_path(prog) == (np.float64, True)
-    groups, G, h = _build_groups(prog, np.float64)
+    assert _kkt_path(prog) == "sparse"
+    groups, G, h = _build_groups(prog)
     scaling = _random_interior_scaling(prog, groups, h.size, seed=3)
     A = prog.eq_matrix()
     H = _columnwise_normal_matrix(G, groups, prog.n_nonneg, scaling)
@@ -354,30 +338,37 @@ def test_sparse_path_solves_like_dense(sysid_program, monkeypatch):
     import qcqpen.solver as solver
     sol = solve_conic(sysid_program)
     monkeypatch.setattr(solver, "_SPARSE_SHARE", 0.0)
-    assert not _kkt_path(sysid_program)[1]
+    assert _kkt_path(sysid_program) == "dense"
     ref = solve_conic(sysid_program)
     assert sol.status in OK and ref.status in OK
     assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
 
 
-def test_kkt_path_choice(sysid_program, monkeypatch):
+def test_kkt_path_choice(sysid_program):
     import qcqpen.solver as solver
-    # a full moment matrix over more than 300 lifted variables: dense H
-    n = 24
+    # a full moment matrix: dense H, on both sides of the full-path bound
     rng = np.random.default_rng(0)
-    B = rng.normal(size=(n, n))
-    obj = QuadraticFunction(0.5 * (B + B.T), rng.normal(size=n), 0.0)
-    ball = QuadraticFunction(np.eye(n), np.zeros(n), -1.0)
-    full, _ = build_relaxation(QcqpProblem(n, obj, inequalities=[ball]),
-                               RelaxationConfig(r=None))
-    assert full.n_vars > solver._EXTENDED_THRESHOLD
-    assert _kkt_path(full) == (np.float64, False)
-    # every long-double program, even one whose H is sparse, stays dense
-    if np.finfo(np.longdouble).eps < 1e-17:
-        monkeypatch.setattr(solver, "_EXTENDED_THRESHOLD", 10 ** 6)
-        for prog in (sysid_program, full, _lp_fixture(),
-                     _diag_sdp_fixture()[0]):
-            assert _kkt_path(prog) == (np.longdouble, False)
+    full = {}
+    for n in (23, 24):
+        B = rng.normal(size=(n, n))
+        obj = QuadraticFunction(0.5 * (B + B.T), rng.normal(size=n), 0.0)
+        ball = QuadraticFunction(np.eye(n), np.zeros(n), -1.0)
+        full[n], _ = build_relaxation(QcqpProblem(n, obj, inequalities=[ball]),
+                                      RelaxationConfig(r=None))
+    assert full[23].n_vars <= solver._FULL_KKT_THRESHOLD < full[24].n_vars
+    assert _kkt_path(full[23]) == "full"
+    assert _kkt_path(full[24]) == "dense"
+    # r = 2 blocks scatter into few entries of H: sparse above the bound;
+    # below it the full path runs however sparse H is (50 one-entry rows
+    # scatter into 50 of 2,500 entries)
+    assert sysid_program.n_vars > solver._FULL_KKT_THRESHOLD
+    assert _kkt_path(sysid_program) == "sparse"
+    box = ConicProgram(50, np.ones(50))
+    for i in range(50):
+        box.add_nonneg_row([i], [-1.0], 0.0)
+    assert 50 < solver._SPARSE_SHARE * 50 ** 2
+    for prog in (box, _lp_fixture(), _dense_kkt_program("shared")):
+        assert _kkt_path(prog) == "full"
 
 
 def test_sparse_kkt_singular_is_regularized():
@@ -388,7 +379,7 @@ def test_sparse_kkt_singular_is_regularized():
     prog.add_nonneg_row([0], [-1.0], 0.0)
     prog.add_nonneg_row([0, 1], [-1.0, -1.0], 0.0)
     prog.add_equality_row([0, 1], [1.0, 1.0], 1.0)
-    groups, G, _ = _build_groups(prog, np.float64)
+    groups, G, _ = _build_groups(prog)
     scaling = _Scaling(np.ones(2), np.ones(2), [])
     pattern = _SparseKkt(_NormalMap(G, groups, prog.n_nonneg),
                          prog.eq_matrix())
@@ -456,16 +447,16 @@ def _dense_kkt_program(case, extra=0):
     return prog
 
 
-@pytest.mark.parametrize("dt", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dt", [np.float64])
 @pytest.mark.parametrize("case", ["full", "shared"])
 def test_dense_normal_matrix_matches_add_at_reference(case, dt):
     # the pair list computes H's lower triangle bit for bit as the full
     # symmetric Kronecker and np.add.at did
     prog = _dense_kkt_program(case)
-    groups, G, h = _build_groups(prog, dt)
+    groups, G, h = _build_groups(prog)
     nmap = _NormalMap(G, groups, prog.n_nonneg)
     for seed in range(3):
-        scaling = _random_interior_scaling(prog, groups, h.size, seed, dt)
+        scaling = _random_interior_scaling(prog, groups, h.size, seed)
         H = nmap.normal_matrix(scaling)
         assert H.dtype == dt
         ref = _reference_normal_matrix(G.toarray(), groups, prog.n_nonneg,
@@ -473,7 +464,7 @@ def test_dense_normal_matrix_matches_add_at_reference(case, dt):
         assert np.array_equal(np.tril(H), np.tril(ref))
 
 
-@pytest.mark.parametrize("dt", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dt", [np.float64])
 def test_dense_nonnegative_rows_on_dense_path(dt):
     # three nonnegative rows over every variable beside the box rows, so
     # that places of H receive up to five row terms, and the full moment
@@ -483,16 +474,14 @@ def test_dense_nonnegative_rows_on_dense_path(dt):
     n = prog.n_vars
     for _ in range(3):
         prog.add_nonneg_row(np.arange(n), rng.normal(size=n), 1.0)
-    groups, G, h = _build_groups(prog, dt)
+    groups, G, h = _build_groups(prog)
     nmap = _NormalMap(G, groups, prog.n_nonneg)
-    scaling = _random_interior_scaling(prog, groups, h.size, 5, dt)
+    scaling = _random_interior_scaling(prog, groups, h.size, 5)
     H = nmap.normal_matrix(scaling)
     ref = _columnwise_normal_matrix(G, groups, prog.n_nonneg, scaling)
     assert H.dtype == ref.dtype == dt
     assert np.allclose(np.tril(H), np.tril(ref), rtol=1e-12,
                        atol=1e-12 * np.abs(ref).max())
-    if dt != np.float64:
-        return
     # the dense and the sparse factorization of the same pair list
     A = prog.eq_matrix()
     r1 = rng.normal(size=n)
@@ -507,7 +496,7 @@ def test_dense_nonnegative_rows_on_dense_path(dt):
 def test_pair_entries_match_svec_of_winv_map(case):
     # column t of the block's Hessian is svec(W^-1 smat(e_t) W^-1)
     prog = _dense_kkt_program(case)
-    groups, _, h = _build_groups(prog, np.float64)
+    groups, _, h = _build_groups(prog)
     scaling = _random_interior_scaling(prog, groups, h.size, seed=7)
     for g, gd in zip(groups, scaling.groups):
         blk, t1, t2 = np.indices((g.nb, g.ns, g.ns)).reshape(3, -1)
@@ -522,15 +511,15 @@ def test_pair_entries_match_svec_of_winv_map(case):
                                atol=1e-14 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("dt", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dt", [np.float64])
 def test_kkt_solver_ignores_strict_upper_triangle(dt):
     # H's strict upper triangle is not valid: NaN there must change neither
     # the diagonal shift nor the solve. The two extra variables are in no
     # cone row, so H is singular and the ladder runs.
     prog = _dense_kkt_program("shared", extra=2)
-    groups, G, h = _build_groups(prog, dt)
-    A = prog.eq_matrix().astype(dt)
-    scaling = _random_interior_scaling(prog, groups, h.size, 2, dt)
+    groups, G, h = _build_groups(prog)
+    A = prog.eq_matrix()
+    scaling = _random_interior_scaling(prog, groups, h.size, 2)
     H = _NormalMap(G, groups, prog.n_nonneg).normal_matrix(scaling)
     broken = H.copy()
     broken[np.triu_indices(prog.n_vars, 1)] = np.nan
@@ -538,8 +527,86 @@ def test_kkt_solver_ignores_strict_upper_triangle(dt):
     assert ref.reg_used > 0.0
     assert kkt.reg_used == ref.reg_used
     rng = np.random.default_rng(1)
-    r1 = rng.normal(size=prog.n_vars).astype(dt)
-    r2 = rng.normal(size=prog.n_eq).astype(dt)
+    r1 = rng.normal(size=prog.n_vars)
+    r2 = rng.normal(size=prog.n_eq)
     for got, want in zip(kkt.solve(r1, r2), ref.solve(r1, r2)):
-        assert np.all(np.isfinite(want))
+        assert np.all(np.isfinite(want)) and want.dtype == dt
         assert np.array_equal(got, want)
+
+
+def _full_kkt_reference(prog, G, A, groups, scaling):
+    """[[0, A', G'], [A, 0, 0], [G, 0, -W'W]] from dense blocks, with each
+    PSD block's part of W'W built column by column as svec(P mat(e_t) P),
+    P = R R'."""
+    n, m, sdim = prog.n_vars, prog.n_eq, G.shape[0]
+    l_nn = prog.n_nonneg
+    WW = np.zeros((sdim, sdim))
+    WW[:l_nn, :l_nn] = np.diag(scaling.wn ** 2)
+    for g, gd in zip(groups, scaling.groups):
+        for k in range(g.nb):
+            P = gd["R"][k] @ gd["R"][k].T
+            WW[np.ix_(g.slot[k], g.slot[k])] = np.column_stack(
+                [svec(P @ smat(e, g.m) @ P) for e in np.eye(g.ns)])
+    Gd, Ad = G.toarray(), A.toarray()
+    return np.block([[np.zeros((n, n)), Ad.T, Gd.T],
+                     [Ad, np.zeros((m, m + sdim))],
+                     [Gd, np.zeros((sdim, m)), -WW]])
+
+
+@pytest.mark.parametrize("case", ["full", "shared"])
+def test_full_kkt_matrix_matches_svec_reference(case):
+    # the full path's matrix, its -W'W block included, entry by entry
+    prog = _dense_kkt_program(case, extra=1)
+    groups, G, h = _build_groups(prog)
+    A = prog.eq_matrix()
+    scaling = _random_interior_scaling(prog, groups, h.size, seed=8)
+    K = _FullKkt(G, A, groups, prog.n_nonneg).matrix(scaling)
+    ref = _full_kkt_reference(prog, G, A, groups, scaling)
+    assert np.allclose(K, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())
+
+
+def test_full_path_solve_matches_dense_elimination():
+    # equalities, nonnegative rows and a PSD block, at an interior
+    # non-identity scaling: the full KKT LU and the dense Cholesky with its
+    # Schur complement give the same (du, dy, dz)
+    prog = _dense_kkt_program("full")
+    prog.add_equality_row([0, 3, 5], [1.0, -0.5, 2.0], 0.3)
+    prog.add_equality_row([1, 2], [1.0, 1.0], -0.2)
+    groups, G, h = _build_groups(prog)
+    A = prog.eq_matrix()
+    scaling = _random_interior_scaling(prog, groups, h.size, seed=9)
+    rng = np.random.default_rng(10)
+    rhs = (rng.normal(size=prog.n_vars), rng.normal(size=prog.n_eq),
+           rng.normal(size=h.size))
+    full = _kkt_factory("full", G, A, groups, prog.n_nonneg)(scaling)
+    dense = _kkt_factory("dense", G, A, groups, prog.n_nonneg)(scaling)
+    assert full.reg_used == dense.reg_used == 0.0
+    ref = _full_kkt_reference(prog, G, A, groups, scaling)
+    x = np.concatenate(full.solve(*rhs))
+    assert np.linalg.norm(ref @ x - np.concatenate(rhs)) <= \
+        1e-12 * np.linalg.norm(ref) * np.linalg.norm(x)
+    for got, want in zip(full.solve(*rhs), dense.solve(*rhs)):
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_full_kkt_zero_pivot_ladder(monkeypatch):
+    # a duplicated equality row makes the full KKT matrix exactly singular:
+    # the ladder shifts it where the LU meets a zero pivot, no warning
+    # escapes, and the solve still ends optimal
+    import qcqpen.solver as solver
+    prog = _lp_fixture()
+    prog.add_equality_row([0, 1], [1.0, 1.0], 1.0)
+    regs = []
+    factor = solver._FullKkt.factor
+
+    def recorded(self, scaling):
+        kkt = factor(self, scaling)
+        regs.append(kkt.reg_used)
+        return kkt
+    monkeypatch.setattr(solver._FullKkt, "factor", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_conic(prog)
+    assert any(reg > 0.0 for reg in regs)
+    assert sol.status == "optimal"
+    assert sol.pcost == pytest.approx(1.0, abs=1e-6)
