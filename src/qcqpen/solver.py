@@ -22,8 +22,8 @@ computed per block, the Newton system
 in float64 on one of three paths, chosen once per solve by `_kkt_path`, and
 steps are damped by a fraction of the distance to the cone boundary.
 
-- full: programs with at most `_FULL_KKT_THRESHOLD` variables factor that
-  matrix with one dense LU per iteration.
+- full: programs whose KKT matrix has order n + m + dim K at most
+  `_FULL_KKT_ORDER` factor it with one dense LU per iteration.
 - dense: dz is eliminated, and the normal matrix H = G' (W'W)^{-1} G is
   summed from `_NormalMap`'s pair list (each pair of entries of a
   nonnegative row, then each pair of variable slots of a PSD block, with
@@ -445,8 +445,9 @@ class _KktSolver:
     """Cholesky factors of the reduced saddle system [H A'; A 0].
 
     H is a dense array; only its diagonal and lower triangle are read, and
-    the diagonal is shifted in place when it does not factor. A is CSR, densified to form the Schur complement. reg_used
-    is the total diagonal shift added to H and to the Schur complement.
+    the diagonal is shifted in place when it does not factor. A is CSR,
+    densified to form the Schur complement. reg_used is the total diagonal
+    shift added to H and to the Schur complement.
     """
 
     def __init__(self, H, A):
@@ -548,18 +549,20 @@ class _NormalMap:
 _SPARSE_DELTA = 1e-12
 # the sparse path runs when the scatter count is below this share of n^2
 _SPARSE_SHARE = 0.1
-# programs with at most this many variables factor the full KKT matrix; at
-# dense_full's 495 its LU is 3.3 times slower per solve than the dense path
-_FULL_KKT_THRESHOLD = 300
+# programs whose full KKT matrix has at most this order factor it: full
+# moment programs up to 299 variables, and smaller r = 2 liftings, whose LU
+# costs the order cubed (order 1,773 at 275 variables: 11 times the dense path)
+_FULL_KKT_ORDER = 600
 
 
 def _kkt_path(prog: ConicProgram) -> str:
-    """'full' up to _FULL_KKT_THRESHOLD variables. Above it 'sparse' when
-    the entries the cone rows scatter into H, nnz^2 per nonnegative row plus
-    (variables in block)^2 per PSD block, number fewer than
-    _SPARSE_SHARE * n^2, and 'dense' otherwise."""
+    """'full' when n + m + the cone's dimension is at most _FULL_KKT_ORDER.
+    Otherwise 'sparse' when the entries the cone rows scatter into H, nnz^2
+    per nonnegative row plus (variables in block)^2 per PSD block, number
+    fewer than _SPARSE_SHARE * n^2, and 'dense' otherwise."""
     n = prog.n_vars
-    if n <= _FULL_KKT_THRESHOLD:
+    sdim = sum(blk.size * (blk.size + 1) // 2 for blk in prog.blocks)
+    if n + prog.n_eq + prog.n_nonneg + sdim <= _FULL_KKT_ORDER:
         return "full"
     count = sum(len(cols) ** 2 for cols, _ in prog.nn_rows)
     count += sum(int(np.count_nonzero(blk.var >= 0)) ** 2 for blk in prog.blocks)

@@ -297,6 +297,7 @@ def test_tuned_round_point_restored_feasible(monkeypatch):
     assert tr.i_feas == 1
     assert tr.violation_before == tr.violation_after <= cfg.tight_tol
     assert tr.restore_distance == 0.0
+    assert p.objective.value(tr.x_final) <= p.objective.value(inst.xstar)
     # the same round made to end 2e-6 outside its first constraint, more
     # than the 1e-6 that criterion 3 allows, with the other constraint held
     # to first order: run restores the point to where the round ended
@@ -315,6 +316,7 @@ def test_tuned_round_point_restored_feasible(monkeypatch):
     assert tr.violation_after == p.violation(tr.x_final) < 1e-9
     assert tr.restore_distance == pytest.approx(np.linalg.norm(shift),
                                                 rel=1e-2)
+    assert p.objective.value(tr.x_final) <= p.objective.value(inst.xstar)
 
 
 def test_sysid_rounds_stay_tight():

@@ -344,24 +344,38 @@ def test_sparse_path_solves_like_dense(sysid_program, monkeypatch):
     assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
 
 
+def _kkt_order(prog):
+    """n + m + the cone's dimension: the order of the full KKT matrix."""
+    return prog.n_vars + prog.n_eq + _build_groups(prog)[2].size
+
+
 def test_kkt_path_choice(sysid_program):
     import qcqpen.solver as solver
-    # a full moment matrix: dense H, on both sides of the full-path bound
+    bound = solver._FULL_KKT_ORDER
     rng = np.random.default_rng(0)
-    full = {}
-    for n in (23, 24):
+    relaxed = {}
+    for n in (13, 14, 23, 24):
         B = rng.normal(size=(n, n))
         obj = QuadraticFunction(0.5 * (B + B.T), rng.normal(size=n), 0.0)
         ball = QuadraticFunction(np.eye(n), np.zeros(n), -1.0)
-        full[n], _ = build_relaxation(QcqpProblem(n, obj, inequalities=[ball]),
-                                      RelaxationConfig(r=None))
-    assert full[23].n_vars <= solver._FULL_KKT_THRESHOLD < full[24].n_vars
-    assert _kkt_path(full[23]) == "full"
-    assert _kkt_path(full[24]) == "dense"
+        cfg = RelaxationConfig(r=None if n > 20 else 2, sparsity=False)
+        relaxed[n], _ = build_relaxation(
+            QcqpProblem(n, obj, inequalities=[ball]), cfg)
+    # a full moment matrix (dense H, order about 2n) on both sides of the
+    # bound: 299 and 324 variables
+    assert _kkt_order(relaxed[23]) <= bound < _kkt_order(relaxed[24])
+    assert _kkt_path(relaxed[23]) == "full"
+    assert _kkt_path(relaxed[24]) == "dense"
+    # r = 2 blocks without sparsity: 104 and 119 variables, but 78 and 91
+    # 3x3 blocks put the order on both sides of the bound
+    assert _kkt_order(relaxed[13]) <= bound < _kkt_order(relaxed[14])
+    assert relaxed[14].n_vars < relaxed[23].n_vars
+    assert _kkt_path(relaxed[13]) == "full"
+    assert _kkt_path(relaxed[14]) == "dense"
     # r = 2 blocks scatter into few entries of H: sparse above the bound;
     # below it the full path runs however sparse H is (50 one-entry rows
     # scatter into 50 of 2,500 entries)
-    assert sysid_program.n_vars > solver._FULL_KKT_THRESHOLD
+    assert _kkt_order(sysid_program) > bound
     assert _kkt_path(sysid_program) == "sparse"
     box = ConicProgram(50, np.ones(50))
     for i in range(50):
