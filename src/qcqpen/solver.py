@@ -39,6 +39,13 @@ Every path refines its solves against the full system, the W'W dz term
 included, as CVXOPT's conelp does (Vandenberghe, "The CVXOPT linear and
 quadratic cone program solvers", 2010).
 
+The cone operations (applying W and its inverse, Jordan products, step
+lengths) work per group of equal-size blocks through slot maps built once
+per solve: one gather takes the group's matrices out of an s-space vector,
+and one gather of each triangle puts svec coordinates back. The factors of
+each W mode are formed once per iteration. Every operation keeps smat's
+and svec's arithmetic, so the iterates match theirs bit for bit.
+
 Deterministic: no randomization anywhere.
 """
 
@@ -194,6 +201,12 @@ class ConicSolution:
     pres: float
     dres: float
     iterations: int
+    # why the loop ended: converged, infeasible, unbounded,
+    # iteration_limit, diverging, factorization_failed (the NT scaling or
+    # the KKT factorization), solve_failed, step_too_small or stalled
+    stop_reason: str
+    # the best iterate seen was returned in place of the last one
+    fallback: bool
     log: list = field(default_factory=list)
 
     @property
@@ -211,7 +224,13 @@ def iteration_log_csv(sol: ConicSolution) -> str:
 
 
 class _BlockGroup:
-    """Blocks of one size, batched: index arrays shaped (nb, ns)."""
+    """Blocks of one size, batched: index arrays shaped (nb, ns).
+
+    Its slot maps, built once per solve, take the blocks' matrices out of
+    an s-space vector with one gather (`mats`) and put svec coordinates
+    back (`svec`, `sym_svec`, written to `out[flat]`), in the same
+    operations, and so to the same bits, as `smat` and `svec`.
+    """
 
     def __init__(self, size: int, blocks: list, offsets: list):
         self.m = size
@@ -226,19 +245,40 @@ class _BlockGroup:
         self.h = np.stack([blk.const for blk in blocks]) * w
         self.off = np.asarray(offsets, dtype=np.int64)
         self.slot = self.off[:, None] + np.arange(self.ns)[None, :]
+        self.flat = self.slot.ravel()
         # svec slots of the diagonal entries, (nb, m)
         self.dslot = self.slot[:, rows == cols]
         self.mask = self.var >= 0
-        # row and column of each svec slot
+        # row and column of each svec slot, and the flat places of its
+        # entries (a, b) and (b, a) in an m x m matrix
         self.ka = np.asarray(rows)
         self.kb = np.asarray(cols)
-
-    def gather(self, vec: np.ndarray) -> np.ndarray:
-        """(nb, ns) slice of an s-space vector."""
-        return vec[self.slot]
+        self.low = self.ka * size + self.kb
+        self.up = self.kb * size + self.ka
+        # svec slot of every matrix entry, both triangles: (nb, m*m) s-space
+        # slots, and each entry's weight
+        t = np.empty(size * size, dtype=np.int64)
+        t[self.low] = t[self.up] = np.arange(self.ns)
+        self.full = self.slot[:, t]
+        self.fw = w[t]
 
     def mats(self, vec: np.ndarray) -> np.ndarray:
-        return smat(self.gather(vec), self.m)
+        """The (nb, m, m) matrices of an s-space vector: smat of its slots.
+        Divided by the weight, as smat does; a product with 1/w differs."""
+        return (vec[self.full] / self.fw).reshape(self.nb, self.m, self.m)
+
+    def svec(self, M: np.ndarray) -> np.ndarray:
+        """(nb, ns) svec of each matrix of M, from its lower triangle."""
+        return M.reshape(self.nb, -1)[:, self.low] * self.w
+
+    def sym_svec(self, M: np.ndarray) -> np.ndarray:
+        """(nb, ns) svec(0.5 (M + M')) of each matrix of M, without forming
+        the symmetric matrix."""
+        F = M.reshape(self.nb, -1)
+        v = F[:, self.low] + F[:, self.up]
+        v *= 0.5
+        v *= self.w
+        return v
 
 
 def _build_groups(prog: ConicProgram):
@@ -273,6 +313,19 @@ class _Scaling:
         self.lam_n = lam_n
         # per group: dict R, Rinv, Winv = (R R')^{-1}, WW = R R', lam
         self.groups = group_data
+        # per `_apply_w` mode: the nonnegative factor and each group's
+        # congruence factors (L, R)
+        Rs = [gd["R"] for gd in group_data]
+        Rts = [np.swapaxes(R, -1, -2) for R in Rs]
+        Rinvs = [gd["Rinv"] for gd in group_data]
+        self.modes = {
+            "w": (wn, list(zip(Rts, Rs))),
+            "wt": (wn, list(zip(Rs, Rts))),
+            "wit": (wn ** -1, [(Ri, np.swapaxes(Ri, -1, -2)) for Ri in Rinvs]),
+            "ww": (wn ** 2, [(gd["WW"], gd["WW"]) for gd in group_data]),
+            "winv2": (wn ** -2, [(gd["Winv"], gd["Winv"])
+                                 for gd in group_data]),
+        }
 
 
 def _nt_scaling(groups, s, z, l_nn):
@@ -334,9 +387,7 @@ def _congruence(groups, factors, vec, out):
     """out's PSD slots := svec(sym(L mat(v) R)) per group, with (L, R) from
     `factors`; returns out."""
     for g, (L, R) in zip(groups, factors):
-        res = L @ g.mats(vec) @ R
-        res = 0.5 * (res + np.swapaxes(res, -1, -2))
-        out[g.slot.ravel()] = svec(res).ravel()
+        out[g.flat] = g.sym_svec(L @ g.mats(vec) @ R).ravel()
     return out
 
 
@@ -349,17 +400,9 @@ def _apply_w(scaling, groups, l_nn, vec, mode):
     'wit', v -> svec(R mat(v) R') for 'wt', v -> svec(P mat(v) P) with
     P = R R' for 'ww' and P = W^{-1} for 'winv2'.
     """
+    wn, factors = scaling.modes[mode]
     out = np.empty_like(vec)
-    out[:l_nn] = vec[:l_nn] * scaling.wn ** {"w": 1, "wt": 1, "wit": -1,
-                                             "ww": 2, "winv2": -2}[mode]
-    factors = []
-    for gd in scaling.groups:
-        R, Rinv = gd["R"], gd["Rinv"]
-        Rt = np.swapaxes(R, -1, -2)
-        factors.append({"w": (Rt, R), "wt": (R, Rt),
-                        "wit": (Rinv, np.swapaxes(Rinv, -1, -2)),
-                        "ww": (gd["WW"], gd["WW"]),
-                        "winv2": (gd["Winv"], gd["Winv"])}[mode])
+    out[:l_nn] = vec[:l_nn] * wn
     return _congruence(groups, factors, vec, out)
 
 
@@ -391,9 +434,9 @@ def _jordan_solve(scaling, groups, l_nn, d):
         v[:l_nn] = d[:l_nn] / scaling.lam_n
     for g, gd in zip(groups, scaling.groups):
         lam = gd["lam"]
-        D = g.mats(d)
-        denom = 0.5 * (lam[..., :, None] + lam[..., None, :])
-        v[g.slot.ravel()] = svec(D / denom).ravel()
+        # svec(mat(d) / denom) on the lower triangle alone
+        denom = 0.5 * (lam[:, g.ka] + lam[:, g.kb])
+        v[g.flat] = ((d[g.slot] / g.w) / denom * g.w).ravel()
     return v
 
 
@@ -406,7 +449,7 @@ def _jordan_prod(groups, l_nn, a, b):
         A = g.mats(a)
         B = g.mats(b)
         P = 0.5 * (A @ B + B @ A)
-        out[g.slot.ravel()] = svec(P).ravel()
+        out[g.flat] = g.svec(P).ravel()
     return out
 
 
@@ -652,7 +695,9 @@ class _LuKkt:
 
     def solve(self, *rhs):
         """The solution's blocks for the right-hand side's blocks."""
-        return np.split(self.lu_solve(np.concatenate(rhs)), self.cuts)
+        x = self.lu_solve(np.concatenate(rhs))
+        ends = (0, *self.cuts, x.size)
+        return [x[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 class _FullKkt:
@@ -665,9 +710,14 @@ class _FullKkt:
 
     def __init__(self, G, A, groups, l_nn):
         self.m, self.n = A.shape
-        self.K0 = sp.bmat([[None, A.T, G.T], [A, None, None],
-                           [G, None, None]]).toarray()
-        o, N = self.n + self.m, self.K0.shape[0]
+        n, o = self.n, self.n + self.m
+        N = o + G.shape[0]
+        self.K0 = np.zeros((N, N))
+        Ad, Gd = A.toarray(), G.toarray()
+        self.K0[:n, n:o] = Ad.T
+        self.K0[:n, o:] = Gd.T
+        self.K0[n:o, :n] = Ad
+        self.K0[o:, :n] = Gd
         self.nn_diag = (o + np.arange(l_nn)) * (N + 1)
         self.psd = []
         for g in groups:
@@ -697,8 +747,7 @@ class _FullKkt:
         for _ in range(6):
             lu, piv, info = sla.lapack.dgetrf(K)
             if info == 0:     # info > 0: U[info - 1, info - 1] is zero
-                return _LuKkt(lambda r: sla.lu_solve((lu, piv), r,
-                                                     check_finite=False),
+                return _LuKkt(lambda r: sla.lapack.dgetrs(lu, piv, r)[0],
                               [n, o], reg)
             K[range(n), range(n)] += eps
             K[range(n, o), range(n, o)] -= eps
@@ -712,27 +761,28 @@ class _Eliminated:
     [H A'; A 0] [du; dy] = [bu + G'W^-2 bz; by] goes to the factored
     reduced system and dz = W^-2 (G du - bz)."""
 
-    def __init__(self, reduced, G, scaling, groups, l_nn):
+    def __init__(self, reduced, G, GT, scaling, groups, l_nn):
         self.reduced = reduced
         self.reg_used = reduced.reg_used
-        self.G = G
+        self.G, self.GT = G, GT
         self.winv2 = lambda v: _apply_w(scaling, groups, l_nn, v, "winv2")
 
     def solve(self, bu, by, bz):
-        du, dy = self.reduced.solve(bu + self.G.T @ self.winv2(bz), by)
+        du, dy = self.reduced.solve(bu + self.GT @ self.winv2(bz), by)
         return du, dy, self.winv2(self.G @ du - bz)
 
 
-def _kkt_factory(path, G, A, groups, l_nn):
+def _kkt_factory(path, G, GT, A, groups, l_nn):
     """factor(scaling) for `path` (see `_kkt_path`), built once per solve;
-    what it returns solves (bu, by, bz) -> (du, dy, dz)."""
+    what it returns solves (bu, by, bz) -> (du, dy, dz). GT is G.T, kept
+    so that no solve transposes G again."""
     if path == "full":
         return _FullKkt(G, A, groups, l_nn).factor
     nmap = _NormalMap(G, groups, l_nn)
     reduce = (_SparseKkt(nmap, A).factor if path == "sparse" else
               lambda scaling: _KktSolver(nmap.normal_matrix(scaling), A))
-    return lambda scaling: _Eliminated(reduce(scaling), G, scaling, groups,
-                                       l_nn)
+    return lambda scaling: _Eliminated(reduce(scaling), G, GT, scaling,
+                                       groups, l_nn)
 
 
 # fraction of the distance to the cone boundary that a step may take
@@ -765,8 +815,8 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             return vec
         return vec + (1.0 - min(margin, 0.0)) * e_vec
 
-    factor_kkt = _kkt_factory(_kkt_path(prog), G, A, groups, l_nn)
     GT, AT = G.T, A.T
+    factor_kkt = _kkt_factory(_kkt_path(prog), G, GT, A, groups, l_nn)
 
     # initial point from the identity scaling, the NT scaling at s = z = e
     kkt = factor_kkt(_nt_scaling(groups, e_vec, e_vec, l_nn))
@@ -782,11 +832,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
 
     log: list = []
     trace = _log.isEnabledFor(logging.DEBUG)
-    status = "iteration_limit"
+    status = stop = "iteration_limit"
     it = 0
     step = 0.0
     stall = 0
-    best = None  # (score, u, y, z, s, pcost, dcost, gap, pres, dres, relgap)
+    # (score, it, u, y, z, s, pcost, dcost, gap, pres, dres, relgap)
+    best = None
 
     for it in range(settings.max_iterations + 1):
         Au, Gu_s, ATy, GTz = A @ u, G @ u + s, AT @ y, GT @ z
@@ -810,12 +861,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
                        "step %.3f", it, pcost + prog.c0, dcost + prog.c0, gap,
                        pres, dres, step)
         if best is None or score < best[0]:
-            best = (score, u.copy(), y.copy(), z.copy(), s.copy(),
+            best = (score, it, u.copy(), y.copy(), z.copy(), s.copy(),
                     pcost, dcost, gap, pres, dres, relgap)
 
         ftol, gtol = settings.feasibility_tol, settings.gap_tol
         if pres <= ftol and dres <= ftol and relgap <= gtol:
-            status = "optimal"
+            status, stop = "optimal", "converged"
             break
 
         # infeasibility certificates from the current iterate
@@ -823,23 +874,25 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         if by_hz < -1e-10:
             cert = float(np.linalg.norm(ATy + GTz)) / (-by_hz)
             if cert * norm_h <= ftol * 10:
-                status = "infeasible"
+                status = stop = "infeasible"
                 break
         if pcost < -1e-10:
             ray = max(float(np.linalg.norm(Au)), float(np.linalg.norm(Gu_s)))
             if ray / (-pcost) * norm_c <= ftol * 10:
-                status = "unbounded"
+                status = stop = "unbounded"
                 break
         if it == settings.max_iterations:
             break
         if it > 5 and score > max(1e5 * best[0], 1e-2):
-            break  # diverging; the best iterate is returned below
+            stop = "diverging"  # the best iterate is returned below
+            break
 
         kkt = None  # frees the last factor before the next is built
         try:
             scaling = _nt_scaling(groups, s, z, l_nn)
             kkt = factor_kkt(scaling)
         except np.linalg.LinAlgError:
+            stop = "factorization_failed"
             break
 
         lam = _lambda_vec(scaling, groups, l_nn, sdim)
@@ -881,6 +934,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         try:
             du_a, dy_a, dz_a, ds_a = kkt_step(res_x, res_y, res_z, -lam2)
         except np.linalg.LinAlgError:
+            stop = "solve_failed"
             break
         amax, rho, sig = max_step(ds_a, dz_a)
         alpha_aff = min(1.0, amax)
@@ -895,21 +949,26 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             du, dy, dz, ds = kkt_step(scale_r * res_x, scale_r * res_y,
                                       scale_r * res_z, ds_comb)
         except np.linalg.LinAlgError:
+            stop = "solve_failed"
             break
         step = min(1.0, _STEP_FRACTION * max_step(ds, dz)[0])
         if step <= 1e-10:
+            stop = "step_too_small"
             break
         stall = stall + 1 if step < 1e-5 else 0
         if stall >= 3:
+            stop = "stalled"
             break
         u = u + step * du
         y = y + step * dy
         z = z + step * dz
         s = s + step * ds
 
+    fallback = False
     if status == "iteration_limit" and best is not None:
         # fall back to the best iterate seen
-        _, u, y, z, s, pcost, dcost, gap, pres, dres, relgap = best
+        _, best_it, u, y, z, s, pcost, dcost, gap, pres, dres, relgap = best
+        fallback = best_it != it
         ftol, gtol = settings.feasibility_tol, settings.gap_tol
         if pres <= ftol and dres <= ftol and relgap <= gtol:
             status = "optimal"
@@ -918,7 +977,8 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
 
     return ConicSolution(status=status, u=u, y=y, z=z, s=s,
                          pcost=pcost + prog.c0, dcost=dcost + prog.c0,
-                         gap=gap, pres=pres, dres=dres, iterations=it, log=log)
+                         gap=gap, pres=pres, dres=dres, iterations=it,
+                         stop_reason=stop, fallback=fallback, log=log)
 
 
 def _cone_identity(groups, l_nn, dim):

@@ -1,5 +1,6 @@
 """Every module under src/qcqpen reads each name it imports, and every
-top-level private definition is read somewhere in the package.
+top-level private definition, and every method and property of a private
+class, is read somewhere in the package.
 
 Stdlib-ast stand-ins for a linter's unused-import and dead-code checks,
 since the test dependencies ship no linter. The import check skips
@@ -50,10 +51,16 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def unread_private_names(sources: dict) -> list:
     """'module:name' for each top-level private definition (function,
-    class or assignment; dunders exempt) that no module in `sources`
-    (module name -> source) reads, as a name or as an attribute."""
+    class or assignment; dunders exempt), and 'module:Class.name' for each
+    method or property of a private class (dunders exempt), that no module
+    in `sources` (module name -> source) reads, as a name or as an
+    attribute."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     read = set()
     for tree in trees.values():
@@ -76,8 +83,13 @@ def unread_private_names(sources: dict) -> list:
             else:
                 continue
             unread += [f"{module}:{name}" for name in names
-                       if name.startswith("_") and not name.endswith("__")
-                       and name not in read]
+                       if _private(name) and name not in read]
+            if isinstance(node, ast.ClassDef) and _private(node.name):
+                unread += [f"{module}:{node.name}.{f.name}" for f in node.body
+                           if isinstance(f, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                           and not f.name.endswith("__")
+                           and f.name not in read]
     return sorted(unread)
 
 
@@ -94,6 +106,23 @@ def test_unread_checker_flags_dead_definitions():
     }
     assert unread_private_names(sources) == [
         "a.py:_C", "a.py:_ann", "a.py:_dead", "a.py:_g"]
+
+
+def test_unread_checker_flags_dead_methods():
+    sources = {
+        "a.py": ("class _Used:\n"
+                 "    def __init__(self):\n        self.x = self.go()\n"
+                 "    def go(self):\n        return 1\n"
+                 "    def dead(self):\n        return 2\n"
+                 "    @property\n    def stale(self):\n        return 3\n"
+                 "    @property\n    def size(self):\n        return 4\n"
+                 "    @staticmethod\n    def _helper():\n        return 5\n"
+                 "class Public:\n"
+                 "    def unused(self):\n        return 6\n"),
+        "b.py": "import a\n\nprint(a._Used().size, a._Used._helper)\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.py:_Used.dead", "a.py:_Used.stale"]
 
 
 def test_no_unread_private_definitions():

@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from qcqpen import (ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
-from qcqpen.solver import (_REFINEMENT, PsdBlock, _FullKkt, _KktSolver,
-                           _NormalMap, _Scaling, _SparseKkt, _apply_w,
-                           _build_groups, _kkt_factory, _kkt_path,
+from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _FullKkt,
+                           _KktSolver, _NormalMap, _Scaling, _SparseKkt,
+                           _apply_w, _build_groups, _kkt_factory, _kkt_path,
                            _nt_scaling, _pair_entries, _pair_index,
                            kkt_residuals, smat, svec, svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
 from qcqpen.lifting import RelaxationConfig, build_penalized
 from qcqpen.polyopt import parse_poly, reformulate
+from _support import POLY_EXAMPLE
 
 OK = ("optimal", "near_optimal")
 
@@ -48,6 +49,23 @@ def test_svec_index_weights():
     assert list(zip(rows.tolist(), cols.tolist())) == [
         (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
     assert w == pytest.approx([1.0, np.sqrt(2), 1.0, np.sqrt(2), np.sqrt(2), 1.0])
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_slot_maps_match_smat_and_svec(m):
+    # a group of three blocks at scattered offsets: the gather and the two
+    # svec maps give smat's and svec's bits exactly
+    rng = np.random.default_rng(m)
+    ns = m * (m + 1) // 2
+    offsets = [4, 4 + ns + 3, 4 + 3 * ns + 7]
+    g = _BlockGroup(m, [PsdBlock.from_entries(m, {})] * 3, offsets)
+    vec = rng.normal(size=offsets[-1] + ns + 2)
+    assert np.array_equal(g.mats(vec), smat(vec[g.slot], m))
+    assert np.array_equal(g.flat, g.slot.ravel())
+    M = rng.normal(size=(3, m, m))
+    assert np.array_equal(g.svec(M), svec(M))
+    assert np.array_equal(g.sym_svec(M),
+                          svec(0.5 * (M + np.swapaxes(M, -1, -2))))
 
 
 def _lp_fixture():
@@ -153,14 +171,80 @@ def test_infeasible_lp_detected():
     prog.add_nonneg_row([0], [-1.0], -1.0)
     prog.add_nonneg_row([0], [1.0], 0.0)
     sol = solve_conic(prog)
-    assert sol.status == "infeasible"
+    assert sol.status == sol.stop_reason == "infeasible"
+    assert not sol.fallback
 
 
 def test_unbounded_lp_detected():
     prog = ConicProgram(1, [-1.0])
     prog.add_nonneg_row([0], [-1.0], 0.0)
     sol = solve_conic(prog)
-    assert sol.status == "unbounded"
+    assert sol.status == sol.stop_reason == "unbounded"
+    assert not sol.fallback
+
+
+def test_stop_reason_converged_and_iteration_limit():
+    sol = solve_conic(_lp_fixture())
+    assert (sol.status, sol.stop_reason, sol.fallback) == (
+        "optimal", "converged", False)
+    sol = solve_conic(_lp_fixture(), SolverSettings(max_iterations=2))
+    assert (sol.iterations, sol.stop_reason) == (2, "iteration_limit")
+
+
+def _failing_from(func, k):
+    """func, raising LinAlgError from its k-th call on."""
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) >= k:
+            raise np.linalg.LinAlgError("injected")
+        return func(*args)
+    return failing
+
+
+@pytest.mark.parametrize("owner, name, k, reason", [
+    # the initial point takes the first scaling, factorization and two
+    # solves; iteration 0 the next ones, and the predictor's solve is first
+    (None, "_nt_scaling", 4, "factorization_failed"),
+    ("_FullKkt", "factor", 3, "factorization_failed"),
+    ("_LuKkt", "solve", 3, "solve_failed"),
+])
+def test_stop_reason_names_the_failed_step(monkeypatch, owner, name, k,
+                                           reason):
+    import qcqpen.solver as solver
+    target = getattr(solver, owner) if owner else solver
+    monkeypatch.setattr(target, name, _failing_from(getattr(target, name), k))
+    sol = solve_conic(_lp_fixture())
+    assert sol.stop_reason == reason
+    assert sol.status == "iteration_limit"
+    # the last iterate is the best one so far: nothing falls back
+    assert not sol.fallback
+    assert sol.iterations == len(sol.log) - 1
+
+
+@pytest.mark.parametrize("amax, reason, iterations", [
+    (1e-12, "step_too_small", 0), (1e-6, "stalled", 2)])
+def test_stop_reason_short_steps(monkeypatch, amax, reason, iterations):
+    import qcqpen.solver as solver
+    monkeypatch.setattr(solver, "_max_cone_step", lambda *args: amax)
+    sol = solve_conic(_lp_fixture())
+    assert (sol.stop_reason, sol.iterations) == (reason, iterations)
+    assert sol.status == "iteration_limit"
+
+
+def test_unbounded_relaxation_stops_diverging():
+    # criterion 1's relaxation has no finite value and no certificate of
+    # unboundedness: the loop stops on the divergence test long before the
+    # iteration limit and returns an earlier, better iterate
+    prob, _ = reformulate(parse_poly(POLY_EXAMPLE))
+    prog, _ = build_relaxation(prob, RelaxationConfig())
+    sol = solve_conic(prog)
+    assert sol.status == "iteration_limit"
+    assert sol.stop_reason == "diverging"
+    assert sol.iterations < SolverSettings().max_iterations
+    assert sol.fallback
+    assert sol.pcost != sol.log[-1]["pcost"]
 
 
 def test_iteration_log_csv_format():
@@ -289,6 +373,35 @@ def test_from_entries_slots_follow_svec_index():
             v, cf, ct = entries.get((int(a), int(b)),
                                     entries.get((int(b), int(a)), (-1, 0.0, 0.0)))
             assert (blk.var[t], blk.coef[t], blk.const[t]) == (v, cf, ct)
+
+
+@pytest.mark.parametrize("mode, e", [
+    ("w", 1), ("wt", 1), ("wit", -1), ("ww", 2), ("winv2", -2)])
+def test_apply_w_matches_per_block_reference(mode, e):
+    # two blocks of each size 1 to 4 behind three nonnegative rows: each
+    # mode gives, bit for bit, svec(sym(L smat(v) R)) block by block with
+    # the factors (L, R) its docstring names
+    prog = ConicProgram(3, np.ones(3))
+    for k in range(3):
+        prog.add_nonneg_row([k], [1.0], 1.0)
+    for m in (3, 1, 4, 2, 1, 3, 2, 4):
+        prog.add_psd_block(PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)}))
+    groups, _, h = _build_groups(prog)
+    assert [g.nb for g in groups] == [2, 2, 2, 2]
+    scaling = _random_interior_scaling(prog, groups, h.size, seed=4)
+    vec = np.random.default_rng(6).normal(size=h.size)
+    ref = vec.copy()
+    ref[:3] = vec[:3] * scaling.wn ** e
+    for g, gd in zip(groups, scaling.groups):
+        for k in range(g.nb):
+            R, Rinv = gd["R"][k], gd["Rinv"][k]
+            left, right = {"w": (R.T, R), "wt": (R, R.T),
+                           "wit": (Rinv, Rinv.T),
+                           "ww": (gd["WW"][k], gd["WW"][k]),
+                           "winv2": (gd["Winv"][k], gd["Winv"][k])}[mode]
+            res = left @ smat(vec[g.slot[k]], g.m) @ right
+            ref[g.slot[k]] = svec(0.5 * (res + res.T))
+    assert np.array_equal(_apply_w(scaling, groups, 3, vec, mode), ref)
 
 
 def _columnwise_normal_matrix(G, groups, l_nn, scaling):
@@ -592,8 +705,8 @@ def test_full_path_solve_matches_dense_elimination():
     rng = np.random.default_rng(10)
     rhs = (rng.normal(size=prog.n_vars), rng.normal(size=prog.n_eq),
            rng.normal(size=h.size))
-    full = _kkt_factory("full", G, A, groups, prog.n_nonneg)(scaling)
-    dense = _kkt_factory("dense", G, A, groups, prog.n_nonneg)(scaling)
+    full = _kkt_factory("full", G, G.T, A, groups, prog.n_nonneg)(scaling)
+    dense = _kkt_factory("dense", G, G.T, A, groups, prog.n_nonneg)(scaling)
     assert full.reg_used == dense.reg_used == 0.0
     ref = _full_kkt_reference(prog, G, A, groups, scaling)
     x = np.concatenate(full.solve(*rhs))
