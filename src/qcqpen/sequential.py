@@ -13,7 +13,8 @@ With a sufficiently large penalty eta every round is tight and the
 objective sequence is nonincreasing, so the loop is a descent method over
 feasible points. The penalty is either given or auto-tuned: the tuner
 bisects a log-spaced grid for the smallest eta whose first six rounds are
-all tight, assuming tightness is monotone in eta.
+all tight, assuming tightness is monotone in eta. A candidate's rounds stop
+at its first loose round, which already decides it.
 
 The reported point x_final is the last round's point. Tightness tests the
 trace residual alone, so an inaccurate solve can leave that point slightly
@@ -150,8 +151,12 @@ def _round_solver_settings(cfg, eta):
     return replace(s, gap_tol=gap_needed)
 
 
-def _run_rounds(p, cfg, xhat, eta, max_rounds, stop_rel):
-    """Core loop; returns (rounds, i_feas, i_stop, x, status)."""
+def _run_rounds(p, cfg, xhat, eta, max_rounds, stop_rel, stop_loose=False):
+    """Core loop; returns (rounds, i_feas, i_stop, x, status).
+
+    With stop_loose (eta tuning) the loop ends after its first loose round,
+    with status "loose".
+    """
     rounds = []
     i_feas = None
     i_stop = None
@@ -187,6 +192,9 @@ def _run_rounds(p, cfg, xhat, eta, max_rounds, stop_rel):
                 break
         prev_q0, prev_tight = q0, tight
         x = pt.x
+        if stop_loose and not tight:
+            status = "loose"
+            break
     return rounds, i_feas, i_stop, x, status
 
 
@@ -197,8 +205,9 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None) -> float:
     loose candidate it evaluates lies below every tight one, so its
     evaluations never contradict that assumption. When tightness is not
     monotone, the result is a tight candidate whose lower neighbour on the
-    grid is loose. Raises EtaTuningError when even the largest candidate
-    fails.
+    grid is loose. A candidate's rounds stop at its first loose round: the
+    rounds after it cannot make the candidate tight. Raises EtaTuningError
+    when even the largest candidate fails.
     """
     grid = eta_grid()
     if x0 is None:
@@ -208,7 +217,8 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None) -> float:
     def tight_at(idx: int) -> bool:
         if idx not in memo:
             rounds, i_feas, _, _, status = _run_rounds(
-                p, cfg, x0, grid[idx], cfg.tune_rounds, stop_rel=None)
+                p, cfg, x0, grid[idx], cfg.tune_rounds, stop_rel=None,
+                stop_loose=True)
             ok = (len(rounds) == cfg.tune_rounds
                   and all(r.residual < cfg.tight_tol for r in rounds))
             memo[idx] = ok

@@ -13,7 +13,9 @@ handled in scaled vector (svec) coordinates so that all cones become one
 product cone K: with s = (hn - Gn u, svec(S_1), svec(S_2), ...) the program
 is  min c'u  s.t.  Au = b,  Gu + s = h,  s in K. As in CVXOPT's conelp,
 one G and one h span the whole product cone; they and A are built once per
-solve, and every product in the iteration is a plain matrix-vector product.
+solve, and every product with G, G', A or A' in the iteration goes through
+scipy's compressed-format matvec kernel, bound once per solve (`_matvec`)
+so that no product pays scipy's per-call dispatch.
 
 The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method:
 at each iterate the scaling W with W z-bar = W^{-T} s-bar = lambda is
@@ -43,7 +45,8 @@ The cone operations (applying W and its inverse, Jordan products, step
 lengths) work per group of equal-size blocks through slot maps built once
 per solve: one gather takes the group's matrices out of an s-space vector,
 and one gather of each triangle puts svec coordinates back. The factors of
-each W mode are formed once per iteration. Every operation keeps smat's
+each W mode are formed once per iteration, and a step length takes one
+eigvalsh per group for both scaled directions. Every operation keeps smat's
 and svec's arithmetic, so the iterates match theirs bit for bit.
 
 Deterministic: no randomization anywhere.
@@ -57,6 +60,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+
+try:
+    from scipy.sparse import _sparsetools
+except ImportError:     # a private module: `_matvec` falls back to `@`
+    _sparsetools = None
 
 _log = logging.getLogger("qcqpen.solver")
 
@@ -263,9 +271,11 @@ class _BlockGroup:
         self.fw = w[t]
 
     def mats(self, vec: np.ndarray) -> np.ndarray:
-        """The (nb, m, m) matrices of an s-space vector: smat of its slots.
-        Divided by the weight, as smat does; a product with 1/w differs."""
-        return (vec[self.full] / self.fw).reshape(self.nb, self.m, self.m)
+        """The (..., nb, m, m) matrices of s-space vectors (..., dim): smat
+        of their slots. Divided by the weight, as smat does; a product with
+        1/w differs."""
+        return (vec[..., self.full] / self.fw).reshape(
+            vec.shape[:-1] + (self.nb, self.m, self.m))
 
     def svec(self, M: np.ndarray) -> np.ndarray:
         """(nb, ns) svec of each matrix of M, from its lower triangle."""
@@ -279,6 +289,26 @@ class _BlockGroup:
         v *= 0.5
         v *= self.w
         return v
+
+
+def _matvec(M):
+    """x -> M @ x for a CSR or CSC matrix M, bound once.
+
+    Calls scipy's own csr_matvec / csc_matvec kernel, the one `@` reaches
+    after its per-call dispatch, with the same arguments, so the bits are
+    the same; when that private kernel is missing, it is M's `@`.
+    """
+    kernel = getattr(_sparsetools, M.format + "_matvec", None)
+    if kernel is None:
+        return M.__matmul__
+    rows, cols = M.shape
+    indptr, indices, data, dtype = M.indptr, M.indices, M.data, M.dtype
+
+    def matvec(x):
+        y = np.zeros(rows, dtype)
+        kernel(rows, cols, indptr, indices, data, x, y)
+        return y
+    return matvec
 
 
 def _build_groups(prog: ConicProgram):
@@ -406,24 +436,26 @@ def _apply_w(scaling, groups, l_nn, vec, mode):
     return _congruence(groups, factors, vec, out)
 
 
-def _max_cone_step(groups, scaling, l_nn, scaled_dir):
-    """Largest alpha with lambda + alpha*dir in the cone (dir in scaled space)."""
+def _max_cone_step(groups, scaling, l_nn, *scaled_dirs):
+    """Largest alpha with lambda + alpha*dir in the cone for every dir (in
+    scaled space). Each group's matrices of all the directions go through
+    one eigvalsh."""
     alpha = np.inf
-    if l_nn:
-        d = scaled_dir[:l_nn]
-        lam = scaling.lam_n
+    lam = scaling.lam_n
+    for d in scaled_dirs:
+        d = d[:l_nn]
         neg = d < 0
         if np.any(neg):
             alpha = min(alpha, float(np.min(-lam[neg] / d[neg])))
+    dirs = np.stack(scaled_dirs)
     for g, gd in zip(groups, scaling.groups):
-        lam = gd["lam"]
-        D = g.mats(scaled_dir)
-        scale = 1.0 / np.sqrt(lam)
-        T = D * scale[..., :, None] * scale[..., None, :]
+        scale = 1.0 / np.sqrt(gd["lam"])
+        T = g.mats(dirs) * scale[..., :, None] * scale[..., None, :]
         T = 0.5 * (T + np.swapaxes(T, -1, -2))
-        emin = float(np.min(np.linalg.eigvalsh(T)))
-        if emin < 0:
-            alpha = min(alpha, -1.0 / emin)
+        emins = np.linalg.eigvalsh(T).reshape(len(scaled_dirs), -1).min(1)
+        for emin in emins.tolist():
+            if emin < 0:
+                alpha = min(alpha, -1.0 / emin)
     return alpha
 
 
@@ -761,27 +793,27 @@ class _Eliminated:
     [H A'; A 0] [du; dy] = [bu + G'W^-2 bz; by] goes to the factored
     reduced system and dz = W^-2 (G du - bz)."""
 
-    def __init__(self, reduced, G, GT, scaling, groups, l_nn):
+    def __init__(self, reduced, Gx, GTx, scaling, groups, l_nn):
         self.reduced = reduced
         self.reg_used = reduced.reg_used
-        self.G, self.GT = G, GT
+        self.Gx, self.GTx = Gx, GTx
         self.winv2 = lambda v: _apply_w(scaling, groups, l_nn, v, "winv2")
 
     def solve(self, bu, by, bz):
-        du, dy = self.reduced.solve(bu + self.GT @ self.winv2(bz), by)
-        return du, dy, self.winv2(self.G @ du - bz)
+        du, dy = self.reduced.solve(bu + self.GTx(self.winv2(bz)), by)
+        return du, dy, self.winv2(self.Gx(du) - bz)
 
 
-def _kkt_factory(path, G, GT, A, groups, l_nn):
+def _kkt_factory(path, G, A, groups, l_nn, Gx, GTx):
     """factor(scaling) for `path` (see `_kkt_path`), built once per solve;
-    what it returns solves (bu, by, bz) -> (du, dy, dz). GT is G.T, kept
-    so that no solve transposes G again."""
+    what it returns solves (bu, by, bz) -> (du, dy, dz). Gx and GTx are the
+    solve's bound products with G and G' (`_matvec`)."""
     if path == "full":
         return _FullKkt(G, A, groups, l_nn).factor
     nmap = _NormalMap(G, groups, l_nn)
     reduce = (_SparseKkt(nmap, A).factor if path == "sparse" else
               lambda scaling: _KktSolver(nmap.normal_matrix(scaling), A))
-    return lambda scaling: _Eliminated(reduce(scaling), G, GT, scaling,
+    return lambda scaling: _Eliminated(reduce(scaling), Gx, GTx, scaling,
                                        groups, l_nn)
 
 
@@ -815,16 +847,16 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             return vec
         return vec + (1.0 - min(margin, 0.0)) * e_vec
 
-    GT, AT = G.T, A.T
-    factor_kkt = _kkt_factory(_kkt_path(prog), G, GT, A, groups, l_nn)
+    Gx, GTx, Ax, ATx = (_matvec(M) for M in (G, G.T, A, A.T))
+    factor_kkt = _kkt_factory(_kkt_path(prog), G, A, groups, l_nn, Gx, GTx)
 
     # initial point from the identity scaling, the NT scaling at s = z = e
     kkt = factor_kkt(_nt_scaling(groups, e_vec, e_vec, l_nn))
     u = kkt.solve(np.zeros(prog.n_vars), b, h)[0]
-    s = shift_into_cone(h - G @ u)
+    s = shift_into_cone(h - Gx(u))
     nu_v, w_v, _ = kkt.solve(c, np.zeros_like(b), np.zeros(sdim))
     y = -w_v
-    z = shift_into_cone(-(G @ nu_v))
+    z = shift_into_cone(-Gx(nu_v))
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
@@ -840,7 +872,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     best = None
 
     for it in range(settings.max_iterations + 1):
-        Au, Gu_s, ATy, GTz = A @ u, G @ u + s, AT @ y, GT @ z
+        Au, Gu_s, ATy, GTz = Ax(u), Gx(u) + s, ATx(y), GTx(z)
         res_y = Au - b
         res_z = Gu_s - h
         res_x = c + ATy + GTz
@@ -913,12 +945,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             du, dy, dz = kkt.solve(bu, by, bz)
             for _ in range(_REFINEMENT):
                 wwdz = _apply_w(scaling, groups, l_nn, dz, "ww")
-                cu, cy, cz = kkt.solve(bu - AT @ dy - GT @ dz, by - A @ du,
-                                       bz - G @ du + wwdz)
+                cu, cy, cz = kkt.solve(bu - ATx(dy) - GTx(dz), by - Ax(du),
+                                       bz - Gx(du) + wwdz)
                 du = du + cu
                 dy = dy + cy
                 dz = dz + cz
-            ds = -rz_vec - G @ du
+            ds = -rz_vec - Gx(du)
             return du, dy, dz, ds
 
         def max_step(ds, dz):
@@ -926,8 +958,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             the scaled directions rho = W^{-T} ds and sig = W dz."""
             rho = _apply_w(scaling, groups, l_nn, ds, "wit")
             sig = _apply_w(scaling, groups, l_nn, dz, "w")
-            amax = min(_max_cone_step(groups, scaling, l_nn, rho),
-                       _max_cone_step(groups, scaling, l_nn, sig))
+            amax = _max_cone_step(groups, scaling, l_nn, rho, sig)
             return amax, rho, sig
 
         # predictor

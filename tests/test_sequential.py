@@ -166,7 +166,7 @@ def test_tune_eta_bisection_contract(pattern, monkeypatch):
     }[pattern]
     calls = []
 
-    def fake_rounds(p, cfg, xhat, eta, max_rounds, stop_rel):
+    def fake_rounds(p, cfg, xhat, eta, max_rounds, stop_rel, stop_loose):
         idx = grid.index(eta)
         calls.append(idx)
         rounds = [types.SimpleNamespace(residual=0.0 if tight(idx) else 1.0)
@@ -211,6 +211,62 @@ def test_tune_eta_failure():
         tune_eta(p, cfg, x0=np.zeros(2))
     assert "no tight penalty" in str(err.value)
     assert err.value.tried
+
+
+def _tuning_runs(monkeypatch, p, cfg, x0, stop):
+    """tune_eta's eta, or its EtaTuningError.tried, and per candidate the
+    count of its solve_conic calls and its rounds' residuals. With
+    stop=False every candidate runs all its tune_rounds."""
+    rounds_of, solve = sequential._run_rounds, sequential.solve_conic
+    solves, runs = [], {}
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counted_rounds(*args, stop_loose, **kwargs):
+        first = len(solves)
+        out = rounds_of(*args, stop_loose=stop_loose and stop, **kwargs)
+        runs[args[3]] = (len(solves) - first, [r.residual for r in out[0]])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(sequential, "solve_conic", counted_solve)
+        m.setattr(sequential, "_run_rounds", counted_rounds)
+        try:
+            result = tune_eta(p, cfg, x0=x0)
+        except EtaTuningError as err:
+            result = err.tried
+    return result, runs
+
+
+@pytest.mark.parametrize("grid", [None, [0.5, 1.0, 2.0]])
+def test_tuning_candidate_stops_at_first_loose_round(grid, monkeypatch):
+    # at eta = 2 rounds 1 and 2 are tight and round 3 is loose: tuning
+    # solves that candidate through round 3 only, and every candidate
+    # through its first loose round; tune_eta still decides as when every
+    # candidate ran all tune_rounds, with the same eta or, on a grid whose
+    # largest value is 2, the same EtaTuningError.tried
+    p, xstar = random_feasible_qcqp(7)
+    cfg = SequentialConfig(init=xstar, tune_rounds=4,
+                           solver=SolverSettings(max_iterations=80))
+    if grid is not None:
+        monkeypatch.setattr(sequential, "eta_grid", lambda: grid)
+    result, runs = _tuning_runs(monkeypatch, p, cfg, xstar, stop=True)
+    full_result, full_runs = _tuning_runs(monkeypatch, p, cfg, xstar,
+                                          stop=False)
+    assert result == full_result
+    assert (result == 5.0) if grid is None else (result == [(2.0, False)])
+    assert runs.keys() == full_runs.keys()
+    for eta, (solves, residuals) in runs.items():
+        full_solves, full_residuals = full_runs[eta]
+        loose = [i for i, r in enumerate(full_residuals, 1)
+                 if not r < cfg.tight_tol]
+        assert solves == len(residuals) == (loose[0] if loose
+                                            else full_solves)
+        assert np.array_equal(residuals, full_residuals[:solves],
+                              equal_nan=True)
+    assert runs[2.0][0] == 3 and full_runs[2.0][0] == 4
 
 
 def test_auto_eta_through_run():

@@ -11,7 +11,8 @@ from qcqpen import (ConicProgram, SolverSettings, iteration_log_csv,
 from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _FullKkt,
                            _KktSolver, _NormalMap, _Scaling, _SparseKkt,
                            _apply_w, _build_groups, _kkt_factory, _kkt_path,
-                           _nt_scaling, _pair_entries, _pair_index,
+                           _lambda_vec, _matvec, _max_cone_step, _nt_scaling,
+                           _pair_entries, _pair_index,
                            kkt_residuals, smat, svec, svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
@@ -360,6 +361,52 @@ def test_build_groups_matches_entrywise():
     assert np.array_equal(hs, h)
 
 
+def _matvec_cases():
+    rng = np.random.default_rng(11)
+    G = sp.random(40, 30, density=0.3, format="csr", random_state=rng)
+    A = sp.csr_matrix((0, 30))
+    E = sp.random(12, 7, density=0.5, format="lil", random_state=rng)
+    E[[0, 5, 11], :] = 0.0        # empty rows, and empty columns in E.T
+    E = E.tocsr()
+    assert np.diff(E.indptr)[[0, 5, 11]].tolist() == [0, 0, 0]
+    return {"csr": G, "csc": G.T, "zero_rows": A, "zero_columns": A.T,
+            "empty_rows": E, "empty_columns": E.T}
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("case", ["csr", "csc", "zero_rows", "zero_columns",
+                                  "empty_rows", "empty_columns"])
+def test_matvec_equals_matmul_bitwise(case, kernel, monkeypatch):
+    # the bound kernel, and the `@` fallback when the kernel is missing,
+    # give M @ x to the last bit
+    import qcqpen.solver as solver
+    if not kernel:
+        monkeypatch.setattr(solver, "_sparsetools", None)
+    M = _matvec_cases()[case]
+    assert M.format == ("csc" if case in ("csc", "zero_columns",
+                                          "empty_columns") else "csr")
+    x = np.random.default_rng(12).normal(size=M.shape[1])
+    got, want = _matvec(M)(x), M @ x
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matvec_uses_the_kernel(monkeypatch):
+    # with the installed scipy the products call its csr and csc kernels
+    # directly, not `@` and its dispatch, so a silent fallback cannot slow
+    # every solve unnoticed
+    G = _matvec_cases()["csr"]
+    x, xt = np.ones(G.shape[1]), np.ones(G.shape[0])
+    want = [G @ x, G.T @ xt]
+
+    def no_dispatch(self, other):
+        raise AssertionError("scipy's @ dispatch was called")
+    for cls in (type(G), type(G.T)):
+        monkeypatch.setattr(cls, "_matmul_dispatch", no_dispatch)
+    got = [_matvec(G)(x), _matvec(G.T)(xt)]
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
 def test_from_entries_slots_follow_svec_index():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3, 5):
@@ -402,6 +449,36 @@ def test_apply_w_matches_per_block_reference(mode, e):
             res = left @ smat(vec[g.slot[k]], g.m) @ right
             ref[g.slot[k]] = svec(0.5 * (res + res.T))
     assert np.array_equal(_apply_w(scaling, groups, 3, vec, mode), ref)
+
+
+@pytest.mark.parametrize("cone", ["nonneg", "psd", "mixed"])
+def test_max_cone_step_of_two_directions_is_min_of_each(cone):
+    # one call with two directions, their matrices in one eigvalsh per
+    # group, gives bit for bit the smaller of the single-direction steps,
+    # also when one or both directions never reach the boundary (inf)
+    prog = ConicProgram(3, np.ones(3))
+    if cone != "psd":
+        for k in range(3):
+            prog.add_nonneg_row([k], [1.0], 1.0)
+    if cone != "nonneg":
+        for m in (3, 1, 2, 3, 2):
+            prog.add_psd_block(PsdBlock.from_entries(m, {(0, 0): (0, 1.0,
+                                                                   1.0)}))
+    groups, _, h = _build_groups(prog)
+    l_nn = prog.n_nonneg
+    scaling = _random_interior_scaling(prog, groups, h.size, seed=7)
+    rng = np.random.default_rng(8)
+    lam = _lambda_vec(scaling, groups, l_nn, h.size)
+    d1, d2 = rng.normal(size=(2, h.size))
+    pairs = [(d1, d2), (d2, d1), (d1, lam), (lam, d2), (lam, 2.0 * lam),
+             (d1, d1)]
+    for a, b in pairs:
+        alone = [_max_cone_step(groups, scaling, l_nn, d) for d in (a, b)]
+        both = _max_cone_step(groups, scaling, l_nn, a, b)
+        assert both == min(alone)
+        assert np.float64(both).tobytes() == np.float64(min(alone)).tobytes()
+    assert _max_cone_step(groups, scaling, l_nn, lam, 2.0 * lam) == np.inf
+    assert _max_cone_step(groups, scaling, l_nn, d1, d2) < np.inf
 
 
 def _columnwise_normal_matrix(G, groups, l_nn, scaling):
@@ -705,8 +782,10 @@ def test_full_path_solve_matches_dense_elimination():
     rng = np.random.default_rng(10)
     rhs = (rng.normal(size=prog.n_vars), rng.normal(size=prog.n_eq),
            rng.normal(size=h.size))
-    full = _kkt_factory("full", G, G.T, A, groups, prog.n_nonneg)(scaling)
-    dense = _kkt_factory("dense", G, G.T, A, groups, prog.n_nonneg)(scaling)
+    full = _kkt_factory("full", G, A, groups, prog.n_nonneg,
+                        _matvec(G), _matvec(G.T))(scaling)
+    dense = _kkt_factory("dense", G, A, groups, prog.n_nonneg,
+                         _matvec(G), _matvec(G.T))(scaling)
     assert full.reg_used == dense.reg_used == 0.0
     ref = _full_kkt_reference(prog, G, A, groups, scaling)
     x = np.concatenate(full.solve(*rhs))
