@@ -13,10 +13,10 @@ generation, and `cli` binds everything into a command line tool.
 """
 
 from .quadratics import QuadraticFunction, QcqpProblem, jacobian
-from .lifting import (RelaxationConfig, LiftedPoint, ExtractionMap,
+from .lifting import (RelaxationConfig, LiftedPoint, ExtractionMap, lift,
                       build_relaxation, build_penalized, extract,
                       rlt_cuts, rlt_system, rlt_pair_list)
-from .solver import (ConicProgram, ConicSolution, SolverSettings,
+from .solver import (Cone, ConicProgram, ConicSolution, SolverSettings,
                      solve_conic, iteration_log_csv)
 from .sequential import (SequentialConfig, SequentialTrace, RoundRecord,
                          SolveError, EtaTuningError, run, tune_eta,
@@ -38,9 +38,9 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadraticFunction", "QcqpProblem", "jacobian",
     "RelaxationConfig", "LiftedPoint", "ExtractionMap",
-    "build_relaxation", "build_penalized", "extract",
+    "lift", "build_relaxation", "build_penalized", "extract",
     "rlt_cuts", "rlt_system", "rlt_pair_list",
-    "ConicProgram", "ConicSolution", "SolverSettings",
+    "Cone", "ConicProgram", "ConicSolution", "SolverSettings",
     "solve_conic", "iteration_log_csv",
     "SequentialConfig", "SequentialTrace", "RoundRecord",
     "SolveError", "EtaTuningError", "run", "tune_eta",

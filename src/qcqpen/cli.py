@@ -34,8 +34,8 @@ from . import instances as iio
 from .lifting import RelaxationConfig, build_relaxation
 from .polyopt import parse_poly, reformulate, aux_count_bound
 from .regularity import check_regularity
-from .sequential import (EtaTuningError, SequentialConfig, SolveError,
-                         run, trace_csv, trace_json, tune_eta)
+from .sequential import (_OK_STATUSES, EtaTuningError, SequentialConfig,
+                         SolveError, run, trace_csv, trace_json, tune_eta)
 from .solver import SolverSettings, solve_conic
 
 log = logging.getLogger("qcqpen")
@@ -43,8 +43,6 @@ log = logging.getLogger("qcqpen")
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_TUNING = 3
-
-_OK = ("optimal", "near_optimal")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,7 +184,7 @@ def _cmd_relax(args) -> int:
     p = iio.load_problem(args.instance)
     prog, emap = build_relaxation(p, _relaxation_config(opts))
     sol = solve_conic(prog, _solver_settings(opts))
-    if sol.status not in _OK:
+    if sol.status not in _OK_STATUSES:
         raise SolveError(f"relaxation solve failed with status {sol.status}")
     print("bound: %.6f" % sol.pcost)
     print("status: %s" % sol.status)

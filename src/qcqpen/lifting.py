@@ -18,7 +18,7 @@ changing the bound.
 
 Rows and block subsets come from each quadratic's `terms`, the nonzeros of
 its matrix's upper triangle, which the quadratic scans once and caches: a
-build costs O(nnz) per quadratic, not O(n^2), in every round.
+lifting costs O(nnz) per quadratic, not O(n^2).
 
 Optional tightening rows: box-derived cuts on the diagonal
 
@@ -31,6 +31,9 @@ and reformulation-linearization (RLT) products of affine constraint pairs.
 The penalized variant adds eta * (tr X - 2 xhat'x + xhat'xhat) to the
 objective, a proximal term that vanishes exactly on rank-one liftings at
 x = xhat; minimizers with X = xx' are feasible for the original QCQP.
+
+Only the objective depends on xhat and eta. So `lift` builds a relaxation
+once, and `build_penalized` writes each round's objective over its cone.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .quadratics import QcqpProblem, QuadraticFunction
-from .solver import ConicProgram, ConicSolution, PsdBlock
+from .solver import Cone, ConicProgram, ConicSolution, PsdBlock
 
 
 @dataclass
@@ -170,7 +174,9 @@ def _block_subsets(p, cfg, cuts, penalized: bool):
                 pairs.update(zip(rows[~on_diag].tolist(),
                                  cols[~on_diag].tolist()))
             if cfg.bound_cuts:
-                diags.update(_bound_cut_vars(p))
+                lb, ub = _box(p)
+                diags.update(np.flatnonzero(np.isfinite(lb)
+                                            | np.isfinite(ub)).tolist())
         subsets = sorted(pairs)
     else:
         raise ValueError(
@@ -180,16 +186,10 @@ def _block_subsets(p, cfg, cuts, penalized: bool):
     return subsets + [(i,) for i in sorted(diags - covered)]
 
 
-def _bound_cut_vars(p: QcqpProblem):
-    out = []
-    if not p.has_bounds():
-        return out
-    lb = p.lb if p.lb is not None else np.full(p.n, -np.inf)
-    ub = p.ub if p.ub is not None else np.full(p.n, np.inf)
-    for i in range(p.n):
-        if np.isfinite(lb[i]) or np.isfinite(ub[i]):
-            out.append(i)
-    return out
+def _box(p: QcqpProblem):
+    """(lb, ub) of p, a missing bound infinite."""
+    return (p.lb if p.lb is not None else np.full(p.n, -np.inf),
+            p.ub if p.ub is not None else np.full(p.n, np.inf))
 
 
 class _Lifter:
@@ -228,11 +228,12 @@ class _Lifter:
                 q.c)
 
 
-def _add_blocks(prog, lifter, subsets):
+def _blocks(lifter, subsets):
     """One block [[1, x_K'], [x_K, X_KK]] >= 0 per subset K, its arrays
     written in svec's row-major lower-triangle order: the constant 1, then
     row a holds x_{K[a-1]} followed by X_{K[b-1], K[a-1]} for b = 1..a."""
     X_index = lifter.X_index
+    out = []
     for K in subsets:
         var = [-1]
         for ai, a in enumerate(K):
@@ -241,11 +242,31 @@ def _add_blocks(prog, lifter, subsets):
         var = np.asarray(var, dtype=np.int64)
         const = np.zeros(var.size)
         const[0] = 1.0
-        prog.add_psd_block(PsdBlock(len(K) + 1, var, (var >= 0).astype(float),
-                                    const))
+        out.append(PsdBlock(len(K) + 1, var, (var >= 0).astype(float), const))
+    return out
 
 
-def _build(p: QcqpProblem, cfg: RelaxationConfig, penalty=None):
+def _csr(rows, n_vars):
+    """(CSR matrix, rhs) of rows given as (cols, vals, rhs) triplets."""
+    if not rows:
+        return sp.csr_matrix((0, n_vars)), np.zeros(0)
+    cols, vals, rhs = zip(*rows)
+    ri = np.repeat(np.arange(len(rows)), [len(c) for c in cols])
+    M = sp.csr_matrix((np.concatenate(vals), (ri, np.concatenate(cols))),
+                      shape=(len(rows), n_vars))
+    return M, np.asarray(rhs, dtype=float)
+
+
+def lift(p: QcqpProblem, cfg: RelaxationConfig | None = None,
+         penalized: bool = False):
+    """Lifted relaxation of p under cfg; returns (ConicProgram,
+    ExtractionMap), the program's objective being p's lifted objective.
+
+    penalized stores every X_ii, so that the penalty's trace term is
+    complete: a variable that no block covers gets a 2x2 block
+    [[1, x_i], [x_i, X_ii]] >= 0 of its own.
+    """
+    cfg = cfg or RelaxationConfig()
     n = p.n
     r = cfg.r if cfg.r is not None else n
     if not (2 <= r <= n) and not (n == 1 and r in (1, 2, None)):
@@ -253,60 +274,38 @@ def _build(p: QcqpProblem, cfg: RelaxationConfig, penalty=None):
     cuts = []
     if cfg.rlt_pairs is not None:
         cuts = rlt_cuts(p, cfg.rlt_pairs)
-    subsets = _block_subsets(p, cfg, cuts, penalized=penalty is not None)
+    subsets = _block_subsets(p, cfg, cuts, penalized)
     lifter = _Lifter(p, subsets)
 
-    c = np.zeros(lifter.n_vars)
-    cols, vals, c0 = lifter.row(p.objective)
-    c[cols] = vals
-    if penalty is not None:
-        xhat, eta = penalty
-        c[:n] -= 2.0 * eta * xhat
-        for i in range(n):
-            c[lifter.X_index[(i, i)]] += eta
-        c0 += eta * float(xhat @ xhat)
-    prog = ConicProgram(lifter.n_vars, c, c0)
-
-    for q in p.inequalities:
-        rc, rv, rconst = lifter.row(q)
-        prog.add_nonneg_row(rc, rv, -rconst)
-    for q in p.equalities:
-        rc, rv, rconst = lifter.row(q)
-        prog.add_equality_row(rc, rv, -rconst)
-
-    if p.lb is not None:
-        for i in range(n):
-            if np.isfinite(p.lb[i]):
-                prog.add_nonneg_row([i], [-1.0], -p.lb[i])
-    if p.ub is not None:
-        for i in range(n):
-            if np.isfinite(p.ub[i]):
-                prog.add_nonneg_row([i], [1.0], p.ub[i])
-
-    if cfg.bound_cuts and p.has_bounds():
-        lb = p.lb if p.lb is not None else np.full(n, -np.inf)
-        ub = p.ub if p.ub is not None else np.full(n, np.inf)
+    # rows (cols, vals, rhs): nonnegative rows . u <= rhs, equalities = rhs
+    nn = [(rc, rv, -c) for rc, rv, c in map(lifter.row, p.inequalities)]
+    eq = [(rc, rv, -c) for rc, rv, c in map(lifter.row, p.equalities)]
+    lb, ub = _box(p)
+    nn += [([i], [-1.0], -lb[i]) for i in np.flatnonzero(np.isfinite(lb))]
+    nn += [([i], [1.0], ub[i]) for i in np.flatnonzero(np.isfinite(ub))]
+    if cfg.bound_cuts:
         for i in range(n):
             di = lifter.X_index.get((i, i))
             if di is None:
                 continue
             if np.isfinite(lb[i]) and np.isfinite(ub[i]):
-                prog.add_nonneg_row([di, i], [1.0, -(lb[i] + ub[i])],
-                                    -lb[i] * ub[i])
+                nn.append(([di, i], [1.0, -(lb[i] + ub[i])], -lb[i] * ub[i]))
             if np.isfinite(ub[i]):
-                prog.add_nonneg_row([di, i], [-1.0, 2.0 * ub[i]], ub[i] ** 2)
+                nn.append(([di, i], [-1.0, 2.0 * ub[i]], ub[i] ** 2))
             if np.isfinite(lb[i]):
-                prog.add_nonneg_row([di, i], [-1.0, 2.0 * lb[i]], lb[i] ** 2)
+                nn.append(([di, i], [-1.0, 2.0 * lb[i]], lb[i] ** 2))
 
-    for _, q in cuts:
-        rc, rv, rconst = lifter.row(q)
-        prog.add_nonneg_row(rc, -rv, rconst)
+    nn += [(rc, -rv, c) for rc, rv, c in (lifter.row(q) for _, q in cuts)]
 
-    _add_blocks(prog, lifter, subsets)
-
+    A, b = _csr(eq, lifter.n_vars)
+    Gn, hn = _csr(nn, lifter.n_vars)
+    cone = Cone(lifter.n_vars, A, b, Gn, hn, _blocks(lifter, subsets))
+    cols, vals, c0 = lifter.row(p.objective)
+    c = np.zeros(lifter.n_vars)
+    c[cols] = vals
     emap = ExtractionMap(n=n, X_index=lifter.X_index,
                          diag_stored=lifter.diags, problem=p)
-    return prog, emap
+    return ConicProgram(cone, c, c0), emap
 
 
 def build_relaxation(p: QcqpProblem, cfg: RelaxationConfig | None = None):
@@ -314,23 +313,28 @@ def build_relaxation(p: QcqpProblem, cfg: RelaxationConfig | None = None):
 
     The optimum of the program lower-bounds the QCQP optimum.
     """
-    return _build(p, cfg or RelaxationConfig())
+    return lift(p, cfg)
 
 
-def build_penalized(p: QcqpProblem, cfg: RelaxationConfig | None, xhat, eta: float):
-    """Relaxation plus the proximal penalty eta*(tr X - 2 xhat'x + xhat'xhat).
-
-    Same constraint rows as build_relaxation; every diagonal X_ii is stored
-    so the trace term is complete, and under every block pattern a variable
-    that no block covers gets a 2x2 block [[1, x_i], [x_i, X_ii]] >= 0 of
-    its own. eta must be positive.
-    """
+def build_penalized(relaxation, xhat, eta: float):
+    """The relaxation (ConicProgram, ExtractionMap) from `lift(p, cfg,
+    penalized=True)` plus the proximal penalty
+    eta*(tr X - 2 xhat'x + xhat'xhat), eta > 0, as a new objective over
+    the same cone; returns (ConicProgram, ExtractionMap)."""
+    prog, emap = relaxation
+    n = emap.n
     if eta <= 0:
         raise ValueError("penalty parameter eta must be positive")
+    if len(emap.diag_stored) != n:
+        raise ValueError("the penalty needs every X_ii: lift the relaxation "
+                         "with penalized=True")
     xhat = np.asarray(xhat, dtype=float).ravel()
-    if xhat.shape != (p.n,):
+    if xhat.shape != (n,):
         raise ValueError("xhat has wrong dimension")
-    return _build(p, cfg or RelaxationConfig(), penalty=(xhat, eta))
+    c = prog.c.copy()
+    c[:n] -= 2.0 * eta * xhat
+    c[[emap.X_index[(i, i)] for i in range(n)]] += eta
+    return ConicProgram(prog.cone, c, prog.c0 + eta * float(xhat @ xhat)), emap
 
 
 def extract(sol: ConicSolution, emap: ExtractionMap) -> LiftedPoint:

@@ -130,9 +130,6 @@ class QcqpProblem:
     def n_eq(self) -> int:
         return len(self.equalities)
 
-    def has_bounds(self) -> bool:
-        return self.lb is not None or self.ub is not None
-
     def eval_constraints(self, x) -> np.ndarray:
         """Vector (qk(x)) over I then E."""
         return np.array([q.value(x) for q in self.constraints])

@@ -1,7 +1,8 @@
 """Sequential penalized relaxations: solve, re-center, repeat.
 
-Round i builds the penalized relaxation at the current anchor xhat, solves
-it, extracts x(i), and re-anchors. Two round indices are tracked:
+The penalized relaxation is lifted once per run of rounds. Round i writes
+its objective at the current anchor xhat, solves it, extracts x(i), and
+re-anchors. Two round indices are tracked:
 
     i_feas: first round whose lifting is tight, residual < tight_tol
             (then x(i) is feasible for the QCQP up to solver tolerance);
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lifting import RelaxationConfig, build_penalized, build_relaxation, extract
+from .lifting import (RelaxationConfig, build_penalized, build_relaxation,
+                      extract, lift)
 from .quadratics import QcqpProblem
 from .regularity import estimate_distance
 from .solver import SolverSettings, solve_conic
@@ -154,8 +156,9 @@ def _round_solver_settings(cfg, eta):
 def _run_rounds(p, cfg, xhat, eta, max_rounds, stop_rel, stop_loose=False):
     """Core loop; returns (rounds, i_feas, i_stop, x, status).
 
-    With stop_loose (eta tuning) the loop ends after its first loose round,
-    with status "loose".
+    One relaxation, lifted before the first round, serves every round. With
+    stop_loose (eta tuning) the loop ends after its first loose round, with
+    status "loose".
     """
     rounds = []
     i_feas = None
@@ -165,9 +168,10 @@ def _run_rounds(p, cfg, xhat, eta, max_rounds, stop_rel, stop_loose=False):
     status = "max_rounds"
     x = xhat
     solver_settings = _round_solver_settings(cfg, eta)
+    relaxation = lift(p, cfg.relaxation, penalized=True)
     for i in range(1, max_rounds + 1):
         t0 = time.perf_counter()
-        prog, emap = build_penalized(p, cfg.relaxation, x, eta)
+        prog, emap = build_penalized(relaxation, x, eta=eta)
         sol = solve_conic(prog, solver_settings)
         dt = time.perf_counter() - t0
         if sol.status not in _OK_STATUSES:

@@ -12,16 +12,18 @@ entry: S[a, b] = const + coef * u[var]. Internally the PSD constraints are
 handled in scaled vector (svec) coordinates so that all cones become one
 product cone K: with s = (hn - Gn u, svec(S_1), svec(S_2), ...) the program
 is  min c'u  s.t.  Au = b,  Gu + s = h,  s in K. As in CVXOPT's conelp,
-one G and one h span the whole product cone; they and A are built once per
-solve, and every product with G, G', A or A' in the iteration goes through
-scipy's compressed-format matvec kernel, bound once per solve (`_matvec`)
-so that no product pays scipy's per-call dispatch.
+one G and one h span the whole product cone. A program is an objective
+over a `Cone`, which programs differing only in their objective share (as
+in OSQP's setup-once, update-vectors interface). G, h and everything else
+derived from the constraints is built once per cone, and every product
+with G, G', A or A' goes through scipy's compressed-format matvec kernel,
+bound once (`_matvec`) so that no product pays scipy's per-call dispatch.
 
 The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method:
 at each iterate the scaling W with W z-bar = W^{-T} s-bar = lambda is
 computed per block, the Newton system
 [[0, A', G'], [A, 0, 0], [G, 0, -W'W]] [du; dy; dz] = [bu; by; bz] is solved
-in float64 on one of three paths, chosen once per solve by `_kkt_path`, and
+in float64 on one of three paths, chosen once per cone by `_kkt_path`, and
 steps are damped by a fraction of the distance to the cone boundary.
 
 - full: programs whose KKT matrix has order n + m + dim K at most
@@ -43,7 +45,7 @@ quadratic cone program solvers", 2010).
 
 The cone operations (applying W and its inverse, Jordan products, step
 lengths) work per group of equal-size blocks through slot maps built once
-per solve: one gather takes the group's matrices out of an s-space vector,
+per cone: one gather takes the group's matrices out of an s-space vector,
 and one gather of each triangle puts svec coordinates back. The factors of
 each W mode are formed once per iteration, and a step length takes one
 eigvalsh per group for both scaled directions. Every operation keeps smat's
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -131,62 +134,92 @@ class PsdBlock:
         return PsdBlock(size, var, coef, const)
 
 
+class Cone:
+    """The constraints A u = b, Gn u <= hn and the PSD blocks over n_vars
+    variables; A and Gn are stored as CSR. The solver's data for them are
+    built on first use and kept: `groups`, `G`, `h`, `products`,
+    `factor_kkt` and `identity`."""
+
+    def __init__(self, n_vars: int, A=None, b=(), Gn=None, hn=(), blocks=()):
+        self.n_vars = n_vars
+        self.A, self.b = _rows(A, b, n_vars)
+        self.Gn, self.hn = _rows(Gn, hn, n_vars)
+        self.n_eq, self.n_nonneg = self.b.size, self.hn.size
+        self.blocks = list(blocks)
+        if any(blk.size < 1 for blk in self.blocks):
+            raise ValueError("empty PSD block")
+
+    @cached_property
+    def groups(self) -> list:
+        """The blocks batched by size; their slots follow the nonnegative
+        rows."""
+        sizes: dict = {}
+        off = self.n_nonneg
+        for blk in self.blocks:
+            sizes.setdefault(blk.size, []).append((blk, off))
+            off += blk.size * (blk.size + 1) // 2
+        return [_BlockGroup(m, *zip(*sizes[m])) for m in sorted(sizes)]
+
+    @cached_property
+    def G(self) -> sp.csr_matrix:
+        """s = h - G u over every cone slot, the nonnegative rows first and
+        then each block's svec slots, as CSR."""
+        Gn, groups = self.Gn.tocoo(), self.groups
+        rows = np.concatenate([Gn.row] + [g.slot[g.mask] for g in groups])
+        cols = np.concatenate([Gn.col] + [g.var[g.mask] for g in groups])
+        vals = np.concatenate([Gn.data] + [g.gcoef[g.mask] for g in groups])
+        dim = self.n_nonneg + sum(g.nb * g.ns for g in groups)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(dim, self.n_vars))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        h = np.zeros(self.G.shape[0])
+        h[:self.n_nonneg] = self.hn
+        for g in self.groups:
+            h[g.slot] = g.h
+        return h
+
+    @cached_property
+    def products(self) -> tuple:
+        """x -> G x, G' x, A x and A' x, each bound once (`_matvec`)."""
+        return tuple(_matvec(M) for M in (self.G, self.G.T, self.A,
+                                          self.A.T))
+
+    @cached_property
+    def factor_kkt(self):
+        """factor(scaling) on this cone's KKT path (`_kkt_factory`)."""
+        return _kkt_factory(_kkt_path(self), self)
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        e = np.zeros(self.h.size)
+        e[:self.n_nonneg] = 1.0
+        for g in self.groups:
+            e[g.dslot] = 1.0
+        return e
+
+
+def _rows(M, rhs, n_vars):
+    """(CSR matrix, rhs) of one row family of a Cone, shapes checked."""
+    M = sp.csr_matrix((0, n_vars) if M is None else M, dtype=float)
+    rhs = np.asarray(rhs, dtype=float).ravel()
+    if M.shape != (rhs.size, n_vars):
+        raise ValueError("rows and right-hand sides do not match")
+    return M, rhs
+
+
 @dataclass
 class ConicProgram:
-    """Cone program data; see module docstring for the standard form."""
+    """min c'u + c0 over a Cone; see module docstring for the standard form."""
 
-    n_vars: int
+    cone: Cone
     c: np.ndarray
     c0: float = 0.0
-    # equalities A u = b, as triplet lists until finalized
-    eq_rows: list = field(default_factory=list)
-    eq_rhs: list = field(default_factory=list)
-    # nonnegative rows  row . u <= rhs
-    nn_rows: list = field(default_factory=list)
-    nn_rhs: list = field(default_factory=list)
-    blocks: list = field(default_factory=list)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
-        if self.c.shape != (self.n_vars,):
+        if self.c.shape != (self.cone.n_vars,):
             raise ValueError("objective vector has wrong length")
-
-    def add_equality_row(self, cols, vals, rhs: float):
-        self.eq_rows.append((np.asarray(cols, dtype=np.int64),
-                             np.asarray(vals, dtype=float)))
-        self.eq_rhs.append(float(rhs))
-
-    def add_nonneg_row(self, cols, vals, rhs: float):
-        self.nn_rows.append((np.asarray(cols, dtype=np.int64),
-                             np.asarray(vals, dtype=float)))
-        self.nn_rhs.append(float(rhs))
-
-    def add_psd_block(self, block: PsdBlock):
-        if block.size < 1:
-            raise ValueError("empty PSD block")
-        self.blocks.append(block)
-
-    @property
-    def n_eq(self) -> int:
-        return len(self.eq_rows)
-
-    @property
-    def n_nonneg(self) -> int:
-        return len(self.nn_rows)
-
-    def _triplet_matrix(self, rows) -> sp.csr_matrix:
-        data, ri, ci = [], [], []
-        for k, (cols, vals) in enumerate(rows):
-            ri.extend([k] * len(cols))
-            ci.extend(cols.tolist())
-            data.extend(vals.tolist())
-        return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), self.n_vars))
-
-    def eq_matrix(self) -> sp.csr_matrix:
-        return self._triplet_matrix(self.eq_rows)
-
-    def nn_matrix(self) -> sp.csr_matrix:
-        return self._triplet_matrix(self.nn_rows)
 
 
 @dataclass
@@ -234,7 +267,7 @@ def iteration_log_csv(sol: ConicSolution) -> str:
 class _BlockGroup:
     """Blocks of one size, batched: index arrays shaped (nb, ns).
 
-    Its slot maps, built once per solve, take the blocks' matrices out of
+    Its slot maps, built once per cone, take the blocks' matrices out of
     an s-space vector with one gather (`mats`) and put svec coordinates
     back (`svec`, `sym_svec`, written to `out[flat]`), in the same
     operations, and so to the same bits, as `smat` and `svec`.
@@ -309,30 +342,6 @@ def _matvec(M):
         kernel(rows, cols, indptr, indices, data, x, y)
         return y
     return matvec
-
-
-def _build_groups(prog: ConicProgram):
-    """(groups, G, h): the blocks batched by size, and s = h - G u.
-
-    G is CSR and spans every cone slot, the nonnegative rows first
-    and then each block's svec slots.
-    """
-    sizes: dict = {}
-    off = prog.n_nonneg
-    for blk in prog.blocks:
-        sizes.setdefault(blk.size, []).append((blk, off))
-        off += blk.size * (blk.size + 1) // 2
-    groups = [_BlockGroup(m, *zip(*sizes[m])) for m in sorted(sizes)]
-    Gn = prog.nn_matrix().tocoo()
-    rows = np.concatenate([Gn.row] + [g.slot[g.mask] for g in groups])
-    cols = np.concatenate([Gn.col] + [g.var[g.mask] for g in groups])
-    vals = np.concatenate([Gn.data] + [g.gcoef[g.mask] for g in groups])
-    G = sp.csr_matrix((vals, (rows, cols)), shape=(off, prog.n_vars))
-    h = np.zeros(off)
-    h[:prog.n_nonneg] = prog.nn_rhs
-    for g in groups:
-        h[g.slot] = g.h
-    return groups, G, h
 
 
 class _Scaling:
@@ -498,21 +507,27 @@ def _lambda_vec(scaling, groups, l_nn, dim):
 _REG_START = 1e-14
 
 
-def _factor_regularized(M, what):
-    """Cholesky factor of M, shifting its diagonal until it factors.
-
-    Up to six shifts, each 100 times the last, are added in place; returns
-    (factor, total shift) or raises LinAlgError(what).
-    """
-    eps = _REG_START * max(1.0, float(np.max(np.abs(np.diag(M)))))
-    reg = 0.0
+def _ladder(scale, reg):
+    """The factorization ladder: (reg, eps) before each of up to six
+    attempts, where reg is the shift added so far (starting at `reg`) and
+    eps the next one, the first _REG_START * max(1, scale) and each later
+    one 100 times the last."""
+    eps = _REG_START * max(1.0, scale)
     for _ in range(6):
+        yield reg, eps
+        reg += eps
+        eps *= 100.0
+
+
+def _factor_regularized(M, what):
+    """Cholesky factor of M, shifting its diagonal in place until it
+    factors (`_ladder`); returns (factor, total shift) or raises
+    LinAlgError(what)."""
+    for reg, eps in _ladder(float(np.max(np.abs(np.diag(M)))), 0.0):
         try:
             return sla.cho_factor(M, lower=True, check_finite=False), reg
         except np.linalg.LinAlgError:
             M[np.diag_indices_from(M)] += eps
-            reg += eps
-            eps *= 100.0
     raise np.linalg.LinAlgError(what)
 
 
@@ -555,7 +570,7 @@ class _KktSolver:
 class _NormalMap:
     """Every term of H = G' (W'W)^{-1} G on its diagonal and lower triangle.
 
-    Built once per solve: one list of pairs, each with its flat place
+    Built once per cone: one list of pairs, each with its flat place
     i * n + j, i >= j, in `place`. First, row by row, each pair of entries
     of a nonnegative row k at columns i >= j, with the term
     G[k, i] (G[k, j] (1 / wn_k^2)). Then, per group in (block, t1, t2) order,
@@ -630,24 +645,24 @@ _SPARSE_SHARE = 0.1
 _FULL_KKT_ORDER = 600
 
 
-def _kkt_path(prog: ConicProgram) -> str:
+def _kkt_path(cone: Cone) -> str:
     """'full' when n + m + the cone's dimension is at most _FULL_KKT_ORDER.
     Otherwise 'sparse' when the entries the cone rows scatter into H, nnz^2
     per nonnegative row plus (variables in block)^2 per PSD block, number
     fewer than _SPARSE_SHARE * n^2, and 'dense' otherwise."""
-    n = prog.n_vars
-    sdim = sum(blk.size * (blk.size + 1) // 2 for blk in prog.blocks)
-    if n + prog.n_eq + prog.n_nonneg + sdim <= _FULL_KKT_ORDER:
+    n = cone.n_vars
+    if n + cone.n_eq + cone.h.size <= _FULL_KKT_ORDER:
         return "full"
-    count = sum(len(cols) ** 2 for cols, _ in prog.nn_rows)
-    count += sum(int(np.count_nonzero(blk.var >= 0)) ** 2 for blk in prog.blocks)
+    count = int(np.sum(np.diff(cone.Gn.indptr).astype(np.int64) ** 2))
+    count += sum(int(np.sum(np.count_nonzero(g.mask, axis=1) ** 2))
+                 for g in cone.groups)
     return "sparse" if count < _SPARSE_SHARE * n * n else "dense"
 
 
 class _SparseKkt:
     """Sparse path: the augmented matrix [[H, A'], [A, -delta I]] in CSC.
 
-    Built once per solve from a `_NormalMap`: each pair's place in H's lower
+    Built once per cone from a `_NormalMap`: each pair's place in H's lower
     triangle is mapped to its CSC entry, and each place off the diagonal to
     the entry that mirrors it, so `factor` fills the data array with one
     bincount and one copy and factors it with one sparse LU.
@@ -683,12 +698,10 @@ class _SparseKkt:
         self.delta = _SPARSE_DELTA if m else 0.0
 
     def factor(self, scaling) -> "_LuKkt":
-        """LU of the augmented matrix at `scaling`.
-
-        If SuperLU finds it exactly singular, up to five diagonal shifts,
-        each 100 times the last, are added to H and subtracted from the
-        equality block; raises LinAlgError when all fail.
-        """
+        """LU of the augmented matrix at `scaling`. If SuperLU finds it
+        exactly singular, the shifts of `_ladder` are added to H and
+        subtracted from the equality block; raises LinAlgError when all
+        fail."""
         # imported here: SuperLU's module adds 2 MB of resident memory to
         # every process, also to those that never take the sparse path
         from scipy.sparse.linalg import splu
@@ -698,9 +711,8 @@ class _SparseKkt:
         data[self.upper] = data[self.lower]
         data += self.base
         n = self.n
-        eps = _REG_START * max(1.0, float(np.max(data[self.diag[:n]])))
-        reg = self.delta
-        for _ in range(6):
+        for reg, eps in _ladder(float(np.max(data[self.diag[:n]])),
+                                self.delta):
             K = sp.csc_matrix((data, self.indices, self.indptr),
                               shape=(self.dim, self.dim))
             try:
@@ -711,8 +723,6 @@ class _SparseKkt:
             except RuntimeError:
                 data[self.diag[:n]] += eps
                 data[self.diag[n:]] -= eps
-                reg += eps
-                eps *= 100.0
         raise np.linalg.LinAlgError("KKT system singular")
 
 
@@ -735,7 +745,7 @@ class _LuKkt:
 class _FullKkt:
     """Full path: one dense LU of [[0, A', G'], [A, 0, 0], [G, 0, -W'W]].
 
-    Built once per solve: the constant part K0, the places of the
+    Built once per cone: the constant part K0, the places of the
     nonnegative diagonal, and every slot pair (blk, t1, t2) of each PSD
     block, constant slots included, with its `_pair_index`.
     """
@@ -766,25 +776,19 @@ class _FullKkt:
         return K
 
     def factor(self, scaling) -> _LuKkt:
-        """LU of the full KKT matrix at `scaling`.
-
-        Only on an exactly zero pivot, up to five diagonal shifts, each 100
-        times the last, are added to the variable block and subtracted from
-        the equality block; raises LinAlgError when all fail.
-        """
+        """LU of the full KKT matrix at `scaling`. Only on an exactly zero
+        pivot, the shifts of `_ladder` are added to the variable block and
+        subtracted from the equality block; raises LinAlgError when all
+        fail."""
         K = self.matrix(scaling)
         n, o = self.n, self.n + self.m
-        eps = _REG_START * max(1.0, float(np.max(np.abs(np.diag(K)))))
-        reg = 0.0
-        for _ in range(6):
+        for reg, eps in _ladder(float(np.max(np.abs(np.diag(K)))), 0.0):
             lu, piv, info = sla.lapack.dgetrf(K)
             if info == 0:     # info > 0: U[info - 1, info - 1] is zero
                 return _LuKkt(lambda r: sla.lapack.dgetrs(lu, piv, r)[0],
                               [n, o], reg)
             K[range(n), range(n)] += eps
             K[range(n, o), range(n, o)] -= eps
-            reg += eps
-            eps *= 100.0
         raise np.linalg.LinAlgError("KKT system singular")
 
 
@@ -804,15 +808,16 @@ class _Eliminated:
         return du, dy, self.winv2(self.Gx(du) - bz)
 
 
-def _kkt_factory(path, G, A, groups, l_nn, Gx, GTx):
-    """factor(scaling) for `path` (see `_kkt_path`), built once per solve;
-    what it returns solves (bu, by, bz) -> (du, dy, dz). Gx and GTx are the
-    solve's bound products with G and G' (`_matvec`)."""
+def _kkt_factory(path, cone):
+    """factor(scaling) for `path` (see `_kkt_path`) over `cone`, built once
+    per cone; what it returns solves (bu, by, bz) -> (du, dy, dz)."""
+    G, A, groups, l_nn = cone.G, cone.A, cone.groups, cone.n_nonneg
     if path == "full":
         return _FullKkt(G, A, groups, l_nn).factor
     nmap = _NormalMap(G, groups, l_nn)
     reduce = (_SparseKkt(nmap, A).factor if path == "sparse" else
               lambda scaling: _KktSolver(nmap.normal_matrix(scaling), A))
+    Gx, GTx = cone.products[:2]
     return lambda scaling: _Eliminated(reduce(scaling), Gx, GTx, scaling,
                                        groups, l_nn)
 
@@ -827,18 +832,16 @@ _REFINEMENT = 2
 def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSolution:
     """Solve a ConicProgram with the built-in interior-point method."""
     settings = settings or SolverSettings()
-    l_nn = prog.n_nonneg
-    groups, G, h = _build_groups(prog)
+    cone = prog.cone
+    l_nn = cone.n_nonneg
+    groups, h, b, c = cone.groups, cone.h, cone.b, prog.c
     sdim = h.size
     if sdim == 0:
         raise ValueError("program has no cone constraints")
-    A = prog.eq_matrix()
-    b = np.asarray(prog.eq_rhs, dtype=float)
-    c = prog.c
 
     # cone order (for the barrier parameter)
     nu = l_nn + sum(g.nb * g.m for g in groups)
-    e_vec = _cone_identity(groups, l_nn, sdim)
+    e_vec = cone.identity
 
     def shift_into_cone(vec):
         """vec + (1 + alpha) e if vec is not safely interior."""
@@ -847,12 +850,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             return vec
         return vec + (1.0 - min(margin, 0.0)) * e_vec
 
-    Gx, GTx, Ax, ATx = (_matvec(M) for M in (G, G.T, A, A.T))
-    factor_kkt = _kkt_factory(_kkt_path(prog), G, A, groups, l_nn, Gx, GTx)
+    Gx, GTx, Ax, ATx = cone.products
+    factor_kkt = cone.factor_kkt
 
     # initial point from the identity scaling, the NT scaling at s = z = e
     kkt = factor_kkt(_nt_scaling(groups, e_vec, e_vec, l_nn))
-    u = kkt.solve(np.zeros(prog.n_vars), b, h)[0]
+    u = kkt.solve(np.zeros(cone.n_vars), b, h)[0]
     s = shift_into_cone(h - Gx(u))
     nu_v, w_v, _ = kkt.solve(c, np.zeros_like(b), np.zeros(sdim))
     y = -w_v
@@ -1012,14 +1015,6 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
                          stop_reason=stop, fallback=fallback, log=log)
 
 
-def _cone_identity(groups, l_nn, dim):
-    e = np.zeros(dim)
-    e[:l_nn] = 1.0
-    for g in groups:
-        e[g.dslot] = 1.0
-    return e
-
-
 def _cone_margin(groups, l_nn, vec) -> float:
     """Smallest eigenvalue of vec in the cone (inf for an empty cone)."""
     margin = np.inf
@@ -1037,16 +1032,16 @@ def kkt_residuals(prog: ConicProgram, sol: ConicSolution) -> dict:
     violation and the complementarity gap. Cone violations are the most
     negative slack (0 when inside the cone).
     """
-    groups, G, h = _build_groups(prog)
-    l_nn = prog.n_nonneg
+    cone = prog.cone
+    groups, l_nn, h, b = cone.groups, cone.n_nonneg, cone.h, cone.b
+    Gx, GTx, Ax, ATx = cone.products
     u, y, z, s = sol.u, sol.y, sol.z, sol.s
-    A = prog.eq_matrix()
-    Gu = G @ u
+    Gu = Gx(u)
     return {
-        "primal_eq": float(np.max(np.abs(A @ u - prog.eq_rhs), initial=0.0)),
+        "primal_eq": float(np.max(np.abs(Ax(u) - b), initial=0.0)),
         "primal_cone": max(0.0, -_cone_margin(groups, l_nn, h - Gu)),
         "slack_consistency": float(np.linalg.norm(Gu + s - h, np.inf)),
-        "dual": float(np.linalg.norm(prog.c + A.T @ y + G.T @ z, np.inf)),
+        "dual": float(np.linalg.norm(prog.c + ATx(y) + GTx(z), np.inf)),
         "dual_cone": max(0.0, -_cone_margin(groups, l_nn, z)),
         "complementarity": abs(float(s @ z)),
     }

@@ -17,9 +17,9 @@ import conftest
 from qcqpen import (EtaTuningError, QcqpProblem, QuadraticFunction,
                     RelaxationConfig, SequentialConfig, SolverSettings,
                     aux_count_bound, build_penalized, build_relaxation,
-                    extract, gap_percent, gen_sysid, lift_point, parse_poly,
-                    parse_qplib, reformulate, rlt_cuts, run, solve_conic,
-                    SysIdParams)
+                    extract, gap_percent, gen_sysid, lift, lift_point,
+                    parse_poly, parse_qplib, reformulate, rlt_cuts, run,
+                    solve_conic, SysIdParams)
 from qcqpen.polyopt import poly_value
 from qcqpen.sequential import _round_solver_settings
 
@@ -132,8 +132,9 @@ def tracked_runs(poly_problem):
         t0 = time.monotonic()
         xhat = np.array(x0, dtype=float)
         xs, res = [], []
+        rel = lift(prob, cfg.relaxation, penalized=True)
         for _ in range(10):
-            prog, emap = build_penalized(prob, cfg.relaxation, xhat, 0.025)
+            prog, emap = build_penalized(rel, xhat, 0.025)
             sol = solve_conic(prog, settings)
             assert sol.status in OK
             pt = extract(sol, emap)

@@ -49,3 +49,69 @@ def test_round_clock_hooks():
     for start, end, x in clock.rounds:
         assert start <= end and x.shape == (2,)
     assert (sequential.build_penalized, sequential.extract) == originals
+
+
+def _ball_problem():
+    # min |x - (2, 0)|^2 s.t. |x|^2 <= 1
+    import numpy as np
+
+    from qcqpen import QcqpProblem, QuadraticFunction
+
+    g = np.array([2.0, 0.0])
+    return QcqpProblem(n=2, objective=QuadraticFunction(np.eye(2), -g, g @ g),
+                       inequalities=[QuadraticFunction(np.eye(2), np.zeros(2),
+                                                       -1.0)])
+
+
+def test_tracer_spans_each_round(monkeypatch):
+    # the per-layer metrics read each penalized build's eta off its call
+    # (by keyword) and count the distinct etas tuned; every hooked name is
+    # put back afterwards
+    import qcqpen.sequential as sequential
+    from qcqpen import SequentialConfig, run
+
+    spans = perfbench_module("spans")
+    hooked = [getattr(module, attr) for _, module, attr in spans.TRACED]
+    tuned = []
+    run_rounds = sequential._run_rounds
+
+    def recorded(p, cfg, xhat, eta, *args, **kwargs):
+        if kwargs.get("stop_loose"):
+            tuned.append(eta)
+        return run_rounds(p, cfg, xhat, eta, *args, **kwargs)
+    monkeypatch.setattr(sequential, "_run_rounds", recorded)
+    configs = [SequentialConfig(eta=0.5, init="zero", max_rounds=3,
+                                stop_rel=None),
+               SequentialConfig(init="zero", max_rounds=3, stop_rel=None,
+                                tune_rounds=2)]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traces = [run(_ball_problem(), cfg) for cfg in configs]
+    finally:
+        tracer.uninstall()
+    assert [getattr(module, attr) for _, module, attr in spans.TRACED] \
+        == hooked
+    assert len(traces[0].rounds) == 3 and tuned
+
+    spans_ = tracer.spans
+    roots = [i for i, s in enumerate(spans_) if s[0] == "sequential.run"]
+    for root, trace, etas in zip(roots, traces, ([], tuned)):
+        end = spans_[root][2]
+        inside = [s for s in spans_[root + 1:] if s[2] <= end]
+        builds = [s for s in inside if s[0] == "lifting.build_penalized"]
+        solves = [s for s in inside if s[0] == "solver.solve_conic"]
+        # init="zero": every solve is a round's, one build per round
+        assert len(builds) == len(solves) >= len(trace.rounds)
+        final = [s[4]["eta"] for s in builds
+                 if spans_[s[3]][0] == "sequential.run"]
+        assert final == [trace.eta] * len(trace.rounds)
+        tuning = [s[4]["eta"] for s in builds
+                  if spans_[s[3]][0] == "sequential.tune_eta"]
+        assert len(final) + len(tuning) == len(builds)
+        # each candidate's rounds, in the order tune_eta ran them
+        assert [e for k, e in enumerate(tuning)
+                if k == 0 or tuning[k - 1] != e] == etas
+        metrics = spans.layer_metrics(spans_, root)
+        assert metrics["sequential.tune_candidates"] == len(set(etas))
+        assert metrics["lifting.builds"] == len(builds)

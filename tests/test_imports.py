@@ -1,6 +1,6 @@
 """Every module under src/qcqpen reads each name it imports, and every
-top-level private definition, and every method and property of a private
-class, is read somewhere in the package.
+top-level private definition, and every method, property and stored field
+of a private class, is read somewhere in the package.
 
 Stdlib-ast stand-ins for a linter's unused-import and dead-code checks,
 since the test dependencies ship no linter. The import check skips
@@ -128,3 +128,49 @@ def test_unread_checker_flags_dead_methods():
 def test_no_unread_private_definitions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def unread_private_fields(sources: dict) -> list:
+    """'module:Class.name' for each attribute that a private class stores
+    on self (assigned, also as part of a tuple, or augmented) and that no
+    module in `sources` reads as an attribute. Kept apart from
+    `unread_private_names`, whose self-tests store fields nothing reads."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _private(cls.name)):
+                continue
+            stored = {node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"}
+            unread += [f"{module}:{cls.name}.{name}"
+                       for name in stored - loaded]
+    return sorted(unread)
+
+
+def test_unread_checker_flags_dead_fields():
+    sources = {
+        "a.py": ("class _Held:\n"
+                 "    def __init__(self, v):\n"
+                 "        self.kept = v\n        self.dead = v\n"
+                 "        self.pair, self.lost = v, v\n"
+                 "        self.count = 0\n        self.count += 1\n"
+                 "        self.items = []\n        self.items.append(v)\n"
+                 "        other = _Held\n        other.elsewhere = v\n"
+                 "class Public:\n"
+                 "    def __init__(self):\n        self.unread = 1\n"),
+        "b.py": "import a\n\nh = a._Held(1)\nprint(h.kept, h.pair)\n",
+    }
+    assert unread_private_fields(sources) == [
+        "a.py:_Held.count", "a.py:_Held.dead", "a.py:_Held.lost"]
+
+
+def test_no_unread_private_fields():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_fields(sources) == []

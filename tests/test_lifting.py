@@ -4,7 +4,7 @@ import pytest
 import qcqpen.quadratics
 from qcqpen import (QcqpProblem, QuadraticFunction, RelaxationConfig,
                     SysIdParams, build_penalized, build_relaxation, extract,
-                    gen_sysid, rlt_cuts, rlt_pair_list, rlt_system,
+                    gen_sysid, lift, rlt_cuts, rlt_pair_list, rlt_system,
                     solve_conic)
 from qcqpen.solver import PsdBlock
 from _support import lifted_vector, random_box_qcqp, sample_feasible
@@ -21,8 +21,7 @@ def test_lifted_rows_match_quadratics_at_rank_one(seed):
     p, _ = random_box_qcqp(seed)
     prog, emap = build_relaxation(p, FULL)
     rng = np.random.default_rng(seed + 100)
-    Gn = prog.nn_matrix()
-    hn = np.asarray(prog.nn_rhs)
+    Gn, hn = prog.cone.Gn, prog.cone.hn
     for _ in range(20):
         x = rng.normal(size=p.n)
         u = lifted_vector(emap, x)
@@ -38,8 +37,7 @@ def test_lifted_equality_rows_match():
     p = QcqpProblem(n=3, objective=QuadraticFunction(np.eye(3), np.zeros(3)),
                     equalities=[eq])
     prog, emap = build_relaxation(p)
-    Aeq = prog.eq_matrix()
-    beq = np.asarray(prog.eq_rhs)
+    Aeq, beq = prog.cone.A, prog.cone.b
     for _ in range(10):
         x = rng.normal(size=3)
         u = lifted_vector(emap, x)
@@ -70,7 +68,8 @@ def test_penalized_objective_identity(seed):
     rng = np.random.default_rng(seed)
     xhat = rng.normal(size=p.n)
     eta = 0.7
-    prog, emap = build_penalized(p, RelaxationConfig(), xhat, eta)
+    prog, emap = build_penalized(lift(p, RelaxationConfig(), penalized=True),
+                                 xhat, eta)
     for _ in range(10):
         x = rng.normal(size=p.n)
         u = lifted_vector(emap, x)
@@ -81,7 +80,8 @@ def test_penalized_objective_identity(seed):
 def test_extract_fields_consistent():
     p, _ = random_box_qcqp(6)
     xhat = np.zeros(p.n)
-    prog, emap = build_penalized(p, RelaxationConfig(bound_cuts=True), xhat, 5.0)
+    prog, emap = build_penalized(
+        lift(p, RelaxationConfig(bound_cuts=True), penalized=True), xhat, 5.0)
     sol = solve_conic(prog)
     assert sol.status in OK
     pt = extract(sol, emap)
@@ -147,8 +147,7 @@ def test_box_and_bound_cut_rows_hold_in_box():
                                                      rng.normal(size=3)),
                     lb=[-1.0, -2.0, 0.0], ub=[1.0, 0.5, 3.0])
     prog, emap = build_relaxation(p, RelaxationConfig(bound_cuts=True))
-    Gn = prog.nn_matrix()
-    hn = np.asarray(prog.nn_rhs)
+    Gn, hn = prog.cone.Gn, prog.cone.hn
     for _ in range(50):
         x = rng.uniform(p.lb, p.ub)
         u = lifted_vector(emap, x)
@@ -160,7 +159,7 @@ def test_bound_cuts_skip_infinite_bounds():
                     lb=[0.0, -np.inf], ub=[np.inf, 1.0])
     prog, _ = build_relaxation(p, RelaxationConfig(bound_cuts=True))
     # one box row and one single-sided cut per variable
-    assert prog.n_nonneg == 4
+    assert prog.cone.n_nonneg == 4
 
 
 def test_sparsity_pattern_r2():
@@ -171,16 +170,16 @@ def test_sparsity_pattern_r2():
                     inequalities=[con])
     prog, emap = build_relaxation(p, RelaxationConfig(r=2))
     assert set(emap.X_index) == {(0, 0), (1, 1), (2, 2), (0, 1)}
-    assert prog.n_vars == 7
+    assert prog.cone.n_vars == 7
     # one 3x3 block for the stored pair, then a 2x2 for isolated x2
-    assert [b.size for b in prog.blocks] == [3, 2]
+    assert [b.size for b in prog.cone.blocks] == [3, 2]
     dense, emap2 = build_relaxation(p, RelaxationConfig(r=2, sparsity=False))
     assert len(emap2.X_index) == 6
-    assert dense.n_vars == 9
-    assert [b.size for b in dense.blocks] == [3, 3, 3]
+    assert dense.cone.n_vars == 9
+    assert [b.size for b in dense.cone.blocks] == [3, 3, 3]
     full, emap3 = build_relaxation(p, RelaxationConfig())
     assert len(emap3.X_index) == 6
-    assert [b.size for b in full.blocks] == [4]
+    assert [b.size for b in full.cone.blocks] == [4]
 
 
 def test_block_order_validation():
@@ -214,8 +213,13 @@ def test_subset_blocks_cover_penalized_diagonals():
     p = QcqpProblem(n=3, objective=QuadraticFunction(
         np.zeros((3, 3)), np.array([-1.0, 0.5, 0.25])), inequalities=[ball])
     cfg = RelaxationConfig(r=2, subsets=[[0, 1]])
-    prog, emap = build_penalized(p, cfg, np.zeros(3), 1.0)
-    assert [b.size for b in prog.blocks] == [3, 2]
+    # unpenalized, the objective alone stores no X_22
+    unpenalized = lift(QcqpProblem(n=3, objective=p.objective), cfg)
+    with pytest.raises(ValueError, match="penalized=True"):
+        build_penalized(unpenalized, np.zeros(3), 1.0)
+    prog, emap = build_penalized(lift(p, cfg, penalized=True), np.zeros(3),
+                                 1.0)
+    assert [b.size for b in prog.cone.blocks] == [3, 2]
     assert emap.diag_stored == [0, 1, 2]
     sol = solve_conic(prog)
     assert sol.status == "optimal"
@@ -224,10 +228,11 @@ def test_subset_blocks_cover_penalized_diagonals():
 
 def test_penalized_validation():
     p, _ = random_box_qcqp(14)
+    rel = lift(p, None, penalized=True)
     with pytest.raises(ValueError):
-        build_penalized(p, None, np.zeros(p.n), 0.0)
+        build_penalized(rel, np.zeros(p.n), 0.0)
     with pytest.raises(ValueError):
-        build_penalized(p, None, np.zeros(p.n + 1), 1.0)
+        build_penalized(rel, np.zeros(p.n + 1), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +253,19 @@ def _dense_scan_row(q, X_index):
     return np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float), q.c
 
 
+def _csr_row(M, k):
+    """(cols, vals) of row k of the CSR matrix M."""
+    lo, hi = M.indptr[k], M.indptr[k + 1]
+    return M.indices[lo:hi], M.data[lo:hi]
+
+
 def _assert_row(row, rhs, ref, ref_rhs):
-    assert np.array_equal(row[0], ref[0]) and row[0].dtype == ref[0].dtype
-    assert np.array_equal(row[1], ref[1]) and row[1].dtype == ref[1].dtype
+    # CSR keeps each row's columns sorted; its index dtype is scipy's choice
+    order = np.argsort(ref[0])
+    assert np.array_equal(row[0], ref[0][order])
+    assert np.issubdtype(row[0].dtype, np.integer)
+    assert np.array_equal(row[1], ref[1][order])
+    assert row[1].dtype == ref[1].dtype
     assert rhs == ref_rhs
 
 
@@ -280,10 +295,11 @@ _REFERENCE_CONFIGS = {
 def test_rows_match_dense_scan_reference(name):
     p, cfg = _SYSID, _REFERENCE_CONFIGS[name]
     xhat = np.random.default_rng(0).normal(size=p.n)
-    prog, emap = build_penalized(p, cfg, xhat, 0.7)
+    prog, emap = build_penalized(lift(p, cfg, penalized=True), xhat, 0.7)
+    cone = prog.cone
     X = emap.X_index
     cols, vals, c0 = _dense_scan_row(p.objective, X)
-    c = np.zeros(prog.n_vars)
+    c = np.zeros(cone.n_vars)
     c[cols] = vals
     c[:p.n] -= 2.0 * 0.7 * xhat
     for i in range(p.n):
@@ -292,17 +308,17 @@ def test_rows_match_dense_scan_reference(name):
     assert prog.c0 == c0 + 0.7 * float(xhat @ xhat)
     for k, q in enumerate(p.inequalities):
         ref = _dense_scan_row(q, X)
-        _assert_row(prog.nn_rows[k], prog.nn_rhs[k], ref, -ref[2])
+        _assert_row(_csr_row(cone.Gn, k), cone.hn[k], ref, -ref[2])
     for k, q in enumerate(p.equalities):
         ref = _dense_scan_row(q, X)
-        _assert_row(prog.eq_rows[k], prog.eq_rhs[k], ref, -ref[2])
+        _assert_row(_csr_row(cone.A, k), cone.b[k], ref, -ref[2])
     cuts = rlt_cuts(p, cfg.rlt_pairs) if cfg.rlt_pairs else []
     assert len(cuts) == (36 if cfg.rlt_pairs else 0)
-    assert prog.n_nonneg == p.n_ineq + len(cuts)
+    assert cone.n_nonneg == p.n_ineq + len(cuts)
     for k, (_, q) in enumerate(cuts):
         cols, vals, const = _dense_scan_row(q, X)
-        row = prog.nn_rows[p.n_ineq + k]
-        _assert_row(row, prog.nn_rhs[p.n_ineq + k], (cols, -vals), const)
+        row = _csr_row(cone.Gn, p.n_ineq + k)
+        _assert_row(row, cone.hn[p.n_ineq + k], (cols, -vals), const)
 
 
 def test_unstored_term_names_its_entry():
@@ -336,9 +352,10 @@ def test_block_arrays_match_from_entries(cfg, subsets):
     ball = QuadraticFunction(np.diag([1.0, 1.0, 1.0, 0.0]), np.zeros(4), -1.0)
     p = QcqpProblem(n=4, objective=QuadraticFunction(A0, np.ones(4)),
                     inequalities=[ball])
-    prog, emap = build_penalized(p, cfg, np.zeros(p.n), 1.0)
-    assert [_block_subset(b) for b in prog.blocks] == subsets
-    for block, K in zip(prog.blocks, subsets):
+    prog, emap = build_penalized(lift(p, cfg, penalized=True), np.zeros(p.n),
+                                 1.0)
+    assert [_block_subset(b) for b in prog.cone.blocks] == subsets
+    for block, K in zip(prog.cone.blocks, subsets):
         entries = {(0, 0): (-1, 0.0, 1.0)}
         for ai, a in enumerate(K):
             entries[(ai + 1, 0)] = (a, 1.0, 0.0)
@@ -363,6 +380,6 @@ def test_each_matrix_is_scanned_once_across_builds(monkeypatch):
     p, _ = random_box_qcqp(15, n=4)
     quads = [p.objective] + p.constraints
     for eta in (0.5, 1.0, 2.0):
-        build_penalized(p, RelaxationConfig(r=2, bound_cuts=True),
-                        np.zeros(p.n), eta)
+        rel = lift(p, RelaxationConfig(r=2, bound_cuts=True), penalized=True)
+        build_penalized(rel, np.zeros(p.n), eta)
     assert scans == {id(q.A): 1 for q in quads}

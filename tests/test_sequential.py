@@ -439,3 +439,71 @@ def test_layer_calls_go_through_sequential_namespace(monkeypatch):
     assert calls["run"] == calls["resolve_initial_point"] == 1
     assert calls["tune_eta"] == 1
     assert calls["build_penalized"] == calls["solve_conic"] >= 2
+
+
+# per KKT path, the maps that one cone builds for it
+_KKT_MAPS = {"full": {"_FullKkt": 1}, "dense": {"_NormalMap": 1},
+             "sparse": {"_NormalMap": 1, "_SparseKkt": 1}}
+
+
+@pytest.mark.parametrize("path", list(_KKT_MAPS))
+def test_one_structure_per_run_of_rounds(monkeypatch, path):
+    # each _run_rounds call lifts the penalized relaxation once and its
+    # cone builds its KKT maps once; a round's program is only an objective
+    # over that cone: the objective's lifted row plus the penalty
+    import qcqpen.solver as solver
+    if path != "full":
+        monkeypatch.setattr(solver, "_FULL_KKT_ORDER", 0)
+        monkeypatch.setattr(solver, "_SPARSE_SHARE",
+                            0.0 if path == "dense" else np.inf)
+    counts = dict.fromkeys(["lift", "_run_rounds", "_NormalMap",
+                            "_SparseKkt", "_FullKkt"], 0)
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("lift", "_run_rounds"):
+        monkeypatch.setattr(sequential, name,
+                            counted(getattr(sequential, name), name))
+    for name in ("_NormalMap", "_SparseKkt", "_FullKkt"):
+        cls = getattr(solver, name)
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__, name))
+    built = []
+    build = sequential.build_penalized
+
+    def recorded(rel, xhat, eta):
+        prog, emap = build(rel, xhat, eta=eta)
+        built.append((prog, emap, np.array(xhat), eta))
+        return prog, emap
+    monkeypatch.setattr(sequential, "build_penalized", recorded)
+
+    def per_run(runs):
+        return {"lift": runs, "_run_rounds": runs,
+                **{name: runs * _KKT_MAPS[path].get(name, 0)
+                   for name in ("_NormalMap", "_SparseKkt", "_FullKkt")}}
+
+    p = _shifted_ball_problem()
+    cfg = SequentialConfig(init="zero", tune_rounds=2)
+    rounds = sequential._run_rounds(p, cfg, np.zeros(2), 0.5, 3, None)[0]
+    assert len(rounds) == len(built) == 3
+    assert counts == per_run(1)
+    progs = [prog for prog, *_ in built]
+    assert progs[0].cone is progs[1].cone is progs[2].cone
+    assert all(set(vars(prog)) == {"cone", "c", "c0"} for prog in progs)
+    assert not np.array_equal(progs[0].c, progs[1].c)
+    obj = p.objective
+    for prog, emap, xhat, eta in built:
+        c = np.zeros(prog.cone.n_vars)
+        c[:2] = 2.0 * obj.b - 2.0 * eta * xhat
+        for (i, j), k in emap.X_index.items():
+            c[k] = obj.A[i, j] if i == j else 2.0 * obj.A[i, j]
+            c[k] += eta if i == j else 0.0
+        assert np.array_equal(prog.c, c)
+        assert prog.c0 == obj.c + eta * float(xhat @ xhat)
+
+    counts.update(dict.fromkeys(counts, 0))
+    tune_eta(p, cfg, x0=np.zeros(2))
+    assert counts["_run_rounds"] >= 2
+    assert counts == per_run(counts["_run_rounds"])

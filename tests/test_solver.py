@@ -6,17 +6,17 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from qcqpen import (ConicProgram, SolverSettings, iteration_log_csv,
+from qcqpen import (Cone, ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
 from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _FullKkt,
                            _KktSolver, _NormalMap, _Scaling, _SparseKkt,
-                           _apply_w, _build_groups, _kkt_factory, _kkt_path,
+                           _apply_w, _kkt_factory, _kkt_path,
                            _lambda_vec, _matvec, _max_cone_step, _nt_scaling,
                            _pair_entries, _pair_index,
                            kkt_residuals, smat, svec, svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
-from qcqpen.lifting import RelaxationConfig, build_penalized
+from qcqpen.lifting import RelaxationConfig, build_penalized, lift
 from qcqpen.polyopt import parse_poly, reformulate
 from _support import POLY_EXAMPLE
 
@@ -69,13 +69,23 @@ def test_slot_maps_match_smat_and_svec(m):
                           svec(0.5 * (M + np.swapaxes(M, -1, -2))))
 
 
-def _lp_fixture():
-    # min x1 + 2 x2  s.t.  x1 + x2 = 1, x >= 0; optimum 1 at (1, 0)
-    prog = ConicProgram(2, [1.0, 2.0])
-    prog.add_equality_row([0, 1], [1.0, 1.0], 1.0)
-    prog.add_nonneg_row([0], [-1.0], 0.0)
-    prog.add_nonneg_row([1], [-1.0], 0.0)
-    return prog
+def _cone(n, nn=(), eq=(), blocks=()):
+    """A Cone over n variables from rows (cols, vals, rhs): nonnegative
+    rows . u <= rhs and equalities . u = rhs."""
+    def dense(rows):
+        M = np.zeros((len(rows), n))
+        for k, (cols, vals, _) in enumerate(rows):
+            M[k, cols] = vals
+        return M, [rhs for _, _, rhs in rows]
+    return Cone(n, *dense(eq), *dense(nn), blocks)
+
+
+def _lp_fixture(copies=1):
+    # min x1 + 2 x2  s.t.  x1 + x2 = 1, x >= 0; optimum 1 at (1, 0); the
+    # equality row repeated `copies` times
+    return ConicProgram(_cone(2, nn=[([0], [-1.0], 0.0), ([1], [-1.0], 0.0)],
+                              eq=[([0, 1], [1.0, 1.0], 1.0)] * copies),
+                        [1.0, 2.0])
 
 
 def test_lp_fixture():
@@ -105,10 +115,8 @@ def _diag_sdp_fixture():
         if a == b:
             c[t] = d[a]
             diag_vars.append(t)
-    prog = ConicProgram(nv, c)
-    for t in diag_vars:
-        prog.add_nonneg_row([t], [-1.0], -1.0)
-    prog.add_psd_block(PsdBlock.from_entries(3, entries))
+    prog = ConicProgram(_cone(nv, nn=[([t], [-1.0], -1.0) for t in diag_vars],
+                              blocks=[PsdBlock.from_entries(3, entries)]), c)
     return prog, d, diag_vars
 
 
@@ -132,8 +140,8 @@ def _lambda_min_fixture():
                 entries[(a, b)] = (0, -1.0, C[a, b])
             else:
                 entries[(a, b)] = (-1, 0.0, C[a, b])
-    prog = ConicProgram(1, [-1.0])
-    prog.add_psd_block(PsdBlock.from_entries(4, entries))
+    prog = ConicProgram(Cone(1, blocks=[PsdBlock.from_entries(4, entries)]),
+                        [-1.0])
     return prog, C
 
 
@@ -168,17 +176,15 @@ def test_deterministic_replay():
 
 def test_infeasible_lp_detected():
     # x >= 1 and x <= 0 simultaneously
-    prog = ConicProgram(1, [1.0])
-    prog.add_nonneg_row([0], [-1.0], -1.0)
-    prog.add_nonneg_row([0], [1.0], 0.0)
+    prog = ConicProgram(_cone(1, nn=[([0], [-1.0], -1.0), ([0], [1.0], 0.0)]),
+                        [1.0])
     sol = solve_conic(prog)
     assert sol.status == sol.stop_reason == "infeasible"
     assert not sol.fallback
 
 
 def test_unbounded_lp_detected():
-    prog = ConicProgram(1, [-1.0])
-    prog.add_nonneg_row([0], [-1.0], 0.0)
+    prog = ConicProgram(_cone(1, nn=[([0], [-1.0], 0.0)]), [-1.0])
     sol = solve_conic(prog)
     assert sol.status == sol.stop_reason == "unbounded"
     assert not sol.fallback
@@ -275,7 +281,8 @@ def test_tight_gap_on_penalized_relaxation():
     pp = parse_poly("min a st a^5 - b^4 - c^4 + 2*a^3 + 2*a^2*b"
                     " - 2*a*b^2 + 6*a*b*c - 2 = 0")
     prob, _ = reformulate(pp)
-    prog, _ = build_penalized(prob, RelaxationConfig(), np.zeros(prob.n), 0.025)
+    prog, _ = build_penalized(lift(prob, RelaxationConfig(), penalized=True),
+                              np.zeros(prob.n), 0.025)
     sol = solve_conic(prog, SolverSettings(gap_tol=1.25e-10))
     assert sol.status == "optimal"
     assert sol.gap / max(1.0, abs(sol.pcost)) <= 1.3e-10
@@ -284,13 +291,9 @@ def test_tight_gap_on_penalized_relaxation():
 def test_reg_used_counts_schur_shift():
     # duplicate equality rows make the Schur complement A H^-1 A' singular
     # while H = I needs no shift; reg_used must report the Schur shift
-    prog = ConicProgram(2, [0.0, 0.0])
-    prog.add_nonneg_row([0], [-1.0], 0.0)
-    prog.add_nonneg_row([1], [-1.0], 0.0)
-    prog.add_equality_row([0], [1.0], 1.0)
-    prog.add_equality_row([0], [1.0], 1.0)
-    _, G, _ = _build_groups(prog)
-    A = prog.eq_matrix()
+    cone = _cone(2, nn=[([0], [-1.0], 0.0), ([1], [-1.0], 0.0)],
+                 eq=[([0], [1.0], 1.0), ([0], [1.0], 1.0)])
+    G, A = cone.G, cone.A
     scaling = _Scaling(np.ones(2), np.ones(2), [])
     nmap = _NormalMap(G, [], 2)
     kkt = _KktSolver(nmap.normal_matrix(scaling), A)
@@ -304,13 +307,14 @@ def sysid_program():
     # the benchmark's sysid instance: r = 2 blocks, 672 lifted variables
     inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))
     p = inst.problem
-    prog, _ = build_penalized(p, RelaxationConfig(r=2), np.zeros(p.n), 40.0)
+    prog, _ = build_penalized(lift(p, RelaxationConfig(r=2), penalized=True),
+                              np.zeros(p.n), 40.0)
     return prog
 
 
-def _random_interior_scaling(prog, groups, sdim, seed):
+def _random_interior_scaling(cone, seed):
     rng = np.random.default_rng(seed)
-    l_nn = prog.n_nonneg
+    groups, sdim, l_nn = cone.groups, cone.h.size, cone.n_nonneg
     s = np.empty(sdim)
     z = np.empty(sdim)
     s[:l_nn] = np.exp(rng.normal(scale=2.0, size=l_nn))
@@ -326,35 +330,35 @@ def _random_interior_scaling(prog, groups, sdim, seed):
 def test_build_groups_matches_entrywise():
     # nonnegative rows, an equality and blocks of sizes 3, 2, 3 in that
     # order, with constant and variable entries
-    prog = ConicProgram(5, np.ones(5))
-    prog.add_nonneg_row([0, 3], [1.5, -2.0], 0.5)
-    prog.add_nonneg_row([4], [-1.0], 0.0)
-    prog.add_equality_row([1, 2], [1.0, 1.0], 1.0)
-    prog.add_psd_block(PsdBlock.from_entries(3, {
-        (0, 0): (0, 1.0, 1.0), (1, 0): (1, 0.5, 0.0),
-        (2, 2): (-1, 0.0, 2.0), (1, 2): (4, -3.0, 0.25)}))
-    prog.add_psd_block(PsdBlock.from_entries(2, {
-        (0, 0): (2, 2.0, 0.0), (0, 1): (3, 1.0, -1.0), (1, 1): (0, 1.0, 0.0)}))
-    prog.add_psd_block(PsdBlock.from_entries(3, {
-        (2, 0): (3, -1.0, 0.5), (1, 1): (-1, 0.0, 4.0), (2, 2): (4, 2.0, 1.0)}))
-    sdim = prog.n_nonneg + 6 + 3 + 6
+    nn = [([0, 3], [1.5, -2.0], 0.5), ([4], [-1.0], 0.0)]
+    cone = _cone(5, nn=nn, eq=[([1, 2], [1.0, 1.0], 1.0)], blocks=[
+        PsdBlock.from_entries(3, {
+            (0, 0): (0, 1.0, 1.0), (1, 0): (1, 0.5, 0.0),
+            (2, 2): (-1, 0.0, 2.0), (1, 2): (4, -3.0, 0.25)}),
+        PsdBlock.from_entries(2, {
+            (0, 0): (2, 2.0, 0.0), (0, 1): (3, 1.0, -1.0),
+            (1, 1): (0, 1.0, 0.0)}),
+        PsdBlock.from_entries(3, {
+            (2, 0): (3, -1.0, 0.5), (1, 1): (-1, 0.0, 4.0),
+            (2, 2): (4, 2.0, 1.0)})])
+    sdim = cone.n_nonneg + 6 + 3 + 6
     # s = h - G u entry by entry: nonnegative rows first, then each block's
     # svec slots, where slot t of a block holds w_t (const_t + coef_t u[var])
-    G = np.zeros((sdim, prog.n_vars))
+    G = np.zeros((sdim, cone.n_vars))
     h = np.zeros(sdim)
-    for k, ((cols, vals), rhs) in enumerate(zip(prog.nn_rows, prog.nn_rhs)):
+    for k, (cols, vals, rhs) in enumerate(nn):
         for j, v in zip(cols, vals):
             G[k, j] += v
         h[k] = rhs
-    t = prog.n_nonneg
-    for blk in prog.blocks:
+    t = cone.n_nonneg
+    for blk in cone.blocks:
         for v, cf, ct, wt in zip(blk.var, blk.coef, blk.const,
                                  svec_index(blk.size)[2]):
             if v >= 0:
                 G[t, v] = -wt * cf
             h[t] = wt * ct
             t += 1
-    groups, Gs, hs = _build_groups(prog)
+    groups, Gs, hs = cone.groups, cone.G, cone.h
     assert [g.m for g in groups] == [2, 3]
     assert sp.issparse(Gs) and Gs.format == "csr"
     assert np.array_equal(Gs.toarray(), G)
@@ -428,14 +432,12 @@ def test_apply_w_matches_per_block_reference(mode, e):
     # two blocks of each size 1 to 4 behind three nonnegative rows: each
     # mode gives, bit for bit, svec(sym(L smat(v) R)) block by block with
     # the factors (L, R) its docstring names
-    prog = ConicProgram(3, np.ones(3))
-    for k in range(3):
-        prog.add_nonneg_row([k], [1.0], 1.0)
-    for m in (3, 1, 4, 2, 1, 3, 2, 4):
-        prog.add_psd_block(PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)}))
-    groups, _, h = _build_groups(prog)
+    cone = Cone(3, Gn=np.eye(3), hn=np.ones(3), blocks=[
+        PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)})
+        for m in (3, 1, 4, 2, 1, 3, 2, 4)])
+    groups, h = cone.groups, cone.h
     assert [g.nb for g in groups] == [2, 2, 2, 2]
-    scaling = _random_interior_scaling(prog, groups, h.size, seed=4)
+    scaling = _random_interior_scaling(cone, seed=4)
     vec = np.random.default_rng(6).normal(size=h.size)
     ref = vec.copy()
     ref[:3] = vec[:3] * scaling.wn ** e
@@ -456,17 +458,14 @@ def test_max_cone_step_of_two_directions_is_min_of_each(cone):
     # one call with two directions, their matrices in one eigvalsh per
     # group, gives bit for bit the smaller of the single-direction steps,
     # also when one or both directions never reach the boundary (inf)
-    prog = ConicProgram(3, np.ones(3))
-    if cone != "psd":
-        for k in range(3):
-            prog.add_nonneg_row([k], [1.0], 1.0)
-    if cone != "nonneg":
-        for m in (3, 1, 2, 3, 2):
-            prog.add_psd_block(PsdBlock.from_entries(m, {(0, 0): (0, 1.0,
-                                                                   1.0)}))
-    groups, _, h = _build_groups(prog)
-    l_nn = prog.n_nonneg
-    scaling = _random_interior_scaling(prog, groups, h.size, seed=7)
+    nonneg = cone != "psd"
+    built = Cone(3, Gn=np.eye(3) if nonneg else None,
+                 hn=np.ones(3) if nonneg else (),
+                 blocks=[] if cone == "nonneg" else [
+                     PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)})
+                     for m in (3, 1, 2, 3, 2)])
+    groups, h, l_nn = built.groups, built.h, built.n_nonneg
+    scaling = _random_interior_scaling(built, seed=7)
     rng = np.random.default_rng(8)
     lam = _lambda_vec(scaling, groups, l_nn, h.size)
     d1, d2 = rng.normal(size=(2, h.size))
@@ -503,16 +502,15 @@ def _refined(kkt, H, A, r1, r2):
 
 
 def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
-    prog = sysid_program
-    assert _kkt_path(prog) == "sparse"
-    groups, G, h = _build_groups(prog)
-    scaling = _random_interior_scaling(prog, groups, h.size, seed=3)
-    A = prog.eq_matrix()
-    H = _columnwise_normal_matrix(G, groups, prog.n_nonneg, scaling)
+    cone = sysid_program.cone
+    assert _kkt_path(cone) == "sparse"
+    groups, G, A = cone.groups, cone.G, cone.A
+    scaling = _random_interior_scaling(cone, seed=3)
+    H = _columnwise_normal_matrix(G, groups, cone.n_nonneg, scaling)
     rng = np.random.default_rng(4)
-    r1 = rng.normal(size=prog.n_vars)
-    r2 = rng.normal(size=prog.n_eq)
-    nmap = _NormalMap(G, groups, prog.n_nonneg)
+    r1 = rng.normal(size=cone.n_vars)
+    r2 = rng.normal(size=cone.n_eq)
+    nmap = _NormalMap(G, groups, cone.n_nonneg)
     dense = _KktSolver(nmap.normal_matrix(scaling), A)
     sparse = _SparseKkt(nmap, A).factor(scaling)
     du_d, dy_d, res_d = _refined(dense, H, A, r1, r2)
@@ -528,15 +526,19 @@ def test_sparse_path_solves_like_dense(sysid_program, monkeypatch):
     import qcqpen.solver as solver
     sol = solve_conic(sysid_program)
     monkeypatch.setattr(solver, "_SPARSE_SHARE", 0.0)
-    assert _kkt_path(sysid_program) == "dense"
-    ref = solve_conic(sysid_program)
+    # a cone keeps the path it chose first: the dense solve needs a new one
+    c = sysid_program.cone
+    dense = ConicProgram(Cone(c.n_vars, c.A, c.b, c.Gn, c.hn, c.blocks),
+                         sysid_program.c, sysid_program.c0)
+    assert _kkt_path(dense.cone) == "dense"
+    ref = solve_conic(dense)
     assert sol.status in OK and ref.status in OK
     assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
 
 
 def _kkt_order(prog):
     """n + m + the cone's dimension: the order of the full KKT matrix."""
-    return prog.n_vars + prog.n_eq + _build_groups(prog)[2].size
+    return prog.cone.n_vars + prog.cone.n_eq + prog.cone.h.size
 
 
 def test_kkt_path_choice(sysid_program):
@@ -554,39 +556,34 @@ def test_kkt_path_choice(sysid_program):
     # a full moment matrix (dense H, order about 2n) on both sides of the
     # bound: 299 and 324 variables
     assert _kkt_order(relaxed[23]) <= bound < _kkt_order(relaxed[24])
-    assert _kkt_path(relaxed[23]) == "full"
-    assert _kkt_path(relaxed[24]) == "dense"
+    assert _kkt_path(relaxed[23].cone) == "full"
+    assert _kkt_path(relaxed[24].cone) == "dense"
     # r = 2 blocks without sparsity: 104 and 119 variables, but 78 and 91
     # 3x3 blocks put the order on both sides of the bound
     assert _kkt_order(relaxed[13]) <= bound < _kkt_order(relaxed[14])
-    assert relaxed[14].n_vars < relaxed[23].n_vars
-    assert _kkt_path(relaxed[13]) == "full"
-    assert _kkt_path(relaxed[14]) == "dense"
+    assert relaxed[14].cone.n_vars < relaxed[23].cone.n_vars
+    assert _kkt_path(relaxed[13].cone) == "full"
+    assert _kkt_path(relaxed[14].cone) == "dense"
     # r = 2 blocks scatter into few entries of H: sparse above the bound;
     # below it the full path runs however sparse H is (50 one-entry rows
     # scatter into 50 of 2,500 entries)
     assert _kkt_order(sysid_program) > bound
-    assert _kkt_path(sysid_program) == "sparse"
-    box = ConicProgram(50, np.ones(50))
-    for i in range(50):
-        box.add_nonneg_row([i], [-1.0], 0.0)
+    assert _kkt_path(sysid_program.cone) == "sparse"
+    box = Cone(50, Gn=-np.eye(50), hn=np.zeros(50))
     assert 50 < solver._SPARSE_SHARE * 50 ** 2
-    for prog in (box, _lp_fixture(), _dense_kkt_program("shared")):
-        assert _kkt_path(prog) == "full"
+    for cone in (box, _lp_fixture().cone, _dense_kkt_program("shared").cone):
+        assert _kkt_path(cone) == "full"
 
 
 def test_sparse_kkt_singular_is_regularized():
     # variable 2 appears in no row: the augmented matrix has a zero column,
     # which SuperLU reports as exactly singular; the first diagonal shift
     # of the ladder must make it factorizable
-    prog = ConicProgram(3, [1.0, 1.0, 0.0])
-    prog.add_nonneg_row([0], [-1.0], 0.0)
-    prog.add_nonneg_row([0, 1], [-1.0, -1.0], 0.0)
-    prog.add_equality_row([0, 1], [1.0, 1.0], 1.0)
-    groups, G, _ = _build_groups(prog)
+    cone = _cone(3, nn=[([0], [-1.0], 0.0), ([0, 1], [-1.0, -1.0], 0.0)],
+                 eq=[([0, 1], [1.0, 1.0], 1.0)])
     scaling = _Scaling(np.ones(2), np.ones(2), [])
-    pattern = _SparseKkt(_NormalMap(G, groups, prog.n_nonneg),
-                         prog.eq_matrix())
+    pattern = _SparseKkt(_NormalMap(cone.G, cone.groups, cone.n_nonneg),
+                         cone.A)
     kkt = pattern.factor(scaling)
     assert kkt.reg_used > pattern.delta
     du, dy = kkt.solve(np.array([1.0, 2.0, 0.0]), np.array([1.0]))
@@ -626,29 +623,31 @@ def _moment_block(rng, index, lifted):
     return PsdBlock.from_entries(len(index) + 1, entries)
 
 
-def _dense_kkt_program(case, extra=0):
+def _dense_kkt_program(case, extra=0, nn=(), eq=()):
     """'full': one 4x4 moment block over x0..x2 and X. 'shared': two 3x3
     r = 2-style blocks over (x0, x1) and (x0, x2), which share x0 and
     X00. Each x_i gets a box row. `extra` variables appear in no cone row,
-    only in one equality row."""
+    only in one equality row. The rows nn and eq follow the program's own
+    nonnegative and equality rows."""
     rng = np.random.default_rng(11)
     pairs = ([(i, j) for i in range(3) for j in range(i + 1)]
              if case == "full" else [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2)])
     lifted = {p: 3 + k for k, p in enumerate(pairs)}
     n = 3 + len(pairs) + extra
-    prog = ConicProgram(n, rng.normal(size=n))
+    c = rng.normal(size=n)
+    rows = []
     for i in range(3):
-        prog.add_nonneg_row([i], [1.0], 1.0)
-        prog.add_nonneg_row([i, lifted[i, i]], [-1.0, 0.5], 1.0)
+        rows.append(([i], [1.0], 1.0))
+        rows.append(([i, lifted[i, i]], [-1.0, 0.5], 1.0))
     if case == "full":
-        prog.add_psd_block(_moment_block(rng, [0, 1, 2], lifted))
+        blocks = [_moment_block(rng, [0, 1, 2], lifted)]
     else:
-        prog.add_psd_block(_moment_block(rng, [0, 1], lifted))
-        prog.add_psd_block(_moment_block(rng, [0, 2], lifted))
-    if extra:
-        prog.add_equality_row(list(range(n - extra - 1, n)),
-                              np.ones(extra + 1), 1.0)
-    return prog
+        blocks = [_moment_block(rng, [0, 1], lifted),
+                  _moment_block(rng, [0, 2], lifted)]
+    eqs = ([(list(range(n - extra - 1, n)), np.ones(extra + 1), 1.0)]
+           if extra else [])
+    return ConicProgram(_cone(n, nn=rows + list(nn), eq=eqs + list(eq),
+                              blocks=blocks), c)
 
 
 @pytest.mark.parametrize("dt", [np.float64])
@@ -656,14 +655,14 @@ def _dense_kkt_program(case, extra=0):
 def test_dense_normal_matrix_matches_add_at_reference(case, dt):
     # the pair list computes H's lower triangle bit for bit as the full
     # symmetric Kronecker and np.add.at did
-    prog = _dense_kkt_program(case)
-    groups, G, h = _build_groups(prog)
-    nmap = _NormalMap(G, groups, prog.n_nonneg)
+    cone = _dense_kkt_program(case).cone
+    groups, G = cone.groups, cone.G
+    nmap = _NormalMap(G, groups, cone.n_nonneg)
     for seed in range(3):
-        scaling = _random_interior_scaling(prog, groups, h.size, seed)
+        scaling = _random_interior_scaling(cone, seed)
         H = nmap.normal_matrix(scaling)
         assert H.dtype == dt
-        ref = _reference_normal_matrix(G.toarray(), groups, prog.n_nonneg,
+        ref = _reference_normal_matrix(G.toarray(), groups, cone.n_nonneg,
                                        scaling)
         assert np.array_equal(np.tril(H), np.tril(ref))
 
@@ -673,23 +672,22 @@ def test_dense_nonnegative_rows_on_dense_path(dt):
     # three nonnegative rows over every variable beside the box rows, so
     # that places of H receive up to five row terms, and the full moment
     # block; one equality row
-    prog = _dense_kkt_program("full", extra=1)
+    n = _dense_kkt_program("full", extra=1).cone.n_vars
     rng = np.random.default_rng(12)
-    n = prog.n_vars
-    for _ in range(3):
-        prog.add_nonneg_row(np.arange(n), rng.normal(size=n), 1.0)
-    groups, G, h = _build_groups(prog)
-    nmap = _NormalMap(G, groups, prog.n_nonneg)
-    scaling = _random_interior_scaling(prog, groups, h.size, 5)
+    rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
+    cone = _dense_kkt_program("full", extra=1, nn=rows).cone
+    groups, G = cone.groups, cone.G
+    nmap = _NormalMap(G, groups, cone.n_nonneg)
+    scaling = _random_interior_scaling(cone, 5)
     H = nmap.normal_matrix(scaling)
-    ref = _columnwise_normal_matrix(G, groups, prog.n_nonneg, scaling)
+    ref = _columnwise_normal_matrix(G, groups, cone.n_nonneg, scaling)
     assert H.dtype == ref.dtype == dt
     assert np.allclose(np.tril(H), np.tril(ref), rtol=1e-12,
                        atol=1e-12 * np.abs(ref).max())
     # the dense and the sparse factorization of the same pair list
-    A = prog.eq_matrix()
+    A = cone.A
     r1 = rng.normal(size=n)
-    r2 = rng.normal(size=prog.n_eq)
+    r2 = rng.normal(size=cone.n_eq)
     dense = _KktSolver(H, A)
     sparse = _SparseKkt(nmap, A).factor(scaling)
     for kkt in (dense, sparse):
@@ -699,9 +697,9 @@ def test_dense_nonnegative_rows_on_dense_path(dt):
 @pytest.mark.parametrize("case", ["full", "shared"])
 def test_pair_entries_match_svec_of_winv_map(case):
     # column t of the block's Hessian is svec(W^-1 smat(e_t) W^-1)
-    prog = _dense_kkt_program(case)
-    groups, _, h = _build_groups(prog)
-    scaling = _random_interior_scaling(prog, groups, h.size, seed=7)
+    cone = _dense_kkt_program(case).cone
+    groups = cone.groups
+    scaling = _random_interior_scaling(cone, seed=7)
     for g, gd in zip(groups, scaling.groups):
         blk, t1, t2 = np.indices((g.nb, g.ns, g.ns)).reshape(3, -1)
         idx, kww = _pair_index(g, blk, t1, t2)
@@ -720,30 +718,29 @@ def test_kkt_solver_ignores_strict_upper_triangle(dt):
     # H's strict upper triangle is not valid: NaN there must change neither
     # the diagonal shift nor the solve. The two extra variables are in no
     # cone row, so H is singular and the ladder runs.
-    prog = _dense_kkt_program("shared", extra=2)
-    groups, G, h = _build_groups(prog)
-    A = prog.eq_matrix()
-    scaling = _random_interior_scaling(prog, groups, h.size, 2)
-    H = _NormalMap(G, groups, prog.n_nonneg).normal_matrix(scaling)
+    cone = _dense_kkt_program("shared", extra=2).cone
+    groups, G, A = cone.groups, cone.G, cone.A
+    scaling = _random_interior_scaling(cone, 2)
+    H = _NormalMap(G, groups, cone.n_nonneg).normal_matrix(scaling)
     broken = H.copy()
-    broken[np.triu_indices(prog.n_vars, 1)] = np.nan
+    broken[np.triu_indices(cone.n_vars, 1)] = np.nan
     kkt, ref = _KktSolver(broken, A), _KktSolver(H, A)
     assert ref.reg_used > 0.0
     assert kkt.reg_used == ref.reg_used
     rng = np.random.default_rng(1)
-    r1 = rng.normal(size=prog.n_vars)
-    r2 = rng.normal(size=prog.n_eq)
+    r1 = rng.normal(size=cone.n_vars)
+    r2 = rng.normal(size=cone.n_eq)
     for got, want in zip(kkt.solve(r1, r2), ref.solve(r1, r2)):
         assert np.all(np.isfinite(want)) and want.dtype == dt
         assert np.array_equal(got, want)
 
 
-def _full_kkt_reference(prog, G, A, groups, scaling):
+def _full_kkt_reference(cone, G, A, groups, scaling):
     """[[0, A', G'], [A, 0, 0], [G, 0, -W'W]] from dense blocks, with each
     PSD block's part of W'W built column by column as svec(P mat(e_t) P),
     P = R R'."""
-    n, m, sdim = prog.n_vars, prog.n_eq, G.shape[0]
-    l_nn = prog.n_nonneg
+    n, m, sdim = cone.n_vars, cone.n_eq, G.shape[0]
+    l_nn = cone.n_nonneg
     WW = np.zeros((sdim, sdim))
     WW[:l_nn, :l_nn] = np.diag(scaling.wn ** 2)
     for g, gd in zip(groups, scaling.groups):
@@ -760,12 +757,11 @@ def _full_kkt_reference(prog, G, A, groups, scaling):
 @pytest.mark.parametrize("case", ["full", "shared"])
 def test_full_kkt_matrix_matches_svec_reference(case):
     # the full path's matrix, its -W'W block included, entry by entry
-    prog = _dense_kkt_program(case, extra=1)
-    groups, G, h = _build_groups(prog)
-    A = prog.eq_matrix()
-    scaling = _random_interior_scaling(prog, groups, h.size, seed=8)
-    K = _FullKkt(G, A, groups, prog.n_nonneg).matrix(scaling)
-    ref = _full_kkt_reference(prog, G, A, groups, scaling)
+    cone = _dense_kkt_program(case, extra=1).cone
+    groups, G, A = cone.groups, cone.G, cone.A
+    scaling = _random_interior_scaling(cone, seed=8)
+    K = _FullKkt(G, A, groups, cone.n_nonneg).matrix(scaling)
+    ref = _full_kkt_reference(cone, G, A, groups, scaling)
     assert np.allclose(K, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())
 
 
@@ -773,21 +769,17 @@ def test_full_path_solve_matches_dense_elimination():
     # equalities, nonnegative rows and a PSD block, at an interior
     # non-identity scaling: the full KKT LU and the dense Cholesky with its
     # Schur complement give the same (du, dy, dz)
-    prog = _dense_kkt_program("full")
-    prog.add_equality_row([0, 3, 5], [1.0, -0.5, 2.0], 0.3)
-    prog.add_equality_row([1, 2], [1.0, 1.0], -0.2)
-    groups, G, h = _build_groups(prog)
-    A = prog.eq_matrix()
-    scaling = _random_interior_scaling(prog, groups, h.size, seed=9)
+    cone = _dense_kkt_program("full", eq=[
+        ([0, 3, 5], [1.0, -0.5, 2.0], 0.3), ([1, 2], [1.0, 1.0], -0.2)]).cone
+    groups, G, A = cone.groups, cone.G, cone.A
+    scaling = _random_interior_scaling(cone, seed=9)
     rng = np.random.default_rng(10)
-    rhs = (rng.normal(size=prog.n_vars), rng.normal(size=prog.n_eq),
-           rng.normal(size=h.size))
-    full = _kkt_factory("full", G, A, groups, prog.n_nonneg,
-                        _matvec(G), _matvec(G.T))(scaling)
-    dense = _kkt_factory("dense", G, A, groups, prog.n_nonneg,
-                         _matvec(G), _matvec(G.T))(scaling)
+    rhs = (rng.normal(size=cone.n_vars), rng.normal(size=cone.n_eq),
+           rng.normal(size=cone.h.size))
+    full = _kkt_factory("full", cone)(scaling)
+    dense = _kkt_factory("dense", cone)(scaling)
     assert full.reg_used == dense.reg_used == 0.0
-    ref = _full_kkt_reference(prog, G, A, groups, scaling)
+    ref = _full_kkt_reference(cone, G, A, groups, scaling)
     x = np.concatenate(full.solve(*rhs))
     assert np.linalg.norm(ref @ x - np.concatenate(rhs)) <= \
         1e-12 * np.linalg.norm(ref) * np.linalg.norm(x)
@@ -800,8 +792,7 @@ def test_full_kkt_zero_pivot_ladder(monkeypatch):
     # the ladder shifts it where the LU meets a zero pivot, no warning
     # escapes, and the solve still ends optimal
     import qcqpen.solver as solver
-    prog = _lp_fixture()
-    prog.add_equality_row([0, 1], [1.0, 1.0], 1.0)
+    prog = _lp_fixture(copies=2)
     regs = []
     factor = solver._FullKkt.factor
 
