@@ -210,16 +210,18 @@ def _cmd_solve(args) -> int:
         print(f"no tight round within {len(trace.rounds)} rounds "
               f"(status {trace.status})", file=sys.stderr)
         return EXIT_SOLVER
+    # the reported point, which restoration may have moved off the round's
     x = trace.x_final
+    objective, violation = p.objective.value(x), p.violation(x)
     print("status: %s" % trace.status)
     print("eta: %.12g" % trace.eta)
     print("i_feas: %d" % trace.i_feas)
     print("i_stop: %s" % ("" if trace.i_stop is None else trace.i_stop))
-    print("objective: %.12g" % trace.objective)
-    print("violation: %.3e" % p.violation(x))
+    print("objective: %.12g" % objective)
+    print("violation: %.3e" % violation)
     if args.out:
-        doc = {"x": x.tolist(), "objective": trace.objective,
-               "violation": p.violation(x), "eta": trace.eta,
+        doc = {"x": x.tolist(), "objective": objective,
+               "violation": violation, "eta": trace.eta,
                "i_feas": trace.i_feas, "i_stop": trace.i_stop,
                "status": trace.status}
         with open(args.out, "w") as fh:

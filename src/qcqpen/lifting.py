@@ -34,6 +34,8 @@ x = xhat; minimizers with X = xx' are feasible for the original QCQP.
 
 Only the objective depends on xhat and eta. So `lift` builds a relaxation
 once, and `build_penalized` writes each round's objective over its cone.
+`build_penalized` and `extract` work on the extraction map's slot arrays
+and the objective's lifted row, and never form X.
 """
 
 from __future__ import annotations
@@ -64,17 +66,21 @@ class RelaxationConfig:
 @dataclass
 class LiftedPoint:
     x: np.ndarray
-    X: np.ndarray
     objective: float
     residual: float
 
 
 @dataclass
 class ExtractionMap:
+    """Slots in u = (x, stored X entries): X_index[(i, j)], i <= j, and
+    diag_slots, those of diag_stored. qbar0(x, X) = c @ u + c0."""
+
     n: int
     X_index: dict
     diag_stored: list
-    problem: QcqpProblem
+    diag_slots: np.ndarray
+    c: np.ndarray
+    c0: float
 
 
 def rlt_system(p: QcqpProblem):
@@ -199,15 +205,10 @@ class _Lifter:
         self.diags = sorted({i for K in subsets for i in K})
         pairs = sorted({(a, b) for K in subsets
                         for ai, a in enumerate(K) for b in K[ai + 1:]})
-        self.X_index = {}
-        k = p.n
-        for i in self.diags:
-            self.X_index[(i, i)] = k
-            k += 1
-        for (i, j) in pairs:
-            self.X_index[(i, j)] = k
-            k += 1
-        self.n_vars = k
+        # the stored diagonals first: `lift` numbers their slots from n on
+        keys = [(i, i) for i in self.diags] + pairs
+        self.X_index = {key: p.n + k for k, key in enumerate(keys)}
+        self.n_vars = p.n + len(keys)
 
     def row(self, q: QuadraticFunction):
         """(cols, vals, const) with qbar(x, X) = vals @ u[cols] + const:
@@ -303,8 +304,8 @@ def lift(p: QcqpProblem, cfg: RelaxationConfig | None = None,
     cols, vals, c0 = lifter.row(p.objective)
     c = np.zeros(lifter.n_vars)
     c[cols] = vals
-    emap = ExtractionMap(n=n, X_index=lifter.X_index,
-                         diag_stored=lifter.diags, problem=p)
+    slots = n + np.arange(len(lifter.diags))
+    emap = ExtractionMap(n, lifter.X_index, lifter.diags, slots, c, c0)
     return ConicProgram(cone, c, c0), emap
 
 
@@ -331,27 +332,25 @@ def build_penalized(relaxation, xhat, eta: float):
     xhat = np.asarray(xhat, dtype=float).ravel()
     if xhat.shape != (n,):
         raise ValueError("xhat has wrong dimension")
-    c = prog.c.copy()
+    c = emap.c.copy()
     c[:n] -= 2.0 * eta * xhat
-    c[[emap.X_index[(i, i)] for i in range(n)]] += eta
-    return ConicProgram(prog.cone, c, prog.c0 + eta * float(xhat @ xhat)), emap
+    c[emap.diag_slots] += eta
+    return ConicProgram(prog.cone, c, emap.c0 + eta * float(xhat @ xhat)), emap
 
 
 def extract(sol: ConicSolution, emap: ExtractionMap) -> LiftedPoint:
-    """Read (x, X) off a solver solution and score it.
+    """Read x off a solver solution and score the lifting (x, X).
 
     residual = sum over stored diagonals of X_ii - x_i^2 = tr(X - xx')
     restricted to stored entries; >= 0 up to solver tolerance, and 0 exactly
     when the lifting is rank-one on the stored pattern. objective is the
-    unpenalized lifted objective qbar0(x, X).
+    unpenalized lifted objective qbar0(x, X) = c @ u + c0.
     """
-    n = emap.n
-    x = np.asarray(sol.u[:n], dtype=float).copy()
-    X = np.zeros((n, n))
-    for (i, j), k in emap.X_index.items():
-        X[i, j] = sol.u[k]
-        X[j, i] = sol.u[k]
-    obj = emap.problem.objective
-    lifted = float(np.tensordot(obj.A, X) + 2.0 * obj.b @ x + obj.c)
-    residual = float(sum(X[i, i] - x[i] ** 2 for i in emap.diag_stored))
-    return LiftedPoint(x=x, X=X, objective=lifted, residual=residual)
+    u = sol.u
+    x = np.asarray(u[:emap.n], dtype=float).copy()
+    lifted = float(emap.c @ u + emap.c0)
+    # scalar by scalar, summed left to right: numpy's array square of x can
+    # differ from its scalar power by an ulp, and tightness reads these bits
+    residual = float(sum(u[k] - x[i] ** 2
+                         for i, k in zip(emap.diag_stored, emap.diag_slots)))
+    return LiftedPoint(x=x, objective=lifted, residual=residual)

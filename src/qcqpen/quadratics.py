@@ -12,7 +12,8 @@ Constraints are indexed 0..len(I)-1 for inequalities followed by
 len(I)..len(I)+len(E)-1 for equalities everywhere in this package.
 
 A is read-only after construction, so `QuadraticFunction.terms`, the
-nonzeros of its upper triangle, is scanned once and cached.
+nonzeros of its upper triangle, is scanned once and cached, and so is
+`spectral_norm`; lifting and regularity read A only through these two.
 """
 
 from __future__ import annotations
@@ -63,6 +64,19 @@ class QuadraticFunction:
         """(rows, cols, vals): the nonzeros of A's upper triangle, diagonal
         included, row-major; the order of np.argwhere(np.triu(A) != 0)."""
         return _upper_terms(self.A)
+
+    @cached_property
+    def spectral_norm(self) -> float:
+        """||A||_2, the largest |eigenvalue| of A; 0 when A is zero. Taken
+        on the principal submatrix over the variables that `terms` touch,
+        scattered from `terms`, so it costs the cube of their count."""
+        rows, cols, vals = self.terms
+        idx, pos = np.unique(np.concatenate([rows, cols]),
+                             return_inverse=True)
+        r, c = pos[:rows.size], pos[rows.size:]
+        sub = np.zeros((idx.size, idx.size))
+        sub[r, c] = sub[c, r] = vals
+        return float(np.max(np.abs(np.linalg.eigvalsh(sub)), initial=0.0))
 
     @property
     def n(self) -> int:
@@ -156,8 +170,4 @@ def jacobian(p: QcqpProblem, x) -> np.ndarray:
     when the problem has no constraints.
     """
     x = np.asarray(x, dtype=float)
-    m = len(p.inequalities) + len(p.equalities)
-    J = np.zeros((m, p.n))
-    for k, q in enumerate(p.constraints):
-        J[k] = q.gradient(x)
-    return J
+    return np.array([q.gradient(x) for q in p.constraints]).reshape(-1, p.n)

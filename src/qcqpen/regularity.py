@@ -13,7 +13,8 @@ nearby constraints are. This module provides the pieces:
     when the set is empty;
   * an upper bound on the distance to feasibility, found by sequential
     minimum-norm linearization steps;
-  * the spectral bound sqrt(sum_k ||A_k||_2^2) on the constraint pencil;
+  * the spectral bound sqrt(sum_k ||A_k||_2^2) on the constraint pencil,
+    each ||A_k||_2 the quadratic's cached `spectral_norm`;
   * check_regularity, combining them into the sufficient condition
 
         dist(xhat, F) < s(xhat, d) / (2 ||P|| (1 + C(n-1, r-1)))
@@ -29,12 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadratics import QcqpProblem, jacobian
-
-
-def _spectral_norm(A: np.ndarray) -> float:
-    if not A.any():
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
 def binding_sets(p: QcqpProblem, x, d: float = 0.0, tol: float | None = None) -> dict:
@@ -54,7 +49,7 @@ def binding_sets(p: QcqpProblem, x, d: float = 0.0, tol: float | None = None) ->
         if abs(val) <= tk:
             licq.append(k)
         gnorm = float(np.linalg.norm(q.gradient(x)))
-        anorm = _spectral_norm(q.A)
+        anorm = q.spectral_norm
         if np.isinf(d):
             member = gnorm > 0 or anorm > 0 or val >= 0
         else:
@@ -94,7 +89,7 @@ def sensitivity(p: QcqpProblem, x, d: float = 0.0) -> float:
 def pencil_norm_bound(p: QcqpProblem) -> float:
     """sqrt(sum over I and E of ||A_k||_2^2), an upper bound on the spectral
     norm of any unit-combination of constraint Hessians."""
-    return math.sqrt(sum(_spectral_norm(q.A) ** 2 for q in p.constraints))
+    return math.sqrt(sum(q.spectral_norm ** 2 for q in p.constraints))
 
 
 def estimate_distance(p: QcqpProblem, x, max_iter: int = 200,
@@ -110,36 +105,27 @@ def estimate_distance(p: QcqpProblem, x, max_iter: int = 200,
     z = x.copy()
     if p.violation(z) < tol:
         return 0.0, z.copy()
+    eye = np.eye(p.n)
+    n_i = p.n_ineq
     for _ in range(max_iter):
-        rows, targets = [], []
-        for q in p.inequalities:
-            val = q.value(z)
-            if val > tol:
-                rows.append(q.gradient(z))
-                targets.append(-val)
-        for q in p.equalities:
-            val = q.value(z)
-            if abs(val) > tol:
-                rows.append(q.gradient(z))
-                targets.append(-val)
+        # rows: violated inequalities, violated equalities, lower bounds,
+        # upper bounds
+        vals = p.eval_constraints(z)
+        hit = np.concatenate([vals[:n_i] > tol, np.abs(vals[n_i:]) > tol])
+        rows, targets = [jacobian(p, z)[hit]], [-vals[hit]]
         if p.lb is not None:
-            for i in range(p.n):
-                if z[i] < p.lb[i] - tol:
-                    e = np.zeros(p.n)
-                    e[i] = 1.0
-                    rows.append(e)
-                    targets.append(p.lb[i] - z[i])
+            low = z < p.lb - tol
+            rows.append(eye[low])
+            targets.append(p.lb[low] - z[low])
         if p.ub is not None:
-            for i in range(p.n):
-                if z[i] > p.ub[i] + tol:
-                    e = np.zeros(p.n)
-                    e[i] = -1.0
-                    rows.append(e)
-                    targets.append(z[i] - p.ub[i])
-        if not rows:
-            break
+            high = z > p.ub + tol
+            # rows -e_i: 0.0 - eye keeps their zeros +0.0 (-eye gives -0.0)
+            rows.append(0.0 - eye[high])
+            targets.append(z[high] - p.ub[high])
         J = np.vstack(rows)
-        delta, *_ = np.linalg.lstsq(J, np.asarray(targets), rcond=None)
+        if not J.shape[0]:
+            break
+        delta, *_ = np.linalg.lstsq(J, np.concatenate(targets), rcond=None)
         if not np.all(np.isfinite(delta)):
             return float("inf"), None
         base = p.violation(z)

@@ -1,8 +1,10 @@
 """Sequential penalized relaxations: solve, re-center, repeat.
 
-The penalized relaxation is lifted once per run of rounds. Round i writes
-its objective at the current anchor xhat, solves it, extracts x(i), and
-re-anchors. Two round indices are tracked:
+The penalized relaxation depends only on the problem and cfg.relaxation,
+so it is lifted once per eta search, whose candidates all share it, and
+once for the final run of rounds. Round i writes its objective at the
+current anchor xhat, solves it, extracts x(i), and re-anchors. Two round
+indices are tracked:
 
     i_feas: first round whose lifting is tight, residual < tight_tol
             (then x(i) is feasible for the QCQP up to solver tolerance);
@@ -153,12 +155,13 @@ def _round_solver_settings(cfg, eta):
     return replace(s, gap_tol=gap_needed)
 
 
-def _run_rounds(p, cfg, xhat, eta, max_rounds, stop_rel, stop_loose=False):
+def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
+                stop_loose=False):
     """Core loop; returns (rounds, i_feas, i_stop, x, status).
 
-    One relaxation, lifted before the first round, serves every round. With
-    stop_loose (eta tuning) the loop ends after its first loose round, with
-    status "loose".
+    relaxation, from `lift(p, cfg.relaxation, penalized=True)`, serves every
+    round. With stop_loose (eta tuning) the loop ends after its first loose
+    round, with status "loose".
     """
     rounds = []
     i_feas = None
@@ -168,7 +171,6 @@ def _run_rounds(p, cfg, xhat, eta, max_rounds, stop_rel, stop_loose=False):
     status = "max_rounds"
     x = xhat
     solver_settings = _round_solver_settings(cfg, eta)
-    relaxation = lift(p, cfg.relaxation, penalized=True)
     for i in range(1, max_rounds + 1):
         t0 = time.perf_counter()
         prog, emap = build_penalized(relaxation, x, eta=eta)
@@ -210,22 +212,22 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None) -> float:
     evaluations never contradict that assumption. When tightness is not
     monotone, the result is a tight candidate whose lower neighbour on the
     grid is loose. A candidate's rounds stop at its first loose round: the
-    rounds after it cannot make the candidate tight. Raises EtaTuningError
-    when even the largest candidate fails.
+    rounds after it cannot make the candidate tight; all share one lift.
+    Raises EtaTuningError when even the largest candidate fails.
     """
     grid = eta_grid()
     if x0 is None:
         x0 = resolve_initial_point(p, cfg)
+    relaxation = lift(p, cfg.relaxation, penalized=True)
     memo: dict = {}
 
     def tight_at(idx: int) -> bool:
         if idx not in memo:
-            rounds, i_feas, _, _, status = _run_rounds(
-                p, cfg, x0, grid[idx], cfg.tune_rounds, stop_rel=None,
-                stop_loose=True)
-            ok = (len(rounds) == cfg.tune_rounds
-                  and all(r.residual < cfg.tight_tol for r in rounds))
-            memo[idx] = ok
+            rounds = _run_rounds(p, cfg, x0, grid[idx], relaxation,
+                                 cfg.tune_rounds, stop_rel=None,
+                                 stop_loose=True)[0]
+            memo[idx] = (len(rounds) == cfg.tune_rounds
+                         and all(r.residual < cfg.tight_tol for r in rounds))
         return memo[idx]
 
     hi = len(grid) - 1
@@ -260,8 +262,9 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
         eta = float(cfg.eta)
         if eta <= 0:
             raise ValueError("eta must be positive")
+    relaxation = lift(p, cfg.relaxation, penalized=True)
     rounds, i_feas, i_stop, x, status = _run_rounds(
-        p, cfg, x0, eta, cfg.max_rounds, cfg.stop_rel)
+        p, cfg, x0, eta, relaxation, cfg.max_rounds, cfg.stop_rel)
     violation_before = violation_after = p.violation(x)
     restore_distance = 0.0
     if violation_before > cfg.tight_tol:

@@ -31,7 +31,7 @@ steps are damped by a fraction of the distance to the cone boundary.
 - dense: dz is eliminated, and the normal matrix H = G' (W'W)^{-1} G is
   summed from `_NormalMap`'s pair list (each pair of entries of a
   nonnegative row, then each pair of variable slots of a PSD block, with
-  its place in H's lower triangle) with one np.add.at and Cholesky-factored;
+  its place in H's lower triangle) with one np.bincount and Cholesky-factored;
   the equalities go through a second Cholesky of the Schur complement
   A H^{-1} A' (as in CVXOPT's potrf-based KKT solvers).
 - sparse: when the count of H entries the cone rows scatter is below a
@@ -622,15 +622,12 @@ class _NormalMap:
     def normal_matrix(self, scaling) -> np.ndarray:
         """Dense H at `scaling`; its strict upper triangle is zero.
 
-        np.add.at adds in index order, so every place receives its terms in
-        list order.
+        np.bincount adds in index order, so every place receives its terms
+        in list order, as on the sparse path.
         """
-        # terms before H: the other way round, glibc gave H fresh pages on
-        # every call (2,000 page faults, 6 ms on dense_full's program)
-        terms = self.terms(scaling)
-        H = np.zeros(self.n * self.n)
-        np.add.at(H, self.place, terms)
-        return H.reshape(self.n, self.n)
+        n = self.n
+        return np.bincount(self.place, weights=self.terms(scaling),
+                           minlength=n * n).reshape(n, n)
 
 
 # absolute static regularization of the equality block on the sparse path;

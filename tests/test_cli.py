@@ -15,7 +15,7 @@ from qcqpen import (QcqpProblem, QuadraticFunction, RelaxationConfig,
                     sysid_from_json, SysIdParams, trace_csv, tune_eta)
 from qcqpen.cli import main
 
-from _support import POLY_EXAMPLE
+from _support import POLY_EXAMPLE, perfbench_module
 
 BALL_POLY = "min x^2 + y^2 - 2*x st x^2 + y^2 - 1 <= 0\n"
 
@@ -142,6 +142,44 @@ def test_solve_output_and_json(ball_json, tmp_path, capsys):
     assert abs(doc["objective"] - trace.objective) < 1e-12
     assert doc["violation"] <= 1e-6
     assert abs(doc["x"][0] - 1.0) < 1e-2 and abs(doc["x"][1]) < 1e-2
+
+
+def test_solve_reports_the_restored_point(tmp_path, capsys, monkeypatch):
+    # feas_n2's tuned round moved 2e-6 outside its first constraint, as in
+    # test_tuned_round_point_restored_feasible: run restores x_final, and
+    # the objective printed and written is q0 at that point, not the round's
+    import qcqpen.sequential as sequential
+    from qcqpen import SolverSettings, jacobian
+
+    inst = perfbench_module("inputs").feasible_qcqp(1, 2, 2)
+    p = inst.problem
+    cfg = SequentialConfig(eta="auto", max_rounds=1, stop_rel=None,
+                           init=inst.xstar,
+                           solver=SolverSettings(max_iterations=80))
+    x = run(p, cfg).x_final
+    target = np.zeros(len(p.constraints))
+    target[0] = 2e-6 - p.constraints[0].value(x)
+    shift = np.linalg.lstsq(jacobian(p, x), target, rcond=None)[0]
+
+    def outside(*args, _rounds=sequential._run_rounds, **kwargs):
+        rounds, i_feas, i_stop, x, status = _rounds(*args, **kwargs)
+        return rounds, i_feas, i_stop, x + shift, status
+    monkeypatch.setattr(sequential, "_run_rounds", outside)
+    prob_path, init_path = tmp_path / "feas_n2.json", tmp_path / "x0.json"
+    out_path = tmp_path / "sol.json"
+    prob_path.write_text(problem_to_json(p))
+    init_path.write_text(json.dumps(inst.xstar.tolist()))
+    rc = main(["solve", str(prob_path), "--eta", "auto", "--max-rounds", "1",
+               "--stop-rel", "none", "--init", str(init_path),
+               "--max-iterations", "80", "--out", str(out_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+
+    doc = json.loads(out_path.read_text())
+    objective = p.objective.value(np.array(doc["x"]))
+    assert doc["objective"] == objective
+    assert out.splitlines()[4] == "objective: %.12g" % objective
+    assert doc["violation"] == p.violation(np.array(doc["x"])) < 1e-9
 
 
 def test_solve_no_tight_round_exits_2(infeasible_json, capsys):

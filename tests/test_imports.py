@@ -174,3 +174,35 @@ def test_unread_checker_flags_dead_fields():
 def test_no_unread_private_fields():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unread_private_fields(sources) == []
+
+
+# modules that may read a quadratic's dense matrix `A`: the quadratics
+# themselves, the instance builders and the JSON writer, and the solver,
+# whose cone stores its own equality matrix under that name
+DENSE_A_READERS = {"quadratics.py", "instances.py", "solver.py"}
+
+
+def dense_a_reads(sources: dict) -> list:
+    """'module:line' for each read of an attribute named A in a module of
+    `sources` (module name -> source) outside DENSE_A_READERS."""
+    return sorted(f"{module}:{node.lineno}"
+                  for module, src in sources.items()
+                  if module not in DENSE_A_READERS
+                  for node in ast.walk(ast.parse(src))
+                  if isinstance(node, ast.Attribute) and node.attr == "A"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_dense_a_checker_flags_reads():
+    sources = {
+        "a.py": ("def f(q, x):\n    return x @ q.A @ x\n"
+                 "def g(q):\n    q.A = None\n    return q.terms, q.Ab\n"),
+        "b.py": "import numpy as np\n\nn = np.tensordot(obj.A, X)\n",
+        "quadratics.py": "def value(self, x):\n    return self.A @ x\n",
+    }
+    assert dense_a_reads(sources) == ["a.py:2", "b.py:3"]
+
+
+def test_dense_a_read_only_where_stored():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert dense_a_reads(sources) == []

@@ -77,6 +77,15 @@ def test_penalized_objective_identity(seed):
         assert prog.c @ u + prog.c0 == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
+def _stored_X(sol, emap):
+    """The stored entries of X, read off sol.u through X_index, in a dense
+    symmetric matrix; entries not stored are 0."""
+    X = np.zeros((emap.n, emap.n))
+    for (i, j), k in emap.X_index.items():
+        X[i, j] = X[j, i] = sol.u[k]
+    return X
+
+
 def test_extract_fields_consistent():
     p, _ = random_box_qcqp(6)
     xhat = np.zeros(p.n)
@@ -86,13 +95,41 @@ def test_extract_fields_consistent():
     assert sol.status in OK
     pt = extract(sol, emap)
     assert pt.x == pytest.approx(sol.u[:p.n])
-    assert np.array_equal(pt.X, pt.X.T)
-    res = sum(pt.X[i, i] - pt.x[i] ** 2 for i in emap.diag_stored)
+    X = _stored_X(sol, emap)
+    res = sum(X[i, i] - pt.x[i] ** 2 for i in emap.diag_stored)
     assert pt.residual == pytest.approx(res, abs=1e-12)
     assert pt.residual >= -1e-9
     obj = p.objective
-    lifted = float(np.tensordot(obj.A, pt.X)) + 2.0 * obj.b @ pt.x + obj.c
+    lifted = float(np.tensordot(obj.A, X)) + 2.0 * obj.b @ pt.x + obj.c
     assert pt.objective == pytest.approx(lifted, abs=1e-10)
+
+
+@pytest.mark.parametrize("cfg, penalized", [
+    (RelaxationConfig(bound_cuts=True), True),
+    (RelaxationConfig(), False),
+    (RelaxationConfig(r=2, bound_cuts=True), True),
+    (RelaxationConfig(r=3, subsets=[[0, 1, 2], [0, 1, 3], [0, 2, 3],
+                                    [1, 2, 3]]), True),
+], ids=["full", "full-unpenalized", "r2", "subsets"])
+def test_extract_matches_dense_reference(cfg, penalized):
+    # extract reads the slots; the reference is its former dense arithmetic:
+    # X from sol.u through X_index, <A0, X> + 2 b0'x + c0 and, per stored
+    # diagonal, X_ii - x_i^2 summed left to right
+    p, _ = random_box_qcqp(6, n=4)
+    relaxation = lift(p, cfg, penalized=penalized)
+    prog, emap = (build_penalized(relaxation, np.full(p.n, 0.1), 2.0)
+                  if penalized else relaxation)
+    sol = solve_conic(prog)
+    assert sol.status in OK
+    pt = extract(sol, emap)
+    x = sol.u[:p.n]
+    X = _stored_X(sol, emap)
+    assert pt.x.tobytes() == x.tobytes()
+    res = float(sum(X[i, i] - x[i] ** 2 for i in emap.diag_stored))
+    assert pt.residual.hex() == res.hex()
+    obj = p.objective
+    lifted = float(np.tensordot(obj.A, X) + 2.0 * obj.b @ x + obj.c)
+    assert pt.objective == pytest.approx(lifted, rel=1e-12)
 
 
 def test_rlt_system_stacks_affine_rows():

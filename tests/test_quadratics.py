@@ -153,3 +153,45 @@ def test_matrix_is_read_only():
     M = np.eye(2)
     QuadraticFunction(M, np.zeros(2))
     M[0, 1] = 1.0
+
+
+def _dense_spectral_norm(A):
+    return 0.0 if not A.any() else float(np.max(np.abs(np.linalg.eigvalsh(A))))
+
+
+def test_spectral_norm_matches_dense_on_sysid():
+    # every sysid constraint touches at most 8 of the 184 variables; the
+    # submatrix gives the dense call's bits here, but it is a different
+    # LAPACK call, so the bound is relative
+    from qcqpen import SysIdParams, gen_sysid
+    p = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01,
+                              seed=0)).problem
+    for q in [p.objective] + p.constraints:
+        assert q.spectral_norm == pytest.approx(_dense_spectral_norm(q.A),
+                                                rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spectral_norm_matches_dense_on_random(seed):
+    # dense: the submatrix is A itself, so the bits agree; sparse: A's
+    # nonzeros on a random subset of the variables
+    rng = np.random.default_rng(seed)
+    n = 7
+    dense = QuadraticFunction(rng.normal(size=(n, n)), np.zeros(n))
+    assert dense.spectral_norm == _dense_spectral_norm(dense.A)
+    keep = rng.random(n) < 0.5
+    keep[rng.integers(n)] = True
+    M = rng.normal(size=(n, n)) * np.outer(keep, keep)
+    sparse = QuadraticFunction(M, rng.normal(size=n))
+    assert sparse.spectral_norm == pytest.approx(
+        _dense_spectral_norm(sparse.A), rel=1e-12, abs=0.0)
+    assert "spectral_norm" in vars(sparse)
+
+
+def test_spectral_norm_of_affine_and_zero():
+    assert QuadraticFunction.affine([1.0, -2.0], 3.0).spectral_norm == 0.0
+    assert QuadraticFunction(np.zeros((3, 3)), np.zeros(3)).spectral_norm \
+        == 0.0
+    # one diagonal entry: a 1x1 submatrix
+    q = QuadraticFunction(np.diag([0.0, -2.5, 0.0]), np.zeros(3))
+    assert q.spectral_norm == 2.5 == _dense_spectral_norm(q.A)

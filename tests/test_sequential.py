@@ -9,8 +9,8 @@ from qcqpen import (EtaTuningError, QcqpProblem, QuadraticFunction,
                     RelaxationConfig, SequentialConfig, SolveError,
                     SolverSettings, SysIdParams, build_relaxation, eta_grid,
                     extract, gap_percent, gen_sysid, jacobian,
-                    resolve_initial_point, run, solve_conic, trace_csv,
-                    trace_json, tune_eta)
+                    lift, resolve_initial_point, run, solve_conic,
+                    trace_csv, trace_json, tune_eta)
 import qcqpen.sequential as sequential
 from qcqpen.sequential import _round_solver_settings, _run_rounds
 from _support import perfbench_module, random_feasible_qcqp
@@ -141,8 +141,10 @@ def test_tune_eta_matches_linear_scan():
                            solver=SolverSettings(max_iterations=80))
     x0 = np.zeros(2)
     eta = tune_eta(p, cfg, x0=x0)
+    relaxation = lift(p, cfg.relaxation, penalized=True)
     for cand in eta_grid():
-        rounds, _, _, _, _ = _run_rounds(p, cfg, x0, cand, 3, stop_rel=None)
+        rounds, _, _, _, _ = _run_rounds(p, cfg, x0, cand, relaxation, 3,
+                                         stop_rel=None)
         ok = (len(rounds) == 3
               and all(r.residual < cfg.tight_tol for r in rounds))
         if ok:
@@ -166,7 +168,8 @@ def test_tune_eta_bisection_contract(pattern, monkeypatch):
     }[pattern]
     calls = []
 
-    def fake_rounds(p, cfg, xhat, eta, max_rounds, stop_rel, stop_loose):
+    def fake_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
+                    stop_loose):
         idx = grid.index(eta)
         calls.append(idx)
         rounds = [types.SimpleNamespace(residual=0.0 if tight(idx) else 1.0)
@@ -195,7 +198,9 @@ def test_tune_eta_sound_on_nonconvex():
                            solver=SolverSettings(max_iterations=80))
     eta = tune_eta(p, cfg, x0=xstar)
     assert eta in eta_grid()
-    rounds, _, _, _, _ = _run_rounds(p, cfg, xstar, eta, 4, stop_rel=None)
+    rounds, _, _, _, _ = _run_rounds(
+        p, cfg, xstar, eta, lift(p, cfg.relaxation, penalized=True), 4,
+        stop_rel=None)
     assert len(rounds) == 4
     assert all(r.residual < cfg.tight_tol for r in rounds)
 
@@ -375,6 +380,31 @@ def test_tuned_round_point_restored_feasible(monkeypatch):
     assert p.objective.value(tr.x_final) <= p.objective.value(inst.xstar)
 
 
+def test_round_residuals_keep_scalar_arithmetic(monkeypatch):
+    # from the degree-5 example's start x1, numpy's array square of x and
+    # its scalar power differ in the last bit on one of the first five
+    # rounds, which moves that round's residual; extract keeps the scalar
+    # form, X_ii - x_i ** 2 per stored diagonal summed left to right
+    from qcqpen import parse_poly, reformulate
+    inputs = perfbench_module("inputs")
+    prob, _ = reformulate(parse_poly(inputs.POLY_EXAMPLE))
+    residuals = []
+
+    def checked(sol, emap, _extract=sequential.extract):
+        pt = _extract(sol, emap)
+        x = sol.u[:emap.n]
+        ref = float(sum(sol.u[emap.X_index[(i, i)]] - x[i] ** 2
+                        for i in emap.diag_stored))
+        residuals.append((pt.residual.hex(), ref.hex()))
+        return pt
+    monkeypatch.setattr(sequential, "extract", checked)
+    run(prob, SequentialConfig(eta=inputs.POLY_ETA, max_rounds=5,
+                               stop_rel=None,
+                               init=np.array(inputs.POLY_STARTS["x1"])))
+    assert len(residuals) == 5
+    assert [got for got, _ in residuals] == [ref for _, ref in residuals]
+
+
 def test_sysid_rounds_stay_tight():
     # the r=2 system-identification programs solve optimal with trace
     # residuals between about -2e-6 and -1e-7, within the solver's float64
@@ -448,9 +478,11 @@ _KKT_MAPS = {"full": {"_FullKkt": 1}, "dense": {"_NormalMap": 1},
 
 @pytest.mark.parametrize("path", list(_KKT_MAPS))
 def test_one_structure_per_run_of_rounds(monkeypatch, path):
-    # each _run_rounds call lifts the penalized relaxation once and its
-    # cone builds its KKT maps once; a round's program is only an objective
-    # over that cone: the objective's lifted row plus the penalty
+    # a run of rounds lifts nothing: it takes a relaxation lifted once,
+    # whose cone builds its KKT maps once, and a round's program is only an
+    # objective over that cone: the objective's lifted row plus the penalty.
+    # tune_eta lifts once for all its candidates; run(eta="auto") lifts once
+    # more for its final rounds
     import qcqpen.solver as solver
     if path != "full":
         monkeypatch.setattr(solver, "_FULL_KKT_ORDER", 0)
@@ -479,16 +511,18 @@ def test_one_structure_per_run_of_rounds(monkeypatch, path):
         return prog, emap
     monkeypatch.setattr(sequential, "build_penalized", recorded)
 
-    def per_run(runs):
-        return {"lift": runs, "_run_rounds": runs,
-                **{name: runs * _KKT_MAPS[path].get(name, 0)
+    def expected(lifts, runs):
+        return {"lift": lifts, "_run_rounds": runs,
+                **{name: lifts * _KKT_MAPS[path].get(name, 0)
                    for name in ("_NormalMap", "_SparseKkt", "_FullKkt")}}
 
     p = _shifted_ball_problem()
     cfg = SequentialConfig(init="zero", tune_rounds=2)
-    rounds = sequential._run_rounds(p, cfg, np.zeros(2), 0.5, 3, None)[0]
+    relaxation = sequential.lift(p, cfg.relaxation, penalized=True)
+    rounds = sequential._run_rounds(p, cfg, np.zeros(2), 0.5, relaxation, 3,
+                                    None)[0]
     assert len(rounds) == len(built) == 3
-    assert counts == per_run(1)
+    assert counts == expected(1, 1)
     progs = [prog for prog, *_ in built]
     assert progs[0].cone is progs[1].cone is progs[2].cone
     assert all(set(vars(prog)) == {"cone", "c", "c0"} for prog in progs)
@@ -506,4 +540,9 @@ def test_one_structure_per_run_of_rounds(monkeypatch, path):
     counts.update(dict.fromkeys(counts, 0))
     tune_eta(p, cfg, x0=np.zeros(2))
     assert counts["_run_rounds"] >= 2
-    assert counts == per_run(counts["_run_rounds"])
+    assert counts == expected(1, counts["_run_rounds"])
+
+    counts.update(dict.fromkeys(counts, 0))
+    sequential.run(p, replace(cfg, eta="auto", max_rounds=2))
+    assert counts["_run_rounds"] >= 3
+    assert counts == expected(2, counts["_run_rounds"])

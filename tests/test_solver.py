@@ -667,6 +667,28 @@ def test_dense_normal_matrix_matches_add_at_reference(case, dt):
         assert np.array_equal(np.tril(H), np.tril(ref))
 
 
+@pytest.mark.parametrize("case", ["full", "shared", "rows"])
+def test_normal_matrix_sums_like_add_at(case):
+    # np.bincount sums each place's terms in list order, as np.add.at over
+    # zeros does: the same bytes. "rows" adds three nonnegative rows over
+    # every variable, so that places receive up to five row terms
+    if case == "rows":
+        n = _dense_kkt_program("full", extra=1).cone.n_vars
+        rng = np.random.default_rng(12)
+        rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
+        cone = _dense_kkt_program("full", extra=1, nn=rows).cone
+    else:
+        cone = _dense_kkt_program(case).cone
+    nmap = _NormalMap(cone.G, cone.groups, cone.n_nonneg)
+    for seed in range(3):
+        scaling = _random_interior_scaling(cone, seed)
+        ref = np.zeros(nmap.n * nmap.n)
+        np.add.at(ref, nmap.place, nmap.terms(scaling))
+        H = nmap.normal_matrix(scaling)
+        assert H.shape == (nmap.n, nmap.n)
+        assert H.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("dt", [np.float64])
 def test_dense_nonnegative_rows_on_dense_path(dt):
     # three nonnegative rows over every variable beside the box rows, so
