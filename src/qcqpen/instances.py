@@ -169,22 +169,21 @@ def parse_qplib(text: str) -> QcqpProblem:
     if m < 0:
         raise QplibParseError("negative constraint count")
 
-    # objective: 0.5 x'Qx + b'x + c, stored lower triangle of Q
-    A0 = np.zeros((n, n))
+    # objective: 0.5 x'Qx + b'x + c, stored lower triangle of Q, listed as
+    # A = Q/2's entries (i, j, v/2) and, off the diagonal, (j, i, v/2)
+    Q0 = []
     for _ in range(lines.take_int("objective Hessian entry count")):
         no, (si, sj, sv) = lines.take_fields(3, "objective Hessian entry")
         i = _index(si, n, "row", no)
         j = _index(sj, n, "column", no)
         v = _value(sv, "Hessian", no)
-        A0[i, j] += 0.5 * v
-        if i != j:
-            A0[j, i] += 0.5 * v
+        Q0 += [(i, j, 0.5 * v), (j, i, 0.5 * v)][:1 + (i != j)]
     b0 = 0.5 * _defaulted_vector(lines, n, "objective linear coefficient",
                                  "variable")
     c0 = lines.take_float("objective constant")
 
-    qA = [np.zeros((n, n)) for _ in range(m)] if m else []
-    qb = [np.zeros(n) for _ in range(m)] if m else []
+    qQ = [[] for _ in range(m)]
+    qb = [np.zeros(n) for _ in range(m)]
     if has_cons:
         for _ in range(lines.take_int("constraint Hessian entry count")):
             no, (sk, si, sj, sv) = lines.take_fields(
@@ -193,9 +192,7 @@ def parse_qplib(text: str) -> QcqpProblem:
             i = _index(si, n, "row", no)
             j = _index(sj, n, "column", no)
             v = _value(sv, "Hessian", no)
-            qA[k][i, j] += 0.5 * v
-            if i != j:
-                qA[k][j, i] += 0.5 * v
+            qQ[k] += [(i, j, 0.5 * v), (j, i, 0.5 * v)][:1 + (i != j)]
         for _ in range(lines.take_int("constraint linear entry count")):
             no, (sk, si, sv) = lines.take_fields(3, "constraint linear entry")
             k = _index(sk, m, "constraint", no)
@@ -225,25 +222,28 @@ def parse_qplib(text: str) -> QcqpProblem:
         lines.next_line("trailing block")
 
     ineqs, eqs = [], []
+    quad = QuadraticFunction.from_entries
     for k in range(m):
         lo = definite(cl[k], -1.0)
         hi = definite(cu[k], +1.0)
         if lo == -np.inf and hi == np.inf:
             continue
+        rows, cols, vals = np.reshape(qQ[k], (-1, 3)).T
         if lo == hi:
-            eqs.append(QuadraticFunction(qA[k], qb[k], -lo))
+            eqs.append(quad(rows, cols, vals, qb[k], -lo))
             continue
         if hi < np.inf:
-            ineqs.append(QuadraticFunction(qA[k], qb[k], -hi))
+            ineqs.append(quad(rows, cols, vals, qb[k], -hi))
         if lo > -np.inf:
-            ineqs.append(QuadraticFunction(-qA[k], -qb[k], lo))
+            ineqs.append(quad(rows, cols, -vals, -qb[k], lo))
 
+    rows, cols, vals = np.reshape(Q0, (-1, 3)).T
     if sense == "maximize":
-        A0, b0, c0 = -A0, -b0, -c0
+        vals, b0, c0 = -vals, -b0, -c0
 
     return QcqpProblem(
         n=n,
-        objective=QuadraticFunction(A0, b0, c0),
+        objective=quad(rows, cols, vals, b0, c0),
         inequalities=ineqs,
         equalities=eqs,
         lb=None if np.all(lb == -np.inf) else lb,
@@ -264,8 +264,7 @@ def _quad_to_obj(q: QuadraticFunction) -> dict:
 
 
 def _quad_from_obj(obj: dict, n: int) -> QuadraticFunction:
-    q = QuadraticFunction(np.asarray(obj["A"], dtype=float),
-                          np.asarray(obj["b"], dtype=float), float(obj["c"]))
+    q = QuadraticFunction(obj["A"], obj["b"], obj["c"])
     if q.n != n:
         raise ValueError("constraint dimension mismatch in JSON problem")
     return q
@@ -458,26 +457,26 @@ def _assemble_sysid(params: SysIdParams, A_true, B_true, u, z, w,
     # y[t] >= s*(z[t+1] - A z[t] - B u[t]) for s = +1 then s = -1,
     # rows ordered t-major, state-index minor
     ineqs = []
+    j, l = np.arange(n), np.arange(m)
     for s in (1.0, -1.0):
         for tau in range(1, T):
             for i in range(n):
-                A_k = np.zeros((N, N))
-                for j in range(n):
-                    A_k[inst.a_off + j * n + i, inst.z_off(tau) + j] -= s
                 ell = np.zeros(N)
                 ell[inst.z_off(tau + 1) + i] = s
-                for l in range(m):
-                    ell[inst.b_off + l * n + i] = -s * u[tau - 1, l] / alpha
+                ell[inst.b_off + l * n + i] = -s * u[tau - 1] / alpha
                 ell[inst.y_off(tau) + i] = -1.0 / alpha
-                ineqs.append(QuadraticFunction(A_k, 0.5 * ell, 0.0))
+                # -s A[i, j] z[tau][j], A[i, j] at slot a_off + j n + i
+                ineqs.append(QuadraticFunction.from_entries(
+                    inst.a_off + j * n + i, inst.z_off(tau) + j,
+                    np.full(n, -s), 0.5 * ell, 0.0))
 
     eqs = []
     for tau in observed:
         for i in range(n):
             ell = np.zeros(N)
             ell[inst.z_off(int(tau)) + i] = 1.0
-            eqs.append(QuadraticFunction(
-                np.zeros((N, N)), 0.5 * ell, -z[int(tau) - 1, i]))
+            eqs.append(QuadraticFunction.affine(0.5 * ell,
+                                                -z[int(tau) - 1, i]))
 
     obj = np.zeros(N)
     obj[inst.y_off(1):inst.y_off(1) + (T - 1) * n] = 1.0 / alpha
@@ -542,15 +541,10 @@ def _sysid_from_doc(doc) -> SysIdInstance:
     if doc.get("version") != 1:
         raise ValueError(f"unsupported qcqpen-sysid version {doc.get('version')}")
     params = SysIdParams(**doc["params"])
-    return _assemble_sysid(
-        params,
-        np.asarray(doc["A_true"], dtype=float),
-        np.asarray(doc["B_true"], dtype=float),
-        np.asarray(doc["u_traj"], dtype=float),
-        np.asarray(doc["z_traj"], dtype=float),
-        np.asarray(doc["w_traj"], dtype=float),
-        np.asarray(doc["observed"], dtype=int),
-    )
+    arrays = [np.asarray(doc[key], dtype=float)
+              for key in ("A_true", "B_true", "u_traj", "z_traj", "w_traj")]
+    return _assemble_sysid(params, *arrays,
+                           np.asarray(doc["observed"], dtype=int))
 
 
 # ---------------------------------------------------------------------------

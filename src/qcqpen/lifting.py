@@ -17,8 +17,8 @@ can be dropped entirely (sparsity, r = 2), which shrinks the cone without
 changing the bound.
 
 Rows and block subsets come from each quadratic's `terms`, the nonzeros of
-its matrix's upper triangle, which the quadratic scans once and caches: a
-lifting costs O(nnz) per quadratic, not O(n^2).
+its matrix's upper triangle, which the quadratic sets from its entries at
+construction: a lifting costs O(nnz) per quadratic, not O(n^2).
 
 Optional tightening rows: box-derived cuts on the diagonal
 
@@ -90,21 +90,13 @@ def rlt_system(p: QcqpProblem):
     negated affine equalities, so that every row is a valid <= 0 functional
     equal to +-q_k(x). Returns (H, h) with shapes (m, n), (m,).
     """
-    rows, rhs = [], []
-    for q in p.inequalities:
-        if q.is_affine():
-            rows.append(2.0 * q.b)
-            rhs.append(q.c)
-    eq_rows = [(2.0 * q.b, q.c) for q in p.equalities if q.is_affine()]
-    for r, cc in eq_rows:
-        rows.append(r)
-        rhs.append(cc)
-    for r, cc in eq_rows:
-        rows.append(-r)
-        rhs.append(-cc)
+    ineq = [(2.0 * q.b, q.c) for q in p.inequalities if q.is_affine()]
+    eq = [(2.0 * q.b, q.c) for q in p.equalities if q.is_affine()]
+    rows = ineq + eq + [(-r, -c) for r, c in eq]
     if not rows:
         return np.zeros((0, p.n)), np.zeros(0)
-    return np.vstack(rows), np.asarray(rhs)
+    H, h = zip(*rows)
+    return np.vstack(H), np.asarray(h)
 
 
 def rlt_pair_list(m: int):
@@ -131,16 +123,13 @@ def rlt_cuts(p: QcqpProblem, pairs="all"):
     for (i, j) in pairs:
         if not (0 <= i < m and 0 <= j < m):
             raise ValueError(f"RLT pair {(i, j)} out of range for {m} rows")
-        A = 0.5 * (np.outer(H[i], H[j]) + np.outer(H[j], H[i]))
+        # A_c from the entries of H_i H_j' over the two rows' supports
+        si, sj = np.flatnonzero(H[i]), np.flatnonzero(H[j])
         b = 0.5 * (h[i] * H[j] + h[j] * H[i])
-        out.append(((i, j), QuadraticFunction(A, b, h[i] * h[j])))
+        out.append(((i, j), QuadraticFunction.from_entries(
+            np.repeat(si, sj.size), np.tile(sj, si.size),
+            np.outer(H[i, si], H[j, sj]).ravel(), b, h[i] * h[j])))
     return out
-
-
-def _gather_terms(p: QcqpProblem, cuts) -> list:
-    terms = [p.objective] + p.constraints
-    terms.extend(q for _, q in cuts)
-    return terms
 
 
 def _block_subsets(p, cfg, cuts, penalized: bool):
@@ -173,7 +162,7 @@ def _block_subsets(p, cfg, cuts, penalized: bool):
             diags.update(range(n))  # n = 1 has no pair to cover X_00
         else:
             pairs = set()
-            for q in _gather_terms(p, cuts):
+            for q in [p.objective] + p.constraints + [q for _, q in cuts]:
                 rows, cols, _ = q.terms
                 on_diag = rows == cols
                 diags.update(rows[on_diag].tolist())
@@ -272,9 +261,7 @@ def lift(p: QcqpProblem, cfg: RelaxationConfig | None = None,
     r = cfg.r if cfg.r is not None else n
     if not (2 <= r <= n) and not (n == 1 and r in (1, 2, None)):
         raise ValueError(f"r={r} outside [2, n={n}]")
-    cuts = []
-    if cfg.rlt_pairs is not None:
-        cuts = rlt_cuts(p, cfg.rlt_pairs)
+    cuts = rlt_cuts(p, cfg.rlt_pairs) if cfg.rlt_pairs is not None else []
     subsets = _block_subsets(p, cfg, cuts, penalized)
     lifter = _Lifter(p, subsets)
 

@@ -349,6 +349,13 @@ def _split(m: tuple):
     return m1, m2
 
 
+def _product(i1: int, i2: int, coeff: float) -> list:
+    """A's entries (i, j, v) for coeff * x_i1 * x_i2, mirror included."""
+    if i1 == i2:
+        return [(i1, i1, coeff)]
+    return [(i1, i2, 0.5 * coeff), (i2, i1, 0.5 * coeff)]
+
+
 def reformulate(pp: PolyProblem):
     """Rewrite pp as an equivalent QCQP; returns (QcqpProblem, MonomialMap).
 
@@ -388,7 +395,7 @@ def reformulate(pp: PolyProblem):
     n_ext = n + len(order)
 
     def to_quadratic(poly) -> QuadraticFunction:
-        A = np.zeros((n_ext, n_ext))
+        entries = []
         b = np.zeros(n_ext)
         c = 0.0
         for exps, coeff in poly.items():
@@ -400,13 +407,9 @@ def reformulate(pp: PolyProblem):
                 b[v] += 0.5 * coeff
             else:
                 m1, m2 = _split(exps)
-                i1, i2 = node_id[m1], node_id[m2]
-                if i1 == i2:
-                    A[i1, i1] += coeff
-                else:
-                    A[i1, i2] += 0.5 * coeff
-                    A[i2, i1] += 0.5 * coeff
-        return QuadraticFunction(A, b, c)
+                entries += _product(node_id[m1], node_id[m2], coeff)
+        return QuadraticFunction.from_entries(
+            *np.reshape(entries, (-1, 3)).T, b, c)
 
     objective = to_quadratic(pp.objective)
     inequalities = []
@@ -420,15 +423,10 @@ def reformulate(pp: PolyProblem):
         m1, m2 = needed[m][1]
         i1, i2 = node_id[m1], node_id[m2]
         factors.append((i1, i2))
-        A = np.zeros((n_ext, n_ext))
-        if i1 == i2:
-            A[i1, i1] = -1.0
-        else:
-            A[i1, i2] = -0.5
-            A[i2, i1] = -0.5
         b = np.zeros(n_ext)
         b[n + i] = 0.5
-        equalities.append(QuadraticFunction(A, b, 0.0))
+        equalities.append(QuadraticFunction.from_entries(
+            *np.reshape(_product(i1, i2, -1.0), (-1, 3)).T, b, 0.0))
 
     qp = QcqpProblem(
         n=n_ext,

@@ -11,9 +11,9 @@ so grad q = 2(Ax + b) and hess q = 2A. A QCQP is
 Constraints are indexed 0..len(I)-1 for inequalities followed by
 len(I)..len(I)+len(E)-1 for equalities everywhere in this package.
 
-A is read-only after construction, so `QuadraticFunction.terms`, the
-nonzeros of its upper triangle, is scanned once and cached, and so is
-`spectral_norm`; lifting and regularity read A only through these two.
+Builders hand a quadratic its entries; `_symmetric`, the one place that knows
+A is stored dense, turns them into a read-only A and `terms`, set at
+construction. Lifting and regularity read only `terms` and `spectral_norm`.
 """
 
 from __future__ import annotations
@@ -24,29 +24,45 @@ from functools import cached_property
 import numpy as np
 
 
-def _as_sym(A, n: int) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.shape != (n, n):
-        raise ValueError(f"quadratic matrix must be {n}x{n}, got {A.shape}")
-    return 0.5 * (A + A.T)
-
-
-def _upper_terms(A: np.ndarray):
-    """(rows, cols, vals) of the nonzeros of A's upper triangle, diagonal
-    included, in row-major order: one scan of A."""
+def _nonzero_entries(A: np.ndarray):
+    """(rows, cols, vals) of a dense matrix's nonzeros, row-major."""
     rows, cols = np.nonzero(A)
-    keep = rows <= cols
-    rows, cols = rows[keep], cols[keep]
-    vals = A[rows, cols]
-    for arr in (rows, cols, vals):
+    return rows, cols, A[rows, cols]
+
+
+def _symmetric(n: int, rows, cols, vals):
+    """(A, terms) of S = 0.5 (M + M'), where the n x n matrix M sums at each
+    (i, j), in listing order, the vals listed there. A is S scattered into
+    zeros; terms = (rows, cols, vals) are the nonzeros of S's upper
+    triangle, diagonal included, row-major. All of them are read-only."""
+    rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+    vals = np.asarray(vals, dtype=float)
+    if not rows.shape == cols.shape == vals.shape == (rows.size,):
+        raise ValueError("entry arrays must be 1-D and of equal length")
+    if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
+        raise ValueError(f"entry index out of range for n = {n}")
+    cells, at = np.unique(rows * n + cols, return_inverse=True)
+    m = np.bincount(at, weights=vals)
+    r, c = np.divmod(cells, n)
+    # M[i, j] + M[j, i] on every cell of either triangle, then halved
+    cells, at = np.unique(np.concatenate([cells, c * n + r]),
+                          return_inverse=True)
+    s = 0.5 * np.bincount(at, weights=np.concatenate([m, m]))
+    A = np.zeros((n, n))
+    A.flat[cells] = s
+    r, c = np.divmod(cells, n)
+    upper = (r <= c) & (s != 0.0)
+    terms = r[upper], c[upper], s[upper]
+    for arr in (A, *terms):
         arr.setflags(write=False)
-    return rows, cols, vals
+    return A, terms
 
 
 @dataclass
 class QuadraticFunction:
     """q(x) = x'Ax + 2b'x + c, A symmetrized and made read-only on
-    construction."""
+    construction. `terms` = (rows, cols, vals) are the nonzeros of A's upper
+    triangle in the order of np.argwhere(np.triu(A) != 0)."""
 
     A: np.ndarray
     b: np.ndarray
@@ -55,15 +71,20 @@ class QuadraticFunction:
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float).ravel()
         n = self.b.shape[0]
-        self.A = _as_sym(self.A, n)
-        self.A.setflags(write=False)
+        A = np.asarray(self.A, dtype=float)
+        if A.shape != (n, n):
+            raise ValueError(f"A must be {n}x{n}, got shape {A.shape}")
+        self.A, self.terms = _symmetric(n, *_nonzero_entries(A))
         self.c = float(self.c)
 
-    @cached_property
-    def terms(self):
-        """(rows, cols, vals): the nonzeros of A's upper triangle, diagonal
-        included, row-major; the order of np.argwhere(np.triu(A) != 0)."""
-        return _upper_terms(self.A)
+    @classmethod
+    def from_entries(cls, rows, cols, vals, b, c: float = 0.0):
+        """q with A the symmetric part of the sum of vals at (rows, cols)."""
+        q = cls.__new__(cls)
+        q.b = np.asarray(b, dtype=float).ravel()
+        q.A, q.terms = _symmetric(q.b.shape[0], rows, cols, vals)
+        q.c = float(c)
+        return q
 
     @cached_property
     def spectral_norm(self) -> float:
@@ -94,14 +115,12 @@ class QuadraticFunction:
         return 2.0 * self.A
 
     def is_affine(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.A.any()
-        return float(np.abs(self.A).max(initial=0.0)) <= tol
+        """No term above tol in size; at tol = 0, no term at all."""
+        return float(np.abs(self.terms[2]).max(initial=0.0)) <= tol
 
     @staticmethod
     def affine(b, c: float = 0.0) -> "QuadraticFunction":
-        b = np.asarray(b, dtype=float).ravel()
-        return QuadraticFunction(np.zeros((b.size, b.size)), b, c)
+        return QuadraticFunction.from_entries([], [], [], b, c)
 
 
 @dataclass

@@ -103,7 +103,7 @@ def estimate_distance(p: QcqpProblem, x, max_iter: int = 200,
     """
     x = np.asarray(x, dtype=float)
     z = x.copy()
-    if p.violation(z) < tol:
+    if (viol := p.violation(z)) < tol:
         return 0.0, z.copy()
     eye = np.eye(p.n)
     n_i = p.n_ineq
@@ -128,16 +128,16 @@ def estimate_distance(p: QcqpProblem, x, max_iter: int = 200,
         delta, *_ = np.linalg.lstsq(J, np.concatenate(targets), rcond=None)
         if not np.all(np.isfinite(delta)):
             return float("inf"), None
-        base = p.violation(z)
-        step = 1.0
-        while step > 1e-6 and p.violation(z + step * delta) >= base:
+        step, trial = 1.0, z + delta
+        while (trial_viol := p.violation(trial)) >= viol:
             step *= 0.5
-        if step <= 1e-6:
-            return float("inf"), None
-        z = z + step * delta
-        if p.violation(z) < tol:
+            if step <= 1e-6:
+                return float("inf"), None
+            trial = z + step * delta
+        z, viol = trial, trial_viol
+        if viol < tol:
             break
-    if p.violation(z) < tol:
+    if viol < tol:
         return float(np.linalg.norm(z - x)), z
     return float("inf"), None
 

@@ -11,6 +11,59 @@ from qcqpen import QcqpProblem, QuadraticFunction
 POLY_EXAMPLE = ("min a st a^5 - b^4 - c^4 + 2*a^3 + 2*a^2*b"
                 " - 2*a*b^2 + 6*a*b*c - 2 = 0")
 
+# two small QPLIB instances: a box-bounded QP, and a maximization with a
+# two-sided range, an equality and a free row
+BOX_QP = """\
+! tiny box QP
+tiny1
+QBC
+minimize
+2
+3
+1 1 2.0
+2 2 4.0
+2 1 1.0
+0.0
+1
+1 -1.0
+0.5
+1.0e30
+-1.0
+0
+1.0
+0
+"""
+
+TWO_SIDED = """\
+twosided
+QQC
+maximize
+2
+2
+1
+1 1 2.0
+0.0
+0
+0.0
+2
+1 1 1 2.0
+2 2 2 2.0
+2
+2 1 1.0
+2 2 1.0
+1.0e30
+-1.0
+1
+2 2.0
+1.0
+1
+2 2.0
+-1.0e31
+0
+1.0e31
+0
+"""
+
 # extra polynomial problems for the reformulation suites
 POLY_EXTRA = [
     "min x^4 + y^4 - 3*x*y st x^2 + y^2 - 4 <= 0",
@@ -180,3 +233,44 @@ def perfbench_module(name):
         return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = prior
+
+
+def dense_symmetric(n, rows, cols, vals):
+    """The dense path the builders took before they listed entries: sum
+    vals into an n x n zero matrix in listing order, take 0.5 (M + M'),
+    then scan its upper triangle row-major. Returns (A, terms)."""
+    M = np.zeros((n, n))
+    np.add.at(M, (np.asarray(rows, dtype=np.intp),
+                  np.asarray(cols, dtype=np.intp)), vals)
+    A = 0.5 * (M + M.T)
+    nz = np.argwhere(np.triu(A) != 0.0)
+    return A, (nz[:, 0], nz[:, 1], A[nz[:, 0], nz[:, 1]])
+
+
+def record_symmetric(monkeypatch):
+    """Record every quadratics._symmetric call as ((n, rows, cols, vals),
+    (A, terms)); returns the list the records go to."""
+    import qcqpen.quadratics as quadratics
+    calls = []
+    symmetric = quadratics._symmetric
+
+    def recorded(n, rows, cols, vals):
+        out = symmetric(n, rows, cols, vals)
+        calls.append(((n, np.array(rows), np.array(cols), np.array(vals)),
+                      out))
+        return out
+
+    monkeypatch.setattr(quadratics, "_symmetric", recorded)
+    return calls
+
+
+def assert_dense_identical(calls):
+    """Each recorded quadratic has dense_symmetric's terms, byte for byte,
+    and its A, value for value."""
+    assert calls
+    for entries, (A, terms) in calls:
+        A_ref, terms_ref = dense_symmetric(*entries)
+        assert np.array_equal(A, A_ref)
+        for got, want in zip(terms, terms_ref):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

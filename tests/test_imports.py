@@ -177,8 +177,9 @@ def test_no_unread_private_fields():
 
 
 # modules that may read a quadratic's dense matrix `A`: the quadratics
-# themselves, the instance builders and the JSON writer, and the solver,
-# whose cone stores its own equality matrix under that name
+# themselves, instances for its v1 JSON writer only (its builders list
+# entries), and the solver, whose cone stores its own equality matrix
+# under that name
 DENSE_A_READERS = {"quadratics.py", "instances.py", "solver.py"}
 
 

@@ -10,58 +10,7 @@ from qcqpen import (QcqpProblem, QplibParseError, QuadraticFunction,
                     parse_poly, parse_qplib, problem_from_json,
                     problem_to_json, read_refs_csv, reformulate, run,
                     sysid_from_json, sysid_to_json, write_results)
-from _support import POLY_EXAMPLE, random_box_qcqp
-
-BOX_QP = """\
-! tiny box QP
-tiny1
-QBC
-minimize
-2
-3
-1 1 2.0
-2 2 4.0
-2 1 1.0
-0.0
-1
-1 -1.0
-0.5
-1.0e30
--1.0
-0
-1.0
-0
-"""
-
-TWO_SIDED = """\
-twosided
-QQC
-maximize
-2
-2
-1
-1 1 2.0
-0.0
-0
-0.0
-2
-1 1 1 2.0
-2 2 2 2.0
-2
-2 1 1.0
-2 2 1.0
-1.0e30
--1.0
-1
-2 2.0
-1.0
-1
-2 2.0
--1.0e31
-0
-1.0e31
-0
-"""
+from _support import BOX_QP, POLY_EXAMPLE, TWO_SIDED, random_box_qcqp
 
 
 def test_parse_qplib_box_objective():

@@ -406,17 +406,20 @@ def test_block_arrays_match_from_entries(cfg, subsets):
 
 
 def test_each_matrix_is_scanned_once_across_builds(monkeypatch):
-    scans = {}
-    scan = qcqpen.quadratics._upper_terms
-
-    def counted(A):
-        scans[id(A)] = scans.get(id(A), 0) + 1
-        return scan(A)
-
-    monkeypatch.setattr(qcqpen.quadratics, "_upper_terms", counted)
+    # a quadratic reduces its matrix once, when it is built; lifts and
+    # rounds read its terms and build no quadratic
     p, _ = random_box_qcqp(15, n=4)
-    quads = [p.objective] + p.constraints
+    calls = []
+
+    def counted(name):
+        f = getattr(qcqpen.quadratics, name)
+        return lambda *args: calls.append(name) or f(*args)
+
+    for name in ("_nonzero_entries", "_symmetric"):
+        monkeypatch.setattr(qcqpen.quadratics, name, counted(name))
     for eta in (0.5, 1.0, 2.0):
         rel = lift(p, RelaxationConfig(r=2, bound_cuts=True), penalized=True)
         build_penalized(rel, np.zeros(p.n), eta)
-    assert scans == {id(q.A): 1 for q in quads}
+    assert calls == []
+    QuadraticFunction(np.eye(2), np.zeros(2))      # the counters are live
+    assert calls == ["_nonzero_entries", "_symmetric"]

@@ -195,3 +195,178 @@ def test_spectral_norm_of_affine_and_zero():
     # one diagonal entry: a 1x1 submatrix
     q = QuadraticFunction(np.diag([0.0, -2.5, 0.0]), np.zeros(3))
     assert q.spectral_norm == 2.5 == _dense_spectral_norm(q.A)
+
+
+# ---------------------------------------------------------------------------
+# entries in: from_entries, the builders, and the dense reference
+
+
+def test_from_entries_sums_in_order_and_symmetrizes():
+    q = QuadraticFunction.from_entries([0, 1, 0, 2], [1, 0, 1, 2],
+                                       [1.0, 3.0, 1.0, -4.0], [1.0, 0.0, 0.0],
+                                       2.0)
+    assert np.array_equal(q.A, [[0.0, 2.5, 0.0], [2.5, 0.0, 0.0],
+                                [0.0, 0.0, -4.0]])
+    assert [t.tolist() for t in q.terms] == [[0, 2], [1, 2], [2.5, -4.0]]
+    assert (q.n, q.c) == (3, 2.0)
+    for arr in (q.A, *q.terms):
+        assert not arr.flags.writeable
+    empty = QuadraticFunction.from_entries([], [], [], np.zeros(2))
+    assert not empty.A.any() and all(t.size == 0 for t in empty.terms)
+
+
+@pytest.mark.parametrize("rows, cols, vals", [
+    ([0, -1], [0, 1], [1.0, 1.0]),
+    ([0, 1], [0, 3], [1.0, 1.0]),
+    ([3], [0], [1.0]),
+    ([0, 1], [0], [1.0, 1.0]),
+    ([0], [0, 1], [1.0, 1.0]),             # would broadcast
+    ([0, 1], [0, 1], [1.0]),
+], ids=["negative", "col_is_n", "row_is_n", "short_cols", "short_rows",
+        "short_vals"])
+def test_from_entries_rejects_bad_entries(rows, cols, vals):
+    with pytest.raises(ValueError):
+        QuadraticFunction.from_entries(rows, cols, vals, np.zeros(3))
+
+
+def _nan_matrix():
+    A = np.zeros((3, 3))
+    A[1, 2] = np.nan
+    return A
+
+
+@pytest.mark.parametrize("A", [
+    np.random.default_rng(7).normal(size=(4, 4)),
+    np.zeros((4, 4)),
+    _nan_matrix(),
+    np.diag([0.0, 1e-9, 0.0]),
+    _signed_zeros(3),
+], ids=["random", "zero", "nan", "tiny", "signed_zeros"])
+def test_is_affine_matches_dense_reading(A):
+    q = QuadraticFunction(A, np.ones(A.shape[0]))
+    assert q.is_affine() == (not q.A.any())
+    for tol in (1e-12, 1e-9, 1.0, 10.0):
+        assert q.is_affine(tol) == (float(np.abs(q.A).max(initial=0.0))
+                                    <= tol)
+    affine = QuadraticFunction.affine(np.ones(3), 1.0)
+    assert affine.is_affine() and affine.is_affine(1e-12)
+
+
+def test_builders_reduce_no_dense_matrix(monkeypatch):
+    # only the dense constructor, here the v1 JSON reader, reduces a
+    # caller's n x n matrix; every other builder lists its entries
+    from qcqpen import (SysIdParams, gen_sysid, parse_poly, parse_qplib,
+                        problem_from_json, problem_to_json, reformulate)
+    from qcqpen.lifting import rlt_cuts
+    from _support import BOX_QP, POLY_EXAMPLE, TWO_SIDED, random_box_qcqp
+    import qcqpen.quadratics as quadratics
+    box, _ = random_box_qcqp(4, n=4)
+    text = problem_to_json(box)
+    calls = []
+    reduce = quadratics._nonzero_entries
+    monkeypatch.setattr(quadratics, "_nonzero_entries",
+                        lambda A: calls.append(A.shape) or reduce(A))
+    gen_sysid(SysIdParams(n=2, m=1, T=6, o=4, sigma=0.01))
+    parse_qplib(BOX_QP)
+    parse_qplib(TWO_SIDED)
+    reformulate(parse_poly(POLY_EXAMPLE))
+    assert len(rlt_cuts(box, "all")) == 3
+    QuadraticFunction.affine(np.ones(3), 1.0)
+    assert calls == []
+    problem_from_json(text)
+    assert calls == [(4, 4)] * (1 + len(box.constraints))
+
+
+def _random_poly(rng, n, k):
+    poly = {}
+    for _ in range(k):
+        e = tuple(int(v) for v in rng.integers(0, 3, size=n))
+        poly[e] = poly.get(e, 0.0) + float(rng.normal()) * 10.0 ** float(
+            rng.integers(-3, 4))
+    return poly
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetric_matches_dense_reference_on_random_entries(seed):
+    # repeats in both orientations, with huge, tiny and signed-zero values:
+    # each cell sums in listing order before the triangles are averaged
+    from qcqpen.quadratics import _symmetric
+    from _support import dense_symmetric
+    rng = np.random.default_rng(seed)
+    pool = np.array([1e300, -1e300, 1e-300, -1e-300, -0.0, 0.0, 1.0 / 3.0])
+    for _ in range(250):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(0, 16))
+        rows, cols = rng.integers(0, n, size=(2, k))
+        vals = np.where(rng.random(k) < 0.5, rng.choice(pool, size=k),
+                        rng.normal(size=k))
+        A, terms = _symmetric(n, rows, cols, vals)
+        A_ref, terms_ref = dense_symmetric(n, rows, cols, vals)
+        assert np.array_equal(A, A_ref)
+        for got, want in zip(terms, terms_ref):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_builders_match_dense_reference(monkeypatch):
+    # every builder's quadratics against the dense path they took before:
+    # the sysid instance, reformulations, QPLIB, affine rows and the v1
+    # JSON reader
+    from qcqpen import (PolyProblem, SysIdParams, gen_sysid, parse_poly,
+                        parse_qplib, problem_from_json, problem_to_json,
+                        reformulate)
+    from _support import (BOX_QP, POLY_EXAMPLE, TWO_SIDED,
+                          assert_dense_identical, random_box_qcqp,
+                          record_symmetric)
+    box, _ = random_box_qcqp(6, n=5)
+    calls = record_symmetric(monkeypatch)
+    p = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01)).problem
+    assert len(calls) == 1 + len(p.constraints) == 217
+    reformulate(parse_poly(POLY_EXAMPLE))
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        reformulate(PolyProblem(
+            n=n, objective=_random_poly(rng, n, 8),
+            constraints=[(_random_poly(rng, n, 6), "<="),
+                         (_random_poly(rng, n, 6), "=")]))
+    parse_qplib(BOX_QP)
+    parse_qplib(TWO_SIDED)
+    # a cell listed again, and from the other triangle
+    parse_qplib(BOX_QP.replace("3\n1 1 2.0\n2 2 4.0\n2 1 1.0\n",
+                               "5\n1 1 2.0\n2 2 4.0\n2 1 1.0\n"
+                               "1 2 0.1\n2 1 0.7\n"))
+    QuadraticFunction.affine(np.arange(4.0), 2.0)
+    problem_from_json(problem_to_json(box))
+    assert_dense_identical(calls)
+
+
+def test_qplib_maximize_negates_entries():
+    # a maximized objective lists its entries negated: the same terms and A
+    # as the minimized one, negated (A's zeros may carry either sign)
+    from qcqpen import parse_qplib
+    from _support import BOX_QP
+    lo = parse_qplib(BOX_QP).objective
+    hi = parse_qplib(BOX_QP.replace("minimize", "maximize")).objective
+    for got, want in zip(hi.terms, lo.terms[:2] + (-lo.terms[2],)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(hi.A, -lo.A)
+    assert np.array_equal(hi.b, -lo.b) and hi.c == -lo.c
+
+
+def test_rlt_cuts_match_dense_products():
+    # the products of affine rows against the dense outer products the
+    # cuts were built from before, symmetrized twice
+    from qcqpen.lifting import rlt_cuts, rlt_system
+    from _support import random_box_qcqp
+    p, _ = random_box_qcqp(8, n=6, affine_rows=3)
+    H, h = rlt_system(p)
+    cuts = rlt_cuts(p, "all")
+    assert len(cuts) == 6
+    for (i, j), q in cuts:
+        P = 0.5 * (np.outer(H[i], H[j]) + np.outer(H[j], H[i]))
+        A = 0.5 * (P + P.T)
+        assert np.array_equal(q.A, A)
+        for got, want in zip(q.terms, _triu_scan(A)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        b = 0.5 * (h[i] * H[j] + h[j] * H[i])
+        assert q.b.tobytes() == b.tobytes() and q.c == h[i] * h[j]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qcqpen import (QcqpProblem, QuadraticFunction, binding_sets,
-                    check_regularity, estimate_distance, pencil_norm_bound,
-                    sensitivity)
+from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams,
+                    binding_sets, check_regularity, estimate_distance,
+                    gen_sysid, jacobian, pencil_norm_bound, sensitivity)
 
 
 def _ball(n, radius=1.0):
@@ -84,6 +84,64 @@ def test_estimate_distance_infeasible_problem():
     p = QcqpProblem(n=2, objective=_ball(2), equalities=[impossible])
     d, w = estimate_distance(p, [0.0, 0.0])
     assert d == math.inf and w is None
+
+
+def _estimate_distance_three_checks(p, x, max_iter=200, tol=1e-8):
+    # estimate_distance as it was when each step checked the violation at
+    # its start, at every trial and again at the accepted point
+    x = np.asarray(x, dtype=float)
+    z = x.copy()
+    if p.violation(z) < tol:
+        return 0.0, z.copy()
+    eye = np.eye(p.n)
+    n_i = p.n_ineq
+    for _ in range(max_iter):
+        vals = p.eval_constraints(z)
+        hit = np.concatenate([vals[:n_i] > tol, np.abs(vals[n_i:]) > tol])
+        rows, targets = [jacobian(p, z)[hit]], [-vals[hit]]
+        if p.lb is not None:
+            low = z < p.lb - tol
+            rows.append(eye[low])
+            targets.append(p.lb[low] - z[low])
+        if p.ub is not None:
+            high = z > p.ub + tol
+            rows.append(0.0 - eye[high])
+            targets.append(z[high] - p.ub[high])
+        J = np.vstack(rows)
+        if not J.shape[0]:
+            break
+        delta, *_ = np.linalg.lstsq(J, np.concatenate(targets), rcond=None)
+        if not np.all(np.isfinite(delta)):
+            return float("inf"), None
+        base = p.violation(z)
+        step = 1.0
+        while step > 1e-6 and p.violation(z + step * delta) >= base:
+            step *= 0.5
+        if step <= 1e-6:
+            return float("inf"), None
+        z = z + step * delta
+        if p.violation(z) < tol:
+            break
+    if p.violation(z) < tol:
+        return float(np.linalg.norm(z - x)), z
+    return float("inf"), None
+
+
+def test_estimate_distance_checks_each_point_once(monkeypatch):
+    # sysid T=20 from x = 0: 22 steps; each point's violation is computed
+    # once, and the witness keeps its bytes
+    p = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01,
+                              seed=0)).problem
+    calls = []
+    violation = QcqpProblem.violation
+    monkeypatch.setattr(QcqpProblem, "violation",
+                        lambda self, x: calls.append(1) or violation(self, x))
+    d_ref, w_ref = _estimate_distance_three_checks(p, np.zeros(p.n))
+    old_calls = len(calls)
+    del calls[:]
+    d, w = estimate_distance(p, np.zeros(p.n))
+    assert (old_calls, len(calls)) == (71, 26)
+    assert d == d_ref and w.tobytes() == w_ref.tobytes()
 
 
 def test_check_regularity_ball():
