@@ -11,9 +11,10 @@ so grad q = 2(Ax + b) and hess q = 2A. A QCQP is
 Constraints are indexed 0..len(I)-1 for inequalities followed by
 len(I)..len(I)+len(E)-1 for equalities everywhere in this package.
 
-Builders hand a quadratic its entries; `_symmetric`, the one place that knows
-A is stored dense, turns them into a read-only A and `terms`, set at
-construction. Lifting and regularity read only `terms` and `spectral_norm`.
+Builders hand a quadratic its entries; `_symmetric` turns them into the only
+form a quadratic stores: A's nonzeros, as a CSR matrix for `value` and
+`gradient` and as `terms` for lifting and regularity, which read only `terms`
+and `spectral_norm`. The dense A is a view built on each read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def _nonzero_entries(A: np.ndarray):
@@ -31,10 +33,10 @@ def _nonzero_entries(A: np.ndarray):
 
 
 def _symmetric(n: int, rows, cols, vals):
-    """(A, terms) of S = 0.5 (M + M'), where the n x n matrix M sums at each
-    (i, j), in listing order, the vals listed there. A is S scattered into
-    zeros; terms = (rows, cols, vals) are the nonzeros of S's upper
-    triangle, diagonal included, row-major. All of them are read-only."""
+    """(S, terms) of S = 0.5 (M + M'), where the n x n matrix M sums at each
+    (i, j), in listing order, the vals listed there. S is CSR over S's
+    nonzeros; terms = (rows, cols, vals) are those of its upper triangle,
+    diagonal included, row-major. All their arrays are read-only."""
     rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
     vals = np.asarray(vals, dtype=float)
     if not rows.shape == cols.shape == vals.shape == (rows.size,):
@@ -48,43 +50,46 @@ def _symmetric(n: int, rows, cols, vals):
     cells, at = np.unique(np.concatenate([cells, c * n + r]),
                           return_inverse=True)
     s = 0.5 * np.bincount(at, weights=np.concatenate([m, m]))
-    A = np.zeros((n, n))
-    A.flat[cells] = s
-    r, c = np.divmod(cells, n)
-    upper = (r <= c) & (s != 0.0)
+    nonzero = s != 0.0
+    s, (r, c) = s[nonzero], np.divmod(cells[nonzero], n)
+    S = sp.csr_array((s, c, np.searchsorted(r, np.arange(n + 1))),
+                     shape=(n, n))
+    upper = r <= c
     terms = r[upper], c[upper], s[upper]
-    for arr in (A, *terms):
+    for arr in (S.data, S.indices, S.indptr, *terms):
         arr.setflags(write=False)
-    return A, terms
+    return S, terms
 
 
-@dataclass
 class QuadraticFunction:
-    """q(x) = x'Ax + 2b'x + c, A symmetrized and made read-only on
-    construction. `terms` = (rows, cols, vals) are the nonzeros of A's upper
-    triangle in the order of np.argwhere(np.triu(A) != 0)."""
+    """q(x) = x'Ax + 2b'x + c, A the symmetric part of the matrix or entries
+    given; only its nonzeros are stored. `terms` = (rows, cols, vals) are
+    those of its upper triangle, in np.argwhere(np.triu(A) != 0)'s order."""
 
-    A: np.ndarray
-    b: np.ndarray
-    c: float = 0.0
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float).ravel()
+    def __init__(self, A, b, c: float = 0.0):
+        self.b = np.asarray(b, dtype=float).ravel()
         n = self.b.shape[0]
-        A = np.asarray(self.A, dtype=float)
+        A = np.asarray(A, dtype=float)
         if A.shape != (n, n):
             raise ValueError(f"A must be {n}x{n}, got shape {A.shape}")
-        self.A, self.terms = _symmetric(n, *_nonzero_entries(A))
-        self.c = float(self.c)
+        self._S, self.terms = _symmetric(n, *_nonzero_entries(A))
+        self.c = float(c)
 
     @classmethod
     def from_entries(cls, rows, cols, vals, b, c: float = 0.0):
         """q with A the symmetric part of the sum of vals at (rows, cols)."""
         q = cls.__new__(cls)
         q.b = np.asarray(b, dtype=float).ravel()
-        q.A, q.terms = _symmetric(q.b.shape[0], rows, cols, vals)
+        q._S, q.terms = _symmetric(q.b.shape[0], rows, cols, vals)
         q.c = float(c)
         return q
+
+    @property
+    def A(self) -> np.ndarray:
+        """Dense read-only A, built on each read: O(n^2), for I/O and tests."""
+        A = self._S.toarray()
+        A.setflags(write=False)
+        return A
 
     @cached_property
     def spectral_norm(self) -> float:
@@ -105,14 +110,11 @@ class QuadraticFunction:
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(x @ self.A @ x + 2.0 * self.b @ x + self.c)
+        return float(x @ (self._S @ x) + 2.0 * self.b @ x + self.c)
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 2.0 * (self.A @ x + self.b)
-
-    def hessian(self) -> np.ndarray:
-        return 2.0 * self.A
+        return 2.0 * (self._S @ x + self.b)
 
     def is_affine(self, tol: float = 0.0) -> bool:
         """No term above tol in size; at tol = 0, no term at all."""

@@ -1,8 +1,8 @@
 """Sequential penalized relaxations: solve, re-center, repeat.
 
 The penalized relaxation depends only on the problem and cfg.relaxation,
-so it is lifted once per eta search, whose candidates all share it, and
-once for the final run of rounds. Round i writes its objective at the
+so it is lifted once per run: the eta search's candidates and the final
+run of rounds all share it. Round i writes its objective at the
 current anchor xhat, solves it, extracts x(i), and re-anchors. Two round
 indices are tracked:
 
@@ -204,7 +204,8 @@ def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
     return rounds, i_feas, i_stop, x, status
 
 
-def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None) -> float:
+def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
+             relaxation=None) -> float:
     """Smallest grid eta whose first `tune_rounds` rounds are all tight.
 
     Bisects the sorted grid, assuming tightness is monotone in eta. Every
@@ -212,13 +213,15 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None) -> float:
     evaluations never contradict that assumption. When tightness is not
     monotone, the result is a tight candidate whose lower neighbour on the
     grid is loose. A candidate's rounds stop at its first loose round: the
-    rounds after it cannot make the candidate tight; all share one lift.
-    Raises EtaTuningError when even the largest candidate fails.
+    rounds after it cannot make the candidate tight; all share one lift
+    (`relaxation` when given). Raises EtaTuningError when even the largest
+    candidate fails.
     """
     grid = eta_grid()
     if x0 is None:
         x0 = resolve_initial_point(p, cfg)
-    relaxation = lift(p, cfg.relaxation, penalized=True)
+    if relaxation is None:
+        relaxation = lift(p, cfg.relaxation, penalized=True)
     memo: dict = {}
 
     def tight_at(idx: int) -> bool:
@@ -253,16 +256,16 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
     t0 = time.perf_counter()
     x0 = resolve_initial_point(p, cfg)
     init_s = time.perf_counter() - t0
+    relaxation = lift(p, cfg.relaxation, penalized=True)
     tune_s = 0.0
     if cfg.eta == "auto":
         t0 = time.perf_counter()
-        eta = tune_eta(p, cfg, x0=x0)
+        eta = tune_eta(p, cfg, x0=x0, relaxation=relaxation)
         tune_s = time.perf_counter() - t0
     else:
         eta = float(cfg.eta)
         if eta <= 0:
             raise ValueError("eta must be positive")
-    relaxation = lift(p, cfg.relaxation, penalized=True)
     rounds, i_feas, i_stop, x, status = _run_rounds(
         p, cfg, x0, eta, relaxation, cfg.max_rounds, cfg.stop_rel)
     violation_before = violation_after = p.violation(x)

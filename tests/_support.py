@@ -249,7 +249,7 @@ def dense_symmetric(n, rows, cols, vals):
 
 def record_symmetric(monkeypatch):
     """Record every quadratics._symmetric call as ((n, rows, cols, vals),
-    (A, terms)); returns the list the records go to."""
+    (S, terms)); returns the list the records go to."""
     import qcqpen.quadratics as quadratics
     calls = []
     symmetric = quadratics._symmetric
@@ -266,11 +266,11 @@ def record_symmetric(monkeypatch):
 
 def assert_dense_identical(calls):
     """Each recorded quadratic has dense_symmetric's terms, byte for byte,
-    and its A, value for value."""
+    and, in its CSR matrix S, its A, value for value."""
     assert calls
-    for entries, (A, terms) in calls:
+    for entries, (S, terms) in calls:
         A_ref, terms_ref = dense_symmetric(*entries)
-        assert np.array_equal(A, A_ref)
+        assert np.array_equal(S.toarray(), A_ref)
         for got, want in zip(terms, terms_ref):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()

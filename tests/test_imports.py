@@ -176,10 +176,10 @@ def test_no_unread_private_fields():
     assert unread_private_fields(sources) == []
 
 
-# modules that may read a quadratic's dense matrix `A`: the quadratics
-# themselves, instances for its v1 JSON writer only (its builders list
-# entries), and the solver, whose cone stores its own equality matrix
-# under that name
+# modules that may read a quadratic's dense view `A`, built in O(n^2) on
+# each read: the quadratics themselves, instances for its v1 JSON writer
+# only (its builders list entries), and the solver, whose cone stores its
+# own equality matrix under that name
 DENSE_A_READERS = {"quadratics.py", "instances.py", "solver.py"}
 
 

@@ -37,7 +37,6 @@ def test_hessian_and_affine():
     q = QuadraticFunction.affine([1.0, -2.0], 3.0)
     assert q.is_affine()
     assert q.value([2.0, 1.0]) == pytest.approx(2.0 * (2.0 - 2.0) + 3.0)
-    assert np.array_equal(q.hessian(), np.zeros((2, 2)))
     q2 = QuadraticFunction(np.eye(2) * 1e-12, [0.0, 0.0])
     assert not q2.is_affine()
     assert q2.is_affine(tol=1e-10)
@@ -299,9 +298,9 @@ def test_symmetric_matches_dense_reference_on_random_entries(seed):
         rows, cols = rng.integers(0, n, size=(2, k))
         vals = np.where(rng.random(k) < 0.5, rng.choice(pool, size=k),
                         rng.normal(size=k))
-        A, terms = _symmetric(n, rows, cols, vals)
+        S, terms = _symmetric(n, rows, cols, vals)
         A_ref, terms_ref = dense_symmetric(n, rows, cols, vals)
-        assert np.array_equal(A, A_ref)
+        assert np.array_equal(S.toarray(), A_ref)
         for got, want in zip(terms, terms_ref):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -370,3 +369,75 @@ def test_rlt_cuts_match_dense_products():
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         b = 0.5 * (h[i] * H[j] + h[j] * H[i])
         assert q.b.tobytes() == b.tobytes() and q.c == h[i] * h[j]
+
+
+# ---------------------------------------------------------------------------
+# storage: a quadratic keeps its nonzeros, and A is a dense view on read
+
+
+def _assert_evaluates_as_dense(p, dense, x):
+    # value, gradient and Jacobian rows against x'Ax + 2b'x + c and
+    # 2(Ax + b) on each quadratic's dense reference A
+    J = jacobian(p, x)
+    assert J.shape == (len(p.constraints), p.n)
+    for k, (q, A) in enumerate(zip([p.objective] + p.constraints, dense)):
+        assert np.array_equal(q.A, A)
+        with pytest.raises(ValueError):
+            q.A[0, 0] = 1.0
+        assert q.value(x) == pytest.approx(x @ A @ x + 2.0 * q.b @ x + q.c,
+                                           rel=1e-12, abs=0.0)
+        grad = 2.0 * (A @ x + q.b)
+        assert q.gradient(x) == pytest.approx(grad, rel=1e-12, abs=0.0)
+        if k:
+            assert J[k - 1] == pytest.approx(grad, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluation_matches_dense_reference_on_random_entries(seed):
+    from _support import dense_symmetric
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    quads, dense = [], []
+    for _ in range(5):
+        k = int(rng.integers(0, 3 * n))
+        rows, cols = rng.integers(0, n, size=(2, k))
+        vals = rng.normal(size=k)
+        quads.append(QuadraticFunction.from_entries(
+            rows, cols, vals, rng.normal(size=n), float(rng.normal())))
+        dense.append(dense_symmetric(n, rows, cols, vals)[0])
+    p = QcqpProblem(n=n, objective=quads[0], inequalities=quads[1:3],
+                    equalities=quads[3:])
+    _assert_evaluates_as_dense(p, dense, rng.normal(size=n))
+
+
+def test_evaluation_matches_dense_reference_on_sysid(monkeypatch):
+    from qcqpen import SysIdParams, gen_sysid
+    from _support import dense_symmetric, record_symmetric
+    calls = record_symmetric(monkeypatch)
+    p = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01,
+                              seed=0)).problem
+    dense = {id(terms): dense_symmetric(*entries)[0]
+             for entries, (_, terms) in calls}
+    x = np.random.default_rng(0).normal(size=p.n)
+    _assert_evaluates_as_dense(
+        p, [dense[id(q.terms)] for q in [p.objective] + p.constraints], x)
+
+
+def test_sysid_stores_no_dense_matrix():
+    # T=40: 441 quadratics over 344 variables, 398 MB as dense matrices
+    import tracemalloc
+    from qcqpen import SysIdParams, gen_sysid
+    tracemalloc.start()
+    try:
+        p = gen_sysid(SysIdParams(n=4, m=3, T=40, o=32,
+                                  sigma=0.01)).problem
+        x = np.random.default_rng(0).normal(size=p.n)
+        p.violation(x)
+        jacobian(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    for q in [p.objective] + p.constraints:
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 2
+                       for v in vars(q).values())
