@@ -7,8 +7,9 @@ results are identical to in-process calls.
 Exit codes: 0 success; 1 input or model errors (bad flags, unreadable or
 malformed files); 2 solver failure; 3 penalty-tuning failure.
 
-Option precedence is flags > --config JSON file > built-in defaults, and
---dump-config prints the resolved options without running; poly2qcqp and
+Option precedence is flags > --config JSON file > built-in defaults.
+`main` resolves the options a command's subparser defines once, before the
+command runs, and --dump-config prints them without running; poly2qcqp and
 sysid-gen take neither, since they resolve no options. The QCQP_LOG
 environment variable (debug | info | warning | error) controls stderr
 verbosity; at debug the solver's per-iteration lines also go to stderr,
@@ -27,6 +28,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -56,6 +58,19 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # option resolution: flags > config file > defaults
 
+# every resolved option, in --dump-config order. Defaults the library
+# declares are read from it; init starts at zero here (the library's is
+# the relaxation), and None leaves a solver setting at SolverSettings'.
+_DEFAULTS = {
+    "r": "n", "rlt": "none",
+    "bound_cuts": RelaxationConfig.bound_cuts,
+    "sparsity": RelaxationConfig.sparsity,
+    "feasibility_tol": None, "gap_tol": None, "max_iterations": None,
+    "eta": SequentialConfig.eta, "max_rounds": SequentialConfig.max_rounds,
+    "tight_tol": SequentialConfig.tight_tol,
+    "stop_rel": SequentialConfig.stop_rel, "init": "zero",
+}
+
 
 def _load_config(path):
     if not path:
@@ -67,19 +82,16 @@ def _load_config(path):
     return doc
 
 
-def _resolve(args, keys_defaults):
-    """Merge parsed flags (None = unset) with config values and defaults."""
-    config = _load_config(getattr(args, "config", None))
-    unknown = set(config) - {k for k, _ in keys_defaults}
+def _resolve(args):
+    """Merge parsed flags (None = unset) with config values and defaults,
+    over the options the command's subparser defines."""
+    keys = [k for k in _DEFAULTS if k in vars(args)]
+    config = _load_config(args.config)
+    unknown = set(config) - set(keys)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, default in keys_defaults:
-        flag = getattr(args, key, None)
-        out[key] = default if flag is None else flag
-        if flag is None and key in config:
-            out[key] = config[key]
-    return out
+    return {k: config.get(k, _DEFAULTS[k]) if getattr(args, k) is None
+            else getattr(args, k) for k in keys}
 
 
 def _parse_r(v):
@@ -119,14 +131,10 @@ def _relaxation_config(opts) -> RelaxationConfig:
 
 
 def _solver_settings(opts) -> SolverSettings:
-    s = SolverSettings()
-    if opts.get("feasibility_tol") is not None:
-        s.feasibility_tol = float(opts["feasibility_tol"])
-    if opts.get("gap_tol") is not None:
-        s.gap_tol = float(opts["gap_tol"])
-    if opts.get("max_iterations") is not None:
-        s.max_iterations = int(opts["max_iterations"])
-    return s
+    # a config file may give "1e-9" or 50.0: cast to the default's type
+    return SolverSettings(**{f.name: type(f.default)(opts[f.name])
+                             for f in fields(SolverSettings)
+                             if opts.get(f.name) is not None})
 
 
 def _sequential_config(opts) -> SequentialConfig:
@@ -142,20 +150,6 @@ def _sequential_config(opts) -> SequentialConfig:
         init=init,
         solver=_solver_settings(opts),
     )
-
-
-_RELAX_KEYS = [("r", "n"), ("rlt", "none"), ("bound_cuts", False),
-               ("sparsity", True)]
-_SOLVER_KEYS = [("feasibility_tol", None), ("gap_tol", None),
-                ("max_iterations", None)]
-_SEQ_KEYS = _RELAX_KEYS + _SOLVER_KEYS + [
-    ("eta", "auto"), ("max_rounds", 100), ("tight_tol", 1e-7),
-    ("stop_rel", 5e-4), ("init", "zero")]
-
-
-def _dump_config(opts) -> int:
-    print(json.dumps(opts, indent=2, default=str))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +172,9 @@ def _load_point(path: str) -> np.ndarray:
 
 
 def _cmd_relax(args) -> int:
-    opts = _resolve(args, _RELAX_KEYS + _SOLVER_KEYS)
-    if args.dump_config:
-        return _dump_config(opts)
     p = iio.load_problem(args.instance)
-    prog, emap = build_relaxation(p, _relaxation_config(opts))
-    sol = solve_conic(prog, _solver_settings(opts))
+    prog, emap = build_relaxation(p, _relaxation_config(args.opts))
+    sol = solve_conic(prog, _solver_settings(args.opts))
     if sol.status not in _OK_STATUSES:
         raise SolveError(f"relaxation solve failed with status {sol.status}")
     print("bound: %.6f" % sol.pcost)
@@ -192,20 +183,17 @@ def _cmd_relax(args) -> int:
 
 
 def _run_sequential(args):
-    opts = _resolve(args, _SEQ_KEYS)
     p = iio.load_problem(args.instance)
-    trace = run(p, _sequential_config(opts),
+    trace = run(p, _sequential_config(args.opts),
                 label=os.path.splitext(os.path.basename(args.instance))[0])
     for r in trace.rounds:
         log.info("round %d: q0 %.6f residual %.3e (%s)",
                  r.i, r.q0, r.residual, r.solver_status)
-    return p, trace, opts
+    return p, trace
 
 
 def _cmd_solve(args) -> int:
-    if args.dump_config:
-        return _dump_config(_resolve(args, _SEQ_KEYS))
-    p, trace, _ = _run_sequential(args)
+    p, trace = _run_sequential(args)
     if trace.i_feas is None:
         print(f"no tight round within {len(trace.rounds)} rounds "
               f"(status {trace.status})", file=sys.stderr)
@@ -232,9 +220,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sequential(args) -> int:
-    if args.dump_config:
-        return _dump_config(_resolve(args, _SEQ_KEYS))
-    _, trace, _ = _run_sequential(args)
+    _, trace = _run_sequential(args)
     csv = trace_csv(trace)
     sys.stdout.write(csv)
     if args.trace_csv:
@@ -247,24 +233,18 @@ def _cmd_sequential(args) -> int:
 
 
 def _cmd_tune_eta(args) -> int:
-    opts = _resolve(args, _SEQ_KEYS)
-    if args.dump_config:
-        return _dump_config(opts)
     p = iio.load_problem(args.instance)
-    eta = tune_eta(p, _sequential_config(opts))
+    eta = tune_eta(p, _sequential_config(args.opts))
     print("%.12g" % eta)
     return 0
 
 
 def _cmd_check(args) -> int:
-    opts = _resolve(args, [("r", "n")])
-    if args.dump_config:
-        return _dump_config(opts)
     p = iio.load_problem(args.instance)
     x = (np.zeros(p.n) if args.point == "zero" else _load_point(args.point))
     if x.shape != (p.n,):
         raise ValueError(f"point has {x.size} coordinates, problem has {p.n}")
-    rep = check_regularity(p, x, r=_parse_r(opts["r"]))
+    rep = check_regularity(p, x, r=_parse_r(args.opts["r"]))
     print("n: %d" % rep.n)
     print("r: %d" % rep.r)
     print("distance_ub: %.6g" % rep.distance_ub)
@@ -320,9 +300,6 @@ def _bench_one(path, opts):
 
 
 def _cmd_bench(args) -> int:
-    opts = _resolve(args, _SEQ_KEYS)
-    if args.dump_config:
-        return _dump_config(opts)
     paths = sorted(
         pth for pat in ("*.json", "*.qplib", "*.poly")
         for pth in glob.glob(os.path.join(args.dir, pat)))
@@ -337,10 +314,11 @@ def _cmd_bench(args) -> int:
     results = []
     if jobs == 1:
         for path in paths:
-            results.append(_bench_one(path, opts))
+            results.append(_bench_one(path, args.opts))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_bench_one, path, opts) for path in paths]
+            futs = [pool.submit(_bench_one, path, args.opts)
+                    for path in paths]
             results = [f.result() for f in futs]
 
     failures = 0
@@ -495,6 +473,11 @@ def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
     try:
+        if "config" in vars(args):
+            args.opts = _resolve(args)
+            if args.dump_config:
+                print(json.dumps(args.opts, indent=2, default=str))
+                return 0
         return args.func(args)
     except EtaTuningError as exc:
         print(f"tuning failure: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -292,24 +292,5 @@ def trace_csv(trace: SequentialTrace) -> str:
 
 
 def trace_json(trace: SequentialTrace) -> str:
-    doc = {
-        "label": trace.label,
-        "eta": trace.eta,
-        "i_feas": trace.i_feas,
-        "i_stop": trace.i_stop,
-        "status": trace.status,
-        "init_s": trace.init_s,
-        "tune_s": trace.tune_s,
-        "restore_distance": trace.restore_distance,
-        "violation_before": trace.violation_before,
-        "violation_after": trace.violation_after,
-        "x_init": trace.x_init.tolist(),
-        "x_final": trace.x_final.tolist(),
-        "rounds": [
-            {"i": r.i, "q0": r.q0, "lifted_obj": r.lifted_obj,
-             "residual": r.residual, "time_s": r.time_s,
-             "solver_status": r.solver_status}
-            for r in trace.rounds
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    """Every field of the trace and of its rounds, in declaration order."""
+    return json.dumps(asdict(trace), indent=2, default=np.ndarray.tolist)

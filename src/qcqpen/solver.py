@@ -961,28 +961,24 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             amax = _max_cone_step(groups, scaling, l_nn, rho, sig)
             return amax, rho, sig
 
-        # predictor
+        # predictor, then the combined corrector step; a direction that
+        # turns non-finite makes a solve or a step's eigvalsh raise
         try:
             du_a, dy_a, dz_a, ds_a = kkt_step(res_x, res_y, res_z, -lam2)
-        except np.linalg.LinAlgError:
-            stop = "solve_failed"
-            break
-        amax, rho, sig = max_step(ds_a, dz_a)
-        alpha_aff = min(1.0, amax)
-        gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
-        sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
+            amax, rho, sig = max_step(ds_a, dz_a)
+            alpha_aff = min(1.0, amax)
+            gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
+            sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
 
-        # combined corrector step
-        corr = _jordan_prod(groups, l_nn, rho, sig)
-        ds_comb = -lam2 - corr + sigma * mu * e_vec
-        scale_r = 1.0 - sigma
-        try:
+            corr = _jordan_prod(groups, l_nn, rho, sig)
+            ds_comb = -lam2 - corr + sigma * mu * e_vec
+            scale_r = 1.0 - sigma
             du, dy, dz, ds = kkt_step(scale_r * res_x, scale_r * res_y,
                                       scale_r * res_z, ds_comb)
+            step = min(1.0, _STEP_FRACTION * max_step(ds, dz)[0])
         except np.linalg.LinAlgError:
             stop = "solve_failed"
             break
-        step = min(1.0, _STEP_FRACTION * max_step(ds, dz)[0])
         if step <= 1e-10:
             stop = "step_too_small"
             break

@@ -1,9 +1,11 @@
 """End to end tests for the command line entry point."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from qcqpen import (QcqpProblem, QuadraticFunction, RelaxationConfig,
                     SequentialConfig, build_relaxation, check_regularity,
                     gen_sysid, parse_poly, problem_from_json,
                     problem_to_json, reformulate, run, solve_conic,
-                    sysid_from_json, SysIdParams, trace_csv, tune_eta)
+                    sysid_from_json, sysid_to_json, SysIdParams, trace_csv,
+                    tune_eta)
+from qcqpen import cli
 from qcqpen.cli import main
 
 from _support import POLY_EXAMPLE, perfbench_module
@@ -110,6 +114,19 @@ def test_relax_unbounded_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "solver failure:" in err
+
+
+def test_relax_solver_breakdown_exits_2(tmp_path, capsys):
+    # this relaxation's solve stops "solve_failed" at a non-finite direction
+    path = tmp_path / "sysid.json"
+    path.write_text(sysid_to_json(gen_sysid(
+        SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["relax", str(path), "--r", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("solver failure:")
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +457,44 @@ def test_dump_config_precedence(ball_json, tmp_path, capsys):
     assert doc["init"] == "zero"      # default survives
     assert doc["tight_tol"] == 1e-7
     assert doc["r"] == "n"
+
+
+_RELAX_OPTS = ["r", "rlt", "bound_cuts", "sparsity"]
+_SOLVER_OPTS = ["feasibility_tol", "gap_tol", "max_iterations"]
+_SEQ_OPTS = _RELAX_OPTS + _SOLVER_OPTS + ["eta", "max_rounds", "tight_tol",
+                                          "stop_rel", "init"]
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("relax", _RELAX_OPTS + _SOLVER_OPTS),
+    ("solve", _SEQ_OPTS),
+    ("sequential", _SEQ_OPTS),
+    ("tune-eta", _SEQ_OPTS),
+    ("check", ["r"]),
+    ("bench", _SEQ_OPTS),
+])
+def test_dump_config_option_sets(command, keys, ball_json, tmp_path, capsys):
+    head = ([command, "--dir", str(tmp_path)] if command == "bench"
+            else [command, ball_json])
+    assert main(head + ["--dump-config"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys
+
+    # a key of another command's option set is not this command's option
+    other = "eta" if command in ("relax", "check") else "bogus"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": "n", other: 1}))
+    assert main(head + ["--config", str(cfg), "--dump-config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config keys:") and other in err
+
+
+def test_every_default_is_an_option_dest():
+    # a default left behind when its flag goes would resolve silently
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for sp in sub.choices.values() for a in sp._actions}
+    assert set(cli._DEFAULTS) <= dests
 
 
 def test_unknown_config_key_exits_1(ball_json, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import math
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from qcqpen import (EtaTuningError, QcqpProblem, QuadraticFunction,
                     lift, resolve_initial_point, run, solve_conic,
                     trace_csv, trace_json, tune_eta)
 import qcqpen.sequential as sequential
-from qcqpen.sequential import _round_solver_settings, _run_rounds
+from qcqpen.sequential import (RoundRecord, SequentialTrace,
+                               _round_solver_settings, _run_rounds)
 from _support import perfbench_module, random_feasible_qcqp
 
 import json
@@ -308,6 +309,33 @@ def test_trace_json_fields():
     assert len(doc["rounds"]) == len(tr.rounds)
     assert doc["rounds"][0]["solver_status"] in ("optimal", "near_optimal")
     assert doc["x_final"] == list(tr.x_final)
+
+
+def test_trace_json_writes_every_field():
+    # one iteration leaves the round's solve short of optimal: its record
+    # holds NaN values
+    failed = run(_shifted_ball_problem(),
+                 SequentialConfig(eta=5.0, init="zero", max_rounds=3,
+                                  solver=SolverSettings(max_iterations=1)))
+    assert failed.status.startswith("solver_failure:")
+    # |x|^2 + 1 <= 0 has no feasible point, so restoration fails: inf
+    infeasible = QcqpProblem(
+        n=2, objective=QuadraticFunction(np.eye(2), np.zeros(2)),
+        inequalities=[QuadraticFunction(np.eye(2), np.zeros(2), 1.0)])
+    unrestored = run(infeasible, SequentialConfig(
+        eta=1.0, init=np.array([0.5, 0.0]), max_rounds=1))
+    assert unrestored.restore_distance == float("inf")
+    trace_keys = [f.name for f in fields(SequentialTrace)]
+    round_keys = [f.name for f in fields(RoundRecord)]
+    for tr in (failed, unrestored):
+        text = trace_json(tr)
+        doc = json.loads(text)
+        assert list(doc) == trace_keys
+        assert doc["rounds"] and all(list(r) == round_keys
+                                     for r in doc["rounds"])
+        assert doc["x_init"] == tr.x_init.tolist()
+    assert '"q0": NaN' in trace_json(failed)
+    assert '"restore_distance": Infinity' in trace_json(unrestored)
 
 
 def test_reported_point_restored_onto_ball():

@@ -829,3 +829,17 @@ def test_full_kkt_zero_pivot_ladder(monkeypatch):
     assert any(reg > 0.0 for reg in regs)
     assert sol.status == "optimal"
     assert sol.pcost == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_non_finite_direction_ends_solve_failed(seed):
+    # the T=20 sysid r=2 relaxation: at iteration 8 the corrector turns
+    # NaN, and the step length's eigvalsh used to raise LinAlgError out of
+    # the solve; the loop now stops and reports it
+    inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01,
+                                 seed=seed))
+    prog, _ = build_relaxation(inst.problem, RelaxationConfig(r=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sol = solve_conic(prog)
+    assert sol.stop_reason == "solve_failed"
