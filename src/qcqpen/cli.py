@@ -33,12 +33,12 @@ from dataclasses import fields
 import numpy as np
 
 from . import instances as iio
-from .lifting import RelaxationConfig, build_relaxation
+from .lifting import RelaxationConfig
 from .polyopt import parse_poly, reformulate, aux_count_bound
 from .regularity import check_regularity
-from .sequential import (_OK_STATUSES, EtaTuningError, SequentialConfig,
-                         SolveError, run, trace_csv, trace_json, tune_eta)
-from .solver import SolverSettings, solve_conic
+from .sequential import (EtaTuningError, SequentialConfig, SolveError, run,
+                         solve_relaxation, trace_csv, trace_json, tune_eta)
+from .solver import SolverSettings
 
 log = logging.getLogger("qcqpen")
 
@@ -173,10 +173,8 @@ def _load_point(path: str) -> np.ndarray:
 
 def _cmd_relax(args) -> int:
     p = iio.load_problem(args.instance)
-    prog, emap = build_relaxation(p, _relaxation_config(args.opts))
-    sol = solve_conic(prog, _solver_settings(args.opts))
-    if sol.status not in _OK_STATUSES:
-        raise SolveError(f"relaxation solve failed with status {sol.status}")
+    sol, _ = solve_relaxation(p, _relaxation_config(args.opts),
+                              _solver_settings(args.opts))
     print("bound: %.6f" % sol.pcost)
     print("status: %s" % sol.status)
     return 0

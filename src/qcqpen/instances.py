@@ -11,9 +11,9 @@ Two-sided constraint ranges become two inequality rows, equalities
 objective. Integer problem types are rejected.
 
 Native format. `problem_to_json` / `problem_from_json` serialize a
-QcqpProblem losslessly (floats survive a round trip bit for bit;
-infinite bounds are stored as nulls). The schema is versioned under
-"format"/"version".
+QcqpProblem losslessly (floats survive a round trip bit for bit, except
+that a quadratic's zeros come back +0.0; infinite bounds are stored as
+nulls). The schema is versioned under "format"/"version".
 
 System identification. `gen_sysid` builds a least-absolute-value
 estimation QCQP for a linear system z[t+1] = A z[t] + B u[t] + w[t]

@@ -202,7 +202,7 @@ class _Lifter:
     def row(self, q: QuadraticFunction):
         """(cols, vals, const) with qbar(x, X) = vals @ u[cols] + const:
         the nonzeros of b, then those of A's upper triangle (q.terms)."""
-        lin = np.flatnonzero(q.b)
+        lin, bvals = q.linear
         rows, cols, vals = q.terms
         try:
             xcols = [self.X_index[key]
@@ -213,7 +213,7 @@ class _Lifter:
                 f"term X[{a},{b}] is not stored under this block pattern"
             ) from None
         return (np.concatenate([lin, np.asarray(xcols, dtype=np.int64)]),
-                np.concatenate([2.0 * q.b[lin],
+                np.concatenate([2.0 * bvals,
                                 np.where(rows == cols, vals, 2.0 * vals)]),
                 q.c)
 

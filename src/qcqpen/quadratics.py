@@ -11,10 +11,10 @@ so grad q = 2(Ax + b) and hess q = 2A. A QCQP is
 Constraints are indexed 0..len(I)-1 for inequalities followed by
 len(I)..len(I)+len(E)-1 for equalities everywhere in this package.
 
-Builders hand a quadratic its entries; `_symmetric` turns them into the only
-form a quadratic stores: A's nonzeros, as a CSR matrix for `value` and
-`gradient` and as `terms` for lifting and regularity, which read only `terms`
-and `spectral_norm`. The dense A is a view built on each read.
+Builders hand a quadratic its entries; `_symmetric` turns them into `terms`,
+the nonzeros of A's upper triangle. A quadratic stores `terms`, `linear`
+(b's nonzeros) and c: evaluation, lifting and regularity read those, in
+O(nnz). The dense A and b are views built on each read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def _nonzero_entries(A: np.ndarray):
@@ -33,10 +32,9 @@ def _nonzero_entries(A: np.ndarray):
 
 
 def _symmetric(n: int, rows, cols, vals):
-    """(S, terms) of S = 0.5 (M + M'), where the n x n matrix M sums at each
-    (i, j), in listing order, the vals listed there. S is CSR over S's
-    nonzeros; terms = (rows, cols, vals) are those of its upper triangle,
-    diagonal included, row-major. All their arrays are read-only."""
+    """terms = (rows, cols, vals), row-major, of the upper triangle's nonzeros
+    of 0.5 (M + M'), where the n x n matrix M sums at each (i, j), in listing
+    order, the vals listed there. The arrays are read-only."""
     rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
     vals = np.asarray(vals, dtype=float)
     if not rows.shape == cols.shape == vals.shape == (rows.size,):
@@ -46,50 +44,61 @@ def _symmetric(n: int, rows, cols, vals):
     cells, at = np.unique(rows * n + cols, return_inverse=True)
     m = np.bincount(at, weights=vals)
     r, c = np.divmod(cells, n)
-    # M[i, j] + M[j, i] on every cell of either triangle, then halved
-    cells, at = np.unique(np.concatenate([cells, c * n + r]),
+    # cells run row-major: upper (i, j) sums M[i, j] then M[j, i], or 2 M[i, i]
+    cells, at = np.unique(np.minimum(r, c) * n + np.maximum(r, c),
                           return_inverse=True)
-    s = 0.5 * np.bincount(at, weights=np.concatenate([m, m]))
+    s = 0.5 * np.bincount(at, weights=np.where(r == c, 2.0 * m, m))
     nonzero = s != 0.0
-    s, (r, c) = s[nonzero], np.divmod(cells[nonzero], n)
-    S = sp.csr_array((s, c, np.searchsorted(r, np.arange(n + 1))),
-                     shape=(n, n))
-    upper = r <= c
-    terms = r[upper], c[upper], s[upper]
-    for arr in (S.data, S.indices, S.indptr, *terms):
+    terms = *np.divmod(cells[nonzero], n), s[nonzero]
+    for arr in terms:
         arr.setflags(write=False)
-    return S, terms
+    return terms
 
 
 class QuadraticFunction:
     """q(x) = x'Ax + 2b'x + c, A the symmetric part of the matrix or entries
-    given; only its nonzeros are stored. `terms` = (rows, cols, vals) are
-    those of its upper triangle, in np.argwhere(np.triu(A) != 0)'s order."""
+    given. Stored: `terms` = (rows, cols, vals), A's upper-triangle nonzeros
+    in np.argwhere(np.triu(A) != 0)'s order, and `linear` = b's (idx, vals)."""
 
     def __init__(self, A, b, c: float = 0.0):
-        self.b = np.asarray(b, dtype=float).ravel()
-        n = self.b.shape[0]
+        b = np.asarray(b, dtype=float).ravel()
+        n = b.shape[0]
         A = np.asarray(A, dtype=float)
         if A.shape != (n, n):
             raise ValueError(f"A must be {n}x{n}, got shape {A.shape}")
-        self._S, self.terms = _symmetric(n, *_nonzero_entries(A))
-        self.c = float(c)
+        self._store(_symmetric(n, *_nonzero_entries(A)), b, c)
 
     @classmethod
     def from_entries(cls, rows, cols, vals, b, c: float = 0.0):
         """q with A the symmetric part of the sum of vals at (rows, cols)."""
         q = cls.__new__(cls)
-        q.b = np.asarray(b, dtype=float).ravel()
-        q._S, q.terms = _symmetric(q.b.shape[0], rows, cols, vals)
-        q.c = float(c)
+        b = np.asarray(b, dtype=float).ravel()
+        q._store(_symmetric(b.shape[0], rows, cols, vals), b, c)
         return q
+
+    def _store(self, terms, b, c):
+        idx = np.flatnonzero(b)
+        self.n, self.terms, self.c = b.shape[0], terms, float(c)
+        self.linear = idx, b[idx]
+        for arr in self.linear:
+            arr.setflags(write=False)
 
     @property
     def A(self) -> np.ndarray:
         """Dense read-only A, built on each read: O(n^2), for I/O and tests."""
-        A = self._S.toarray()
+        A = np.zeros((self.n, self.n))
+        rows, cols, vals = self.terms
+        A[rows, cols] = A[cols, rows] = vals
         A.setflags(write=False)
         return A
+
+    @property
+    def b(self) -> np.ndarray:
+        """Dense read-only b, built on each read; its zeros are +0.0."""
+        b = np.zeros(self.n)
+        b[self.linear[0]] = self.linear[1]
+        b.setflags(write=False)
+        return b
 
     @cached_property
     def spectral_norm(self) -> float:
@@ -104,17 +113,22 @@ class QuadraticFunction:
         sub[r, c] = sub[c, r] = vals
         return float(np.max(np.abs(np.linalg.eigvalsh(sub)), initial=0.0))
 
-    @property
-    def n(self) -> int:
-        return self.b.shape[0]
-
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(x @ (self._S @ x) + 2.0 * self.b @ x + self.c)
+        rows, cols, vals = self.terms
+        idx, lin = self.linear
+        w = np.where(rows == cols, vals, 2.0 * vals)
+        return float(w @ (x[rows] * x[cols]) + 2.0 * lin @ x[idx] + self.c)
 
     def gradient(self, x) -> np.ndarray:
+        """2(Ax + b), Ax from the upper and the strictly lower terms."""
         x = np.asarray(x, dtype=float)
-        return 2.0 * (self._S @ x + self.b)
+        rows, cols, vals = self.terms
+        off = rows != cols
+        Ax = (np.bincount(rows, vals * x[cols], minlength=self.n)
+              + np.bincount(cols[off], vals[off] * x[rows[off]],
+                            minlength=self.n))
+        return 2.0 * (Ax + self.b)
 
     def is_affine(self, tol: float = 0.0) -> bool:
         """No term above tol in size; at tol = 0, no term at all."""

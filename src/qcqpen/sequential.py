@@ -122,19 +122,23 @@ def eta_grid() -> list:
     return sorted(vals)
 
 
+def solve_relaxation(p, relaxation, settings):
+    """(sol, emap) of p's relaxation; SolveError unless (near-)optimal."""
+    prog, emap = build_relaxation(p, relaxation)
+    sol = solve_conic(prog, settings)
+    if sol.status not in _OK_STATUSES:
+        raise SolveError(f"relaxation solve ended with status {sol.status} "
+                         f"({sol.stop_reason})", sol.status)
+    return sol, emap
+
+
 def resolve_initial_point(p: QcqpProblem, cfg: SequentialConfig) -> np.ndarray:
     init = cfg.init
     if isinstance(init, str):
         if init == "zero":
             return np.zeros(p.n)
         if init == "relaxation":
-            prog, emap = build_relaxation(p, cfg.relaxation)
-            sol = solve_conic(prog, cfg.solver)
-            if sol.status not in _OK_STATUSES:
-                raise SolveError(
-                    f"initial relaxation solve ended with status {sol.status}",
-                    sol.status)
-            return extract(sol, emap).x
+            return extract(*solve_relaxation(p, cfg.relaxation, cfg.solver)).x
         raise ValueError(f"unknown initial point spec {init!r}")
     x0 = np.asarray(init, dtype=float).ravel()
     if x0.shape != (p.n,):

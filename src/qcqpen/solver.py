@@ -250,10 +250,6 @@ class ConicSolution:
     fallback: bool
     log: list = field(default_factory=list)
 
-    @property
-    def objective(self) -> float:
-        return self.pcost
-
 
 def iteration_log_csv(sol: ConicSolution) -> str:
     lines = ["iter,pcost,dcost,gap,pres,dres,step"]

@@ -247,9 +247,16 @@ def dense_symmetric(n, rows, cols, vals):
     return A, (nz[:, 0], nz[:, 1], A[nz[:, 0], nz[:, 1]])
 
 
+def quadratic_of(n, terms):
+    """The quadratic over n variables that stores `terms` and b = 0."""
+    q = QuadraticFunction.__new__(QuadraticFunction)
+    q._store(terms, np.zeros(n), 0.0)
+    return q
+
+
 def record_symmetric(monkeypatch):
     """Record every quadratics._symmetric call as ((n, rows, cols, vals),
-    (S, terms)); returns the list the records go to."""
+    terms); returns the list the records go to."""
     import qcqpen.quadratics as quadratics
     calls = []
     symmetric = quadratics._symmetric
@@ -266,11 +273,11 @@ def record_symmetric(monkeypatch):
 
 def assert_dense_identical(calls):
     """Each recorded quadratic has dense_symmetric's terms, byte for byte,
-    and, in its CSR matrix S, its A, value for value."""
+    and, in its dense view, its A, value for value."""
     assert calls
-    for entries, (S, terms) in calls:
+    for entries, terms in calls:
         A_ref, terms_ref = dense_symmetric(*entries)
-        assert np.array_equal(S.toarray(), A_ref)
+        assert np.array_equal(quadratic_of(entries[0], terms).A, A_ref)
         for got, want in zip(terms, terms_ref):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()

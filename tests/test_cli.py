@@ -129,6 +129,22 @@ def test_relax_solver_breakdown_exits_2(tmp_path, capsys):
     assert err.startswith("solver failure:")
 
 
+@pytest.mark.parametrize("command", [["relax"],
+                                     ["solve", "--init", "relaxation"]])
+def test_relaxation_failure_names_stop_reason(command, tmp_path, capsys):
+    # both commands solve this relaxation, which stops "solve_failed" at a
+    # non-finite direction with status iteration_limit
+    path = tmp_path / "sysid.json"
+    path.write_text(sysid_to_json(gen_sysid(
+        SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main([command[0], str(path), "--r", "2", *command[1:]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "solve_failed" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -214,6 +214,19 @@ def test_from_entries_sums_in_order_and_symmetrizes():
     assert not empty.A.any() and all(t.size == 0 for t in empty.terms)
 
 
+def test_b_stored_by_its_nonzeros():
+    # signed zeros are zeros: the dense view reads +0.0 wherever b is zero
+    q = QuadraticFunction.affine(np.array([-0.0, 0.0, 3.0]))
+    idx, vals = q.linear
+    assert idx.tolist() == [2] and vals.tolist() == [3.0]
+    assert q.b.tolist() == [0.0, 0.0, 3.0]
+    assert not np.signbit(q.b).any()
+    for arr in (q.b, *q.linear):
+        assert not arr.flags.writeable
+    zero = QuadraticFunction.affine(np.zeros(2)).b
+    assert zero.dtype == np.float64 and zero.tobytes() == np.zeros(2).tobytes()
+
+
 @pytest.mark.parametrize("rows, cols, vals", [
     ([0, -1], [0, 1], [1.0, 1.0]),
     ([0, 1], [0, 3], [1.0, 1.0]),
@@ -290,7 +303,7 @@ def test_symmetric_matches_dense_reference_on_random_entries(seed):
     # repeats in both orientations, with huge, tiny and signed-zero values:
     # each cell sums in listing order before the triangles are averaged
     from qcqpen.quadratics import _symmetric
-    from _support import dense_symmetric
+    from _support import dense_symmetric, quadratic_of
     rng = np.random.default_rng(seed)
     pool = np.array([1e300, -1e300, 1e-300, -1e-300, -0.0, 0.0, 1.0 / 3.0])
     for _ in range(250):
@@ -298,9 +311,9 @@ def test_symmetric_matches_dense_reference_on_random_entries(seed):
         rows, cols = rng.integers(0, n, size=(2, k))
         vals = np.where(rng.random(k) < 0.5, rng.choice(pool, size=k),
                         rng.normal(size=k))
-        S, terms = _symmetric(n, rows, cols, vals)
+        terms = _symmetric(n, rows, cols, vals)
         A_ref, terms_ref = dense_symmetric(n, rows, cols, vals)
-        assert np.array_equal(S.toarray(), A_ref)
+        assert np.array_equal(quadratic_of(n, terms).A, A_ref)
         for got, want in zip(terms, terms_ref):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -417,7 +430,7 @@ def test_evaluation_matches_dense_reference_on_sysid(monkeypatch):
     p = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01,
                               seed=0)).problem
     dense = {id(terms): dense_symmetric(*entries)[0]
-             for entries, (_, terms) in calls}
+             for entries, terms in calls}
     x = np.random.default_rng(0).normal(size=p.n)
     _assert_evaluates_as_dense(
         p, [dense[id(q.terms)] for q in [p.objective] + p.constraints], x)
@@ -441,3 +454,10 @@ def test_sysid_stores_no_dense_matrix():
     for q in [p.objective] + p.constraints:
         assert not any(isinstance(v, np.ndarray) and v.ndim == 2
                        for v in vars(q).values())
+    # every array the quadratics store, nonzeros only: under 1 MB in all
+    stored = [a for q in [p.objective] + p.constraints
+              for v in vars(q).values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert all(a.size < p.n for a in stored)
+    assert sum(a.nbytes for a in stored) < 10 ** 6
