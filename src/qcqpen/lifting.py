@@ -104,31 +104,45 @@ def rlt_pair_list(m: int):
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
+def _rlt_rows(p: QcqpProblem):
+    """The rows of `rlt_system` as (support, values, h), read from each
+    affine row's `linear`: O(nnz), with no dense row."""
+    ineq = [q for q in p.inequalities if q.is_affine()]
+    eq = [q for q in p.equalities if q.is_affine()]
+    rows = [(q.linear[0], 2.0 * q.linear[1], q.c) for q in ineq + eq]
+    return rows + [(s, -v, -c) for s, v, c in rows[len(ineq):]]
+
+
 def rlt_cuts(p: QcqpProblem, pairs="all"):
     """Lifted products of affine constraint rows.
 
-    For rows i, j of Hx + h <= 0 the product (H_i x + h_i)(H_j x + h_j) is
-    nonnegative on the feasible set; its lifting is the functional
-    qbar_c(x, X) >= 0 with
+    For rows i, j of Hx + h <= 0 (`rlt_system`) the product
+    (H_i x + h_i)(H_j x + h_j) is nonnegative on the feasible set; its
+    lifting is the functional qbar_c(x, X) >= 0 with
 
         A_c = sym(H_i H_j'),  b_c = (h_i H_j + h_j H_i)/2,  c_c = h_i h_j.
 
-    Returns a list of ((i, j), QuadraticFunction) in deterministic order.
+    Each cut is built on the two rows' supports. Returns a list of
+    ((i, j), QuadraticFunction) in deterministic order.
     """
-    H, h = rlt_system(p)
-    m = H.shape[0]
+    rows = _rlt_rows(p)
+    m = len(rows)
     if pairs == "all":
         pairs = rlt_pair_list(m)
     out = []
     for (i, j) in pairs:
         if not (0 <= i < m and 0 <= j < m):
             raise ValueError(f"RLT pair {(i, j)} out of range for {m} rows")
-        # A_c from the entries of H_i H_j' over the two rows' supports
-        si, sj = np.flatnonzero(H[i]), np.flatnonzero(H[j])
-        b = 0.5 * (h[i] * H[j] + h[j] * H[i])
-        out.append(((i, j), QuadraticFunction.from_entries(
-            np.repeat(si, sj.size), np.tile(sj, si.size),
-            np.outer(H[i, si], H[j, sj]).ravel(), b, h[i] * h[j])))
+        (si, vi, hi), (sj, vj, hj) = rows[i], rows[j]
+        # b_c on the union of the supports, each row zero off its own
+        union = np.union1d(si, sj)
+        Hi, Hj = np.zeros(union.size), np.zeros(union.size)
+        Hi[np.searchsorted(union, si)] = vi
+        Hj[np.searchsorted(union, sj)] = vj
+        b = 0.5 * (hi * Hj + hj * Hi)
+        out.append(((i, j), QuadraticFunction.from_sparse(
+            p.n, np.repeat(si, sj.size), np.tile(sj, si.size),
+            np.outer(vi, vj).ravel(), (union, b), hi * hj)))
     return out
 
 

@@ -76,10 +76,26 @@ class QuadraticFunction:
         q._store(_symmetric(b.shape[0], rows, cols, vals), b, c)
         return q
 
+    @classmethod
+    def from_sparse(cls, n: int, rows, cols, vals, linear, c: float = 0.0):
+        """As `from_entries`, with b given by linear = (idx, vals), idx
+        ascending and distinct; zero vals are dropped. No length-n array is
+        built."""
+        idx = np.asarray(linear[0], np.intp)
+        lin = np.asarray(linear[1], dtype=float)
+        nonzero = lin != 0.0
+        q = cls.__new__(cls)
+        q._store_linear(n, _symmetric(n, rows, cols, vals), idx[nonzero],
+                        lin[nonzero], c)
+        return q
+
     def _store(self, terms, b, c):
         idx = np.flatnonzero(b)
-        self.n, self.terms, self.c = b.shape[0], terms, float(c)
-        self.linear = idx, b[idx]
+        self._store_linear(b.shape[0], terms, idx, b[idx], c)
+
+    def _store_linear(self, n, terms, idx, vals, c):
+        self.n, self.terms, self.c = n, terms, float(c)
+        self.linear = idx, vals
         for arr in self.linear:
             arr.setflags(write=False)
 

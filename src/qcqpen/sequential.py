@@ -17,7 +17,9 @@ objective sequence is nonincreasing, so the loop is a descent method over
 feasible points. The penalty is either given or auto-tuned: the tuner
 bisects a log-spaced grid for the smallest eta whose first six rounds are
 all tight, assuming tightness is monotone in eta. A candidate's rounds stop
-at its first loose round, which already decides it.
+at its first loose round, which already decides it. The largest candidate
+is evaluated only when the bisection ends on it, and tuning fails when it
+is loose there.
 
 The reported point x_final is the last round's point. Tightness tests the
 trace residual alone, so an inaccurate solve can leave that point slightly
@@ -218,8 +220,8 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
     monotone, the result is a tight candidate whose lower neighbour on the
     grid is loose. A candidate's rounds stop at its first loose round: the
     rounds after it cannot make the candidate tight; all share one lift
-    (`relaxation` when given). Raises EtaTuningError when even the largest
-    candidate fails.
+    (`relaxation` when given). The largest candidate is evaluated only when
+    the bisection ends on it; raises EtaTuningError when it is loose there.
     """
     grid = eta_grid()
     if x0 is None:
@@ -237,19 +239,19 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
                          and all(r.residual < cfg.tight_tol for r in rounds))
         return memo[idx]
 
-    hi = len(grid) - 1
-    if not tight_at(hi):
-        raise EtaTuningError(
-            "no tight penalty found: largest grid value "
-            f"{grid[hi]:g} left some of the first {cfg.tune_rounds} rounds "
-            "loose", tried=[(grid[i], memo[i]) for i in sorted(memo)])
-    lo = 0
+    lo, hi = 0, len(grid) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         if tight_at(mid):
             hi = mid
         else:
             lo = mid + 1
+    # hi was evaluated tight unless it is the largest candidate
+    if not tight_at(hi):
+        raise EtaTuningError(
+            "no tight penalty found: largest grid value "
+            f"{grid[hi]:g} left some of the first {cfg.tune_rounds} rounds "
+            "loose", tried=[(grid[i], memo[i]) for i in sorted(memo)])
     return grid[hi]
 
 

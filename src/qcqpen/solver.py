@@ -340,27 +340,50 @@ def _matvec(M):
     return matvec
 
 
+class _GroupScaling(dict):
+    """One group's NT scaling: R, Rinv and lam, with the products
+    Winv = (R R')^{-1} = Rinv' Rinv and WW = R R' formed on first read.
+    The full KKT path never reads Winv."""
+
+    def __missing__(self, key):
+        if key == "Winv":
+            value = np.swapaxes(self["Rinv"], -1, -2) @ self["Rinv"]
+        elif key == "WW":
+            value = self["R"] @ np.swapaxes(self["R"], -1, -2)
+        else:
+            raise KeyError(key)
+        self[key] = value
+        return value
+
+
+# per `_apply_w` mode: the power of wn on the nonnegative part, and each
+# group's congruence factors (L, R) from its _GroupScaling
+_MODES = {
+    "w": (1, lambda gd: (np.swapaxes(gd["R"], -1, -2), gd["R"])),
+    "wt": (1, lambda gd: (gd["R"], np.swapaxes(gd["R"], -1, -2))),
+    "wit": (-1, lambda gd: (gd["Rinv"], np.swapaxes(gd["Rinv"], -1, -2))),
+    "ww": (2, lambda gd: (gd["WW"], gd["WW"])),
+    "winv2": (-2, lambda gd: (gd["Winv"], gd["Winv"])),
+}
+
+
 class _Scaling:
     """NT scaling state for one iteration."""
 
     def __init__(self, wn, lam_n, group_data):
         self.wn = wn                  # nonneg scaling sqrt(s/z)
         self.lam_n = lam_n
-        # per group: dict R, Rinv, Winv = (R R')^{-1}, WW = R R', lam
-        self.groups = group_data
-        # per `_apply_w` mode: the nonnegative factor and each group's
-        # congruence factors (L, R)
-        Rs = [gd["R"] for gd in group_data]
-        Rts = [np.swapaxes(R, -1, -2) for R in Rs]
-        Rinvs = [gd["Rinv"] for gd in group_data]
-        self.modes = {
-            "w": (wn, list(zip(Rts, Rs))),
-            "wt": (wn, list(zip(Rs, Rts))),
-            "wit": (wn ** -1, [(Ri, np.swapaxes(Ri, -1, -2)) for Ri in Rinvs]),
-            "ww": (wn ** 2, [(gd["WW"], gd["WW"]) for gd in group_data]),
-            "winv2": (wn ** -2, [(gd["Winv"], gd["Winv"])
-                                 for gd in group_data]),
-        }
+        self.groups = group_data      # per group: a _GroupScaling
+        self._modes = {}
+
+    def mode(self, name):
+        """(nonnegative factor, per-group factors (L, R)) of an `_apply_w`
+        mode, built on its first use."""
+        if name not in self._modes:
+            power, factors = _MODES[name]
+            self._modes[name] = (self.wn ** power,
+                                 [factors(gd) for gd in self.groups])
+        return self._modes[name]
 
 
 def _nt_scaling(groups, s, z, l_nn):
@@ -381,10 +404,7 @@ def _nt_scaling(groups, s, z, l_nn):
         R = Ls @ Q * (d[..., None, :] ** -0.25)
         Rinv = (d[..., :, None] ** 0.25) * np.swapaxes(Q, -1, -2) @ \
             np.linalg.inv(Ls)
-        gdata.append({"R": R, "Rinv": Rinv,
-                      "Winv": np.swapaxes(Rinv, -1, -2) @ Rinv,
-                      "WW": R @ np.swapaxes(R, -1, -2),
-                      "lam": np.sqrt(d)})
+        gdata.append(_GroupScaling(R=R, Rinv=Rinv, lam=np.sqrt(d)))
     return _Scaling(wn, lam_n, gdata)
 
 
@@ -435,7 +455,7 @@ def _apply_w(scaling, groups, l_nn, vec, mode):
     'wit', v -> svec(R mat(v) R') for 'wt', v -> svec(P mat(v) P) with
     P = R R' for 'ww' and P = W^{-1} for 'winv2'.
     """
-    wn, factors = scaling.modes[mode]
+    wn, factors = scaling.mode(mode)
     out = np.empty_like(vec)
     out[:l_nn] = vec[:l_nn] * wn
     return _congruence(groups, factors, vec, out)

@@ -159,6 +159,28 @@ def test_rlt_hand_expanded_row():
     assert q.c == 1.0
 
 
+def test_rlt_cuts_of_equality_rows_match_dense_products():
+    # an affine equality gives the rows +q and -q, and a row with h = 0
+    # leaves zeros in b_c on the other row's support: the cuts, built from
+    # each row's nonzeros, equal the products of rlt_system's dense rows
+    gi = QuadraticFunction.affine([1.0, 0.0, -2.0], 0.0)
+    ge = QuadraticFunction.affine([0.0, 0.5, 1.5], 2.0)
+    quad = QuadraticFunction(np.eye(3), np.zeros(3), -1.0)
+    p = QcqpProblem(n=3, objective=quad, inequalities=[gi, quad],
+                    equalities=[ge])
+    H, h = rlt_system(p)
+    cuts = rlt_cuts(p, "all")
+    assert len(cuts) == 6
+    for (i, j), q in cuts:
+        P = 0.5 * (np.outer(H[i], H[j]) + np.outer(H[j], H[i]))
+        assert np.array_equal(q.A, 0.5 * (P + P.T))
+        b = 0.5 * (h[i] * H[j] + h[j] * H[i])
+        idx = np.flatnonzero(b)
+        assert np.array_equal(q.linear[0], idx)
+        assert q.linear[1].tobytes() == b[idx].tobytes()
+        assert q.c == h[i] * h[j]
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 def test_rlt_cuts_nonnegative_on_feasible_set(seed):
     p, z = random_box_qcqp(seed)

@@ -252,7 +252,8 @@ def test_tuning_candidate_stops_at_first_loose_round(grid, monkeypatch):
     # solves that candidate through round 3 only, and every candidate
     # through its first loose round; tune_eta still decides as when every
     # candidate ran all tune_rounds, with the same eta or, on a grid whose
-    # largest value is 2, the same EtaTuningError.tried
+    # largest value is 2, the same EtaTuningError.tried: bisection finds
+    # eta = 1 loose, and the largest candidate, checked last, loose too
     p, xstar = random_feasible_qcqp(7)
     cfg = SequentialConfig(init=xstar, tune_rounds=4,
                            solver=SolverSettings(max_iterations=80))
@@ -262,7 +263,8 @@ def test_tuning_candidate_stops_at_first_loose_round(grid, monkeypatch):
     full_result, full_runs = _tuning_runs(monkeypatch, p, cfg, xstar,
                                           stop=False)
     assert result == full_result
-    assert (result == 5.0) if grid is None else (result == [(2.0, False)])
+    assert (result == 5.0) if grid is None else (
+        result == [(1.0, False), (2.0, False)])
     assert runs.keys() == full_runs.keys()
     for eta, (solves, residuals) in runs.items():
         full_solves, full_residuals = full_runs[eta]
@@ -273,6 +275,58 @@ def test_tuning_candidate_stops_at_first_loose_round(grid, monkeypatch):
         assert np.array_equal(residuals, full_residuals[:solves],
                               equal_nan=True)
     assert runs[2.0][0] == 3 and full_runs[2.0][0] == 4
+
+
+@pytest.mark.parametrize("pattern", ["monotone", "all_loose",
+                                     "largest_loose"])
+def test_tune_eta_checks_largest_candidate_last(pattern, monkeypatch):
+    # the bisection runs first; the largest candidate is evaluated only
+    # when the bisection ends on it, and tuning fails only if it is loose
+    grid = eta_grid()
+    last = len(grid) - 1
+    tight = {
+        "monotone": lambda i: i >= 9,
+        "all_loose": lambda i: False,
+        "largest_loose": lambda i: 9 <= i < last,
+    }[pattern]
+    calls = []
+
+    def fake_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
+                    stop_loose):
+        idx = grid.index(eta)
+        calls.append(idx)
+        rounds = [types.SimpleNamespace(residual=0.0 if tight(idx) else 1.0)
+                  for _ in range(max_rounds)]
+        return rounds, None, None, xhat, "optimal"
+
+    monkeypatch.setattr(sequential, "_run_rounds", fake_rounds)
+    cfg = SequentialConfig(init="zero", tune_rounds=2)
+    if pattern == "all_loose":
+        with pytest.raises(EtaTuningError) as err:
+            tune_eta(_shifted_ball_problem(), cfg, x0=np.zeros(2))
+        assert calls[-1] == last and last not in calls[:-1]
+        assert err.value.tried[-1] == (grid[last], False)
+        assert [eta for eta, _ in err.value.tried] == sorted(
+            grid[i] for i in calls)
+        return
+    k = grid.index(tune_eta(_shifted_ball_problem(), cfg, x0=np.zeros(2)))
+    assert last not in calls
+    assert k == 9 and tight(k) and k - 1 in calls and not tight(k - 1)
+
+
+def test_tune_eta_solve_budget(monkeypatch):
+    # tuning solves on a small nonconvex instance: the bisection's
+    # candidates alone, each through its first loose round, and never the
+    # largest grid value
+    p, xstar = random_feasible_qcqp(7)
+    cfg = SequentialConfig(init=xstar, tune_rounds=4,
+                           solver=SolverSettings(max_iterations=80))
+    result, runs = _tuning_runs(monkeypatch, p, cfg, xstar, stop=True)
+    assert result == 5.0
+    assert max(eta_grid()) not in runs
+    assert {eta: solves for eta, (solves, _) in runs.items()} == {
+        0.05: 1, 0.5: 1, 2.0: 3, 5.0: 4}
+    assert sum(solves for solves, _ in runs.values()) == 9
 
 
 def test_auto_eta_through_run():
