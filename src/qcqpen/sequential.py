@@ -80,6 +80,10 @@ class RoundRecord:
     residual: float
     time_s: float
     solver_status: str
+    # how the round's solve ended (`ConicSolution`)
+    iterations: int = 0
+    stop_reason: str = ""
+    fallback: bool = False
 
 
 @dataclass
@@ -182,15 +186,16 @@ def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
         prog, emap = build_penalized(relaxation, x, eta=eta)
         sol = solve_conic(prog, solver_settings)
         dt = time.perf_counter() - t0
+        how = (sol.status, sol.iterations, sol.stop_reason, sol.fallback)
         if sol.status not in _OK_STATUSES:
             rounds.append(RoundRecord(i, float("nan"), float("nan"),
-                                      float("nan"), dt, sol.status))
+                                      float("nan"), dt, *how))
             status = f"solver_failure:{sol.status}"
             break
         pt = extract(sol, emap)
         q0 = p.objective.value(pt.x)
         rounds.append(RoundRecord(i, q0, pt.objective, pt.residual, dt,
-                                  sol.status))
+                                  *how))
         tight = pt.residual < cfg.tight_tol
         if i_feas is None and tight:
             i_feas = i

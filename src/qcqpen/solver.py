@@ -44,12 +44,15 @@ included, as CVXOPT's conelp does (Vandenberghe, "The CVXOPT linear and
 quadratic cone program solvers", 2010).
 
 The cone operations (applying W and its inverse, Jordan products, step
-lengths) work per group of equal-size blocks through slot maps built once
-per cone: one gather takes the group's matrices out of an s-space vector,
-and one gather of each triangle puts svec coordinates back. The factors of
-each W mode are formed once per iteration, and a step length takes one
-eigvalsh per group for both scaled directions. Every operation keeps smat's
-and svec's arithmetic, so the iterates match theirs bit for bit.
+lengths) work per group of equal-size blocks through flat slot maps built
+once per cone: one `take` gathers the group's matrices out of an s-space
+vector (or a stack of them), and one `take` of each triangle gathers svec
+coordinates out of the matrices. The factors of each W mode are formed once
+per iteration, and a step length takes one eigvalsh per group for both
+scaled directions. Every operation keeps smat's and svec's arithmetic, so
+the iterates match theirs bit for bit. The start is built once per cone
+(`Cone.start`): the factor at the identity scaling and the initial u and s,
+which do not depend on c; each solve adds only its y and z.
 
 Deterministic: no randomization anywhere.
 """
@@ -57,6 +60,7 @@ Deterministic: no randomization anywhere.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -138,7 +142,7 @@ class Cone:
     """The constraints A u = b, Gn u <= hn and the PSD blocks over n_vars
     variables; A and Gn are stored as CSR. The solver's data for them are
     built on first use and kept: `groups`, `G`, `h`, `products`,
-    `factor_kkt` and `identity`."""
+    `factor_kkt`, `identity` and `start`."""
 
     def __init__(self, n_vars: int, A=None, b=(), Gn=None, hn=(), blocks=()):
         self.n_vars = n_vars
@@ -197,6 +201,18 @@ class Cone:
         for g in self.groups:
             e[g.dslot] = 1.0
         return e
+
+    @cached_property
+    def start(self) -> tuple:
+        """(kkt, u, s): the KKT factor at the identity scaling, the NT
+        scaling at s = z = e, and the half of the initial point that does
+        not depend on the objective, u and s. The arrays are read-only."""
+        e = self.identity
+        kkt = self.factor_kkt(_nt_scaling(self.groups, e, e, self.n_nonneg))
+        u = kkt.solve(np.zeros(self.n_vars), self.b, self.h)[0]
+        s = _shift_into_cone(self, self.h - self.products[0](u))
+        u.flags.writeable = s.flags.writeable = False
+        return kkt, u, s
 
 
 def _rows(M, rhs, n_vars):
@@ -263,10 +279,11 @@ def iteration_log_csv(sol: ConicSolution) -> str:
 class _BlockGroup:
     """Blocks of one size, batched: index arrays shaped (nb, ns).
 
-    Its slot maps, built once per cone, take the blocks' matrices out of
-    an s-space vector with one gather (`mats`) and put svec coordinates
-    back (`svec`, `sym_svec`, written to `out[flat]`), in the same
-    operations, and so to the same bits, as `smat` and `svec`.
+    Its slot maps, built once per cone, are flat: `mats` takes the blocks'
+    matrices out of an s-space vector with one `take`, and `svec` and
+    `sym_svec` take svec coordinates out of the matrices with one `take` of
+    each triangle. They do smat's and svec's operations, and so give the
+    same bits.
     """
 
     def __init__(self, size: int, blocks: list, offsets: list):
@@ -286,38 +303,47 @@ class _BlockGroup:
         # svec slots of the diagonal entries, (nb, m)
         self.dslot = self.slot[:, rows == cols]
         self.mask = self.var >= 0
-        # row and column of each svec slot, and the flat places of its
-        # entries (a, b) and (b, a) in an m x m matrix
+        # row and column of each svec slot
         self.ka = np.asarray(rows)
         self.kb = np.asarray(cols)
-        self.low = self.ka * size + self.kb
-        self.up = self.kb * size + self.ka
-        # svec slot of every matrix entry, both triangles: (nb, m*m) s-space
-        # slots, and each entry's weight
+        # flat places of each slot's entries (a, b) and (b, a) in an m x m
+        # matrix, and over the group's (nb, m, m) matrices; each slot's
+        # weight, tiled
+        low, up = self.ka * size + self.kb, self.kb * size + self.ka
+        batch = np.arange(self.nb)[:, None]
+        self.low = (batch * (size * size) + low).ravel()
+        self.up = (batch * (size * size) + up).ravel()
+        self.wflat = np.tile(w, self.nb)
+        # flat places of each slot's row and column in the (nb, m) array of
+        # the blocks' eigenvalues
+        self.la = (batch * size + self.ka).ravel()
+        self.lb = (batch * size + self.kb).ravel()
+        # s-space slot of every matrix entry, both triangles, raveled over
+        # the group's (nb, m, m) matrices, and each entry's weight
         t = np.empty(size * size, dtype=np.int64)
-        t[self.low] = t[self.up] = np.arange(self.ns)
-        self.full = self.slot[:, t]
-        self.fw = w[t]
+        t[low] = t[up] = np.arange(self.ns)
+        self.full = self.slot[:, t].ravel()
+        self.fw = np.tile(w[t], self.nb)
 
     def mats(self, vec: np.ndarray) -> np.ndarray:
         """The (..., nb, m, m) matrices of s-space vectors (..., dim): smat
         of their slots. Divided by the weight, as smat does; a product with
         1/w differs."""
-        return (vec[..., self.full] / self.fw).reshape(
+        return (vec.take(self.full, axis=-1) / self.fw).reshape(
             vec.shape[:-1] + (self.nb, self.m, self.m))
 
     def svec(self, M: np.ndarray) -> np.ndarray:
         """(nb, ns) svec of each matrix of M, from its lower triangle."""
-        return M.reshape(self.nb, -1)[:, self.low] * self.w
+        return (M.take(self.low) * self.wflat).reshape(self.nb, self.ns)
 
     def sym_svec(self, M: np.ndarray) -> np.ndarray:
         """(nb, ns) svec(0.5 (M + M')) of each matrix of M, without forming
         the symmetric matrix."""
-        F = M.reshape(self.nb, -1)
-        v = F[:, self.low] + F[:, self.up]
+        v = M.take(self.low)
+        v += M.take(self.up)
         v *= 0.5
-        v *= self.w
-        return v
+        v *= self.wflat
+        return v.reshape(self.nb, self.ns)
 
 
 def _matvec(M):
@@ -347,9 +373,9 @@ class _GroupScaling(dict):
 
     def __missing__(self, key):
         if key == "Winv":
-            value = np.swapaxes(self["Rinv"], -1, -2) @ self["Rinv"]
+            value = self["Rinv"].swapaxes(-1, -2) @ self["Rinv"]
         elif key == "WW":
-            value = self["R"] @ np.swapaxes(self["R"], -1, -2)
+            value = self["R"] @ self["R"].swapaxes(-1, -2)
         else:
             raise KeyError(key)
         self[key] = value
@@ -359,9 +385,9 @@ class _GroupScaling(dict):
 # per `_apply_w` mode: the power of wn on the nonnegative part, and each
 # group's congruence factors (L, R) from its _GroupScaling
 _MODES = {
-    "w": (1, lambda gd: (np.swapaxes(gd["R"], -1, -2), gd["R"])),
-    "wt": (1, lambda gd: (gd["R"], np.swapaxes(gd["R"], -1, -2))),
-    "wit": (-1, lambda gd: (gd["Rinv"], np.swapaxes(gd["Rinv"], -1, -2))),
+    "w": (1, lambda gd: (gd["R"].swapaxes(-1, -2), gd["R"])),
+    "wt": (1, lambda gd: (gd["R"], gd["R"].swapaxes(-1, -2))),
+    "wit": (-1, lambda gd: (gd["Rinv"], gd["Rinv"].swapaxes(-1, -2))),
     "ww": (2, lambda gd: (gd["WW"], gd["WW"])),
     "winv2": (-2, lambda gd: (gd["Winv"], gd["Winv"])),
 }
@@ -396,13 +422,13 @@ def _nt_scaling(groups, s, z, l_nn):
         S = g.mats(s)
         Z = g.mats(z)
         Ls = np.linalg.cholesky(S)
-        M = np.swapaxes(Ls, -1, -2) @ Z @ Ls
-        M = 0.5 * (M + np.swapaxes(M, -1, -2))
+        M = Ls.swapaxes(-1, -2) @ Z @ Ls
+        M = 0.5 * (M + M.swapaxes(-1, -2))
         d, Q = np.linalg.eigh(M)
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("scaling eigenvalues not positive")
         R = Ls @ Q * (d[..., None, :] ** -0.25)
-        Rinv = (d[..., :, None] ** 0.25) * np.swapaxes(Q, -1, -2) @ \
+        Rinv = (d[..., :, None] ** 0.25) * Q.swapaxes(-1, -2) @ \
             np.linalg.inv(Ls)
         gdata.append(_GroupScaling(R=R, Rinv=Rinv, lam=np.sqrt(d)))
     return _Scaling(wn, lam_n, gdata)
@@ -442,7 +468,7 @@ def _congruence(groups, factors, vec, out):
     """out's PSD slots := svec(sym(L mat(v) R)) per group, with (L, R) from
     `factors`; returns out."""
     for g, (L, R) in zip(groups, factors):
-        out[g.flat] = g.sym_svec(L @ g.mats(vec) @ R).ravel()
+        out[g.slot] = g.sym_svec(L @ g.mats(vec) @ R)
     return out
 
 
@@ -465,18 +491,15 @@ def _max_cone_step(groups, scaling, l_nn, *scaled_dirs):
     """Largest alpha with lambda + alpha*dir in the cone for every dir (in
     scaled space). Each group's matrices of all the directions go through
     one eigvalsh."""
-    alpha = np.inf
-    lam = scaling.lam_n
-    for d in scaled_dirs:
-        d = d[:l_nn]
-        neg = d < 0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(-lam[neg] / d[neg])))
     dirs = np.stack(scaled_dirs)
+    d = dirs[:, :l_nn]
+    ratio = np.divide(-scaling.lam_n, d, out=np.full(d.shape, np.inf),
+                      where=d < 0)
+    alpha = float(ratio.min(initial=np.inf))
     for g, gd in zip(groups, scaling.groups):
         scale = 1.0 / np.sqrt(gd["lam"])
         T = g.mats(dirs) * scale[..., :, None] * scale[..., None, :]
-        T = 0.5 * (T + np.swapaxes(T, -1, -2))
+        T = 0.5 * (T + T.swapaxes(-1, -2))
         emins = np.linalg.eigvalsh(T).reshape(len(scaled_dirs), -1).min(1)
         for emin in emins.tolist():
             if emin < 0:
@@ -492,8 +515,10 @@ def _jordan_solve(scaling, groups, l_nn, d):
     for g, gd in zip(groups, scaling.groups):
         lam = gd["lam"]
         # svec(mat(d) / denom) on the lower triangle alone
-        denom = 0.5 * (lam[:, g.ka] + lam[:, g.kb])
-        v[g.flat] = ((d[g.slot] / g.w) / denom * g.w).ravel()
+        denom = lam.take(g.la)
+        denom += lam.take(g.lb)
+        denom *= 0.5
+        v[g.flat] = d.take(g.flat) / g.wflat / denom * g.wflat
     return v
 
 
@@ -506,7 +531,7 @@ def _jordan_prod(groups, l_nn, a, b):
         A = g.mats(a)
         B = g.mats(b)
         P = 0.5 * (A @ B + B @ A)
-        out[g.flat] = g.svec(P).ravel()
+        out[g.slot] = g.svec(P)
     return out
 
 
@@ -855,28 +880,19 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     # cone order (for the barrier parameter)
     nu = l_nn + sum(g.nb * g.m for g in groups)
     e_vec = cone.identity
-
-    def shift_into_cone(vec):
-        """vec + (1 + alpha) e if vec is not safely interior."""
-        margin = _cone_margin(groups, l_nn, vec)
-        if margin > 1e-8 * max(1.0, float(np.linalg.norm(vec))):
-            return vec
-        return vec + (1.0 - min(margin, 0.0)) * e_vec
-
     Gx, GTx, Ax, ATx = cone.products
     factor_kkt = cone.factor_kkt
 
-    # initial point from the identity scaling, the NT scaling at s = z = e
-    kkt = factor_kkt(_nt_scaling(groups, e_vec, e_vec, l_nn))
-    u = kkt.solve(np.zeros(cone.n_vars), b, h)[0]
-    s = shift_into_cone(h - Gx(u))
+    # initial point from the identity scaling: only y and z depend on c
+    kkt, u, s = cone.start
+    u, s = u.copy(), s.copy()     # no solution shares the cone's arrays
     nu_v, w_v, _ = kkt.solve(c, np.zeros_like(b), np.zeros(sdim))
     y = -w_v
-    z = shift_into_cone(-Gx(nu_v))
+    z = _shift_into_cone(cone, -Gx(nu_v))
 
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_h = 1.0 + np.linalg.norm(h)
-    norm_c = 1.0 + np.linalg.norm(c)
+    norm_b = 1.0 + _norm(b)
+    norm_h = 1.0 + _norm(h)
+    norm_c = 1.0 + _norm(c)
 
     log: list = []
     trace = _log.isEnabledFor(logging.DEBUG)
@@ -895,11 +911,8 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         gap = float(s @ z)
         pcost = float(c @ u)
         dcost = float(-h @ z - b @ y)
-        pres = max(
-            float(np.linalg.norm(res_y)) / norm_b,
-            float(np.linalg.norm(res_z)) / norm_h,
-        )
-        dres = float(np.linalg.norm(res_x)) / norm_c
+        pres = max(_norm(res_y) / norm_b, _norm(res_z) / norm_h)
+        dres = _norm(res_x) / norm_c
         relgap = gap / max(1.0, abs(pcost))
         score = max(pres, dres, relgap)
         log.append({"iter": it, "pcost": pcost + prog.c0, "dcost": dcost + prog.c0,
@@ -908,9 +921,11 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             _log.debug("it %3d p % .6e d % .6e gap %.2e pres %.2e dres %.2e "
                        "step %.3f", it, pcost + prog.c0, dcost + prog.c0, gap,
                        pres, dres, step)
+        # references, not copies: u, y, z and s are rebound below, never
+        # written in place
         if best is None or score < best[0]:
-            best = (score, it, u.copy(), y.copy(), z.copy(), s.copy(),
-                    pcost, dcost, gap, pres, dres, relgap)
+            best = (score, it, u, y, z, s, pcost, dcost, gap, pres, dres,
+                    relgap)
 
         ftol, gtol = settings.feasibility_tol, settings.gap_tol
         if pres <= ftol and dres <= ftol and relgap <= gtol:
@@ -920,12 +935,12 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         # infeasibility certificates from the current iterate
         by_hz = float(h @ z + b @ y)
         if by_hz < -1e-10:
-            cert = float(np.linalg.norm(ATy + GTz)) / (-by_hz)
+            cert = _norm(ATy + GTz) / (-by_hz)
             if cert * norm_h <= ftol * 10:
                 status = stop = "infeasible"
                 break
         if pcost < -1e-10:
-            ray = max(float(np.linalg.norm(Au)), float(np.linalg.norm(Gu_s)))
+            ray = max(_norm(Au), _norm(Gu_s))
             if ray / (-pcost) * norm_c <= ftol * 10:
                 status = stop = "unbounded"
                 break
@@ -1022,6 +1037,20 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
                          pcost=pcost + prog.c0, dcost=dcost + prog.c0,
                          gap=gap, pres=pres, dres=dres, iterations=it,
                          stop_reason=stop, fallback=fallback, log=log)
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a contiguous float vector, without numpy's
+    wrappers: it computes the same sqrt(x.dot(x))."""
+    return math.sqrt(x.dot(x))
+
+
+def _shift_into_cone(cone: Cone, vec: np.ndarray) -> np.ndarray:
+    """vec + (1 + alpha) e if vec is not safely interior."""
+    margin = _cone_margin(cone.groups, cone.n_nonneg, vec)
+    if margin > 1e-8 * max(1.0, _norm(vec)):
+        return vec
+    return vec + (1.0 - min(margin, 0.0)) * cone.identity
 
 
 def _cone_margin(groups, l_nn, vec) -> float:

@@ -351,6 +351,31 @@ def test_trace_csv_format():
     assert float(row[1]) == pytest.approx(tr.rounds[0].q0, rel=1e-10)
 
 
+def test_rounds_record_how_their_solve_ended(monkeypatch):
+    # every round carries its solve's iterations, stop reason and fallback,
+    # and trace_json writes them
+    from qcqpen import parse_qplib
+    from _support import BOX_QP
+    solutions = []
+
+    def recorded(prog, settings=None):
+        solutions.append(solve_conic(prog, settings))
+        return solutions[-1]
+    monkeypatch.setattr(sequential, "solve_conic", recorded)
+    tr = run(parse_qplib(BOX_QP), SequentialConfig(eta=1.0, init="zero",
+                                                   max_rounds=3,
+                                                   stop_rel=None))
+    assert len(tr.rounds) == len(solutions) == 3
+    for r, sol in zip(tr.rounds, solutions):
+        assert (r.solver_status, r.iterations, r.stop_reason, r.fallback) == (
+            sol.status, sol.iterations, sol.stop_reason, sol.fallback)
+        assert r.iterations > 0 and r.stop_reason == "converged"
+    doc = json.loads(trace_json(tr))
+    assert [(r["iterations"], r["stop_reason"], r["fallback"])
+            for r in doc["rounds"]] == [(r.iterations, r.stop_reason,
+                                         r.fallback) for r in tr.rounds]
+
+
 def test_trace_json_fields():
     p = _shifted_ball_problem()
     tr = run(p, SequentialConfig(eta=5.0, init="zero", max_rounds=5),

@@ -10,8 +10,9 @@ from qcqpen import (Cone, ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
 from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _FullKkt,
                            _KktSolver, _NormalMap, _Scaling, _SparseKkt,
-                           _apply_w, _kkt_factory, _kkt_path,
-                           _lambda_vec, _matvec, _max_cone_step, _nt_scaling,
+                           _apply_w, _jordan_solve, _kkt_factory, _kkt_path,
+                           _lambda_vec, _matvec, _max_cone_step, _norm,
+                           _nt_scaling,
                            _pair_entries, _pair_index,
                            kkt_residuals, smat, svec, svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
@@ -67,6 +68,15 @@ def test_slot_maps_match_smat_and_svec(m):
     assert np.array_equal(g.svec(M), svec(M))
     assert np.array_equal(g.sym_svec(M),
                           svec(0.5 * (M + np.swapaxes(M, -1, -2))))
+    # both svec maps keep the batch shape
+    assert g.svec(M).shape == g.sym_svec(M).shape == (3, ns)
+    # two stacked directions, as the step length gathers them: each row's
+    # matrices are smat's, bit for bit
+    dirs = rng.normal(size=(2, vec.size))
+    ref = np.stack([smat(d[g.slot], m) for d in dirs])
+    got = g.mats(dirs)
+    assert got.shape == ref.shape == (2, 3, m, m)
+    assert got.tobytes() == ref.tobytes()
 
 
 def _cone(n, nn=(), eq=(), blocks=()):
@@ -451,6 +461,25 @@ def test_apply_w_matches_per_block_reference(mode, e):
             res = left @ smat(vec[g.slot[k]], g.m) @ right
             ref[g.slot[k]] = svec(0.5 * (res + res.T))
     assert np.array_equal(_apply_w(scaling, groups, 3, vec, mode), ref)
+
+
+def test_jordan_solve_matches_per_block_reference():
+    # lambda o v = d in scaled space: on each block, v = svec(smat(d) /
+    # denom) with denom[a, b] = (lam_a + lam_b) / 2, bit for bit
+    cone = Cone(3, Gn=np.eye(3), hn=np.ones(3), blocks=[
+        PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)})
+        for m in (3, 1, 4, 2, 1, 3, 2, 4)])
+    groups = cone.groups
+    scaling = _random_interior_scaling(cone, seed=9)
+    d = np.random.default_rng(10).normal(size=cone.h.size)
+    ref = np.empty_like(d)
+    ref[:3] = d[:3] / scaling.lam_n
+    for g, gd in zip(groups, scaling.groups):
+        for k in range(g.nb):
+            lam = gd["lam"][k]
+            denom = 0.5 * (lam[:, None] + lam[None, :])
+            ref[g.slot[k]] = svec(smat(d[g.slot[k]], g.m) / denom)
+    assert _jordan_solve(scaling, groups, 3, d).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("cone", ["nonneg", "psd", "mixed"])
@@ -843,3 +872,71 @@ def test_non_finite_direction_ends_solve_failed(seed):
         warnings.simplefilter("ignore", RuntimeWarning)
         sol = solve_conic(prog)
     assert sol.stop_reason == "solve_failed"
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 1000])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_norm_is_numpy_norm_bitwise(size, scale):
+    # the same sqrt(x.dot(x)) as np.linalg.norm, also where the square
+    # underflows to 0 or overflows to inf
+    x = np.random.default_rng(size).normal(size=size) * scale
+    with np.errstate(over="ignore"):
+        want = float(np.linalg.norm(x))
+        got = _norm(x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if size and scale == 1e200:
+        assert got == np.inf
+
+
+def _sysid_objectives():
+    """Two anchors of the benchmark's sysid lifting (sparse path)."""
+    inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))
+    p = inst.problem
+    relaxation = lift(p, RelaxationConfig(r=2), penalized=True)
+    progs = [build_penalized(relaxation, x, 40.0)[0]
+             for x in (np.zeros(p.n), np.full(p.n, 0.1))]
+    return progs[0].cone, [prog.c for prog in progs]
+
+
+def _full_path_objectives():
+    """Two objectives over one 4x4 moment block (full path)."""
+    prog = _dense_kkt_program("full")
+    return prog.cone, [prog.c, np.abs(prog.c)]
+
+
+def _solution_bytes(sol):
+    return (b"".join(v.tobytes() for v in (sol.u, sol.y, sol.z, sol.s)),
+            sol.status, sol.stop_reason, sol.iterations)
+
+
+@pytest.mark.parametrize("objectives, path", [
+    (_sysid_objectives, "sparse"), (_full_path_objectives, "full")])
+def test_one_start_per_cone(objectives, path, monkeypatch):
+    # the identity scaling's factor, u and s are built once per cone; two
+    # objectives solved over one cone give the bits of each solved over a
+    # fresh cone
+    import qcqpen.solver as solver
+    identity_calls = []
+    nt_scaling = solver._nt_scaling
+
+    def counted(groups, s, z, l_nn):
+        if s is z:       # only the start scales at s = z = e
+            identity_calls.append(None)
+        return nt_scaling(groups, s, z, l_nn)
+    monkeypatch.setattr(solver, "_nt_scaling", counted)
+    cone, cs = objectives()
+    assert _kkt_path(cone) == path
+    shared = [solve_conic(ConicProgram(cone, c)) for c in cs]
+    assert len(identity_calls) == 1
+    fresh = [solve_conic(ConicProgram(objectives()[0], c)) for c in cs]
+    assert len(identity_calls) == 3
+    assert [_solution_bytes(sol) for sol in shared] == \
+        [_solution_bytes(sol) for sol in fresh]
+    assert all(sol.status in OK for sol in shared)
+    # the cached start is read-only, and no solution shares its arrays
+    kkt, u, s = cone.start
+    for arr in (u, s):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        assert not any(np.shares_memory(arr, sol.u) or
+                       np.shares_memory(arr, sol.s) for sol in shared)
