@@ -29,15 +29,18 @@ steps are damped by a fraction of the distance to the cone boundary.
 - full: programs whose KKT matrix has order n + m + dim K at most
   `_FULL_KKT_ORDER` factor it with one dense LU per iteration.
 - dense: dz is eliminated, and the normal matrix H = G' (W'W)^{-1} G is
-  summed from `_NormalMap`'s pair list (each pair of entries of a
-  nonnegative row, then each pair of variable slots of a PSD block, with
-  its place in H's lower triangle) with one np.bincount and Cholesky-factored;
-  the equalities go through a second Cholesky of the Schur complement
-  A H^{-1} A' (as in CVXOPT's potrf-based KKT solvers).
+  formed by `_NormalMap`: one sparse-times-dense product Gn' (W_n^{-2} Gn)
+  for the nonnegative rows, then each pair of variable slots of a PSD block
+  added in place at its place in H's lower triangle. H is Cholesky-factored
+  with LAPACK's potrf, and the equalities go through a second Cholesky of
+  the Schur complement A H^{-1} A' (as in CVXOPT's potrf-based KKT
+  solvers).
 - sparse: when the count of H entries the cone rows scatter is below a
-  tenth of n^2, the same terms are summed into the quasidefinite augmented
-  matrix [[H, A'], [A, -delta I]] in CSC form and factored with one sparse
-  LU (Vanderbei, "Symmetric quasi-definite matrices", 1995; as in ECOS).
+  tenth of n^2, the same terms, listed pair by pair (each pair of entries of
+  a nonnegative row, then the PSD pairs), are summed into the quasidefinite
+  augmented matrix [[H, A'], [A, -delta I]] in CSC form and factored with
+  one sparse LU (Vanderbei, "Symmetric quasi-definite matrices", 1995; as
+  in ECOS).
 
 Every path refines its solves against the full system, the W'W dz term
 included, as CVXOPT's conelp does (Vandenberghe, "The CVXOPT linear and
@@ -437,12 +440,13 @@ def _nt_scaling(groups, s, z, l_nn):
 def _pair_index(g: _BlockGroup, blk, t1, t2):
     """(idx, kww) for the slot pairs (blk, t1, t2) of a group.
 
-    Slot t holds entry (a_t, b_t). idx is (4, pairs) int32: the flat places
-    of P[a1, a2], P[b1, b2], P[a1, b2] and P[b1, a2] in the group's
-    (nb, m, m) W^{-1}; kww is 0.5 w_t1 w_t2.
+    Slot t holds entry (a_t, b_t). idx is (4, pairs) intp, the type `take`
+    indexes with, so that no take converts it: the flat places of P[a1, a2],
+    P[b1, b2], P[a1, b2] and P[b1, a2] in the group's (nb, m, m) W^{-1};
+    kww is 0.5 w_t1 w_t2.
     """
-    a, b, m = g.ka.astype(np.int32), g.kb.astype(np.int32), g.m
-    base = (blk * (m * m)).astype(np.int32)
+    a, b, m = g.ka.astype(np.intp), g.kb.astype(np.intp), g.m
+    base = blk.astype(np.intp) * (m * m)
     a1, b1 = base + a[t1] * m, base + b[t1] * m
     a2, b2 = a[t2], b[t2]
     idx = np.stack([a1 + a2, b1 + b2, a1 + b2, b1 + a2])
@@ -561,15 +565,22 @@ def _ladder(scale, reg):
 
 
 def _factor_regularized(M, what):
-    """Cholesky factor of M, shifting its diagonal in place until it
-    factors (`_ladder`); returns (factor, total shift) or raises
-    LinAlgError(what)."""
+    """Cholesky factor of M from its lower triangle (LAPACK potrf, which
+    leaves M as it is), shifting M's diagonal in place until it factors
+    (`_ladder`); returns (factor, total shift) or raises LinAlgError(what)."""
     for reg, eps in _ladder(float(np.max(np.abs(np.diag(M)))), 0.0):
-        try:
-            return sla.cho_factor(M, lower=True, check_finite=False), reg
-        except np.linalg.LinAlgError:
-            M[np.diag_indices_from(M)] += eps
+        c, info = sla.lapack.dpotrf(M, lower=1, clean=0)
+        if info == 0:
+            return c, reg
+        # info > 0: the leading minor of order info is not positive definite
+        M[np.diag_indices_from(M)] += eps
     raise np.linalg.LinAlgError(what)
+
+
+def _cho_solve(c, b):
+    """Solve with the Cholesky factor c of `_factor_regularized`: LAPACK
+    potrs, the call sla.cho_solve makes."""
+    return sla.lapack.dpotrs(c, b, lower=1)[0]
 
 
 class _KktSolver:
@@ -578,7 +589,9 @@ class _KktSolver:
     H is a dense array; only its diagonal and lower triangle are read, and
     the diagonal is shifted in place when it does not factor. A is CSR,
     densified to form the Schur complement. reg_used is the total diagonal
-    shift added to H and to the Schur complement.
+    shift added to H and to the Schur complement. LAPACK's potrf and potrs
+    are called directly, with the arguments sla.cho_factor and sla.cho_solve
+    pass them, so the bits are theirs.
     """
 
     def __init__(self, H, A):
@@ -586,7 +599,7 @@ class _KktSolver:
             H, "normal equations not positive definite")
         if A.shape[0]:
             A = A.toarray()
-            HiAt = sla.cho_solve(self.cho, A.T, check_finite=False)
+            HiAt = _cho_solve(self.cho, A.T)
             S = A @ HiAt
             S = 0.5 * (S + S.T)
             self.schur, schur_reg = _factor_regularized(
@@ -599,61 +612,92 @@ class _KktSolver:
 
     def solve(self, r1, r2):
         """Solve [H A'; A 0] [du; dy] = [r1; r2]."""
-        w = sla.cho_solve(self.cho, r1, check_finite=False)
+        w = _cho_solve(self.cho, r1)
         if self.schur is not None:
             rhs = self.HiAt.T @ r1 - r2
-            dy = sla.cho_solve(self.schur, rhs, check_finite=False)
+            dy = _cho_solve(self.schur, rhs)
             du = w - self.HiAt @ dy
             return du, dy
         return w, np.zeros(0)
 
 
 class _NormalMap:
-    """Every term of H = G' (W'W)^{-1} G on its diagonal and lower triangle.
+    """H = G' (W'W)^{-1} G on its diagonal and lower triangle, built once
+    per cone.
 
-    Built once per cone: one list of pairs, each with its flat place
-    i * n + j, i >= j, in `place`. First, row by row, each pair of entries
-    of a nonnegative row k at columns i >= j, with the term
-    G[k, i] (G[k, j] (1 / wn_k^2)). Then, per group in (block, t1, t2) order,
-    each pair of variable slots with var(t1) >= var(t2), with the term
-    K[t1, t2] gc[t1] gc[t2] (`_pair_entries`).
+    The nonnegative rows give Gn' diag(1 / wn^2) Gn. The dense path forms
+    it with one sparse-times-dense product against `Gd`, Gn densified once:
+    nnz(Gn) * n flops and l_nn * n floats, where a list of each row's pairs
+    of entries would grow with the square of its nonzeros. Each PSD group
+    keeps its pairs of variable slots (blk, t1, t2), var(t1) >= var(t2), in
+    that order, with the term K[t1, t2] gc[t1] gc[t2] (`_pair_entries`) and
+    its flat place var(t1) * n + var(t2) in H.
+
+    The sparse path reads one list of every term with its place i * n + j,
+    i >= j, in `place` and `terms`, built on first use: first, row by row,
+    each pair of entries of a nonnegative row k at columns i >= j, with the
+    term G[k, i] (G[k, j] (1 / wn_k^2)), then the PSD pairs.
     """
 
     def __init__(self, G, groups, l_nn):
         n = self.n = G.shape[1]
-        Gn = G[:l_nn]
-        self.data = Gn.data
-        nk = np.diff(Gn.indptr)
-        self.entry_row = np.repeat(np.arange(l_nn), nk)
-        # the r-th entry of a row pairs with the row's first r + 1 entries,
-        # whose columns are j <= i because CSR keeps each row sorted
-        first = np.repeat(Gn.indptr[:-1], nk)
-        self.reps = np.arange(Gn.nnz) - first + 1
-        self.partner = np.arange(int(self.reps.sum()))
-        self.partner -= np.repeat(np.cumsum(self.reps) - self.reps - first,
-                                  self.reps)
-        cols = Gn.indices.astype(np.int64)
-        places = [np.repeat(cols * n, self.reps) + cols[self.partner]]
+        self.Gn = G[:l_nn]
         self.psd = []
         for g in groups:
             both = g.mask[:, :, None] & g.mask[:, None, :]
             both &= g.var[:, :, None] >= g.var[:, None, :]
             blk, t1, t2 = np.nonzero(both)
             self.psd.append(_pair_index(g, blk, t1, t2)
-                            + (g.gcoef[blk, t1], g.gcoef[blk, t2]))
-            places.append(g.var[blk, t1] * n + g.var[blk, t2])
-        self.place = np.concatenate(places)
+                            + (g.gcoef[blk, t1], g.gcoef[blk, t2],
+                               g.var[blk, t1] * n + g.var[blk, t2]))
+
+    @cached_property
+    def Gd(self) -> np.ndarray:
+        """Gn as a dense (l_nn, n) array."""
+        return self.Gn.toarray()
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """Mask of H's strict upper triangle."""
+        return np.triu(np.ones((self.n, self.n), dtype=bool), 1)
+
+    @cached_property
+    def row_pairs(self) -> tuple:
+        """(entry_row, reps, partner) of the rows' pair list: each entry's
+        row, the count of its pairs, and the entry each pair pairs it
+        with. The r-th entry of a row pairs with the row's first r + 1
+        entries, whose columns are j <= i because CSR keeps each row
+        sorted."""
+        Gn = self.Gn
+        nk = np.diff(Gn.indptr)
+        entry_row = np.repeat(np.arange(Gn.shape[0]), nk)
+        first = np.repeat(Gn.indptr[:-1], nk)
+        reps = np.arange(Gn.nnz) - first + 1
+        partner = np.arange(int(reps.sum()))
+        partner -= np.repeat(np.cumsum(reps) - reps - first, reps)
+        return entry_row, reps, partner
+
+    @cached_property
+    def place(self) -> np.ndarray:
+        """The flat place in H of every term of `terms`."""
+        _, reps, partner = self.row_pairs
+        cols = self.Gn.indices.astype(np.int64)
+        return np.concatenate([np.repeat(cols * self.n, reps)
+                               + cols[partner]]
+                              + [pg[-1] for pg in self.psd])
 
     def terms(self, scaling) -> np.ndarray:
-        """The pairs' terms at `scaling`."""
+        """Every term at `scaling`, in the order of `place`."""
+        entry_row, reps, partner = self.row_pairs
         out = np.empty(self.place.size)
-        lo = self.partner.size
-        scaled = self.data * (1.0 / scaling.wn ** 2)[self.entry_row]
+        lo = partner.size
+        data = self.Gn.data
+        scaled = data * (1.0 / scaling.wn ** 2)[entry_row]
         # partner is in range by construction: "clip" only skips the
         # buffered bounds check
-        np.take(scaled, self.partner, out=out[:lo], mode="clip")
-        out[:lo] *= np.repeat(self.data, self.reps)
-        for (idx, kww, gc1, gc2), gd in zip(self.psd, scaling.groups):
+        np.take(scaled, partner, out=out[:lo], mode="clip")
+        out[:lo] *= np.repeat(data, reps)
+        for (idx, kww, gc1, gc2, _), gd in zip(self.psd, scaling.groups):
             seg = out[lo:lo + kww.size]
             np.multiply(_pair_entries(gd["Winv"], idx, kww), gc1, out=seg)
             seg *= gc2
@@ -663,12 +707,24 @@ class _NormalMap:
     def normal_matrix(self, scaling) -> np.ndarray:
         """Dense H at `scaling`; its strict upper triangle is zero.
 
-        np.bincount adds in index order, so every place receives its terms
-        in list order, as on the sparse path.
+        scipy's CSC-times-dense kernel adds row k's term
+        G[k, i] (G[k, j] (1 / wn_k^2)) into zeros for k in increasing order,
+        and np.add.at then adds the PSD terms in list order: every place of
+        the lower triangle receives its terms in the order of `terms`, as
+        np.add.at over `place` adds them, and so gets the same bits. This
+        assumes the compiled kernel rounds each multiply and each add apart
+        (no FMA contraction), as the x86-64 build it was checked on does; a
+        build that contracts them changes H in its last bits.
         """
-        n = self.n
-        return np.bincount(self.place, weights=self.terms(scaling),
-                           minlength=n * n).reshape(n, n)
+        H = self.Gn.T @ (self.Gd * (1.0 / scaling.wn ** 2)[:, None])
+        H[self.upper] = 0.0
+        flat = H.ravel()
+        for (idx, kww, gc1, gc2, place), gd in zip(self.psd, scaling.groups):
+            terms = _pair_entries(gd["Winv"], idx, kww)
+            terms *= gc1
+            terms *= gc2
+            np.add.at(flat, place, terms)
+        return H
 
 
 # absolute static regularization of the equality block on the sparse path;

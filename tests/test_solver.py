@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -754,7 +755,7 @@ def test_pair_entries_match_svec_of_winv_map(case):
     for g, gd in zip(groups, scaling.groups):
         blk, t1, t2 = np.indices((g.nb, g.ns, g.ns)).reshape(3, -1)
         idx, kww = _pair_index(g, blk, t1, t2)
-        assert idx.dtype == np.int32
+        assert idx.dtype == np.intp
         K = _pair_entries(gd["Winv"], idx, kww).reshape(g.nb, g.ns, g.ns)
         P = gd["Winv"]
         for k in range(g.nb):
@@ -784,6 +785,149 @@ def test_kkt_solver_ignores_strict_upper_triangle(dt):
     for got, want in zip(kkt.solve(r1, r2), ref.solve(r1, r2)):
         assert np.all(np.isfinite(want)) and want.dtype == dt
         assert np.array_equal(got, want)
+
+
+def _with_dense_rows(case, where):
+    """The cone of `_dense_kkt_program(case)` with three nonnegative rows
+    over every variable placed before, between or after its box rows."""
+    base = _dense_kkt_program(case).cone
+    n = base.n_vars
+    rng = np.random.default_rng(13)
+    dense = sp.csr_matrix(rng.normal(size=(3, n)))
+    box, hn = base.Gn, base.hn
+    cut = {"before": 0, "between": 3, "after": box.shape[0]}[where]
+    Gn = sp.vstack([box[:cut], dense, box[cut:]], format="csr")
+    hn = np.concatenate([hn[:cut], np.ones(3), hn[cut:]])
+    return Cone(n, base.A, base.b, Gn, hn, base.blocks)
+
+
+@pytest.mark.parametrize("where", ["before", "between", "after"])
+@pytest.mark.parametrize("case", ["full", "shared"])
+def test_normal_matrix_product_sums_like_add_at(case, where):
+    # the rows' product and the PSD pairs added in place give the bytes of
+    # np.add.at over zeros of the whole pair list, wherever the dense rows
+    # sit among the box rows, also where PSD places repeat across blocks
+    cone = _with_dense_rows(case, where)
+    assert np.diff(cone.Gn.indptr).max() == cone.n_vars
+    for seed in range(3):
+        scaling = _random_interior_scaling(cone, seed)
+        H = _NormalMap(cone.G, cone.groups, cone.n_nonneg).normal_matrix(
+            scaling)
+        pairs = _NormalMap(cone.G, cone.groups, cone.n_nonneg)
+        ref = np.zeros(pairs.n * pairs.n)
+        np.add.at(ref, pairs.place, pairs.terms(scaling))
+        assert H.shape == (cone.n_vars, cone.n_vars)
+        assert H.tobytes() == ref.tobytes()
+
+
+def _arrays(value):
+    """Every numpy array held in value, through lists, tuples and sparse
+    matrices."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if sp.issparse(value):
+        return [value.data, value.indices, value.indptr]
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def test_dense_path_builds_no_pair_list(monkeypatch):
+    # three nonnegative rows over all n variables, on the dense path: a
+    # list of each row's pairs of entries would hold sum nk (nk + 1) / 2
+    # entries; after a factorization and a solve the path's map holds no
+    # array that large, and Gd is Gn dense. The 20 extra variables make
+    # the rows, not the block's pairs, the bulk of the terms.
+    import qcqpen.solver as solver
+    n = _dense_kkt_program("full", extra=20).cone.n_vars
+    rng = np.random.default_rng(12)
+    rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
+    cone = _dense_kkt_program("full", extra=20, nn=rows).cone
+    monkeypatch.setattr(solver, "_FULL_KKT_ORDER", 0)
+    assert _kkt_path(cone) == "dense"
+    maps = []
+
+    class Recorded(_NormalMap):
+        def __init__(self, *args):
+            super().__init__(*args)
+            maps.append(self)
+    monkeypatch.setattr(solver, "_NormalMap", Recorded)
+    kkt = cone.factor_kkt(_random_interior_scaling(cone, 0))
+    kkt.solve(np.ones(n), np.ones(cone.n_eq), np.ones(cone.h.size))
+    [nmap] = maps
+    nk = np.diff(cone.Gn.indptr)
+    pairs = int(np.sum(nk * (nk + 1) // 2))
+    held = _arrays(list(vars(nmap).values()))
+    assert held and max(a.size for a in held) < pairs
+    assert nmap.Gd.shape == (cone.n_nonneg, n)
+    assert np.array_equal(nmap.Gd, cone.Gn.toarray())
+
+
+def _cho_reference(M, A):
+    """(factor, Schur factor or None, HiAt, reg_used) of `_KktSolver`'s
+    ladder, through sla.cho_factor and sla.cho_solve."""
+    import qcqpen.solver as solver
+
+    def factor(M):
+        M = M.copy()
+        for reg, eps in solver._ladder(float(np.max(np.abs(np.diag(M)))),
+                                       0.0):
+            try:
+                return sla.cho_factor(M, lower=True, check_finite=False), reg
+            except np.linalg.LinAlgError:
+                M[np.diag_indices_from(M)] += eps
+        raise np.linalg.LinAlgError("reference ladder failed")
+    cho, reg = factor(M)
+    if not A.shape[0]:
+        return cho, None, None, reg
+    Ad = A.toarray()
+    HiAt = sla.cho_solve(cho, Ad.T, check_finite=False)
+    S = Ad @ HiAt
+    schur, schur_reg = factor(0.5 * (S + S.T))
+    return cho, schur, HiAt, reg + schur_reg
+
+
+def _cho_reference_solve(ref, r1, r2):
+    cho, schur, HiAt, _ = ref
+    w = sla.cho_solve(cho, r1, check_finite=False)
+    if schur is None:
+        return w, np.zeros(0)
+    dy = sla.cho_solve(schur, HiAt.T @ r1 - r2, check_finite=False)
+    return w - HiAt @ dy, dy
+
+
+@pytest.mark.parametrize("H_case", ["spd", "singular"])
+@pytest.mark.parametrize("eq", [True, False])
+def test_kkt_solver_lapack_matches_cho_factor(H_case, eq):
+    # potrf and potrs called directly give sla.cho_factor's and
+    # sla.cho_solve's bits; on a singular H (two variables in no cone
+    # row) the ladder ends with the same shift and the same factor
+    if H_case == "spd":
+        rng = np.random.default_rng(21)
+        n = 9
+        B = rng.normal(size=(n, n))
+        H = B @ B.T + 0.1 * np.eye(n)
+        A = sp.csr_matrix(rng.normal(size=(2, n)))
+    else:
+        cone = _dense_kkt_program("shared", extra=2).cone
+        n = cone.n_vars
+        H = _NormalMap(cone.G, cone.groups, cone.n_nonneg).normal_matrix(
+            _random_interior_scaling(cone, 2))
+        A = cone.A
+    A = A if eq else A[:0]
+    ref = _cho_reference(H, A)
+    kkt = _KktSolver(H.copy(), A)
+    assert (kkt.reg_used > 0.0) == (H_case == "singular")
+    assert kkt.reg_used == ref[3]
+    assert kkt.cho.tobytes() == ref[0][0].tobytes()
+    if eq:
+        assert kkt.schur.tobytes() == ref[1][0].tobytes()
+        assert kkt.HiAt.tobytes() == ref[2].tobytes()
+    rng = np.random.default_rng(22)
+    r1, r2 = rng.normal(size=n), rng.normal(size=A.shape[0])
+    for got, want in zip(kkt.solve(r1, r2), _cho_reference_solve(ref, r1, r2)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _full_kkt_reference(cone, G, A, groups, scaling):

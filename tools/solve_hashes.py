@@ -1,0 +1,72 @@
+"""Hash every solve of one benchmark pass, to check that a change keeps the
+iterates bit for bit.
+
+    python3 tools/solve_hashes.py             # every workload, seed 1
+    python3 tools/solve_hashes.py --seed 2
+
+Run from the root of a source tree: the program is imported from ./src and
+the workloads from perfbench/workloads.py, unchanged. Each operation of one
+pass (`workloads.make(name, seed)`) runs through qcqpen.sequential.run with
+qcqpen.sequential.solve_conic wrapped. For each workload it prints the count
+of solves and one sha256 over every solve's u, y, z and s bytes, status,
+stop_reason and iterations, in call order. Compare the lines of two trees
+on one machine: the bits depend on the BLAS build.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# one BLAS thread, as in the benchmark, set before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import qcqpen.sequential as sequential  # noqa: E402
+import workloads  # noqa: E402
+
+
+def solution_bytes(sol) -> bytes:
+    """The bytes a solve's hash covers."""
+    arrays = b"".join(v.tobytes() for v in (sol.u, sol.y, sol.z, sol.s))
+    tail = f"{sol.status}|{sol.stop_reason}|{sol.iterations}".encode()
+    return arrays + tail
+
+
+def workload_hash(name: str, seed: int) -> tuple:
+    """(solves, sha256 hex digest) of one pass of workload `name`."""
+    digest = hashlib.sha256()
+    count = 0
+    solve = sequential.solve_conic
+
+    def hashed(*args, **kwargs):
+        nonlocal count
+        sol = solve(*args, **kwargs)
+        digest.update(solution_bytes(sol))
+        count += 1
+        return sol
+    sequential.solve_conic = hashed
+    try:
+        for op in workloads.make(name, seed):
+            try:
+                sequential.run(op.problem, op.config, label=op.label)
+            except (sequential.SolveError, sequential.EtaTuningError):
+                pass     # the solves before the error are hashed
+    finally:
+        sequential.solve_conic = solve
+    return count, digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    for name in workloads.WORKLOADS:
+        count, hexdigest = workload_hash(name, args.seed)
+        print(f"{name} solves={count} sha256={hexdigest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
