@@ -33,9 +33,9 @@ objective, a proximal term that vanishes exactly on rank-one liftings at
 x = xhat; minimizers with X = xx' are feasible for the original QCQP.
 
 Only the objective depends on xhat and eta. So `lift` builds a relaxation
-once, and `build_penalized` writes each round's objective over its cone.
-`build_penalized` and `extract` work on the extraction map's slot arrays
-and the objective's lifted row, and never form X.
+once; `build_penalized` writes each round's objective over its cone, the
+unpenalized relaxation's too when `penalty_blocks` is 0. Both it and
+`extract` read the map's slot arrays and lifted row, and never form X.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ class ExtractionMap:
     diag_slots: np.ndarray
     c: np.ndarray
     c0: float
+    penalty_blocks: int     # 2x2 blocks that only the penalty needs
 
 
 def rlt_system(p: QcqpProblem):
@@ -147,16 +148,16 @@ def rlt_cuts(p: QcqpProblem, pairs="all"):
 
 
 def _block_subsets(p, cfg, cuts, penalized: bool):
-    """Variable subsets K of the Schur blocks, each sorted.
+    """(subsets, own): the variable subsets K of the Schur blocks, sorted.
 
     r = 2: the stored pairs, then each stored diagonal that lies outside
     every pair; r = n: one subset holding every variable; explicit subsets:
-    as given, then a singleton for each penalized diagonal they miss. The
-    stored X entries are exactly those the blocks cover.
+    as given. penalized adds a singleton for each diagonal still missing;
+    own counts them. The stored X entries are exactly those blocks cover.
     """
     n = p.n
     r = cfg.r if cfg.r is not None else n
-    diags = set(range(n)) if penalized else set()
+    diags = set()
     if cfg.subsets is not None:
         if not (2 <= r <= n):
             raise ValueError(f"subset order r={r} outside [2, {n}]")
@@ -169,7 +170,7 @@ def _block_subsets(p, cfg, cuts, penalized: bool):
                 raise ValueError("subset variable out of range")
             subsets.append(K)
     elif r == n:
-        return [tuple(range(n))]
+        return [tuple(range(n))], 0
     elif r == 2:
         if not cfg.sparsity:
             pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -192,7 +193,8 @@ def _block_subsets(p, cfg, cuts, penalized: bool):
             f"r={r} requires an explicit subset list (only r=2 and r=n "
             "have automatic block patterns)")
     covered = {i for K in subsets for i in K}
-    return subsets + [(i,) for i in sorted(diags - covered)]
+    own = set(range(n)) - covered - diags if penalized else set()
+    return subsets + [(i,) for i in sorted(own | diags - covered)], len(own)
 
 
 def _box(p: QcqpProblem):
@@ -276,7 +278,7 @@ def lift(p: QcqpProblem, cfg: RelaxationConfig | None = None,
     if not (2 <= r <= n) and not (n == 1 and r in (1, 2, None)):
         raise ValueError(f"r={r} outside [2, n={n}]")
     cuts = rlt_cuts(p, cfg.rlt_pairs) if cfg.rlt_pairs is not None else []
-    subsets = _block_subsets(p, cfg, cuts, penalized)
+    subsets, own = _block_subsets(p, cfg, cuts, penalized)
     lifter = _Lifter(p, subsets)
 
     # rows (cols, vals, rhs): nonnegative rows . u <= rhs, equalities = rhs
@@ -306,7 +308,7 @@ def lift(p: QcqpProblem, cfg: RelaxationConfig | None = None,
     c = np.zeros(lifter.n_vars)
     c[cols] = vals
     slots = n + np.arange(len(lifter.diags))
-    emap = ExtractionMap(n, lifter.X_index, lifter.diags, slots, c, c0)
+    emap = ExtractionMap(n, lifter.X_index, lifter.diags, slots, c, c0, own)
     return ConicProgram(cone, c, c0), emap
 
 

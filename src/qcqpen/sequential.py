@@ -1,10 +1,10 @@
 """Sequential penalized relaxations: solve, re-center, repeat.
 
 The penalized relaxation depends only on the problem and cfg.relaxation,
-so it is lifted once per run: the eta search's candidates and the final
-run of rounds all share it. Round i writes its objective at the
-current anchor xhat, solves it, extracts x(i), and re-anchors. Two round
-indices are tracked:
+so it is lifted once per run, first: the initial relaxation when the
+penalty adds no block, the eta search's candidates and the final run of
+rounds all share its cone. Round i writes its objective at the current
+anchor xhat, solves it, extracts x(i), and re-anchors. Two round indices:
 
     i_feas: first round whose lifting is tight, residual < tight_tol
             (then x(i) is feasible for the QCQP up to solver tolerance);
@@ -96,7 +96,7 @@ class SequentialTrace:
     x_init: np.ndarray
     status: str                      # converged | max_rounds | solver_failure:*
     label: str = ""
-    init_s: float = 0.0              # resolve_initial_point
+    init_s: float = 0.0              # resolve_initial_point, not the lift
     tune_s: float = 0.0              # tune_eta, 0 with a fixed eta
     # feasibility restoration of x_final: the step's length (0 when x_final
     # was within tight_tol, inf when the step failed and x_final was kept)
@@ -128,9 +128,11 @@ def eta_grid() -> list:
     return sorted(vals)
 
 
-def solve_relaxation(p, relaxation, settings):
-    """(sol, emap) of p's relaxation; SolveError unless (near-)optimal."""
-    prog, emap = build_relaxation(p, relaxation)
+def solve_relaxation(p, relaxation, settings, lifted=None):
+    """(sol, emap) of p's relaxation, `lifted` (p's penalized lift) when the
+    penalty adds no block to it; SolveError unless (near-)optimal."""
+    share = lifted is not None and lifted[1].penalty_blocks == 0
+    prog, emap = lifted if share else build_relaxation(p, relaxation)
     sol = solve_conic(prog, settings)
     if sol.status not in _OK_STATUSES:
         raise SolveError(f"relaxation solve ended with status {sol.status} "
@@ -138,13 +140,15 @@ def solve_relaxation(p, relaxation, settings):
     return sol, emap
 
 
-def resolve_initial_point(p: QcqpProblem, cfg: SequentialConfig) -> np.ndarray:
+def resolve_initial_point(p: QcqpProblem, cfg: SequentialConfig,
+                          relaxation=None) -> np.ndarray:
     init = cfg.init
     if isinstance(init, str):
         if init == "zero":
             return np.zeros(p.n)
         if init == "relaxation":
-            return extract(*solve_relaxation(p, cfg.relaxation, cfg.solver)).x
+            return extract(*solve_relaxation(p, cfg.relaxation, cfg.solver,
+                                             relaxation)).x
         raise ValueError(f"unknown initial point spec {init!r}")
     x0 = np.asarray(init, dtype=float).ravel()
     if x0.shape != (p.n,):
@@ -229,10 +233,10 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
     the bisection ends on it; raises EtaTuningError when it is loose there.
     """
     grid = eta_grid()
-    if x0 is None:
-        x0 = resolve_initial_point(p, cfg)
     if relaxation is None:
         relaxation = lift(p, cfg.relaxation, penalized=True)
+    if x0 is None:
+        x0 = resolve_initial_point(p, cfg, relaxation)
     memo: dict = {}
 
     def tight_at(idx: int) -> bool:
@@ -264,10 +268,10 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
         label: str = "") -> SequentialTrace:
     """Run the sequential penalized scheme; see module docstring."""
     cfg = cfg or SequentialConfig()
-    t0 = time.perf_counter()
-    x0 = resolve_initial_point(p, cfg)
-    init_s = time.perf_counter() - t0
     relaxation = lift(p, cfg.relaxation, penalized=True)
+    t0 = time.perf_counter()
+    x0 = resolve_initial_point(p, cfg, relaxation)
+    init_s = time.perf_counter() - t0
     tune_s = 0.0
     if cfg.eta == "auto":
         t0 = time.perf_counter()

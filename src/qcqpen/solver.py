@@ -657,11 +657,6 @@ class _NormalMap:
         return self.Gn.toarray()
 
     @cached_property
-    def upper(self) -> np.ndarray:
-        """Mask of H's strict upper triangle."""
-        return np.triu(np.ones((self.n, self.n), dtype=bool), 1)
-
-    @cached_property
     def row_pairs(self) -> tuple:
         """(entry_row, reps, partner) of the rows' pair list: each entry's
         row, the count of its pairs, and the entry each pair pairs it
@@ -705,7 +700,7 @@ class _NormalMap:
         return out
 
     def normal_matrix(self, scaling) -> np.ndarray:
-        """Dense H at `scaling`; its strict upper triangle is zero.
+        """Dense H at `scaling`, valid on its diagonal and lower triangle.
 
         scipy's CSC-times-dense kernel adds row k's term
         G[k, i] (G[k, j] (1 / wn_k^2)) into zeros for k in increasing order,
@@ -717,7 +712,6 @@ class _NormalMap:
         build that contracts them changes H in its last bits.
         """
         H = self.Gn.T @ (self.Gd * (1.0 / scaling.wn ** 2)[:, None])
-        H[self.upper] = 0.0
         flat = H.ravel()
         for (idx, kww, gc1, gc2, place), gd in zip(self.psd, scaling.groups):
             terms = _pair_entries(gd["Winv"], idx, kww)

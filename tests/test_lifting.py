@@ -285,6 +285,23 @@ def test_subset_blocks_cover_penalized_diagonals():
     assert extract(sol, emap).residual >= -1e-9
 
 
+def test_penalty_only_block_count():
+    # the penalty adds no block to a full moment lifting or to a dense r = 2
+    # one; on sysid at r = 2 it adds one for each variable whose X_ii no
+    # term stores, and the unpenalized lift reports none
+    p, _ = random_box_qcqp(3, n=4)
+    for cfg in (RelaxationConfig(), RelaxationConfig(r=2, sparsity=False)):
+        assert lift(p, cfg, penalized=True)[1].penalty_blocks == 0
+    sysid = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01,
+                                  seed=0)).problem
+    cfg = RelaxationConfig(r=2)
+    prog, emap = lift(sysid, cfg, penalized=True)
+    assert emap.penalty_blocks == 92
+    base, plain = lift(sysid, cfg)
+    assert plain.penalty_blocks == 0
+    assert len(prog.cone.blocks) - len(base.cone.blocks) == 92
+
+
 def test_penalized_validation():
     p, _ = random_box_qcqp(14)
     rel = lift(p, None, penalized=True)

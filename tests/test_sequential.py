@@ -565,10 +565,12 @@ def test_layer_calls_go_through_sequential_namespace(monkeypatch):
                            init="relaxation")
     trace = sequential.run(p, cfg)
     assert len(trace.rounds) == 3
-    # the initial relaxation takes one solve and one extract, then each
-    # round one build_penalized, one solve_conic and one extract
+    # the initial relaxation takes one solve and one extract over the run's
+    # penalized cone, which on a full moment lifting needs no block for the
+    # penalty, then each round one build_penalized, one solve_conic and one
+    # extract
     assert calls == {"run": 1, "resolve_initial_point": 1, "tune_eta": 0,
-                     "build_relaxation": 1, "build_penalized": 3,
+                     "build_relaxation": 0, "build_penalized": 3,
                      "extract": 4, "solve_conic": 4}
     calls.update(dict.fromkeys(_SPAN_NAMES, 0))
     sequential.run(p, SequentialConfig(max_rounds=1, stop_rel=None,
@@ -576,6 +578,57 @@ def test_layer_calls_go_through_sequential_namespace(monkeypatch):
     assert calls["run"] == calls["resolve_initial_point"] == 1
     assert calls["tune_eta"] == 1
     assert calls["build_penalized"] == calls["solve_conic"] >= 2
+
+
+def test_initial_relaxation_keeps_its_lift_when_penalty_adds_blocks(
+        monkeypatch):
+    # x2 appears in no term, so an r = 2 sparse lifting stores no X_22 and
+    # the penalized lift gives it a 2x2 block of its own, whose X_22 the
+    # relaxation's objective leaves free: the initial point comes from the
+    # relaxation's own lift, bit for bit as solve_relaxation gives it
+    ball = QuadraticFunction(np.diag([1.0, 1.0, 0.0]), np.zeros(3), -1.0)
+    A0 = np.zeros((3, 3))
+    A0[0, 1] = A0[1, 0] = 0.5
+    p = QcqpProblem(n=3, objective=QuadraticFunction(
+        A0, np.array([-0.5, 0.25, 0.5])), inequalities=[ball],
+        lb=-np.ones(3), ub=np.ones(3))
+    cfg = SequentialConfig(relaxation=RelaxationConfig(r=2), eta=1.0,
+                           max_rounds=2, stop_rel=None)
+    assert lift(p, cfg.relaxation, penalized=True)[1].penalty_blocks == 1
+    calls = []
+    build = sequential.build_relaxation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(sequential, "build_relaxation", counted)
+    trace = run(p, cfg)
+    assert len(calls) == 1
+    want = extract(*sequential.solve_relaxation(p, cfg.relaxation,
+                                                cfg.solver)).x
+    assert trace.x_init.tobytes() == want.tobytes()
+
+
+def test_tune_eta_alone_shares_one_lift(monkeypatch):
+    # tune_eta(p, cfg) with init="relaxation" on a full moment lifting lifts
+    # once and solves the initial relaxation over that cone too
+    counts = {"lift": 0, "build_relaxation": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(sequential, name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sequential, name, counted)
+    cones = set()
+    solve = sequential.solve_conic
+
+    def recorded(prog, *args, **kwargs):
+        cones.add(id(prog.cone))
+        return solve(prog, *args, **kwargs)
+    monkeypatch.setattr(sequential, "solve_conic", recorded)
+    tune_eta(_shifted_ball_problem(), SequentialConfig(tune_rounds=2))
+    assert counts == {"lift": 1, "build_relaxation": 0}
+    assert len(cones) == 1
 
 
 # per KKT path, the maps that one cone builds for it

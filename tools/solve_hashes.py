@@ -8,9 +8,10 @@ Run from the root of a source tree: the program is imported from ./src and
 the workloads from perfbench/workloads.py, unchanged. Each operation of one
 pass (`workloads.make(name, seed)`) runs through qcqpen.sequential.run with
 qcqpen.sequential.solve_conic wrapped. For each workload it prints the count
-of solves and one sha256 over every solve's u, y, z and s bytes, status,
-stop_reason and iterations, in call order. Compare the lines of two trees
-on one machine: the bits depend on the BLAS build.
+of solves, the count of distinct cones they solve over, and one sha256 over
+every solve's u, y, z and s bytes, status, stop_reason and iterations, in
+call order. Compare the lines of two trees on one machine: the bits depend
+on the BLAS build.
 """
 
 import argparse
@@ -35,14 +36,17 @@ def solution_bytes(sol) -> bytes:
 
 
 def workload_hash(name: str, seed: int) -> tuple:
-    """(solves, sha256 hex digest) of one pass of workload `name`."""
+    """(solves, distinct cones, sha256 hex digest) of one pass of workload
+    `name`."""
     digest = hashlib.sha256()
     count = 0
+    cones = {}      # id -> cone; holding each cone keeps its id unique
     solve = sequential.solve_conic
 
-    def hashed(*args, **kwargs):
+    def hashed(prog, *args, **kwargs):
         nonlocal count
-        sol = solve(*args, **kwargs)
+        cones[id(prog.cone)] = prog.cone
+        sol = solve(prog, *args, **kwargs)
         digest.update(solution_bytes(sol))
         count += 1
         return sol
@@ -55,7 +59,7 @@ def workload_hash(name: str, seed: int) -> tuple:
                 pass     # the solves before the error are hashed
     finally:
         sequential.solve_conic = solve
-    return count, digest.hexdigest()
+    return count, len(cones), digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -63,8 +67,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
-        count, hexdigest = workload_hash(name, args.seed)
-        print(f"{name} solves={count} sha256={hexdigest}", flush=True)
+        count, cones, hexdigest = workload_hash(name, args.seed)
+        print(f"{name} solves={count} cones={cones} sha256={hexdigest}",
+              flush=True)
     return 0
 
 
