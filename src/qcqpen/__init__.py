@@ -15,7 +15,7 @@ generation, and `cli` binds everything into a command line tool.
 from .quadratics import QuadraticFunction, QcqpProblem, jacobian
 from .lifting import (RelaxationConfig, LiftedPoint, ExtractionMap, lift,
                       build_relaxation, build_penalized, extract,
-                      rlt_cuts, rlt_system, rlt_pair_list)
+                      rlt_cuts, rlt_pair_list)
 from .solver import (Cone, ConicProgram, ConicSolution, SolverSettings,
                      solve_conic, iteration_log_csv)
 from .sequential import (SequentialConfig, SequentialTrace, RoundRecord,
@@ -39,7 +39,7 @@ __all__ = [
     "QuadraticFunction", "QcqpProblem", "jacobian",
     "RelaxationConfig", "LiftedPoint", "ExtractionMap",
     "lift", "build_relaxation", "build_penalized", "extract",
-    "rlt_cuts", "rlt_system", "rlt_pair_list",
+    "rlt_cuts", "rlt_pair_list",
     "Cone", "ConicProgram", "ConicSolution", "SolverSettings",
     "solve_conic", "iteration_log_csv",
     "SequentialConfig", "SequentialTrace", "RoundRecord",

@@ -11,9 +11,11 @@ Two-sided constraint ranges become two inequality rows, equalities
 objective. Integer problem types are rejected.
 
 Native format. `problem_to_json` / `problem_from_json` serialize a
-QcqpProblem losslessly (floats survive a round trip bit for bit, except
-that a quadratic's zeros come back +0.0; infinite bounds are stored as
-nulls). The schema is versioned under "format"/"version".
+QcqpProblem losslessly (floats survive a round trip bit for bit; infinite
+bounds are stored as nulls), versioned under "format"/"version". Version 2
+writes each quadratic as it is stored, {"terms": [rows, cols, vals],
+"linear": [idx, vals], "c": c}, and reads it through `from_sparse`.
+Version 1, still read, held a dense A and b; its zeros come back +0.0.
 
 System identification. `gen_sysid` builds a least-absolute-value
 estimation QCQP for a linear system z[t+1] = A z[t] + B u[t] + w[t]
@@ -183,7 +185,7 @@ def parse_qplib(text: str) -> QcqpProblem:
     c0 = lines.take_float("objective constant")
 
     qQ = [[] for _ in range(m)]
-    qb = [np.zeros(n) for _ in range(m)]
+    qb = [[] for _ in range(m)]
     if has_cons:
         for _ in range(lines.take_int("constraint Hessian entry count")):
             no, (sk, si, sj, sv) = lines.take_fields(
@@ -197,7 +199,7 @@ def parse_qplib(text: str) -> QcqpProblem:
             no, (sk, si, sv) = lines.take_fields(3, "constraint linear entry")
             k = _index(sk, m, "constraint", no)
             i = _index(si, n, "variable", no)
-            qb[k][i] += 0.5 * _value(sv, "linear coefficient", no)
+            qb[k].append((i, 0.5 * _value(sv, "linear coefficient", no)))
 
     infinity = lines.take_float("infinity threshold")
 
@@ -222,20 +224,21 @@ def parse_qplib(text: str) -> QcqpProblem:
         lines.next_line("trailing block")
 
     ineqs, eqs = [], []
-    quad = QuadraticFunction.from_entries
+    quad = QuadraticFunction.from_sparse
     for k in range(m):
         lo = definite(cl[k], -1.0)
         hi = definite(cu[k], +1.0)
         if lo == -np.inf and hi == np.inf:
             continue
         rows, cols, vals = np.reshape(qQ[k], (-1, 3)).T
+        idx, lin = np.reshape(qb[k], (-1, 2)).T
         if lo == hi:
-            eqs.append(quad(rows, cols, vals, qb[k], -lo))
+            eqs.append(quad(n, rows, cols, vals, (idx, lin), -lo))
             continue
         if hi < np.inf:
-            ineqs.append(quad(rows, cols, vals, qb[k], -hi))
+            ineqs.append(quad(n, rows, cols, vals, (idx, lin), -hi))
         if lo > -np.inf:
-            ineqs.append(quad(rows, cols, -vals, -qb[k], lo))
+            ineqs.append(quad(n, rows, cols, -vals, (idx, -lin), lo))
 
     rows, cols, vals = np.reshape(Q0, (-1, 3)).T
     if sense == "maximize":
@@ -243,7 +246,7 @@ def parse_qplib(text: str) -> QcqpProblem:
 
     return QcqpProblem(
         n=n,
-        objective=quad(rows, cols, vals, b0, c0),
+        objective=QuadraticFunction.from_entries(rows, cols, vals, b0, c0),
         inequalities=ineqs,
         equalities=eqs,
         lb=None if np.all(lb == -np.inf) else lb,
@@ -256,18 +259,27 @@ def parse_qplib(text: str) -> QcqpProblem:
 # native JSON problem format
 
 _FORMAT = "qcqpen-problem"
-_VERSION = 1
+_VERSION = 2
 
 
 def _quad_to_obj(q: QuadraticFunction) -> dict:
-    return {"A": q.A.tolist(), "b": q.b.tolist(), "c": q.c}
+    return {"terms": [a.tolist() for a in q.terms],
+            "linear": [a.tolist() for a in q.linear], "c": q.c}
 
 
-def _quad_from_obj(obj: dict, n: int) -> QuadraticFunction:
-    q = QuadraticFunction(obj["A"], obj["b"], obj["c"])
-    if q.n != n:
-        raise ValueError("constraint dimension mismatch in JSON problem")
-    return q
+def _quad_from_v1(obj: dict, n: int) -> QuadraticFunction:
+    return QuadraticFunction(obj["A"], obj["b"], obj["c"])
+
+
+def _quad_from_v2(obj: dict, n: int) -> QuadraticFunction:
+    r, c, v = map(np.asarray, obj["terms"])
+    if not r.shape == c.shape == v.shape:
+        raise ValueError("terms arrays of unequal length in JSON problem")
+    # each off-diagonal term listed at (i, j) and (j, i): v + v halves to v
+    off = r != c
+    return QuadraticFunction.from_sparse(
+        n, np.concatenate([r, c[off]]), np.concatenate([c, r[off]]),
+        np.concatenate([v, v[off]]), obj["linear"], obj["c"])
 
 
 def _bound_to_list(v, sign: float):
@@ -304,14 +316,16 @@ def problem_from_json(text: str) -> QcqpProblem:
 def _problem_from_doc(doc) -> QcqpProblem:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a {_FORMAT} document")
-    if doc.get("version") != _VERSION:
-        raise ValueError(f"unsupported {_FORMAT} version {doc.get('version')}")
+    version = doc.get("version")
+    if version not in (1, _VERSION):
+        raise ValueError(f"unsupported {_FORMAT} version {version}")
+    quad = _quad_from_v1 if version == 1 else _quad_from_v2
     n = int(doc["n"])
     return QcqpProblem(
         n=n,
-        objective=_quad_from_obj(doc["objective"], n),
-        inequalities=[_quad_from_obj(o, n) for o in doc["inequalities"]],
-        equalities=[_quad_from_obj(o, n) for o in doc["equalities"]],
+        objective=quad(doc["objective"], n),
+        inequalities=[quad(o, n) for o in doc["inequalities"]],
+        equalities=[quad(o, n) for o in doc["equalities"]],
         lb=_bound_from_list(doc.get("lb"), -1.0),
         ub=_bound_from_list(doc.get("ub"), +1.0),
         name=doc.get("name", ""),
@@ -456,32 +470,27 @@ def _assemble_sysid(params: SysIdParams, A_true, B_true, u, z, w,
 
     # y[t] >= s*(z[t+1] - A z[t] - B u[t]) for s = +1 then s = -1,
     # rows ordered t-major, state-index minor
+    quad = QuadraticFunction.from_sparse
     ineqs = []
     j, l = np.arange(n), np.arange(m)
     for s in (1.0, -1.0):
         for tau in range(1, T):
             for i in range(n):
-                ell = np.zeros(N)
-                ell[inst.z_off(tau + 1) + i] = s
-                ell[inst.b_off + l * n + i] = -s * u[tau - 1] / alpha
-                ell[inst.y_off(tau) + i] = -1.0 / alpha
+                # z[tau+1][i], B[i, l] at slot b_off + l n + i, y[tau][i]
+                idx = np.r_[inst.z_off(tau + 1) + i, inst.b_off + l * n + i,
+                            inst.y_off(tau) + i]
+                ell = np.r_[s, -s * u[tau - 1] / alpha, -1.0 / alpha]
                 # -s A[i, j] z[tau][j], A[i, j] at slot a_off + j n + i
-                ineqs.append(QuadraticFunction.from_entries(
-                    inst.a_off + j * n + i, inst.z_off(tau) + j,
-                    np.full(n, -s), 0.5 * ell, 0.0))
+                ineqs.append(quad(N, inst.a_off + j * n + i,
+                                  inst.z_off(tau) + j, np.full(n, -s),
+                                  (idx, 0.5 * ell)))
 
-    eqs = []
-    for tau in observed:
-        for i in range(n):
-            ell = np.zeros(N)
-            ell[inst.z_off(int(tau)) + i] = 1.0
-            eqs.append(QuadraticFunction.affine(0.5 * ell,
-                                                -z[int(tau) - 1, i]))
+    eqs = [quad(N, [], [], [], ([inst.z_off(tau) + i], [0.5]), -z[tau - 1, i])
+           for tau in observed.tolist() for i in range(n)]
 
-    obj = np.zeros(N)
-    obj[inst.y_off(1):inst.y_off(1) + (T - 1) * n] = 1.0 / alpha
+    y = np.arange(inst.y_off(1), inst.b_off)
     inst.problem = QcqpProblem(
-        n=N, objective=QuadraticFunction.affine(0.5 * obj),
+        n=N, objective=quad(N, [], [], [], (y, np.full(y.size, 0.5 / alpha))),
         inequalities=ineqs, equalities=eqs, name=params.label())
     return inst
 

@@ -84,30 +84,15 @@ class ExtractionMap:
     penalty_blocks: int     # 2x2 blocks that only the penalty needs
 
 
-def rlt_system(p: QcqpProblem):
-    """Stack the affine constraints of p as H x + h <= 0.
-
-    Rows: affine inequalities (2b_k', c_k), then affine equalities, then the
-    negated affine equalities, so that every row is a valid <= 0 functional
-    equal to +-q_k(x). Returns (H, h) with shapes (m, n), (m,).
-    """
-    ineq = [(2.0 * q.b, q.c) for q in p.inequalities if q.is_affine()]
-    eq = [(2.0 * q.b, q.c) for q in p.equalities if q.is_affine()]
-    rows = ineq + eq + [(-r, -c) for r, c in eq]
-    if not rows:
-        return np.zeros((0, p.n)), np.zeros(0)
-    H, h = zip(*rows)
-    return np.vstack(H), np.asarray(h)
-
-
 def rlt_pair_list(m: int):
     """All unordered row pairs (i, j), i <= j: m(m+1)/2 of them."""
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
 def _rlt_rows(p: QcqpProblem):
-    """The rows of `rlt_system` as (support, values, h), read from each
-    affine row's `linear`: O(nnz), with no dense row."""
+    """Rows (support, values, h) of Hx + h <= 0, from each affine row's
+    `linear`: the affine inequalities (2b_k, c_k), then the affine
+    equalities, then those negated, so each row is +-q_k(x) <= 0."""
     ineq = [q for q in p.inequalities if q.is_affine()]
     eq = [q for q in p.equalities if q.is_affine()]
     rows = [(q.linear[0], 2.0 * q.linear[1], q.c) for q in ineq + eq]
@@ -117,14 +102,15 @@ def _rlt_rows(p: QcqpProblem):
 def rlt_cuts(p: QcqpProblem, pairs="all"):
     """Lifted products of affine constraint rows.
 
-    For rows i, j of Hx + h <= 0 (`rlt_system`) the product
+    For rows i, j of Hx + h <= 0, in `_rlt_rows`' order, the product
     (H_i x + h_i)(H_j x + h_j) is nonnegative on the feasible set; its
     lifting is the functional qbar_c(x, X) >= 0 with
 
         A_c = sym(H_i H_j'),  b_c = (h_i H_j + h_j H_i)/2,  c_c = h_i h_j.
 
-    Each cut is built on the two rows' supports. Returns a list of
-    ((i, j), QuadraticFunction) in deterministic order.
+    Each cut lists its entries from the two rows' supports. Returns a list
+    of ((i, j), QuadraticFunction) in the order of pairs ("all": every
+    `rlt_pair_list` pair).
     """
     rows = _rlt_rows(p)
     m = len(rows)
@@ -135,15 +121,11 @@ def rlt_cuts(p: QcqpProblem, pairs="all"):
         if not (0 <= i < m and 0 <= j < m):
             raise ValueError(f"RLT pair {(i, j)} out of range for {m} rows")
         (si, vi, hi), (sj, vj, hj) = rows[i], rows[j]
-        # b_c on the union of the supports, each row zero off its own
-        union = np.union1d(si, sj)
-        Hi, Hj = np.zeros(union.size), np.zeros(union.size)
-        Hi[np.searchsorted(union, si)] = vi
-        Hj[np.searchsorted(union, sj)] = vj
-        b = 0.5 * (hi * Hj + hj * Hi)
+        # b_c lists h_i H_j, then h_j H_i: repeats sum in that order
+        lin = np.r_[sj, si], 0.5 * np.r_[hi * vj, hj * vi]
         out.append(((i, j), QuadraticFunction.from_sparse(
             p.n, np.repeat(si, sj.size), np.tile(sj, si.size),
-            np.outer(vi, vj).ravel(), (union, b), hi * hj)))
+            np.outer(vi, vj).ravel(), lin, hi * hj)))
     return out
 
 

@@ -395,8 +395,7 @@ def reformulate(pp: PolyProblem):
     n_ext = n + len(order)
 
     def to_quadratic(poly) -> QuadraticFunction:
-        entries = []
-        b = np.zeros(n_ext)
+        entries, linear = [], []
         c = 0.0
         for exps, coeff in poly.items():
             d = sum(exps)
@@ -404,12 +403,13 @@ def reformulate(pp: PolyProblem):
                 c += coeff
             elif d == 1:
                 v = next(v for v, e in enumerate(exps) if e)
-                b[v] += 0.5 * coeff
+                linear.append((v, 0.5 * coeff))
             else:
                 m1, m2 = _split(exps)
                 entries += _product(node_id[m1], node_id[m2], coeff)
-        return QuadraticFunction.from_entries(
-            *np.reshape(entries, (-1, 3)).T, b, c)
+        return QuadraticFunction.from_sparse(
+            n_ext, *np.reshape(entries, (-1, 3)).T,
+            np.reshape(linear, (-1, 2)).T, c)
 
     objective = to_quadratic(pp.objective)
     inequalities = []
@@ -423,10 +423,9 @@ def reformulate(pp: PolyProblem):
         m1, m2 = needed[m][1]
         i1, i2 = node_id[m1], node_id[m2]
         factors.append((i1, i2))
-        b = np.zeros(n_ext)
-        b[n + i] = 0.5
-        equalities.append(QuadraticFunction.from_entries(
-            *np.reshape(_product(i1, i2, -1.0), (-1, 3)).T, b, 0.0))
+        equalities.append(QuadraticFunction.from_sparse(
+            n_ext, *np.reshape(_product(i1, i2, -1.0), (-1, 3)).T,
+            ([n + i], [0.5])))
 
     qp = QcqpProblem(
         n=n_ext,

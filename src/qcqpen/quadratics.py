@@ -11,10 +11,10 @@ so grad q = 2(Ax + b) and hess q = 2A. A QCQP is
 Constraints are indexed 0..len(I)-1 for inequalities followed by
 len(I)..len(I)+len(E)-1 for equalities everywhere in this package.
 
-Builders hand a quadratic its entries; `_symmetric` turns them into `terms`,
-the nonzeros of A's upper triangle. A quadratic stores `terms`, `linear`
-(b's nonzeros) and c: evaluation, lifting and regularity read those, in
-O(nnz). The dense A and b are views built on each read.
+Every constructor checks its entry lists in one place and sums them into
+`terms`, the nonzeros of A's upper triangle, and `linear`, b's nonzeros. A
+quadratic stores those and c; evaluation, lifting, regularity and the JSON
+writer read them in O(nnz).
 """
 
 from __future__ import annotations
@@ -31,16 +31,26 @@ def _nonzero_entries(A: np.ndarray):
     return rows, cols, A[rows, cols]
 
 
+def _entries(n: int, *arrays):
+    """(*indices, vals) as intp arrays and floats; ValueError unless all are
+    1-D and of one length and every index is an integer in 0..n-1."""
+    index = [np.asarray(a) for a in arrays[:-1]]
+    vals = np.asarray(arrays[-1], dtype=float)
+    if vals.shape != (vals.size,) or any(
+            a.shape != vals.shape or a.dtype.kind not in "iuf" for a in index):
+        raise ValueError("entry arrays must be 1-D numbers of one length")
+    with np.errstate(invalid="ignore"):
+        out = [a.astype(np.intp) for a in index]
+    if any(np.any((i != a) | (i < 0) | (i >= n)) for i, a in zip(out, index)):
+        raise ValueError(f"entry index not an integer in 0..{n - 1}")
+    return *out, vals
+
+
 def _symmetric(n: int, rows, cols, vals):
     """terms = (rows, cols, vals), row-major, of the upper triangle's nonzeros
     of 0.5 (M + M'), where the n x n matrix M sums at each (i, j), in listing
-    order, the vals listed there. The arrays are read-only."""
-    rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
-    vals = np.asarray(vals, dtype=float)
-    if not rows.shape == cols.shape == vals.shape == (rows.size,):
-        raise ValueError("entry arrays must be 1-D and of equal length")
-    if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
-        raise ValueError(f"entry index out of range for n = {n}")
+    order, the vals listed there."""
+    rows, cols, vals = _entries(n, rows, cols, vals)
     cells, at = np.unique(rows * n + cols, return_inverse=True)
     m = np.bincount(at, weights=vals)
     r, c = np.divmod(cells, n)
@@ -49,16 +59,24 @@ def _symmetric(n: int, rows, cols, vals):
                           return_inverse=True)
     s = 0.5 * np.bincount(at, weights=np.where(r == c, 2.0 * m, m))
     nonzero = s != 0.0
-    terms = *np.divmod(cells[nonzero], n), s[nonzero]
-    for arr in terms:
-        arr.setflags(write=False)
-    return terms
+    return *np.divmod(cells[nonzero], n), s[nonzero]
+
+
+def _linear(n: int, linear):
+    """linear = (idx, vals), idx ascending, of the nonzeros of the n-vector
+    that sums at each index, in listing order, the vals listed there."""
+    idx, vals = _entries(n, *linear)
+    cells, at = np.unique(idx, return_inverse=True)
+    s = np.bincount(at, weights=vals).astype(float)  # int64 when empty
+    nonzero = s != 0.0
+    return cells[nonzero], s[nonzero]
 
 
 class QuadraticFunction:
     """q(x) = x'Ax + 2b'x + c, A the symmetric part of the matrix or entries
     given. Stored: `terms` = (rows, cols, vals), A's upper-triangle nonzeros
-    in np.argwhere(np.triu(A) != 0)'s order, and `linear` = b's (idx, vals)."""
+    in np.argwhere(np.triu(A) != 0)'s order, and `linear` = b's (idx, vals).
+    The dense views A and b are for tests and the benchmark."""
 
     def __init__(self, A, b, c: float = 0.0):
         b = np.asarray(b, dtype=float).ravel()
@@ -66,42 +84,35 @@ class QuadraticFunction:
         A = np.asarray(A, dtype=float)
         if A.shape != (n, n):
             raise ValueError(f"A must be {n}x{n}, got shape {A.shape}")
-        self._store(_symmetric(n, *_nonzero_entries(A)), b, c)
+        self._store(n, *_nonzero_entries(A), (np.arange(n), b), c)
 
     @classmethod
     def from_entries(cls, rows, cols, vals, b, c: float = 0.0):
         """q with A the symmetric part of the sum of vals at (rows, cols)."""
-        q = cls.__new__(cls)
         b = np.asarray(b, dtype=float).ravel()
-        q._store(_symmetric(b.shape[0], rows, cols, vals), b, c)
-        return q
+        return cls.from_sparse(b.size, rows, cols, vals,
+                               (np.arange(b.size), b), c)
 
     @classmethod
     def from_sparse(cls, n: int, rows, cols, vals, linear, c: float = 0.0):
-        """As `from_entries`, with b given by linear = (idx, vals), idx
-        ascending and distinct; zero vals are dropped. No length-n array is
-        built."""
-        idx = np.asarray(linear[0], np.intp)
-        lin = np.asarray(linear[1], dtype=float)
-        nonzero = lin != 0.0
+        """As `from_entries`, with b listed as linear = (idx, vals): no
+        length-n array is built. Both lists have one contract: 1-D arrays of
+        one length and integer indices in 0..n-1, else ValueError; repeats
+        summed in listing order; zero sums dropped."""
         q = cls.__new__(cls)
-        q._store_linear(n, _symmetric(n, rows, cols, vals), idx[nonzero],
-                        lin[nonzero], c)
+        q._store(n, rows, cols, vals, linear, c)
         return q
 
-    def _store(self, terms, b, c):
-        idx = np.flatnonzero(b)
-        self._store_linear(b.shape[0], terms, idx, b[idx], c)
-
-    def _store_linear(self, n, terms, idx, vals, c):
-        self.n, self.terms, self.c = n, terms, float(c)
-        self.linear = idx, vals
-        for arr in self.linear:
+    def _store(self, n, rows, cols, vals, linear, c):
+        self.n, self.c = n, float(c)
+        self.terms = _symmetric(n, rows, cols, vals)
+        self.linear = _linear(n, linear)
+        for arr in self.terms + self.linear:
             arr.setflags(write=False)
 
     @property
     def A(self) -> np.ndarray:
-        """Dense read-only A, built on each read: O(n^2), for I/O and tests."""
+        """Dense read-only A, built on each read in O(n^2)."""
         A = np.zeros((self.n, self.n))
         rows, cols, vals = self.terms
         A[rows, cols] = A[cols, rows] = vals
@@ -171,14 +182,12 @@ class QcqpProblem:
         for q in self.inequalities + self.equalities:
             if q.n != self.n:
                 raise ValueError("constraint dimension mismatch")
-        if self.lb is not None:
-            self.lb = np.asarray(self.lb, dtype=float).ravel()
-            if self.lb.shape != (self.n,):
-                raise ValueError("lb shape mismatch")
-        if self.ub is not None:
-            self.ub = np.asarray(self.ub, dtype=float).ravel()
-            if self.ub.shape != (self.n,):
-                raise ValueError("ub shape mismatch")
+        for name in ("lb", "ub"):
+            if getattr(self, name) is not None:
+                v = np.asarray(getattr(self, name), dtype=float).ravel()
+                if v.shape != (self.n,):
+                    raise ValueError(f"{name} shape mismatch")
+                setattr(self, name, v)
         if self.lb is not None and self.ub is not None and np.any(self.lb > self.ub):
             raise ValueError("lb > ub")
 

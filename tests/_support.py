@@ -1,6 +1,7 @@
 """Shared instance generators for the test suite."""
 
 import importlib
+import json
 import pathlib
 import sys
 
@@ -248,10 +249,41 @@ def dense_symmetric(n, rows, cols, vals):
 
 
 def quadratic_of(n, terms):
-    """The quadratic over n variables that stores `terms` and b = 0."""
+    """The quadratic over n variables that stores `terms` as given, with
+    b = 0: enough for its dense view A."""
     q = QuadraticFunction.__new__(QuadraticFunction)
-    q._store(terms, np.zeros(n), 0.0)
+    q.n, q.terms, q.linear, q.c = n, terms, (np.zeros(0, np.intp),
+                                             np.zeros(0)), 0.0
     return q
+
+
+def rlt_dense_rows(p):
+    """Dense reference for the rows that `rlt_cuts` multiplies: (H, h) with
+    shapes (m, n), (m,), stacking Hx + h <= 0 from the affine inequalities
+    (2b_k', c_k), then the affine equalities, then the negated affine
+    equalities."""
+    ineq = [(2.0 * q.b, q.c) for q in p.inequalities if q.is_affine()]
+    eq = [(2.0 * q.b, q.c) for q in p.equalities if q.is_affine()]
+    rows = ineq + eq + [(-r, -c) for r, c in eq]
+    if not rows:
+        return np.zeros((0, p.n)), np.zeros(0)
+    H, h = zip(*rows)
+    return np.vstack(H), np.asarray(h)
+
+
+def problem_to_v1_json(p):
+    """p as a version-1 native document, every quadratic a dense A and b:
+    the layout that version-1 files on disk have."""
+    def quad(q):
+        return {"A": q.A.tolist(), "b": q.b.tolist(), "c": q.c}
+    bound = (lambda v, s: None if v is None else
+             [None if x == s * np.inf else float(x) for x in v])
+    return json.dumps({
+        "format": "qcqpen-problem", "version": 1, "name": p.name, "n": p.n,
+        "objective": quad(p.objective),
+        "inequalities": [quad(q) for q in p.inequalities],
+        "equalities": [quad(q) for q in p.equalities],
+        "lb": bound(p.lb, -1.0), "ub": bound(p.ub, +1.0)}) + "\n"
 
 
 def record_symmetric(monkeypatch):
@@ -281,3 +313,29 @@ def assert_dense_identical(calls):
         for got, want in zip(terms, terms_ref):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+def _v2_document(objective):
+    return json.dumps({
+        "format": "qcqpen-problem", "version": 2, "name": "bad", "n": 3,
+        "objective": objective, "inequalities": [], "equalities": [],
+        "lb": None, "ub": None})
+
+
+# version-2 documents that break the entry-list contract, each one way
+MALFORMED_V2 = {
+    "term_index_is_n": _v2_document(
+        {"terms": [[0], [3], [1.0]], "linear": [[], []], "c": 0.0}),
+    "term_index_negative": _v2_document(
+        {"terms": [[-1], [0], [1.0]], "linear": [[], []], "c": 0.0}),
+    "linear_index_is_n": _v2_document(
+        {"terms": [[], [], []], "linear": [[3], [1.0]], "c": 0.0}),
+    "terms_unequal": _v2_document(
+        {"terms": [[0, 1], [0], [1.0, 2.0]], "linear": [[], []], "c": 0.0}),
+    "linear_unequal": _v2_document(
+        {"terms": [[], [], []], "linear": [[0, 1], [1.0]], "c": 0.0}),
+    "term_index_fraction": _v2_document(
+        {"terms": [[0.5], [1], [1.0]], "linear": [[], []], "c": 0.0}),
+    "linear_index_string": _v2_document(
+        {"terms": [[], [], []], "linear": [["0"], [1.0]], "c": 0.0}),
+}

@@ -12,14 +12,14 @@ import pytest
 
 from qcqpen import (QcqpProblem, QuadraticFunction, RelaxationConfig,
                     SequentialConfig, build_relaxation, check_regularity,
-                    gen_sysid, parse_poly, problem_from_json,
+                    gen_sysid, load_problem, parse_poly, problem_from_json,
                     problem_to_json, reformulate, run, solve_conic,
                     sysid_from_json, sysid_to_json, SysIdParams, trace_csv,
                     tune_eta)
 from qcqpen import cli
 from qcqpen.cli import main
 
-from _support import POLY_EXAMPLE, perfbench_module
+from _support import MALFORMED_V2, POLY_EXAMPLE, perfbench_module
 
 BALL_POLY = "min x^2 + y^2 - 2*x st x^2 + y^2 - 1 <= 0\n"
 
@@ -374,6 +374,29 @@ def test_sysid_gen_writes_files(tmp_path, capsys, monkeypatch):
         == inst.problem.n
 
 
+def test_sysid_gen_problem_out_at_t200_is_sparse(tmp_path, capsys,
+                                                monkeypatch):
+    # the problem file lists each quadratic's nonzeros: under 1 MB at
+    # T = 200, and it reads back as the instance file's problem, bit for bit
+    monkeypatch.chdir(tmp_path)
+    rc = main(["sysid-gen", "--n", "4", "--m", "3", "--T", "200", "--o",
+               "160", "--sigma", "0.01", "--seed", "0",
+               "--out", "inst.json", "--problem-out", "prob.json"])
+    capsys.readouterr()
+    assert rc == 0
+    assert (tmp_path / "prob.json").stat().st_size < 1_000_000
+    got = load_problem("prob.json")
+    want = load_problem("inst.json")
+    assert got.n == want.n == 1624
+    pairs = list(zip([got.objective] + got.constraints,
+                     [want.objective] + want.constraints))
+    assert len(pairs) == 1 + len(want.constraints)
+    for g, w in pairs:
+        for a, b in zip(g.terms + g.linear, w.terms + w.linear):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert g.c.hex() == w.c.hex()
+
+
 def test_sysid_gen_default_filename(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     params = SysIdParams(n=2, m=1, T=3, o=2, sigma=0.0, seed=1)
@@ -535,6 +558,15 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     rc = main(["relax", str(path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_V2))
+def test_malformed_v2_problem_exits_1(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED_V2[name])
+    rc = main(["relax", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_flag_raises_systemexit_1(ball_json, tmp_path, monkeypatch):

@@ -176,21 +176,22 @@ def test_no_unread_private_fields():
     assert unread_private_fields(sources) == []
 
 
-# modules that may read a quadratic's dense view `A`, built in O(n^2) on
-# each read: the quadratics themselves, instances for its v1 JSON writer
-# only (its builders list entries), and the solver, whose cone stores its
-# own equality matrix under that name
-DENSE_A_READERS = {"quadratics.py", "instances.py", "solver.py"}
+# modules that may read a quadratic's dense views `A` and `b`, built in
+# O(n^2) and O(n) on each read: the quadratics themselves, and the solver,
+# whose cone stores its own equality system under those names. Every other
+# module reads `terms` and `linear`
+DENSE_A_READERS = {"quadratics.py", "solver.py"}
 
 
 def dense_a_reads(sources: dict) -> list:
-    """'module:line' for each read of an attribute named A in a module of
-    `sources` (module name -> source) outside DENSE_A_READERS."""
+    """'module:line' for each read of an attribute named A or b in a module
+    of `sources` (module name -> source) outside DENSE_A_READERS."""
     return sorted(f"{module}:{node.lineno}"
                   for module, src in sources.items()
                   if module not in DENSE_A_READERS
                   for node in ast.walk(ast.parse(src))
-                  if isinstance(node, ast.Attribute) and node.attr == "A"
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("A", "b")
                   and isinstance(node.ctx, ast.Load))
 
 
@@ -199,9 +200,12 @@ def test_dense_a_checker_flags_reads():
         "a.py": ("def f(q, x):\n    return x @ q.A @ x\n"
                  "def g(q):\n    q.A = None\n    return q.terms, q.Ab\n"),
         "b.py": "import numpy as np\n\nn = np.tensordot(obj.A, X)\n",
-        "quadratics.py": "def value(self, x):\n    return self.A @ x\n",
+        "c.py": ("def h(q, x):\n    q.b = x\n    return q.linear, q.bb\n"
+                 "def k(q, x):\n    return 2.0 * q.b @ x\n"),
+        "quadratics.py": ("def value(self, x):\n"
+                          "    return self.A @ x + self.b\n"),
     }
-    assert dense_a_reads(sources) == ["a.py:2", "b.py:3"]
+    assert dense_a_reads(sources) == ["a.py:2", "b.py:3", "c.py:5"]
 
 
 def test_dense_a_read_only_where_stored():

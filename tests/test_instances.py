@@ -10,7 +10,8 @@ from qcqpen import (QcqpProblem, QplibParseError, QuadraticFunction,
                     parse_poly, parse_qplib, problem_from_json,
                     problem_to_json, read_refs_csv, reformulate, run,
                     sysid_from_json, sysid_to_json, write_results)
-from _support import BOX_QP, POLY_EXAMPLE, TWO_SIDED, random_box_qcqp
+from _support import (BOX_QP, MALFORMED_V2, POLY_EXAMPLE, TWO_SIDED,
+                      random_box_qcqp)
 
 
 def test_parse_qplib_box_objective():
@@ -133,6 +134,121 @@ def test_json_format_guards():
     wrong_dim = dict(doc, n=doc["n"] + 1)
     with pytest.raises(ValueError):
         problem_from_json(json.dumps(wrong_dim))
+
+
+def _assert_same_quadratics(got, want):
+    assert got.n == want.n and got.name == want.name
+    pairs = list(zip([got.objective] + got.constraints,
+                     [want.objective] + want.constraints))
+    assert (got.n_ineq, got.n_eq) == (want.n_ineq, want.n_eq)
+    for g, w in pairs:
+        for a, b in zip(g.terms + g.linear, w.terms + w.linear):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert g.c.hex() == w.c.hex()
+    for a, b in ((got.lb, want.lb), (got.ub, want.ub)):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+def _edge_problem():
+    # n = 1, signed zeros, subnormals, and quadratics with no terms
+    tiny = 5e-324
+    obj = QuadraticFunction.from_sparse(1, [0], [0], [tiny], ([0], [-tiny]),
+                                        -0.0)
+    return QcqpProblem(
+        n=1, objective=obj,
+        inequalities=[QuadraticFunction.affine([-2.5], -0.0),
+                      QuadraticFunction.from_sparse(1, [], [], [], ([], []))],
+        lb=[-0.0], ub=[np.inf], name="edge")
+
+
+def _rlt_problem():
+    from qcqpen import rlt_cuts
+    p, _ = random_box_qcqp(8, n=6, affine_rows=3)
+    cuts = [q for _, q in rlt_cuts(p, "all")]
+    return QcqpProblem(n=p.n, objective=p.objective,
+                       inequalities=p.inequalities + cuts,
+                       equalities=p.equalities, lb=p.lb, ub=p.ub)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_qplib(BOX_QP),
+    lambda: parse_qplib(TWO_SIDED),
+    lambda: gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01)).problem,
+    lambda: reformulate(parse_poly(POLY_EXAMPLE))[0],
+    _rlt_problem,
+    _edge_problem,
+    lambda: QcqpProblem(n=2, objective=QuadraticFunction.from_sparse(
+        2, [0], [1], [5e-324], ([1], [1e-310]), 1e-320)),
+], ids=["qplib_box", "qplib_two_sided", "sysid", "reformulate", "rlt_cuts",
+        "edge", "offdiagonal_subnormal"])
+def test_json_v2_round_trip_bitwise_on_every_builder(build):
+    # version 2 stores terms, linear and c as the quadratic holds them, and
+    # reads them back bit for bit
+    p = build()
+    text = problem_to_json(p)
+    doc = json.loads(text)
+    assert doc["version"] == 2
+    assert set(doc["objective"]) == {"terms", "linear", "c"}
+    q = problem_from_json(text)
+    _assert_same_quadratics(q, p)
+    assert problem_to_json(q) == text
+
+
+def test_json_v1_literal_reads_bit_for_bit():
+    # a version-1 document as written before version 2: dense A and b, A
+    # not symmetric, -0.0 and a subnormal among the values
+    text = """{"format": "qcqpen-problem", "version": 1, "name": "old",
+      "n": 2,
+      "objective": {"A": [[1.0, 0.75], [0.25, -2.0]], "b": [0.1, -0.0],
+                    "c": -0.0},
+      "inequalities": [{"A": [[0.0, 0.0], [0.0, 0.0]], "b": [1.0, 5e-324],
+                        "c": 1.5}],
+      "equalities": [{"A": [[0.0, -0.0], [3.0, 0.0]], "b": [0.0, 0.0],
+                      "c": -1.0}],
+      "lb": [-1.0, null], "ub": null}"""
+    p = problem_from_json(text)
+    want = QcqpProblem(
+        n=2, objective=QuadraticFunction.from_sparse(
+            2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 0.75, 0.25, -2.0],
+            ([0], [0.1]), -0.0),
+        inequalities=[QuadraticFunction.from_sparse(
+            2, [], [], [], ([0, 1], [1.0, 5e-324]), 1.5)],
+        equalities=[QuadraticFunction.from_sparse(
+            2, [1], [0], [3.0], ([], []), -1.0)],
+        lb=[-1.0, -np.inf], name="old")
+    _assert_same_quadratics(p, want)
+    assert p.objective.terms[2].tolist() == [1.0, 0.5, -2.0]
+    assert p.equalities[0].terms[2].tolist() == [1.5]
+    # written back as version 2, with the same quadratics
+    assert json.loads(problem_to_json(p))["version"] == 2
+    _assert_same_quadratics(problem_from_json(problem_to_json(p)), p)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_V2))
+def test_json_v2_rejects_malformed_entries(name):
+    with pytest.raises(ValueError):
+        problem_from_json(MALFORMED_V2[name])
+
+
+def test_from_sparse_linear_contract():
+    # linear, as terms: indices checked, repeats summed in listing order,
+    # zero sums dropped, sorted and read-only
+    q = QuadraticFunction.from_sparse(4, [], [], [],
+                                      ([3, 1, 3, 0, 2], [1e16, 2.0, 1.0,
+                                                         0.0, -0.0]))
+    idx, vals = q.linear
+    assert idx.tolist() == [1, 3]
+    assert vals.tolist() == [2.0, 1e16 + 1.0]
+    assert idx.dtype == np.intp and vals.dtype == np.float64
+    assert not idx.flags.writeable and not vals.flags.writeable
+    cancel = QuadraticFunction.from_sparse(2, [], [], [],
+                                           ([1, 1], [2.0, -2.0]))
+    assert cancel.linear[0].size == 0
+    for bad in (([4], [1.0]), ([-1], [1.0]), ([0, 1], [1.0]), ([1.5], [1.0]),
+                ([[0]], [[1.0]]), (["0"], [1.0])):
+        with pytest.raises(ValueError):
+            QuadraticFunction.from_sparse(4, [], [], [], bad)
 
 
 def test_load_problem_sniffs_format(tmp_path, monkeypatch):

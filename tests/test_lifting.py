@@ -4,10 +4,10 @@ import pytest
 import qcqpen.quadratics
 from qcqpen import (QcqpProblem, QuadraticFunction, RelaxationConfig,
                     SysIdParams, build_penalized, build_relaxation, extract,
-                    gen_sysid, lift, rlt_cuts, rlt_pair_list, rlt_system,
-                    solve_conic)
+                    gen_sysid, lift, rlt_cuts, rlt_pair_list, solve_conic)
 from qcqpen.solver import PsdBlock
-from _support import lifted_vector, random_box_qcqp, sample_feasible
+from _support import (lifted_vector, random_box_qcqp, rlt_dense_rows,
+                      sample_feasible)
 
 OK = ("optimal", "near_optimal")
 
@@ -132,17 +132,27 @@ def test_extract_matches_dense_reference(cfg, penalized):
     assert pt.objective == pytest.approx(lifted, rel=1e-12)
 
 
-def test_rlt_system_stacks_affine_rows():
-    # one affine inequality and one affine equality
+def test_rlt_cuts_stack_affine_rows_in_order():
+    # one affine inequality and one affine equality: the rows are the
+    # inequality, the equality, then the negated equality, and the
+    # nonaffine row is skipped. Each diagonal pair (i, i) is row i squared,
+    # which fixes a row up to its sign; pairs (0, 1), (0, 2) fix the signs
     gi = QuadraticFunction(np.zeros((2, 2)), [1.0, 0.0], -1.0)
     ge = QuadraticFunction(np.zeros((2, 2)), [0.0, 0.5], 2.0)
     quad = QuadraticFunction(np.eye(2), np.zeros(2), -1.0)
     p = QcqpProblem(n=2, objective=quad, inequalities=[gi, quad],
                     equalities=[ge])
-    H, h = rlt_system(p)
-    assert H.shape == (3, 2)
-    assert np.array_equal(H, [[2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    assert h == pytest.approx([-1.0, 2.0, -2.0])
+    H = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    h = np.array([-1.0, 2.0, -2.0])
+    cuts = dict(rlt_cuts(p, "all"))
+    assert len(cuts) == 6
+    for i in range(3):
+        q = cuts[i, i]
+        assert np.array_equal(q.A, np.outer(H[i], H[i]))
+        assert np.array_equal(q.b, h[i] * H[i]) and q.c == h[i] ** 2
+    for j in (1, 2):
+        assert cuts[0, j].c == h[0] * h[j]
+        assert np.array_equal(cuts[0, j].b, 0.5 * (h[0] * H[j] + h[j] * H[0]))
 
 
 def test_rlt_hand_expanded_row():
@@ -162,13 +172,13 @@ def test_rlt_hand_expanded_row():
 def test_rlt_cuts_of_equality_rows_match_dense_products():
     # an affine equality gives the rows +q and -q, and a row with h = 0
     # leaves zeros in b_c on the other row's support: the cuts, built from
-    # each row's nonzeros, equal the products of rlt_system's dense rows
+    # each row's nonzeros, equal the products of the dense reference rows
     gi = QuadraticFunction.affine([1.0, 0.0, -2.0], 0.0)
     ge = QuadraticFunction.affine([0.0, 0.5, 1.5], 2.0)
     quad = QuadraticFunction(np.eye(3), np.zeros(3), -1.0)
     p = QcqpProblem(n=3, objective=quad, inequalities=[gi, quad],
                     equalities=[ge])
-    H, h = rlt_system(p)
+    H, h = rlt_dense_rows(p)
     cuts = rlt_cuts(p, "all")
     assert len(cuts) == 6
     for (i, j), q in cuts:

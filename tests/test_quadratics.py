@@ -266,14 +266,16 @@ def test_is_affine_matches_dense_reading(A):
 
 def test_builders_reduce_no_dense_matrix(monkeypatch):
     # only the dense constructor, here the v1 JSON reader, reduces a
-    # caller's n x n matrix; every other builder lists its entries
+    # caller's n x n matrix; every other builder, the v2 JSON reader
+    # included, lists its entries
     from qcqpen import (SysIdParams, gen_sysid, parse_poly, parse_qplib,
                         problem_from_json, problem_to_json, reformulate)
     from qcqpen.lifting import rlt_cuts
-    from _support import BOX_QP, POLY_EXAMPLE, TWO_SIDED, random_box_qcqp
+    from _support import (BOX_QP, POLY_EXAMPLE, TWO_SIDED,
+                          problem_to_v1_json, random_box_qcqp)
     import qcqpen.quadratics as quadratics
     box, _ = random_box_qcqp(4, n=4)
-    text = problem_to_json(box)
+    text, v1_text = problem_to_json(box), problem_to_v1_json(box)
     calls = []
     reduce = quadratics._nonzero_entries
     monkeypatch.setattr(quadratics, "_nonzero_entries",
@@ -284,8 +286,9 @@ def test_builders_reduce_no_dense_matrix(monkeypatch):
     reformulate(parse_poly(POLY_EXAMPLE))
     assert len(rlt_cuts(box, "all")) == 3
     QuadraticFunction.affine(np.ones(3), 1.0)
-    assert calls == []
     problem_from_json(text)
+    assert calls == []
+    problem_from_json(v1_text)
     assert calls == [(4, 4)] * (1 + len(box.constraints))
 
 
@@ -321,14 +324,14 @@ def test_symmetric_matches_dense_reference_on_random_entries(seed):
 
 def test_builders_match_dense_reference(monkeypatch):
     # every builder's quadratics against the dense path they took before:
-    # the sysid instance, reformulations, QPLIB, affine rows and the v1
-    # JSON reader
+    # the sysid instance, reformulations, QPLIB, affine rows and both JSON
+    # readers
     from qcqpen import (PolyProblem, SysIdParams, gen_sysid, parse_poly,
                         parse_qplib, problem_from_json, problem_to_json,
                         reformulate)
     from _support import (BOX_QP, POLY_EXAMPLE, TWO_SIDED,
-                          assert_dense_identical, random_box_qcqp,
-                          record_symmetric)
+                          assert_dense_identical, problem_to_v1_json,
+                          random_box_qcqp, record_symmetric)
     box, _ = random_box_qcqp(6, n=5)
     calls = record_symmetric(monkeypatch)
     p = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01)).problem
@@ -349,6 +352,7 @@ def test_builders_match_dense_reference(monkeypatch):
                                "1 2 0.1\n2 1 0.7\n"))
     QuadraticFunction.affine(np.arange(4.0), 2.0)
     problem_from_json(problem_to_json(box))
+    problem_from_json(problem_to_v1_json(box))
     assert_dense_identical(calls)
 
 
@@ -368,10 +372,10 @@ def test_qplib_maximize_negates_entries():
 def test_rlt_cuts_match_dense_products():
     # the products of affine rows against the dense outer products the
     # cuts were built from before, symmetrized twice
-    from qcqpen.lifting import rlt_cuts, rlt_system
-    from _support import random_box_qcqp
+    from qcqpen.lifting import rlt_cuts
+    from _support import random_box_qcqp, rlt_dense_rows
     p, _ = random_box_qcqp(8, n=6, affine_rows=3)
-    H, h = rlt_system(p)
+    H, h = rlt_dense_rows(p)
     cuts = rlt_cuts(p, "all")
     assert len(cuts) == 6
     for (i, j), q in cuts:
