@@ -267,19 +267,55 @@ def _quad_to_obj(q: QuadraticFunction) -> dict:
             "linear": [a.tolist() for a in q.linear], "c": q.c}
 
 
-def _quad_from_v1(obj: dict, n: int) -> QuadraticFunction:
-    return QuadraticFunction(obj["A"], obj["b"], obj["c"])
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _quad_from_v2(obj: dict, n: int) -> QuadraticFunction:
-    r, c, v = map(np.asarray, obj["terms"])
+def _is_list(x, item=_is_number, count=None) -> bool:
+    """x is a JSON list of `count` values (any count if None), each of
+    which item() accepts."""
+    return (isinstance(x, list) and count in (None, len(x))
+            and all(map(item, x)))
+
+
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, ok, what: str, where: str,
+           default=_REQUIRED):
+    """obj[key], or `default` when the key is absent and a default is
+    given; ValueError naming the field when it is missing or ok() rejects
+    its JSON value, which must be `what`."""
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"{where} has no field {key!r}")
+    if not ok(value):
+        raise ValueError(f"{where} field {key!r} must be {what}")
+    return value
+
+
+def _quad_from_v1(obj: dict, n: int, where: str) -> QuadraticFunction:
+    return QuadraticFunction(
+        _field(obj, "A", lambda x: _is_list(x, _is_list),
+               "a list of lists of numbers", where),
+        _field(obj, "b", _is_list, "a list of numbers", where),
+        _field(obj, "c", _is_number, "a number", where))
+
+
+def _quad_from_v2(obj: dict, n: int, where: str) -> QuadraticFunction:
+    r, c, v = map(np.asarray, _field(obj, "terms",
+                                     lambda x: _is_list(x, _is_list, 3),
+                                     "three lists of numbers", where))
     if not r.shape == c.shape == v.shape:
         raise ValueError("terms arrays of unequal length in JSON problem")
     # each off-diagonal term listed at (i, j) and (j, i): v + v halves to v
     off = r != c
     return QuadraticFunction.from_sparse(
         n, np.concatenate([r, c[off]]), np.concatenate([c, r[off]]),
-        np.concatenate([v, v[off]]), obj["linear"], obj["c"])
+        np.concatenate([v, v[off]]),
+        _field(obj, "linear", lambda x: _is_list(x, _is_list, 2),
+               "two lists of numbers", where),
+        _field(obj, "c", _is_number, "a number", where))
 
 
 def _bound_to_list(v, sign: float):
@@ -319,16 +355,33 @@ def _problem_from_doc(doc) -> QcqpProblem:
     version = doc.get("version")
     if version not in (1, _VERSION):
         raise ValueError(f"unsupported {_FORMAT} version {version}")
-    quad = _quad_from_v1 if version == 1 else _quad_from_v2
-    n = int(doc["n"])
+    read = _quad_from_v1 if version == 1 else _quad_from_v2
+    n = int(_field(doc, "n", lambda x: _is_number(x) and x >= 0 and (
+        isinstance(x, int) or x.is_integer()), "a nonnegative integer",
+        "problem"))
+
+    def quads(key):
+        objs = _field(doc, key, lambda x: _is_list(
+            x, lambda o: isinstance(o, dict)), "a list of objects", "problem")
+        return [read(obj, n, f"{key}[{k}]") for k, obj in enumerate(objs)]
+
+    def bound(key, sign):
+        return _bound_from_list(_field(
+            doc, key, lambda x: x is None or _is_list(
+                x, lambda e: e is None or _is_number(e)),
+            "null or a list of numbers and nulls", "problem", None), sign)
+
     return QcqpProblem(
         n=n,
-        objective=quad(doc["objective"], n),
-        inequalities=[quad(o, n) for o in doc["inequalities"]],
-        equalities=[quad(o, n) for o in doc["equalities"]],
-        lb=_bound_from_list(doc.get("lb"), -1.0),
-        ub=_bound_from_list(doc.get("ub"), +1.0),
-        name=doc.get("name", ""),
+        objective=read(_field(doc, "objective",
+                              lambda x: isinstance(x, dict), "an object",
+                              "problem"), n, "objective"),
+        inequalities=quads("inequalities"),
+        equalities=quads("equalities"),
+        lb=bound("lb", -1.0),
+        ub=bound("ub", +1.0),
+        name=_field(doc, "name", lambda x: isinstance(x, str), "a string",
+                    "problem", ""),
     )
 
 

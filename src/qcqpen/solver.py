@@ -23,7 +23,7 @@ The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method:
 at each iterate the scaling W with W z-bar = W^{-T} s-bar = lambda is
 computed per block, the Newton system
 [[0, A', G'], [A, 0, 0], [G, 0, -W'W]] [du; dy; dz] = [bu; by; bz] is solved
-in float64 on one of three paths, chosen once per cone by `_kkt_path`, and
+in float64 on one of four paths, chosen once per cone by `_kkt_path`, and
 steps are damped by a fraction of the distance to the cone boundary.
 
 - full: programs whose KKT matrix has order n + m + dim K at most
@@ -41,6 +41,13 @@ steps are damped by a fraction of the distance to the cone boundary.
   augmented matrix [[H, A'], [A, -delta I]] in CSC form and factored with
   one sparse LU (Vanderbei, "Symmetric quasi-definite matrices", 1995; as
   in ECOS).
+- dual: when every variable has a PSD slot and r = n_eq + l_nn + (PSD slots
+  - n) is below n, as in every full moment lifting, du and the PSD part of
+  dz are eliminated through the PSD slots instead (`_DualKkt`), and the SPD
+  matrix M = C W'W C' + diag(0, wn^2, 0) of order r is Cholesky-factored:
+  the Schur complement whose order is the number of constraints, not the
+  number of lifted entries (Fujisawa, Kojima and Nakata, Math. Prog. 79,
+  1997).
 
 Every path refines its solves against the full system, the W'W dz term
 included, as CVXOPT's conelp does (Vandenberghe, "The CVXOPT linear and
@@ -340,13 +347,15 @@ class _BlockGroup:
         return (M.take(self.low) * self.wflat).reshape(self.nb, self.ns)
 
     def sym_svec(self, M: np.ndarray) -> np.ndarray:
-        """(nb, ns) svec(0.5 (M + M')) of each matrix of M, without forming
-        the symmetric matrix."""
-        v = M.take(self.low)
-        v += M.take(self.up)
+        """(..., nb, ns) svec(0.5 (M + M')) of each matrix of the
+        (..., nb, m, m) stack M, without forming the symmetric matrix."""
+        lead = M.shape[:-3]
+        M = M.reshape(lead + (-1,))
+        v = M.take(self.low, axis=-1)
+        v += M.take(self.up, axis=-1)
         v *= 0.5
         v *= self.wflat
-        return v.reshape(self.nb, self.ns)
+        return v.reshape(lead + (self.nb, self.ns))
 
 
 def _matvec(M):
@@ -470,9 +479,14 @@ def _pair_entries(P, idx, kww):
 
 def _congruence(groups, factors, vec, out):
     """out's PSD slots := svec(sym(L mat(v) R)) per group, with (L, R) from
-    `factors`; returns out."""
+    `factors`, for an s-space vector v or each row v of a stack (k, dim);
+    returns out."""
     for g, (L, R) in zip(groups, factors):
-        out[g.slot] = g.sym_svec(L @ g.mats(vec) @ R)
+        v = g.sym_svec(L @ g.mats(vec) @ R)
+        if out.ndim == 1:
+            out[g.slot] = v     # one index array: numpy's fast path
+        else:
+            out[:, g.slot] = v
     return out
 
 
@@ -737,14 +751,22 @@ def _kkt_path(cone: Cone) -> str:
     """'full' when n + m + the cone's dimension is at most _FULL_KKT_ORDER.
     Otherwise 'sparse' when the entries the cone rows scatter into H, nnz^2
     per nonnegative row plus (variables in block)^2 per PSD block, number
-    fewer than _SPARSE_SHARE * n^2, and 'dense' otherwise."""
+    fewer than _SPARSE_SHARE * n^2. Otherwise 'dual' when the order
+    r = n_eq + l_nn + (PSD slots - n) of its system is below n and every
+    variable has a PSD slot (`_DualKkt`), and 'dense' otherwise. Every
+    count is known before any KKT assembly."""
     n = cone.n_vars
     if n + cone.n_eq + cone.h.size <= _FULL_KKT_ORDER:
         return "full"
     count = int(np.sum(np.diff(cone.Gn.indptr).astype(np.int64) ** 2))
     count += sum(int(np.sum(np.count_nonzero(g.mask, axis=1) ** 2))
                  for g in cone.groups)
-    return "sparse" if count < _SPARSE_SHARE * n * n else "dense"
+    if count < _SPARSE_SHARE * n * n:
+        return "sparse"
+    r = cone.n_eq + cone.h.size - n
+    if r < n and np.all(_first_slots(cone)[0] >= 0):
+        return "dual"
+    return "dense"
 
 
 class _SparseKkt:
@@ -896,12 +918,115 @@ class _Eliminated:
         return du, dy, self.winv2(self.Gx(du) - bz)
 
 
+# rows of C per stacked congruence on the dual path: one stack of all 153
+# rows of dense_full's cone made fresh temporaries of 1.2 MB each, and its
+# factorization took twice as long as in stacks of 16 (also at n = 40)
+_DUAL_ROWS = 16
+
+
+def _first_slots(cone: Cone) -> tuple:
+    """(slot, g) per variable: its first PSD slot with a nonzero G entry,
+    and that entry; slot -1 and g 0 for a variable with no such slot."""
+    P = cone.G[cone.n_nonneg:].tocsc()
+    P.eliminate_zeros()
+    P.sort_indices()
+    slot, g = np.full(cone.n_vars, -1), np.zeros(cone.n_vars)
+    has = np.diff(P.indptr) > 0
+    first = P.indptr[:-1][has]
+    slot[has] = cone.n_nonneg + P.indices[first]
+    g[has] = P.data[first]
+    return slot, g
+
+
+class _DualKkt:
+    """Dual path: du and the PSD part of dz are eliminated through the PSD
+    slots, and one SPD matrix of order r = n_eq + l_nn + (PSD slots - n)
+    is Cholesky-factored. Built once per cone.
+
+    Variable i has one representative slot rho(i), its first PSD slot, with
+    G coefficient g_i. F puts bu_i / g_i at slot rho(i), and F' reads slot
+    rho(i) and divides by g_i. C (r x dim, CSR) has the rows A F', then
+    Gn F', then one per other PSD slot o: -1 at o, plus g_o / g_rho(v) at
+    rho(v) when o holds the variable v (none for a constant slot).
+
+    The KKT rows at the representative slots give du = F'(bz + W'W dz).
+    With lam = (dy, dz_n, dz at the other slots), dz_psd = F bu - C' lam
+    solves A'dy + G'dz = bu, and the remaining rows (A du = by, the
+    nonnegative rows and the other slots' rows) read
+    C (bz + W'W dz) - diag(0, wn^2, 0) lam = (by, bz_n, 0). So
+    M lam = C (bz + W'W F bu) - (by, bz_n, 0) with
+    M = C W'W C' + diag(0, wn^2, 0).
+    """
+
+    def __init__(self, cone: Cone):
+        n, l_nn, dim = cone.n_vars, cone.n_nonneg, cone.h.size
+        self.groups, self.l_nn, self.n_eq = cone.groups, l_nn, cone.n_eq
+        self.rep, self.g = _first_slots(cone)
+        Ft = sp.csr_matrix((1.0 / self.g, (np.arange(n), self.rep)),
+                           shape=(n, dim))
+        other = np.setdiff1d(np.arange(l_nn, dim), self.rep)
+        Go = cone.G[other].tocoo()
+        Co = sp.csr_matrix((
+            np.concatenate([np.full(other.size, -1.0),
+                            Go.data / self.g[Go.col]]),
+            (np.concatenate([np.arange(other.size), Go.row]),
+             np.concatenate([other, self.rep[Go.col]]))),
+            shape=(other.size, dim))
+        C = self.C = sp.vstack([cone.A @ Ft, cone.Gn @ Ft, Co], format="csr")
+        self.Cd = C.toarray()
+        self.Cx, self.CTx = _matvec(C), _matvec(C.T)
+        self.nn = np.arange(self.n_eq, self.n_eq + l_nn)
+        # W'W C', rewritten by each factorization; zero on the nonnegative
+        # slots, as C is. Its transpose is what the congruence writes
+        self.wwCt = np.zeros(C.shape[::-1])
+
+    def factor(self, scaling) -> "_DualSolve":
+        """Cholesky factor of M at `scaling` (`_factor_regularized`): the
+        W'W congruence of C's rows, stacked _DUAL_ROWS at a time, then one
+        sparse-times-dense product."""
+        factors, out = scaling.mode("ww")[1], self.wwCt.T
+        for lo in range(0, out.shape[0], _DUAL_ROWS):
+            rows = slice(lo, lo + _DUAL_ROWS)
+            _congruence(self.groups, factors, self.Cd[rows], out[rows])
+        M = self.C @ self.wwCt
+        M[self.nn, self.nn] += scaling.wn ** 2
+        cho, reg = _factor_regularized(M, "dual normal equations not "
+                                          "positive definite")
+        return _DualSolve(self, scaling, cho, reg)
+
+
+class _DualSolve:
+    """The dual path's solve of the full KKT system at one scaling: two
+    W'W congruences, two products with C and one potrs of order r."""
+
+    def __init__(self, dual: _DualKkt, scaling, cho, reg_used):
+        self.dual, self.cho, self.reg_used = dual, cho, reg_used
+        self.ww = lambda v: _apply_w(scaling, dual.groups, dual.l_nn, v,
+                                     "ww")
+
+    def solve(self, bu, by, bz):
+        d = self.dual
+        n_eq, l_nn = d.n_eq, d.l_nn
+        Fbu = np.zeros(bz.size)
+        Fbu[d.rep] = bu / d.g
+        rhs = d.Cx(bz + self.ww(Fbu))
+        rhs[:n_eq] -= by
+        rhs[n_eq:n_eq + l_nn] -= bz[:l_nn]
+        lam = _cho_solve(self.cho, rhs)
+        dz = Fbu - d.CTx(lam)
+        dz[:l_nn] = lam[n_eq:n_eq + l_nn]
+        du = (bz + self.ww(dz))[d.rep] / d.g
+        return du, lam[:n_eq], dz
+
+
 def _kkt_factory(path, cone):
     """factor(scaling) for `path` (see `_kkt_path`) over `cone`, built once
     per cone; what it returns solves (bu, by, bz) -> (du, dy, dz)."""
     G, A, groups, l_nn = cone.G, cone.A, cone.groups, cone.n_nonneg
     if path == "full":
         return _FullKkt(G, A, groups, l_nn).factor
+    if path == "dual":
+        return _DualKkt(cone).factor
     nmap = _NormalMap(G, groups, l_nn)
     reduce = (_SparseKkt(nmap, A).factor if path == "sparse" else
               lambda scaling: _KktSolver(nmap.normal_matrix(scaling), A))

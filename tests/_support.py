@@ -322,7 +322,8 @@ def _v2_document(objective):
         "lb": None, "ub": None})
 
 
-# version-2 documents that break the entry-list contract, each one way
+# version-2 documents that break the entry-list contract or give a field
+# the wrong JSON type, each one way
 MALFORMED_V2 = {
     "term_index_is_n": _v2_document(
         {"terms": [[0], [3], [1.0]], "linear": [[], []], "c": 0.0}),
@@ -338,4 +339,10 @@ MALFORMED_V2 = {
         {"terms": [[0.5], [1], [1.0]], "linear": [[], []], "c": 0.0}),
     "linear_index_string": _v2_document(
         {"terms": [[], [], []], "linear": [["0"], [1.0]], "c": 0.0}),
+    "c_null": _v2_document(
+        {"terms": [[], [], []], "linear": [[], []], "c": None}),
+    "linear_number": _v2_document(
+        {"terms": [[], [], []], "linear": 5, "c": 0.0}),
+    "terms_null": _v2_document(
+        {"terms": None, "linear": [[], []], "c": 0.0}),
 }

@@ -569,6 +569,20 @@ def test_malformed_v2_problem_exits_1(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("name, field", [
+    ("c_null", "'c'"), ("linear_number", "'linear'"),
+    ("terms_null", "'terms'")])
+def test_wrong_json_type_names_field(tmp_path, capsys, name, field):
+    # a null or a number where a list or a number belongs is a reported
+    # error naming the field, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED_V2[name])
+    rc = main(["relax", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and field in err
+
+
 def test_unknown_flag_raises_systemexit_1(ball_json, tmp_path, monkeypatch):
     work = tmp_path / "work"
     work.mkdir()

@@ -633,7 +633,9 @@ def test_tune_eta_alone_shares_one_lift(monkeypatch):
 
 # per KKT path, the maps that one cone builds for it
 _KKT_MAPS = {"full": {"_FullKkt": 1}, "dense": {"_NormalMap": 1},
-             "sparse": {"_NormalMap": 1, "_SparseKkt": 1}}
+             "sparse": {"_NormalMap": 1, "_SparseKkt": 1},
+             "dual": {"_DualKkt": 1}}
+_KKT_CLASSES = ("_NormalMap", "_SparseKkt", "_FullKkt", "_DualKkt")
 
 
 @pytest.mark.parametrize("path", list(_KKT_MAPS))
@@ -647,9 +649,8 @@ def test_one_structure_per_run_of_rounds(monkeypatch, path):
     if path != "full":
         monkeypatch.setattr(solver, "_FULL_KKT_ORDER", 0)
         monkeypatch.setattr(solver, "_SPARSE_SHARE",
-                            0.0 if path == "dense" else np.inf)
-    counts = dict.fromkeys(["lift", "_run_rounds", "_NormalMap",
-                            "_SparseKkt", "_FullKkt"], 0)
+                            np.inf if path == "sparse" else 0.0)
+    counts = dict.fromkeys(["lift", "_run_rounds", *_KKT_CLASSES], 0)
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
@@ -659,7 +660,7 @@ def test_one_structure_per_run_of_rounds(monkeypatch, path):
     for name in ("lift", "_run_rounds"):
         monkeypatch.setattr(sequential, name,
                             counted(getattr(sequential, name), name))
-    for name in ("_NormalMap", "_SparseKkt", "_FullKkt"):
+    for name in _KKT_CLASSES:
         cls = getattr(solver, name)
         monkeypatch.setattr(cls, "__init__", counted(cls.__init__, name))
     built = []
@@ -674,9 +675,16 @@ def test_one_structure_per_run_of_rounds(monkeypatch, path):
     def expected(lifts, runs):
         return {"lift": lifts, "_run_rounds": runs,
                 **{name: lifts * _KKT_MAPS[path].get(name, 0)
-                   for name in ("_NormalMap", "_SparseKkt", "_FullKkt")}}
+                   for name in _KKT_CLASSES}}
 
     p = _shifted_ball_problem()
+    if path == "dense":
+        # three slack affine rows: 4 nonnegative rows and the constant slot
+        # make the dual path's order r = 5 reach the 5 variables, so the
+        # dense path is chosen
+        p = replace(p, inequalities=p.inequalities + [
+            QuadraticFunction(np.zeros((2, 2)), b, -3.0)
+            for b in ([0.5, 0.0], [0.0, 0.5], [-0.5, -0.5])])
     cfg = SequentialConfig(init="zero", tune_rounds=2)
     relaxation = sequential.lift(p, cfg.relaxation, penalized=True)
     rounds = sequential._run_rounds(p, cfg, np.zeros(2), 0.5, relaxation, 3,
@@ -685,6 +693,7 @@ def test_one_structure_per_run_of_rounds(monkeypatch, path):
     assert counts == expected(1, 1)
     progs = [prog for prog, *_ in built]
     assert progs[0].cone is progs[1].cone is progs[2].cone
+    assert solver._kkt_path(progs[0].cone) == path
     assert all(set(vars(prog)) == {"cone", "c", "c0"} for prog in progs)
     assert not np.array_equal(progs[0].c, progs[1].c)
     obj = p.objective

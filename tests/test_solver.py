@@ -11,7 +11,8 @@ from qcqpen import (Cone, ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
 from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _FullKkt,
                            _KktSolver, _NormalMap, _Scaling, _SparseKkt,
-                           _apply_w, _jordan_solve, _kkt_factory, _kkt_path,
+                           _apply_w, _congruence, _jordan_solve,
+                           _kkt_factory, _kkt_path,
                            _lambda_vec, _matvec, _max_cone_step, _norm,
                            _nt_scaling,
                            _pair_entries, _pair_index,
@@ -20,7 +21,7 @@ from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
 from qcqpen.lifting import RelaxationConfig, build_penalized, lift
 from qcqpen.polyopt import parse_poly, reformulate
-from _support import POLY_EXAMPLE
+from _support import POLY_EXAMPLE, perfbench_module
 
 OK = ("optimal", "near_optimal")
 
@@ -584,10 +585,11 @@ def test_kkt_path_choice(sysid_program):
         relaxed[n], _ = build_relaxation(
             QcqpProblem(n, obj, inequalities=[ball]), cfg)
     # a full moment matrix (dense H, order about 2n) on both sides of the
-    # bound: 299 and 324 variables
+    # bound: 299 and 324 variables. Above it every variable has a PSD slot
+    # and the dual path's order is 2 (the ball row and the constant slot)
     assert _kkt_order(relaxed[23]) <= bound < _kkt_order(relaxed[24])
     assert _kkt_path(relaxed[23].cone) == "full"
-    assert _kkt_path(relaxed[24].cone) == "dense"
+    assert _kkt_path(relaxed[24].cone) == "dual"
     # r = 2 blocks without sparsity: 104 and 119 variables, but 78 and 91
     # 3x3 blocks put the order on both sides of the bound
     assert _kkt_order(relaxed[13]) <= bound < _kkt_order(relaxed[14])
@@ -984,6 +986,107 @@ def test_full_path_solve_matches_dense_elimination():
         1e-12 * np.linalg.norm(ref) * np.linalg.norm(x)
     for got, want in zip(full.solve(*rhs), dense.solve(*rhs)):
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", ["full", "shared"])
+def test_congruence_of_a_stack_matches_each_row(case):
+    # the stacked congruence the dual path runs over C's rows gives each
+    # row the bits of the single-vector kernel; zero stays on the
+    # nonnegative slots of the output
+    cone = _dense_kkt_program(case).cone
+    scaling = _random_interior_scaling(cone, 3)
+    V = np.random.default_rng(4).normal(size=(5, cone.h.size))
+    for mode in ("ww", "w", "winv2"):
+        factors = scaling.mode(mode)[1]
+        stacked = _congruence(cone.groups, factors, V, np.zeros_like(V))
+        assert not stacked[:, :cone.n_nonneg].any()
+        for row, v in zip(stacked, V):
+            single = _congruence(cone.groups, factors, v, np.zeros_like(v))
+            assert row.tobytes() == single.tobytes()
+
+
+def _dual_path_cone(case):
+    """'moment': the full moment lifting, with bound cuts, of a 9-variable
+    box QCQP with a quadratic and an affine equality (54 variables, 45
+    nonnegative rows). 'subsets': a 4-variable one lifted over the
+    overlapping subsets {0, 1, 2} and {1, 2, 3}, so x1, x2 and their
+    products fill a PSD slot in each block."""
+    n = 9 if case == "moment" else 4
+    rng = np.random.default_rng(31)
+    B, C = rng.normal(size=(2, n, n))
+    if case == "subsets":
+        B[0, 3] = B[3, 0] = C[0, 3] = C[3, 0] = 0.0
+    obj = QuadraticFunction(B + B.T, rng.normal(size=n), 0.0)
+    eqs = [QuadraticFunction(C + C.T, rng.normal(size=n), -0.1),
+           QuadraticFunction(np.zeros((n, n)), np.full(n, 0.5), -0.2)]
+    p = QcqpProblem(n, obj, equalities=eqs, lb=-np.ones(n), ub=np.ones(n))
+    cfg = (RelaxationConfig(bound_cuts=True) if case == "moment" else
+           RelaxationConfig(r=3, subsets=[[0, 1, 2], [1, 2, 3]],
+                            bound_cuts=True))
+    return build_relaxation(p, cfg)[0].cone
+
+
+@pytest.mark.parametrize("case", ["moment", "subsets"])
+def test_dual_path_solve_matches_full_kkt(case):
+    # the dual path's (du, dy, dz) at non-identity NT scalings equal the
+    # full KKT LU's, with equality and bound-cut rows, and where a variable
+    # has a second PSD slot (a row -1 at it, the ratio at the first)
+    cone = _dual_path_cone(case)
+    assert cone.n_eq == 2
+    slots = np.diff(cone.G[cone.n_nonneg:].tocsc().indptr)
+    assert slots.min() == 1 and slots.max() == (1 if case == "moment" else 2)
+    for seed in range(3):
+        scaling = _random_interior_scaling(cone, seed)
+        rng = np.random.default_rng(seed)
+        rhs = (rng.normal(size=cone.n_vars), rng.normal(size=cone.n_eq),
+               rng.normal(size=cone.h.size))
+        full = _kkt_factory("full", cone)(scaling)
+        dual = _kkt_factory("dual", cone)(scaling)
+        assert dual.reg_used == 0.0
+        for got, want in zip(dual.solve(*rhs), full.solve(*rhs)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def _dense_full_cone():
+    """The cone of the benchmark's dense_full workload: the full moment
+    lifting, with bound cuts, of a dense 30-variable box QCQP."""
+    inst = perfbench_module("inputs").dense_box_qcqp(0, 0, 30)
+    cfg = RelaxationConfig(r=None, bound_cuts=True)
+    return build_relaxation(inst.problem, cfg)[0]
+
+
+def test_kkt_path_chooses_dual(sysid_program, monkeypatch):
+    # dense_full's cone: 495 variables, each with a PSD slot, and
+    # r = 152 nonnegative rows + 1 constant slot. sysid scatters into few
+    # entries of H; the 29-variable cone has 20 variables in no PSD slot
+    import qcqpen.solver as solver
+    cone = _dense_full_cone().cone
+    assert (cone.n_vars, cone.n_eq, cone.n_nonneg) == (495, 0, 152)
+    assert _kkt_path(cone) == "dual"
+    assert _kkt_path(sysid_program.cone) == "sparse"
+    n = _dense_kkt_program("full", extra=20).cone.n_vars
+    rng = np.random.default_rng(12)
+    rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
+    monkeypatch.setattr(solver, "_FULL_KKT_ORDER", 0)
+    assert _kkt_path(_dense_kkt_program("full", extra=20, nn=rows).cone) \
+        == "dense"
+
+
+def test_dual_path_solves_like_dense(monkeypatch):
+    # the relaxation of dense_box_qcqp(0, 0, 30) on the dual path and on
+    # the forced dense path: same status and iterations, and pcost
+    import qcqpen.solver as solver
+    prog = _dense_full_cone()
+    assert _kkt_path(prog.cone) == "dual"
+    sol = solve_conic(prog)
+    monkeypatch.setattr(solver, "_kkt_path", lambda cone: "dense")
+    c = prog.cone
+    ref = solve_conic(ConicProgram(Cone(c.n_vars, c.A, c.b, c.Gn, c.hn,
+                                        c.blocks), prog.c, prog.c0))
+    assert sol.status == ref.status == "optimal"
+    assert sol.iterations == ref.iterations
+    assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
 
 
 def test_full_kkt_zero_pivot_ladder(monkeypatch):

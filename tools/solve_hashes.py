@@ -8,13 +8,15 @@ Run from the root of a source tree: the program is imported from ./src and
 the workloads from perfbench/workloads.py, unchanged. Each operation of one
 pass (`workloads.make(name, seed)`) runs through qcqpen.sequential.run with
 qcqpen.sequential.solve_conic wrapped. For each workload it prints the count
-of solves, the count of distinct cones they solve over, and one sha256 over
-every solve's u, y, z and s bytes, status, stop_reason and iterations, in
-call order. Compare the lines of two trees on one machine: the bits depend
-on the BLAS build.
+of solves, the count of distinct cones they solve over, the KKT path of
+those cones (`paths=dual:2`: two cones on the dual path, from
+qcqpen.solver._kkt_path), and one sha256 over every solve's u, y, z and s
+bytes, status, stop_reason and iterations, in call order. Compare the lines
+of two trees on one machine: the bits depend on the BLAS build.
 """
 
 import argparse
+import collections
 import hashlib
 import os
 import sys
@@ -25,6 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import qcqpen.sequential as sequential  # noqa: E402
+import qcqpen.solver as solver  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -36,8 +39,8 @@ def solution_bytes(sol) -> bytes:
 
 
 def workload_hash(name: str, seed: int) -> tuple:
-    """(solves, distinct cones, sha256 hex digest) of one pass of workload
-    `name`."""
+    """(solves, distinct cones, their KKT paths as 'path:count' joined by
+    ',', sha256 hex digest) of one pass of workload `name`."""
     digest = hashlib.sha256()
     count = 0
     cones = {}      # id -> cone; holding each cone keeps its id unique
@@ -59,7 +62,10 @@ def workload_hash(name: str, seed: int) -> tuple:
                 pass     # the solves before the error are hashed
     finally:
         sequential.solve_conic = solve
-    return count, len(cones), digest.hexdigest()
+    paths = collections.Counter(solver._kkt_path(c) for c in cones.values())
+    return (count, len(cones),
+            ",".join(f"{p}:{k}" for p, k in sorted(paths.items())),
+            digest.hexdigest())
 
 
 def main(argv=None) -> int:
@@ -67,9 +73,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
-        count, cones, hexdigest = workload_hash(name, args.seed)
-        print(f"{name} solves={count} cones={cones} sha256={hexdigest}",
-              flush=True)
+        count, cones, paths, hexdigest = workload_hash(name, args.seed)
+        print(f"{name} solves={count} cones={cones} paths={paths} "
+              f"sha256={hexdigest}", flush=True)
     return 0
 
 
