@@ -46,8 +46,11 @@ steps are damped by a fraction of the distance to the cone boundary.
   dz are eliminated through the PSD slots instead (`_DualKkt`), and the SPD
   matrix M = C W'W C' + diag(0, wn^2, 0) of order r is Cholesky-factored:
   the Schur complement whose order is the number of constraints, not the
-  number of lifted entries (Fujisawa, Kojima and Nakata, Math. Prog. 79,
-  1997).
+  number of lifted entries. As in Fujisawa, Kojima and Nakata (Math. Prog.
+  79, 1997), only C's dense rows, those with more nonzeros than the largest
+  block's order, pay a W'W congruence; M over the sparse rows is formed
+  from the symmetric Kronecker entries of W'W at the same-block pairs of
+  the slots they touch.
 
 Every path refines its solves against the full system, the W'W dz term
 included, as CVXOPT's conelp does (Vandenberghe, "The CVXOPT linear and
@@ -918,12 +921,6 @@ class _Eliminated:
         return du, dy, self.winv2(self.Gx(du) - bz)
 
 
-# rows of C per stacked congruence on the dual path: one stack of all 153
-# rows of dense_full's cone made fresh temporaries of 1.2 MB each, and its
-# factorization took twice as long as in stacks of 16 (also at n = 40)
-_DUAL_ROWS = 16
-
-
 def _first_slots(cone: Cone) -> tuple:
     """(slot, g) per variable: its first PSD slot with a nonzero G entry,
     and that entry; slot -1 and g 0 for a variable with no such slot."""
@@ -956,6 +953,16 @@ class _DualKkt:
     C (bz + W'W dz) - diag(0, wn^2, 0) lam = (by, bz_n, 0). So
     M lam = C (bz + W'W F bu) - (by, bz_n, 0) with
     M = C W'W C' + diag(0, wn^2, 0).
+
+    M is formed by rows of C, split once per cone by what they cost
+    (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997). A dense row, one
+    with more nonzeros than the order m of the largest PSD block, pays
+    one W'W congruence (about 4 m^3 flops) and one product with C, which
+    give its column and row of M. Over the other rows, the sparse ones,
+    M is C_S K C_S': C_S holds them on the slots T they touch, and K is
+    W'W's symmetric Kronecker matrix on T, with the entries of the slot
+    pairs of T in one block (`_pair_entries`, as `_FullKkt` writes them)
+    and zero across blocks.
     """
 
     def __init__(self, cone: Cone):
@@ -973,25 +980,53 @@ class _DualKkt:
              np.concatenate([other, self.rep[Go.col]]))),
             shape=(other.size, dim))
         C = self.C = sp.vstack([cone.A @ Ft, cone.Gn @ Ft, Co], format="csr")
-        self.Cd = C.toarray()
         self.Cx, self.CTx = _matvec(C), _matvec(C.T)
         self.nn = np.arange(self.n_eq, self.n_eq + l_nn)
-        # W'W C', rewritten by each factorization; zero on the nonnegative
-        # slots, as C is. Its transpose is what the congruence writes
-        self.wwCt = np.zeros(C.shape[::-1])
+        dense = np.diff(C.indptr) > max(g.m for g in self.groups)
+        self.dense = np.flatnonzero(dense)
+        self.Cd = C[self.dense].toarray()
+        # C_S: the sparse rows on the slots T they touch, the dense rows
+        # emptied, so that C_S K C_S' is M over the sparse rows and zero
+        # elsewhere
+        Cs = sp.diags((~dense).astype(float)) @ C
+        Cs.eliminate_zeros()
+        T = np.unique(Cs.indices)
+        self.Cs = Cs[:, T]
+        # per group: the pairs of T's slots in one block, with their
+        # `_pair_index` and their flat place in K
+        self.psd = []
+        for g in self.groups:
+            local = np.full(dim, -1)
+            local[g.flat] = np.arange(g.flat.size)
+            k = local[T]
+            at = np.flatnonzero(k >= 0)
+            blk, t = np.divmod(k[at], g.ns)
+            p1, p2 = np.nonzero(blk[:, None] == blk[None, :])
+            self.psd.append(_pair_index(g, blk[p1], t[p1], t[p2])
+                            + (at[p1] * T.size + at[p2],))
+
+    def matrix(self, scaling) -> np.ndarray:
+        """M at `scaling`: K on the sparse rows' slot pairs, C_S K C_S',
+        then the dense rows' columns C (W'W C_D') and their mirror."""
+        K = np.zeros((self.Cs.shape[1],) * 2)
+        for (idx, kww, place), gd in zip(self.psd, scaling.groups):
+            K.flat[place] = _pair_entries(gd["WW"], idx, kww)
+        Cs = self.Cs
+        M = Cs @ (Cs @ K).T       # K is symmetric
+        if self.dense.size:
+            ww = _congruence(self.groups, scaling.mode("ww")[1], self.Cd,
+                             np.zeros_like(self.Cd))
+            cols = self.C @ ww.T
+            M[:, self.dense] = cols
+            M[self.dense, :] = cols.T
+        M[self.nn, self.nn] += scaling.wn ** 2
+        return M
 
     def factor(self, scaling) -> "_DualSolve":
-        """Cholesky factor of M at `scaling` (`_factor_regularized`): the
-        W'W congruence of C's rows, stacked _DUAL_ROWS at a time, then one
-        sparse-times-dense product."""
-        factors, out = scaling.mode("ww")[1], self.wwCt.T
-        for lo in range(0, out.shape[0], _DUAL_ROWS):
-            rows = slice(lo, lo + _DUAL_ROWS)
-            _congruence(self.groups, factors, self.Cd[rows], out[rows])
-        M = self.C @ self.wwCt
-        M[self.nn, self.nn] += scaling.wn ** 2
-        cho, reg = _factor_regularized(M, "dual normal equations not "
-                                          "positive definite")
+        """Cholesky factor of M at `scaling` (`_factor_regularized`)."""
+        cho, reg = _factor_regularized(self.matrix(scaling),
+                                       "dual normal equations not "
+                                       "positive definite")
         return _DualSolve(self, scaling, cho, reg)
 
 

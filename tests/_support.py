@@ -1,6 +1,7 @@
 """Shared instance generators for the test suite."""
 
 import importlib
+import importlib.util
 import json
 import pathlib
 import sys
@@ -234,6 +235,21 @@ def perfbench_module(name):
         return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = prior
+
+
+def tools_module(name):
+    """Import tools/<name>.py, a script and not a package, without writing
+    bytecode next to it or next to the perfbench modules it imports."""
+    path = pathlib.Path(PERFBENCH).parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    prior = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = prior
+    return module
 
 
 def dense_symmetric(n, rows, cols, vals):

@@ -8,7 +8,7 @@ benchmark run. perfbench/ is only imported, never changed.
 
 import pytest
 
-from _support import perfbench_module
+from _support import perfbench_module, tools_module
 
 
 @pytest.mark.parametrize("name, operations",
@@ -115,3 +115,12 @@ def test_tracer_spans_each_round(monkeypatch):
         metrics = spans.layer_metrics(spans_, root)
         assert metrics["sequential.tune_candidates"] == len(set(etas))
         assert metrics["lifting.builds"] == len(builds)
+
+
+def test_solve_hashes_dense_full():
+    # one seed-1 dense_full pass through tools/solve_hashes.py: 8 solves
+    # over 2 cones, both on the dual path, every solve optimal
+    count, cones, paths, iterations, statuses, digest = \
+        tools_module("solve_hashes").workload_hash("dense_full", 1)
+    assert (count, cones, paths, statuses) == (8, 2, "dual:2", "optimal:8")
+    assert iterations > 0 and len(digest) == 64

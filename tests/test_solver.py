@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from qcqpen import (Cone, ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
-from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _FullKkt,
-                           _KktSolver, _NormalMap, _Scaling, _SparseKkt,
+from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _DualKkt,
+                           _FullKkt, _KktSolver, _NormalMap, _Scaling,
+                           _SparseKkt,
                            _apply_w, _congruence, _jordan_solve,
                            _kkt_factory, _kkt_path,
                            _lambda_vec, _matvec, _max_cone_step, _norm,
@@ -1005,7 +1006,7 @@ def test_congruence_of_a_stack_matches_each_row(case):
             assert row.tobytes() == single.tobytes()
 
 
-def _dual_path_cone(case):
+def _dual_path_program(case):
     """'moment': the full moment lifting, with bound cuts, of a 9-variable
     box QCQP with a quadratic and an affine equality (54 variables, 45
     nonnegative rows). 'subsets': a 4-variable one lifted over the
@@ -1023,7 +1024,12 @@ def _dual_path_cone(case):
     cfg = (RelaxationConfig(bound_cuts=True) if case == "moment" else
            RelaxationConfig(r=3, subsets=[[0, 1, 2], [1, 2, 3]],
                             bound_cuts=True))
-    return build_relaxation(p, cfg)[0].cone
+    return build_relaxation(p, cfg)[0]
+
+
+def _dual_path_cone(case):
+    """The cone of `_dual_path_program(case)`."""
+    return _dual_path_program(case).cone
 
 
 @pytest.mark.parametrize("case", ["moment", "subsets"])
@@ -1109,6 +1115,114 @@ def test_full_kkt_zero_pivot_ladder(monkeypatch):
     assert any(reg > 0.0 for reg in regs)
     assert sol.status == "optimal"
     assert sol.pcost == pytest.approx(1.0, abs=1e-6)
+
+
+def _dual_reference_matrix(dual, scaling):
+    """M = C W'W C' + diag(0, wn^2, 0) by the stacked congruence: W'W
+    applied to every row of C densified, then one product with C."""
+    Cd = dual.C.toarray()
+    wwC = _congruence(dual.groups, scaling.mode("ww")[1], Cd,
+                      np.zeros_like(Cd))
+    M = dual.C @ wwC.T
+    M[dual.nn, dual.nn] += scaling.wn ** 2
+    return M
+
+
+def _dense_box_cone(n, n_quad):
+    """The full moment lifting, with bound cuts, of
+    dense_box_qcqp(0, 0, n, n_quad): n_quad dense rows in C."""
+    inst = perfbench_module("inputs").dense_box_qcqp(0, 0, n, n_quad=n_quad)
+    cfg = RelaxationConfig(r=None, bound_cuts=True)
+    return build_relaxation(inst.problem, cfg)[0].cone
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", ["moment", "subsets", "dense_full",
+                                  "dense_box", "bounds"])
+def test_dual_normal_matrix_matches_congruence_reference(case, reverse):
+    # M from the sparse rows' slot pairs and the dense rows' congruence
+    # equals the stacked congruence of every row, on its lower triangle:
+    # with no, one and several dense rows, and over two blocks, where a
+    # variable's second slot puts a row across both and cross-block pairs
+    # must add nothing. The liftings list the quadratic (dense) rows first;
+    # with the rows reversed the dense rows follow sparse ones, so their
+    # rows of the lower triangle come from the mirror of M's dense columns.
+    # 'bounds' is 'moment' without its equalities
+    cone = (_dense_full_cone().cone if case == "dense_full" else
+            _dense_box_cone(12, 4) if case == "dense_box" else
+            _dual_path_cone("moment" if case == "bounds" else case))
+    if case == "bounds":
+        cone = Cone(cone.n_vars, None, (), cone.Gn, cone.hn, cone.blocks)
+    if reverse:
+        cone = Cone(cone.n_vars, cone.A[::-1], cone.b[::-1], cone.Gn[::-1],
+                    cone.hn[::-1], cone.blocks)
+    dual = _DualKkt(cone)
+    assert dual.dense.size == {"moment": 1, "subsets": 1, "dense_full": 2,
+                               "dense_box": 4, "bounds": 0}[case]
+    assert case == "bounds" or (dual.dense[0] > 0) == reverse
+    assert len(cone.blocks) == (2 if case == "subsets" else 1)
+    for seed in range(3):
+        scaling = _random_interior_scaling(cone, seed)
+        M = dual.matrix(scaling)
+        ref = _dual_reference_matrix(dual, scaling)
+        assert np.max(np.abs(np.tril(M - ref))) <= \
+            1e-13 * np.max(np.abs(ref))
+
+
+def test_dual_path_congruence_only_on_dense_rows(monkeypatch):
+    # dense_full's cone: only its 2 quadratic rows, 495 nonzeros each, have
+    # more nonzeros than the block's order 31, and only they go through the
+    # W'W congruence; every other row of C has at most two. After a
+    # factorization and a solve the path holds no array of r x dim floats
+    import qcqpen.solver as solver
+    cone = _dense_full_cone().cone
+    dual = _DualKkt(cone)
+    r, dim = dual.C.shape
+    assert (r, dim) == (153, 648)
+    nnz = np.diff(dual.C.indptr)
+    assert nnz[dual.dense].tolist() == [495, 495]
+    assert np.delete(nnz, dual.dense).max() == 2
+    stacks = []
+
+    def recorded(groups, factors, vec, out):
+        if vec.ndim == 2:
+            stacks.append(vec.copy())
+        return _congruence(groups, factors, vec, out)
+    monkeypatch.setattr(solver, "_congruence", recorded)
+    kkt = dual.factor(_random_interior_scaling(cone, 0))
+    kkt.solve(np.ones(cone.n_vars), np.ones(cone.n_eq), np.ones(dim))
+    [stack] = stacks
+    assert np.array_equal(stack, dual.C[dual.dense].toarray())
+    held = _arrays(list(vars(dual).values()))
+    assert held and max(a.size for a in held) < r * dim
+
+
+def test_dual_kkt_singular_ladder(monkeypatch):
+    # a duplicated equality row makes M singular: on the dual path the
+    # ladder shifts its diagonal, no warning escapes, and the solve ends
+    # optimal at the value of the program without the copy
+    import qcqpen.solver as solver
+    prog = _dual_path_program("moment")
+    c = prog.cone
+    cone = Cone(c.n_vars, sp.vstack([c.A, c.A[0]]), np.append(c.b, c.b[0]),
+                c.Gn, c.hn, c.blocks)
+    monkeypatch.setattr(solver, "_FULL_KKT_ORDER", 0)
+    assert _kkt_path(cone) == _kkt_path(c) == "dual"
+    regs = []
+    factor = solver._DualKkt.factor
+
+    def recorded(self, scaling):
+        kkt = factor(self, scaling)
+        regs.append(kkt.reg_used)
+        return kkt
+    monkeypatch.setattr(solver._DualKkt, "factor", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_conic(ConicProgram(cone, prog.c, prog.c0))
+    assert any(reg > 0.0 for reg in regs)
+    ref = solve_conic(prog)
+    assert sol.status == ref.status == "optimal"
+    assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -10,9 +10,12 @@ pass (`workloads.make(name, seed)`) runs through qcqpen.sequential.run with
 qcqpen.sequential.solve_conic wrapped. For each workload it prints the count
 of solves, the count of distinct cones they solve over, the KKT path of
 those cones (`paths=dual:2`: two cones on the dual path, from
-qcqpen.solver._kkt_path), and one sha256 over every solve's u, y, z and s
-bytes, status, stop_reason and iterations, in call order. Compare the lines
-of two trees on one machine: the bits depend on the BLAS build.
+qcqpen.solver._kkt_path), the sum of the solves' iterations, the count of
+each status (`statuses=optimal:8`), and one sha256 over every solve's u, y,
+z and s bytes, status, stop_reason and iterations, in call order. Compare
+the lines of two trees on one machine: the bits depend on the BLAS build,
+while iterations and statuses show whether a change that moves the bits
+also moved what the solves did.
 """
 
 import argparse
@@ -38,20 +41,26 @@ def solution_bytes(sol) -> bytes:
     return arrays + tail
 
 
+def _counts(values) -> str:
+    """'value:count' for each distinct value, sorted, joined by ','."""
+    return ",".join(f"{v}:{k}" for v, k in
+                    sorted(collections.Counter(values).items()))
+
+
 def workload_hash(name: str, seed: int) -> tuple:
     """(solves, distinct cones, their KKT paths as 'path:count' joined by
-    ',', sha256 hex digest) of one pass of workload `name`."""
+    ',', total iterations, statuses as 'status:count' joined by ',', sha256
+    hex digest) of one pass of workload `name`."""
     digest = hashlib.sha256()
-    count = 0
+    ends = []       # (status, iterations) of each solve
     cones = {}      # id -> cone; holding each cone keeps its id unique
     solve = sequential.solve_conic
 
     def hashed(prog, *args, **kwargs):
-        nonlocal count
         cones[id(prog.cone)] = prog.cone
         sol = solve(prog, *args, **kwargs)
         digest.update(solution_bytes(sol))
-        count += 1
+        ends.append((sol.status, sol.iterations))
         return sol
     sequential.solve_conic = hashed
     try:
@@ -62,9 +71,9 @@ def workload_hash(name: str, seed: int) -> tuple:
                 pass     # the solves before the error are hashed
     finally:
         sequential.solve_conic = solve
-    paths = collections.Counter(solver._kkt_path(c) for c in cones.values())
-    return (count, len(cones),
-            ",".join(f"{p}:{k}" for p, k in sorted(paths.items())),
+    return (len(ends), len(cones),
+            _counts(solver._kkt_path(c) for c in cones.values()),
+            sum(it for _, it in ends), _counts(st for st, _ in ends),
             digest.hexdigest())
 
 
@@ -73,9 +82,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
-        count, cones, paths, hexdigest = workload_hash(name, args.seed)
+        count, cones, paths, iters, statuses, hexdigest = workload_hash(
+            name, args.seed)
         print(f"{name} solves={count} cones={cones} paths={paths} "
-              f"sha256={hexdigest}", flush=True)
+              f"iterations={iters} statuses={statuses} sha256={hexdigest}",
+              flush=True)
     return 0
 
 
