@@ -23,24 +23,26 @@ The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method:
 at each iterate the scaling W with W z-bar = W^{-T} s-bar = lambda is
 computed per block, the Newton system
 [[0, A', G'], [A, 0, 0], [G, 0, -W'W]] [du; dy; dz] = [bu; by; bz] is solved
-in float64 on one of four paths, chosen once per cone by `_kkt_path`, and
+in float64 on one of three paths, chosen once per cone by `_kkt_path`, and
 steps are damped by a fraction of the distance to the cone boundary.
 
 - full: programs whose KKT matrix has order n + m + dim K at most
   `_FULL_KKT_ORDER` factor it with one dense LU per iteration.
-- dense: dz is eliminated, and the normal matrix H = G' (W'W)^{-1} G is
-  formed by `_NormalMap`: one sparse-times-dense product Gn' (W_n^{-2} Gn)
-  for the nonnegative rows, then each pair of variable slots of a PSD block
-  added in place at its place in H's lower triangle. H is Cholesky-factored
-  with LAPACK's potrf, and the equalities go through a second Cholesky of
-  the Schur complement A H^{-1} A' (as in CVXOPT's potrf-based KKT
-  solvers).
-- sparse: when the count of H entries the cone rows scatter is below a
-  tenth of n^2, the same terms, listed pair by pair (each pair of entries of
-  a nonnegative row, then the PSD pairs), are summed into the quasidefinite
-  augmented matrix [[H, A'], [A, -delta I]] in CSC form and factored with
-  one sparse LU (Vanderbei, "Symmetric quasi-definite matrices", 1995; as
-  in ECOS).
+- sparse: dz is eliminated at every cone row but the kept ones, the
+  nonnegative rows D with so many nonzeros that their pairs alone would
+  fill a tenth of H (`_kept_rows`). The normal matrix
+  H_S = G_S' (W_S'W_S)^{-1} G_S of the other rows S is listed term by term
+  by `_NormalMap` (each pair of entries of an eliminated nonnegative row,
+  then each pair of variable slots of a PSD block), summed into the
+  quasidefinite augmented matrix
+  [[H_S, A', G_D'], [A, -delta I, 0], [G_D, 0, -(W_D^2 + delta I)]] in CSC
+  form and factored with one sparse LU (Vanderbei, "Symmetric
+  quasi-definite matrices", 1995; as in ECOS). Keeping the dense rows
+  un-eliminated is Vanderbei and Carpenter's augmented system (Math.
+  Prog. 58, 1993) and Andersen's cure for dense columns (ACM TOMS 22,
+  1996): a row with nk nonzeros costs nk entries, not nk^2. A program
+  takes this path when its eliminated rows scatter into fewer than a tenth
+  of H's n^2 entries, and also when the dual path does not apply.
 - dual: when every variable has a PSD slot and r = n_eq + l_nn + (PSD slots
   - n) is below n, as in every full moment lifting, du and the PSD part of
   dz are eliminated through the PSD slots instead (`_DualKkt`), and the SPD
@@ -600,65 +602,25 @@ def _cho_solve(c, b):
     return sla.lapack.dpotrs(c, b, lower=1)[0]
 
 
-class _KktSolver:
-    """Cholesky factors of the reduced saddle system [H A'; A 0].
-
-    H is a dense array; only its diagonal and lower triangle are read, and
-    the diagonal is shifted in place when it does not factor. A is CSR,
-    densified to form the Schur complement. reg_used is the total diagonal
-    shift added to H and to the Schur complement. LAPACK's potrf and potrs
-    are called directly, with the arguments sla.cho_factor and sla.cho_solve
-    pass them, so the bits are theirs.
-    """
-
-    def __init__(self, H, A):
-        self.cho, self.reg_used = _factor_regularized(
-            H, "normal equations not positive definite")
-        if A.shape[0]:
-            A = A.toarray()
-            HiAt = _cho_solve(self.cho, A.T)
-            S = A @ HiAt
-            S = 0.5 * (S + S.T)
-            self.schur, schur_reg = _factor_regularized(
-                S, "equality Schur complement singular")
-            self.reg_used += schur_reg
-            self.HiAt = HiAt
-        else:
-            self.schur = None
-            self.HiAt = None
-
-    def solve(self, r1, r2):
-        """Solve [H A'; A 0] [du; dy] = [r1; r2]."""
-        w = _cho_solve(self.cho, r1)
-        if self.schur is not None:
-            rhs = self.HiAt.T @ r1 - r2
-            dy = _cho_solve(self.schur, rhs)
-            du = w - self.HiAt @ dy
-            return du, dy
-        return w, np.zeros(0)
-
-
 class _NormalMap:
-    """H = G' (W'W)^{-1} G on its diagonal and lower triangle, built once
-    per cone.
+    """H_S = G_S' (W_S'W_S)^{-1} G_S on its diagonal and lower triangle, as
+    a list of terms with their places, built once per cone. The rows S are
+    every PSD slot and the nonnegative rows `rows`, the ones not kept
+    (`_kept_rows`).
 
-    The nonnegative rows give Gn' diag(1 / wn^2) Gn. The dense path forms
-    it with one sparse-times-dense product against `Gd`, Gn densified once:
-    nnz(Gn) * n flops and l_nn * n floats, where a list of each row's pairs
-    of entries would grow with the square of its nonzeros. Each PSD group
-    keeps its pairs of variable slots (blk, t1, t2), var(t1) >= var(t2), in
-    that order, with the term K[t1, t2] gc[t1] gc[t2] (`_pair_entries`) and
-    its flat place var(t1) * n + var(t2) in H.
-
-    The sparse path reads one list of every term with its place i * n + j,
-    i >= j, in `place` and `terms`, built on first use: first, row by row,
-    each pair of entries of a nonnegative row k at columns i >= j, with the
-    term G[k, i] (G[k, j] (1 / wn_k^2)), then the PSD pairs.
+    `place` and `terms` list every term with its flat place i * n + j,
+    i >= j, in H, built on first use: first, row by row, each pair of
+    entries of a nonnegative row k at columns i >= j, with the term
+    G[k, i] (G[k, j] (1 / wn_k^2)); then, per PSD group, each pair of
+    variable slots (blk, t1, t2), var(t1) >= var(t2), in that order, with
+    the term K[t1, t2] gc[t1] gc[t2] (`_pair_entries`) at
+    var(t1) * n + var(t2).
     """
 
-    def __init__(self, G, groups, l_nn):
+    def __init__(self, G, groups, rows):
         n = self.n = G.shape[1]
-        self.Gn = G[:l_nn]
+        self.rows = rows
+        self.Gn = G[rows]
         self.psd = []
         for g in groups:
             both = g.mask[:, :, None] & g.mask[:, None, :]
@@ -669,20 +631,15 @@ class _NormalMap:
                                g.var[blk, t1] * n + g.var[blk, t2]))
 
     @cached_property
-    def Gd(self) -> np.ndarray:
-        """Gn as a dense (l_nn, n) array."""
-        return self.Gn.toarray()
-
-    @cached_property
     def row_pairs(self) -> tuple:
         """(entry_row, reps, partner) of the rows' pair list: each entry's
-        row, the count of its pairs, and the entry each pair pairs it
-        with. The r-th entry of a row pairs with the row's first r + 1
-        entries, whose columns are j <= i because CSR keeps each row
+        nonnegative row, the count of its pairs, and the entry each pair
+        pairs it with. The r-th entry of a row pairs with the row's first
+        r + 1 entries, whose columns are j <= i because CSR keeps each row
         sorted."""
         Gn = self.Gn
         nk = np.diff(Gn.indptr)
-        entry_row = np.repeat(np.arange(Gn.shape[0]), nk)
+        entry_row = np.repeat(self.rows, nk)
         first = np.repeat(Gn.indptr[:-1], nk)
         reps = np.arange(Gn.nnz) - first + 1
         partner = np.arange(int(reps.sum()))
@@ -716,52 +673,43 @@ class _NormalMap:
             lo += kww.size
         return out
 
-    def normal_matrix(self, scaling) -> np.ndarray:
-        """Dense H at `scaling`, valid on its diagonal and lower triangle.
 
-        scipy's CSC-times-dense kernel adds row k's term
-        G[k, i] (G[k, j] (1 / wn_k^2)) into zeros for k in increasing order,
-        and np.add.at then adds the PSD terms in list order: every place of
-        the lower triangle receives its terms in the order of `terms`, as
-        np.add.at over `place` adds them, and so gets the same bits. This
-        assumes the compiled kernel rounds each multiply and each add apart
-        (no FMA contraction), as the x86-64 build it was checked on does; a
-        build that contracts them changes H in its last bits.
-        """
-        H = self.Gn.T @ (self.Gd * (1.0 / scaling.wn ** 2)[:, None])
-        flat = H.ravel()
-        for (idx, kww, gc1, gc2, place), gd in zip(self.psd, scaling.groups):
-            terms = _pair_entries(gd["Winv"], idx, kww)
-            terms *= gc1
-            terms *= gc2
-            np.add.at(flat, place, terms)
-        return H
-
-
-# absolute static regularization of the equality block on the sparse path;
+# absolute static regularization of the second block on the sparse path;
 # scaled by H's largest diagonal (1e8 and more near convergence) it left the
 # first solves' residuals far above what refinement recovers
 _SPARSE_DELTA = 1e-12
-# the sparse path runs when the scatter count is below this share of n^2
+# the sparse path runs when the scatter count is below this share of n^2,
+# and keeps the nonnegative rows whose own scatter is above it
 _SPARSE_SHARE = 0.1
 # programs whose full KKT matrix has at most this order factor it: full
 # moment programs up to 299 variables, and smaller r = 2 liftings, whose LU
-# costs the order cubed (order 1,773 at 275 variables: 11 times the dense path)
+# costs the order cubed (order 1,662 at 275 variables: 15 to 25 times the
+# sparse path)
 _FULL_KKT_ORDER = 600
+
+
+def _kept_rows(cone: Cone) -> np.ndarray:
+    """Mask of the nonnegative rows the sparse path keeps in its augmented
+    system rather than eliminating them into H: those whose nk^2 pairs of
+    entries alone exceed _SPARSE_SHARE * n^2."""
+    nk = np.diff(cone.Gn.indptr).astype(np.int64)
+    return nk * nk > _SPARSE_SHARE * cone.n_vars ** 2
 
 
 def _kkt_path(cone: Cone) -> str:
     """'full' when n + m + the cone's dimension is at most _FULL_KKT_ORDER.
-    Otherwise 'sparse' when the entries the cone rows scatter into H, nnz^2
-    per nonnegative row plus (variables in block)^2 per PSD block, number
-    fewer than _SPARSE_SHARE * n^2. Otherwise 'dual' when the order
+    Otherwise 'sparse' when the entries the eliminated cone rows scatter
+    into H, nnz^2 per nonnegative row not kept (`_kept_rows`) plus
+    (variables in block)^2 per PSD block, number fewer than
+    _SPARSE_SHARE * n^2. Otherwise 'dual' when the order
     r = n_eq + l_nn + (PSD slots - n) of its system is below n and every
-    variable has a PSD slot (`_DualKkt`), and 'dense' otherwise. Every
+    variable has a PSD slot (`_DualKkt`), and 'sparse' for the rest. Every
     count is known before any KKT assembly."""
     n = cone.n_vars
     if n + cone.n_eq + cone.h.size <= _FULL_KKT_ORDER:
         return "full"
-    count = int(np.sum(np.diff(cone.Gn.indptr).astype(np.int64) ** 2))
+    nk = np.diff(cone.Gn.indptr).astype(np.int64)
+    count = int(np.sum(nk[~_kept_rows(cone)] ** 2))
     count += sum(int(np.sum(np.count_nonzero(g.mask, axis=1) ** 2))
                  for g in cone.groups)
     if count < _SPARSE_SHARE * n * n:
@@ -769,34 +717,43 @@ def _kkt_path(cone: Cone) -> str:
     r = cone.n_eq + cone.h.size - n
     if r < n and np.all(_first_slots(cone)[0] >= 0):
         return "dual"
-    return "dense"
+    return "sparse"
 
 
 class _SparseKkt:
-    """Sparse path: the augmented matrix [[H, A'], [A, -delta I]] in CSC.
+    """Sparse path: the augmented matrix
+    [[H_S, A', G_D'], [A, -delta I, 0], [G_D, 0, -(W_D^2 + delta I)]] in
+    CSC, where D are the cone's kept nonnegative rows (`_kept_rows`) and
+    H_S is summed from a `_NormalMap` of every other cone row.
 
-    Built once per cone from a `_NormalMap`: each pair's place in H's lower
-    triangle is mapped to its CSC entry, and each place off the diagonal to
-    the entry that mirrors it, so `factor` fills the data array with one
-    bincount and one copy and factors it with one sparse LU.
+    Built once per cone: each term's place in H's lower triangle is mapped
+    to its CSC entry, and each place off the diagonal to the entry that
+    mirrors it, so `factor` fills the data array with one bincount and one
+    copy, subtracts wn^2 on the kept rows' diagonal and factors it with one
+    sparse LU. The second block row B = [A; G_D] is constant.
     """
 
-    def __init__(self, nmap: _NormalMap, A):
-        m, n = A.shape
-        self.nmap = nmap
-        self.n = n
+    def __init__(self, cone: Cone):
+        kept = _kept_rows(cone)
+        self.kept = np.flatnonzero(kept)
+        self.nmap = nmap = _NormalMap(cone.G, cone.groups,
+                                      np.flatnonzero(~kept))
+        self.groups, self.l_nn = cone.groups, cone.n_nonneg
+        self.products = cone.products[:2]
+        Bc = sp.vstack([cone.A, cone.Gn[self.kept]]).tocoo()
+        m, n = Bc.shape
+        self.n, self.n_eq = n, cone.n_eq
         self.dim = N = n + m
         lower, pair = np.unique(nmap.place, return_inverse=True)
         i, j = np.divmod(lower, n)
         off = i != j
-        # constant entries: A, A', -delta I and explicit zeros on H's
+        # constant entries: B, B', -delta I and explicit zeros on H's
         # diagonal, so that the factorization ladder can shift any of it
-        Ac = A.tocoo()
         diag = np.arange(N)
-        rows = np.concatenate([i, j[off], diag, n + Ac.row, Ac.col])
-        cols = np.concatenate([j, i[off], diag, Ac.col, n + Ac.row])
+        rows = np.concatenate([i, j[off], diag, n + Bc.row, Bc.col])
+        cols = np.concatenate([j, i[off], diag, Bc.col, n + Bc.row])
         const = np.concatenate([np.zeros(n), np.full(m, -_SPARSE_DELTA),
-                                Ac.data, Ac.data])
+                                Bc.data, Bc.data])
         uniq, inv = np.unique(cols * N + rows, return_inverse=True)
         n_low, n_up = lower.size, int(np.count_nonzero(off))
         self.pair = inv[:n_low][pair]
@@ -810,20 +767,22 @@ class _SparseKkt:
         self.diag = np.searchsorted(uniq, diag * (N + 1))
         self.delta = _SPARSE_DELTA if m else 0.0
 
-    def factor(self, scaling) -> "_LuKkt":
+    def factor(self, scaling) -> "_Eliminated":
         """LU of the augmented matrix at `scaling`. If SuperLU finds it
         exactly singular, the shifts of `_ladder` are added to H and
-        subtracted from the equality block; raises LinAlgError when all
+        subtracted from the second block; raises LinAlgError when all
         fail."""
         # imported here: SuperLU's module adds 2 MB of resident memory to
         # every process, also to those that never take the sparse path
         from scipy.sparse.linalg import splu
 
+        # base is zero at H's places; adding it out of place keeps data
+        # float where no term is left (bincount of none gives ints)
         data = np.bincount(self.pair, weights=self.nmap.terms(scaling),
-                           minlength=self.base.size)
+                           minlength=self.base.size) + self.base
         data[self.upper] = data[self.lower]
-        data += self.base
-        n = self.n
+        n, o = self.n, self.n + self.n_eq
+        data[self.diag[o:]] -= scaling.wn[self.kept] ** 2
         for reg, eps in _ladder(float(np.max(data[self.diag[:n]])),
                                 self.delta):
             K = sp.csc_matrix((data, self.indices, self.indptr),
@@ -832,7 +791,8 @@ class _SparseKkt:
                 lu = splu(K, permc_spec="MMD_AT_PLUS_A",
                           diag_pivot_thresh=0.0,
                           options={"SymmetricMode": True})
-                return _LuKkt(lu.solve, [n], reg)
+                return _Eliminated(_LuKkt(lu.solve, n, o, reg), self,
+                                   scaling)
             except RuntimeError:
                 data[self.diag[:n]] += eps
                 data[self.diag[n:]] -= eps
@@ -840,19 +800,19 @@ class _SparseKkt:
 
 
 class _LuKkt:
-    """One LU, sparse or dense, of the augmented [[H, A'], [A, -delta I]]
-    (cuts [n]) or of the full KKT matrix (cuts [n, n + m])."""
+    """One LU, sparse or dense, of the sparse path's augmented matrix or of
+    the full KKT matrix, whose solution splits at n and o = n + m into du,
+    dy and dz (at the kept rows, or at every cone slot)."""
 
-    def __init__(self, lu_solve, cuts, reg_used):
+    def __init__(self, lu_solve, n, o, reg_used):
         self.lu_solve = lu_solve
-        self.cuts = cuts
+        self.n, self.o = n, o
         self.reg_used = reg_used
 
     def solve(self, *rhs):
-        """The solution's blocks for the right-hand side's blocks."""
+        """(du, dy, dz) for the right-hand side's blocks."""
         x = self.lu_solve(np.concatenate(rhs))
-        ends = (0, *self.cuts, x.size)
-        return [x[lo:hi] for lo, hi in zip(ends, ends[1:])]
+        return x[:self.n], x[self.n:self.o], x[self.o:]
 
 
 class _FullKkt:
@@ -899,26 +859,33 @@ class _FullKkt:
             lu, piv, info = sla.lapack.dgetrf(K)
             if info == 0:     # info > 0: U[info - 1, info - 1] is zero
                 return _LuKkt(lambda r: sla.lapack.dgetrs(lu, piv, r)[0],
-                              [n, o], reg)
+                              n, o, reg)
             K[range(n), range(n)] += eps
             K[range(n, o), range(n, o)] -= eps
         raise np.linalg.LinAlgError("KKT system singular")
 
 
 class _Eliminated:
-    """A normal path's solve of the full KKT system: dz is eliminated, so
-    [H A'; A 0] [du; dy] = [bu + G'W^-2 bz; by] goes to the factored
-    reduced system and dz = W^-2 (G du - bz)."""
+    """The sparse path's solve of the full KKT system at one scaling. dz is
+    eliminated at every cone row but the kept rows D, so
+    [[H_S, A', G_D'], [A, 0, 0], [G_D, 0, -W_D^2]] [du; dy; dz_D] =
+    [bu + G'W^-2 bz (bz_D read as 0); by; bz_D] goes to the factored
+    augmented system, and dz = W^-2 (G du - bz) at the other rows."""
 
-    def __init__(self, reduced, Gx, GTx, scaling, groups, l_nn):
-        self.reduced = reduced
-        self.reg_used = reduced.reg_used
-        self.Gx, self.GTx = Gx, GTx
-        self.winv2 = lambda v: _apply_w(scaling, groups, l_nn, v, "winv2")
+    def __init__(self, lu: _LuKkt, sparse: _SparseKkt, scaling):
+        self.lu, self.reg_used, self.kept = lu, lu.reg_used, sparse.kept
+        self.Gx, self.GTx = sparse.products
+        self.winv2 = lambda v: _apply_w(scaling, sparse.groups, sparse.l_nn,
+                                        v, "winv2")
 
     def solve(self, bu, by, bz):
-        du, dy = self.reduced.solve(bu + self.GTx(self.winv2(bz)), by)
-        return du, dy, self.winv2(self.Gx(du) - bz)
+        kept = self.kept
+        v = self.winv2(bz)
+        v[kept] = 0.0
+        du, dy, dz_kept = self.lu.solve(bu + self.GTx(v), by, bz[kept])
+        dz = self.winv2(self.Gx(du) - bz)
+        dz[kept] = dz_kept
+        return du, dy, dz
 
 
 def _first_slots(cone: Cone) -> tuple:
@@ -1057,17 +1024,9 @@ class _DualSolve:
 def _kkt_factory(path, cone):
     """factor(scaling) for `path` (see `_kkt_path`) over `cone`, built once
     per cone; what it returns solves (bu, by, bz) -> (du, dy, dz)."""
-    G, A, groups, l_nn = cone.G, cone.A, cone.groups, cone.n_nonneg
     if path == "full":
-        return _FullKkt(G, A, groups, l_nn).factor
-    if path == "dual":
-        return _DualKkt(cone).factor
-    nmap = _NormalMap(G, groups, l_nn)
-    reduce = (_SparseKkt(nmap, A).factor if path == "sparse" else
-              lambda scaling: _KktSolver(nmap.normal_matrix(scaling), A))
-    Gx, GTx = cone.products[:2]
-    return lambda scaling: _Eliminated(reduce(scaling), Gx, GTx, scaling,
-                                       groups, l_nn)
+        return _FullKkt(cone.G, cone.A, cone.groups, cone.n_nonneg).factor
+    return (_DualKkt if path == "dual" else _SparseKkt)(cone).factor
 
 
 # fraction of the distance to the cone boundary that a step may take

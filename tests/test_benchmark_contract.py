@@ -117,10 +117,21 @@ def test_tracer_spans_each_round(monkeypatch):
         assert metrics["lifting.builds"] == len(builds)
 
 
-def test_solve_hashes_dense_full():
-    # one seed-1 dense_full pass through tools/solve_hashes.py: 8 solves
-    # over 2 cones, both on the dual path, every solve optimal
+def _solve_hashes(name):
+    """(solves, cones, paths, statuses) of one seed-1 pass of workload
+    `name` through tools/solve_hashes.py."""
     count, cones, paths, iterations, statuses, digest = \
-        tools_module("solve_hashes").workload_hash("dense_full", 1)
-    assert (count, cones, paths, statuses) == (8, 2, "dual:2", "optimal:8")
+        tools_module("solve_hashes").workload_hash(name, 1)
     assert iterations > 0 and len(digest) == 64
+    return count, cones, paths, statuses
+
+
+def test_solve_hashes_dense_full():
+    # 8 solves over 2 cones, both on the dual path, every solve optimal
+    assert _solve_hashes("dense_full") == (8, 2, "dual:2", "optimal:8")
+
+
+def test_solve_hashes_sysid():
+    # 10 solves over 2 cones, both on the sparse path with no row kept
+    # ("sparse+kept" otherwise), every solve optimal
+    assert _solve_hashes("sysid") == (10, 2, "sparse:2", "optimal:10")

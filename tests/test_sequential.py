@@ -632,7 +632,7 @@ def test_tune_eta_alone_shares_one_lift(monkeypatch):
 
 
 # per KKT path, the maps that one cone builds for it
-_KKT_MAPS = {"full": {"_FullKkt": 1}, "dense": {"_NormalMap": 1},
+_KKT_MAPS = {"full": {"_FullKkt": 1},
              "sparse": {"_NormalMap": 1, "_SparseKkt": 1},
              "dual": {"_DualKkt": 1}}
 _KKT_CLASSES = ("_NormalMap", "_SparseKkt", "_FullKkt", "_DualKkt")
@@ -678,13 +678,6 @@ def test_one_structure_per_run_of_rounds(monkeypatch, path):
                    for name in _KKT_CLASSES}}
 
     p = _shifted_ball_problem()
-    if path == "dense":
-        # three slack affine rows: 4 nonnegative rows and the constant slot
-        # make the dual path's order r = 5 reach the 5 variables, so the
-        # dense path is chosen
-        p = replace(p, inequalities=p.inequalities + [
-            QuadraticFunction(np.zeros((2, 2)), b, -3.0)
-            for b in ([0.5, 0.0], [0.0, 0.5], [-0.5, -0.5])])
     cfg = SequentialConfig(init="zero", tune_rounds=2)
     relaxation = sequential.lift(p, cfg.relaxation, penalized=True)
     rounds = sequential._run_rounds(p, cfg, np.zeros(2), 0.5, relaxation, 3,

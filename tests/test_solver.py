@@ -3,17 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from qcqpen import (Cone, ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
 from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _DualKkt,
-                           _FullKkt, _KktSolver, _NormalMap, _Scaling,
-                           _SparseKkt,
+                           _FullKkt, _NormalMap, _Scaling, _SparseKkt,
                            _apply_w, _congruence, _jordan_solve,
-                           _kkt_factory, _kkt_path,
+                           _kept_rows, _kkt_factory, _kkt_path,
                            _lambda_vec, _matvec, _max_cone_step, _norm,
                            _nt_scaling,
                            _pair_entries, _pair_index,
@@ -301,20 +299,6 @@ def test_tight_gap_on_penalized_relaxation():
     assert sol.gap / max(1.0, abs(sol.pcost)) <= 1.3e-10
 
 
-def test_reg_used_counts_schur_shift():
-    # duplicate equality rows make the Schur complement A H^-1 A' singular
-    # while H = I needs no shift; reg_used must report the Schur shift
-    cone = _cone(2, nn=[([0], [-1.0], 0.0), ([1], [-1.0], 0.0)],
-                 eq=[([0], [1.0], 1.0), ([0], [1.0], 1.0)])
-    G, A = cone.G, cone.A
-    scaling = _Scaling(np.ones(2), np.ones(2), [])
-    nmap = _NormalMap(G, [], 2)
-    kkt = _KktSolver(nmap.normal_matrix(scaling), A)
-    h_only = _KktSolver(nmap.normal_matrix(scaling), A[:0])
-    assert h_only.reg_used == 0.0
-    assert kkt.reg_used > h_only.reg_used
-
-
 @pytest.fixture(scope="module")
 def sysid_program():
     # the benchmark's sysid instance: r = 2 blocks, 672 lifted variables
@@ -520,50 +504,70 @@ def _columnwise_normal_matrix(G, groups, l_nn, scaling):
                                    for j in range(Gd.shape[1])])
 
 
-def _refined(kkt, H, A, r1, r2):
-    """(du, dy, relative residual) after _REFINEMENT passes against
-    [H A'; A 0]."""
-    Ad = A.toarray()
-    du, dy = kkt.solve(r1, r2)
+def _refined(kkt, cone, scaling, rhs):
+    """(du, dy, dz, relative residual) of kkt's solve of the full KKT
+    system after _REFINEMENT passes against it, as solve_conic refines."""
+    Gx, GTx, Ax, ATx = cone.products
+    bu, by, bz = rhs
+
+    def residual(du, dy, dz):
+        wwdz = _apply_w(scaling, cone.groups, cone.n_nonneg, dz, "ww")
+        return bu - ATx(dy) - GTx(dz), by - Ax(du), bz - Gx(du) + wwdz
+    du, dy, dz = kkt.solve(*rhs)
     for _ in range(_REFINEMENT):
-        c1, c2 = kkt.solve(r1 - H @ du - Ad.T @ dy, r2 - Ad @ du)
-        du, dy = du + c1, dy + c2
-    res = np.concatenate([r1 - H @ du - Ad.T @ dy, r2 - Ad @ du])
-    rhs = np.concatenate([r1, r2])
-    return du, dy, np.linalg.norm(res) / np.linalg.norm(rhs)
+        cu, cy, cz = kkt.solve(*residual(du, dy, dz))
+        du, dy, dz = du + cu, dy + cy, dz + cz
+    res = np.linalg.norm(np.concatenate(residual(du, dy, dz)))
+    return du, dy, dz, res / np.linalg.norm(np.concatenate(rhs))
+
+
+def _random_rhs(cone, seed):
+    """A random right-hand side (bu, by, bz) of the cone's KKT system."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=cone.n_vars), rng.normal(size=cone.n_eq),
+            rng.normal(size=cone.h.size))
 
 
 def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
+    # sysid's cone keeps no row. Its sparse solve, refined, equals the dense
+    # elimination: [H A'; A 0] [du; dy] = [bu + G'W^-2 bz; by] solved with
+    # H built column by column, and dz = W^-2 (G du - bz)
     cone = sysid_program.cone
     assert _kkt_path(cone) == "sparse"
-    groups, G, A = cone.groups, cone.G, cone.A
+    assert not _kept_rows(cone).any()
+    groups, G, A, n = cone.groups, cone.G, cone.A, cone.n_vars
     scaling = _random_interior_scaling(cone, seed=3)
+    bu, by, bz = rhs = _random_rhs(cone, 4)
+    kkt = _SparseKkt(cone).factor(scaling)
+    assert kkt.reg_used > 0.0
+    *got, res = _refined(kkt, cone, scaling, rhs)
+    assert res <= 1e-10
+
+    def winv2(v):
+        return _apply_w(scaling, groups, cone.n_nonneg, v, "winv2")
     H = _columnwise_normal_matrix(G, groups, cone.n_nonneg, scaling)
-    rng = np.random.default_rng(4)
-    r1 = rng.normal(size=cone.n_vars)
-    r2 = rng.normal(size=cone.n_eq)
-    nmap = _NormalMap(G, groups, cone.n_nonneg)
-    dense = _KktSolver(nmap.normal_matrix(scaling), A)
-    sparse = _SparseKkt(nmap, A).factor(scaling)
-    du_d, dy_d, res_d = _refined(dense, H, A, r1, r2)
-    du_s, dy_s, res_s = _refined(sparse, H, A, r1, r2)
-    assert res_d <= 1e-10
-    assert res_s <= 1e-10
-    assert sparse.reg_used > 0.0
-    assert np.linalg.norm(du_s - du_d) <= 1e-6 * np.linalg.norm(du_d)
-    assert np.linalg.norm(dy_s - dy_d) <= 1e-6 * np.linalg.norm(dy_d)
+    Ad, m = A.toarray(), cone.n_eq
+    x = np.linalg.solve(np.block([[H, Ad.T], [Ad, np.zeros((m, m))]]),
+                        np.concatenate([bu + G.T @ winv2(bz), by]))
+    want = (x[:n], x[n:], winv2(G @ x[:n] - bz))
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-6 * np.linalg.norm(w)
 
 
 def test_sparse_path_solves_like_dense(sysid_program, monkeypatch):
+    # sysid on the sparse path as chosen, no row kept, and with a share of
+    # 0, which keeps every one of its nonnegative rows in the augmented
+    # system: the same statuses and pcost
     import qcqpen.solver as solver
     sol = solve_conic(sysid_program)
     monkeypatch.setattr(solver, "_SPARSE_SHARE", 0.0)
-    # a cone keeps the path it chose first: the dense solve needs a new one
+    # a cone keeps the path it chose first: the kept rows need a new one
     c = sysid_program.cone
-    dense = ConicProgram(Cone(c.n_vars, c.A, c.b, c.Gn, c.hn, c.blocks),
-                         sysid_program.c, sysid_program.c0)
-    assert _kkt_path(dense.cone) == "dense"
-    ref = solve_conic(dense)
+    kept = ConicProgram(Cone(c.n_vars, c.A, c.b, c.Gn, c.hn, c.blocks),
+                        sysid_program.c, sysid_program.c0)
+    assert _kkt_path(kept.cone) == "sparse"
+    assert _kept_rows(kept.cone).all()
+    ref = solve_conic(kept)
     assert sol.status in OK and ref.status in OK
     assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
 
@@ -592,11 +596,15 @@ def test_kkt_path_choice(sysid_program):
     assert _kkt_path(relaxed[23].cone) == "full"
     assert _kkt_path(relaxed[24].cone) == "dual"
     # r = 2 blocks without sparsity: 104 and 119 variables, but 78 and 91
-    # 3x3 blocks put the order on both sides of the bound
+    # 3x3 blocks put the order on both sides of the bound. Above it the
+    # blocks scatter into more than a tenth of H and the dual path's order
+    # exceeds n, so the sparse path takes it, and the ball row (14 nonzeros)
+    # is not kept
     assert _kkt_order(relaxed[13]) <= bound < _kkt_order(relaxed[14])
     assert relaxed[14].cone.n_vars < relaxed[23].cone.n_vars
     assert _kkt_path(relaxed[13].cone) == "full"
-    assert _kkt_path(relaxed[14].cone) == "dense"
+    assert _kkt_path(relaxed[14].cone) == "sparse"
+    assert not _kept_rows(relaxed[14].cone).any()
     # r = 2 blocks scatter into few entries of H: sparse above the bound;
     # below it the full path runs however sparse H is (50 one-entry rows
     # scatter into 50 of 2,500 entries)
@@ -615,20 +623,21 @@ def test_sparse_kkt_singular_is_regularized():
     cone = _cone(3, nn=[([0], [-1.0], 0.0), ([0, 1], [-1.0, -1.0], 0.0)],
                  eq=[([0, 1], [1.0, 1.0], 1.0)])
     scaling = _Scaling(np.ones(2), np.ones(2), [])
-    pattern = _SparseKkt(_NormalMap(cone.G, cone.groups, cone.n_nonneg),
-                         cone.A)
+    pattern = _SparseKkt(cone)
     kkt = pattern.factor(scaling)
     assert kkt.reg_used > pattern.delta
-    du, dy = kkt.solve(np.array([1.0, 2.0, 0.0]), np.array([1.0]))
-    assert np.all(np.isfinite(du)) and np.all(np.isfinite(dy))
+    for d in kkt.solve(np.array([1.0, 2.0, 0.0]), np.array([1.0]),
+                       np.array([0.5, -1.0])):
+        assert np.all(np.isfinite(d))
 
 
 def _reference_normal_matrix(G, groups, l_nn, scaling):
-    """H = G'(W'W)^{-1}G from the full symmetric Kronecker of every block,
-    scattered with np.add.at, from a dense G: the assembly the pair list
-    replaced."""
-    Gn = G[:l_nn]
-    H = Gn.T @ (Gn * (1.0 / scaling.wn ** 2)[:, None])
+    """H = G'(W'W)^{-1}G from a dense G: each nonnegative row's outer
+    product added in row order, then the full symmetric Kronecker of every
+    block scattered with np.add.at: the assembly the pair list replaced."""
+    H = np.zeros((G.shape[1],) * 2)
+    for row, d in zip(G[:l_nn], 1.0 / scaling.wn ** 2):
+        H += np.outer(row, row * d)
     for g, gd in zip(groups, scaling.groups):
         Rinv = gd["Rinv"]
         P = np.swapaxes(Rinv, -1, -2) @ Rinv
@@ -683,74 +692,6 @@ def _dense_kkt_program(case, extra=0, nn=(), eq=()):
                               blocks=blocks), c)
 
 
-@pytest.mark.parametrize("dt", [np.float64])
-@pytest.mark.parametrize("case", ["full", "shared"])
-def test_dense_normal_matrix_matches_add_at_reference(case, dt):
-    # the pair list computes H's lower triangle bit for bit as the full
-    # symmetric Kronecker and np.add.at did
-    cone = _dense_kkt_program(case).cone
-    groups, G = cone.groups, cone.G
-    nmap = _NormalMap(G, groups, cone.n_nonneg)
-    for seed in range(3):
-        scaling = _random_interior_scaling(cone, seed)
-        H = nmap.normal_matrix(scaling)
-        assert H.dtype == dt
-        ref = _reference_normal_matrix(G.toarray(), groups, cone.n_nonneg,
-                                       scaling)
-        assert np.array_equal(np.tril(H), np.tril(ref))
-
-
-@pytest.mark.parametrize("case", ["full", "shared", "rows"])
-def test_normal_matrix_sums_like_add_at(case):
-    # np.bincount sums each place's terms in list order, as np.add.at over
-    # zeros does: the same bytes on the diagonal and lower triangle, the
-    # part the factorization reads. "rows" adds three nonnegative rows over
-    # every variable, so that places receive up to five row terms
-    if case == "rows":
-        n = _dense_kkt_program("full", extra=1).cone.n_vars
-        rng = np.random.default_rng(12)
-        rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
-        cone = _dense_kkt_program("full", extra=1, nn=rows).cone
-    else:
-        cone = _dense_kkt_program(case).cone
-    nmap = _NormalMap(cone.G, cone.groups, cone.n_nonneg)
-    for seed in range(3):
-        scaling = _random_interior_scaling(cone, seed)
-        ref = np.zeros(nmap.n * nmap.n)
-        np.add.at(ref, nmap.place, nmap.terms(scaling))
-        H = nmap.normal_matrix(scaling)
-        assert H.shape == (nmap.n, nmap.n)
-        ref = ref.reshape(H.shape)
-        assert np.tril(H).tobytes() == np.tril(ref).tobytes()
-
-
-@pytest.mark.parametrize("dt", [np.float64])
-def test_dense_nonnegative_rows_on_dense_path(dt):
-    # three nonnegative rows over every variable beside the box rows, so
-    # that places of H receive up to five row terms, and the full moment
-    # block; one equality row
-    n = _dense_kkt_program("full", extra=1).cone.n_vars
-    rng = np.random.default_rng(12)
-    rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
-    cone = _dense_kkt_program("full", extra=1, nn=rows).cone
-    groups, G = cone.groups, cone.G
-    nmap = _NormalMap(G, groups, cone.n_nonneg)
-    scaling = _random_interior_scaling(cone, 5)
-    H = nmap.normal_matrix(scaling)
-    ref = _columnwise_normal_matrix(G, groups, cone.n_nonneg, scaling)
-    assert H.dtype == ref.dtype == dt
-    assert np.allclose(np.tril(H), np.tril(ref), rtol=1e-12,
-                       atol=1e-12 * np.abs(ref).max())
-    # the dense and the sparse factorization of the same pair list
-    A = cone.A
-    r1 = rng.normal(size=n)
-    r2 = rng.normal(size=cone.n_eq)
-    dense = _KktSolver(H, A)
-    sparse = _SparseKkt(nmap, A).factor(scaling)
-    for kkt in (dense, sparse):
-        assert _refined(kkt, ref, A, r1, r2)[2] <= 1e-10
-
-
 @pytest.mark.parametrize("case", ["full", "shared"])
 def test_pair_entries_match_svec_of_winv_map(case):
     # column t of the block's Hessian is svec(W^-1 smat(e_t) W^-1)
@@ -770,32 +711,11 @@ def test_pair_entries_match_svec_of_winv_map(case):
                                atol=1e-14 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("dt", [np.float64])
-def test_kkt_solver_ignores_strict_upper_triangle(dt):
-    # H's strict upper triangle is not valid: NaN there must change neither
-    # the diagonal shift nor the solve. The two extra variables are in no
-    # cone row, so H is singular and the ladder runs.
-    cone = _dense_kkt_program("shared", extra=2).cone
-    groups, G, A = cone.groups, cone.G, cone.A
-    scaling = _random_interior_scaling(cone, 2)
-    H = _NormalMap(G, groups, cone.n_nonneg).normal_matrix(scaling)
-    broken = H.copy()
-    broken[np.triu_indices(cone.n_vars, 1)] = np.nan
-    kkt, ref = _KktSolver(broken, A), _KktSolver(H, A)
-    assert ref.reg_used > 0.0
-    assert kkt.reg_used == ref.reg_used
-    rng = np.random.default_rng(1)
-    r1 = rng.normal(size=cone.n_vars)
-    r2 = rng.normal(size=cone.n_eq)
-    for got, want in zip(kkt.solve(r1, r2), ref.solve(r1, r2)):
-        assert np.all(np.isfinite(want)) and want.dtype == dt
-        assert np.array_equal(got, want)
-
-
-def _with_dense_rows(case, where):
-    """The cone of `_dense_kkt_program(case)` with three nonnegative rows
-    over every variable placed before, between or after its box rows."""
-    base = _dense_kkt_program(case).cone
+def _with_dense_rows(case, where, eq=()):
+    """The cone of `_dense_kkt_program(case, eq=eq)` with three nonnegative
+    rows over every variable placed before, between or after its box
+    rows."""
+    base = _dense_kkt_program(case, eq=eq).cone
     n = base.n_vars
     rng = np.random.default_rng(13)
     dense = sp.csr_matrix(rng.normal(size=(3, n)))
@@ -803,28 +723,123 @@ def _with_dense_rows(case, where):
     cut = {"before": 0, "between": 3, "after": box.shape[0]}[where]
     Gn = sp.vstack([box[:cut], dense, box[cut:]], format="csr")
     hn = np.concatenate([hn[:cut], np.ones(3), hn[cut:]])
-    return Cone(n, base.A, base.b, Gn, hn, base.blocks)
+    return Cone(n, base.A, base.b, Gn, hn, base.blocks), cut
 
 
 @pytest.mark.parametrize("where", ["before", "between", "after"])
 @pytest.mark.parametrize("case", ["full", "shared"])
 def test_normal_matrix_product_sums_like_add_at(case, where):
-    # the rows' product and the PSD pairs added in place give the lower
-    # triangle's bytes of np.add.at over zeros of the whole pair list,
-    # wherever the dense rows sit among the box rows, also where PSD places
-    # repeat across blocks
-    cone = _with_dense_rows(case, where)
-    assert np.diff(cone.Gn.indptr).max() == cone.n_vars
+    # np.add.at over zeros of the pair list (`place`, `terms`) gives the
+    # bytes of the reference assembly on H's diagonal and lower triangle,
+    # the part the factorization reads: wherever the dense rows sit among
+    # the box rows, where places receive up to five row terms, and where
+    # PSD places repeat across blocks
+    cone = _with_dense_rows(case, where)[0]
+    n = cone.n_vars
+    assert np.diff(cone.Gn.indptr).max() == n
+    nmap = _NormalMap(cone.G, cone.groups, np.arange(cone.n_nonneg))
     for seed in range(3):
         scaling = _random_interior_scaling(cone, seed)
-        H = _NormalMap(cone.G, cone.groups, cone.n_nonneg).normal_matrix(
-            scaling)
-        pairs = _NormalMap(cone.G, cone.groups, cone.n_nonneg)
-        ref = np.zeros(pairs.n * pairs.n)
-        np.add.at(ref, pairs.place, pairs.terms(scaling))
-        assert H.shape == (cone.n_vars, cone.n_vars)
+        H = np.zeros(n * n)
+        np.add.at(H, nmap.place, nmap.terms(scaling))
+        H = H.reshape(n, n)
+        ref = _reference_normal_matrix(cone.G.toarray(), cone.groups,
+                                       cone.n_nonneg, scaling)
+        assert np.tril(H).tobytes() == np.tril(ref).tobytes()
+
+
+@pytest.mark.parametrize("dt", [np.float64])
+@pytest.mark.parametrize("case", ["full", "shared"])
+def test_dense_normal_matrix_matches_add_at_reference(case, dt):
+    # box rows only: the pair list, summed by np.add.at over zeros, gives
+    # H's lower triangle bit for bit as the full symmetric Kronecker and
+    # np.add.at of the reference assembly did
+    cone = _dense_kkt_program(case).cone
+    n = cone.n_vars
+    nmap = _NormalMap(cone.G, cone.groups, np.arange(cone.n_nonneg))
+    for seed in range(3):
+        scaling = _random_interior_scaling(cone, seed)
+        terms = nmap.terms(scaling)
+        assert terms.dtype == dt
+        H = np.zeros(n * n)
+        np.add.at(H, nmap.place, terms)
+        H = H.reshape(n, n)
+        ref = _reference_normal_matrix(cone.G.toarray(), cone.groups,
+                                       cone.n_nonneg, scaling)
+        assert np.array_equal(np.tril(H), np.tril(ref))
+
+
+def _factored_normal_block(cone, scaling, monkeypatch):
+    """The H block of the augmented matrix that the sparse path's `factor`
+    hands to SuperLU at `scaling`, before any shift of its ladder."""
+    import scipy.sparse.linalg as spla
+    seen, splu = [], spla.splu
+
+    def spy(K, **kwargs):
+        seen.append(K.copy())
+        return splu(K, **kwargs)
+    monkeypatch.setattr(spla, "splu", spy)
+    _SparseKkt(cone).factor(scaling)
+    n = cone.n_vars
+    return seen[0][:n, :n].toarray()
+
+
+@pytest.mark.parametrize("case", ["full", "shared", "rows"])
+def test_normal_matrix_sums_like_add_at(case, monkeypatch):
+    # the sparse path's np.bincount sums each place's terms in list order,
+    # as np.add.at over zeros does: the same bytes on the diagonal and lower
+    # triangle of the H that SuperLU factors. "rows" adds three nonnegative
+    # rows over every variable, eliminated since a share of 1 keeps no row,
+    # so that places receive up to five row terms
+    import qcqpen.solver as solver
+    monkeypatch.setattr(solver, "_SPARSE_SHARE", 1.0)
+    if case == "rows":
+        n = _dense_kkt_program("full", extra=1).cone.n_vars
+        rng = np.random.default_rng(12)
+        rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
+        cone = _dense_kkt_program("full", extra=1, nn=rows).cone
+        assert np.diff(cone.Gn.indptr).max() == n
+    else:
+        cone = _dense_kkt_program(case).cone
+    assert not _kept_rows(cone).any()
+    n = cone.n_vars
+    nmap = _NormalMap(cone.G, cone.groups, np.arange(cone.n_nonneg))
+    for seed in range(3):
+        scaling = _random_interior_scaling(cone, seed)
+        ref = np.zeros(n * n)
+        np.add.at(ref, nmap.place, nmap.terms(scaling))
+        H = _factored_normal_block(cone, scaling, monkeypatch)
+        assert H.shape == (n, n)
         ref = ref.reshape(H.shape)
         assert np.tril(H).tobytes() == np.tril(ref).tobytes()
+
+
+_EQ_ROWS = [([0, 3, 5], [1.0, -0.5, 2.0], 0.3), ([1, 2], [1.0, 1.0], -0.2)]
+
+
+@pytest.mark.parametrize("eq", [(), _EQ_ROWS], ids=["no_eq", "eq"])
+@pytest.mark.parametrize("where", ["before", "between", "after"])
+@pytest.mark.parametrize("case", ["full", "shared"])
+def test_kept_rows_solve_matches_full_kkt(case, where, eq):
+    # the three dense rows are kept in the augmented system, the box rows
+    # eliminated: at random interior scalings the sparse path's
+    # (du, dy, dz), refined, equal the dense solve of the full KKT matrix
+    cone, at = _with_dense_rows(case, where, eq)
+    assert np.flatnonzero(_kept_rows(cone)).tolist() == [at, at + 1, at + 2]
+    n, m = cone.n_vars, cone.n_eq
+    assert m == len(eq)
+    for seed in range(3):
+        scaling = _random_interior_scaling(cone, seed)
+        rhs = _random_rhs(cone, seed)
+        kkt = _kkt_factory("sparse", cone)(scaling)
+        *got, res = _refined(kkt, cone, scaling, rhs)
+        assert res <= 1e-10
+        x = np.linalg.solve(_full_kkt_reference(cone, cone.G, cone.A,
+                                                cone.groups, scaling),
+                            np.concatenate(rhs))
+        for g, w in zip(got, np.split(x, [n, n + m])):
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-9 * np.linalg.norm(w)
 
 
 def _arrays(value):
@@ -839,102 +854,36 @@ def _arrays(value):
     return []
 
 
-def test_dense_path_builds_no_pair_list(monkeypatch):
-    # three nonnegative rows over all n variables, on the dense path: a
-    # list of each row's pairs of entries would hold sum nk (nk + 1) / 2
-    # entries; after a factorization and a solve the path's map holds no
-    # array that large, and Gd is Gn dense. The 20 extra variables make
-    # the rows, not the block's pairs, the bulk of the terms.
+def test_kept_rows_build_no_pair_list(monkeypatch):
+    # three nonnegative rows over all n variables are kept on the sparse
+    # path: a list of their pairs of entries would hold sum nk (nk + 1) / 2
+    # entries; after a factorization and a solve the path's maps hold no
+    # array that large. The 20 extra variables make the rows, not the
+    # block's pairs, the bulk of the terms.
     import qcqpen.solver as solver
     n = _dense_kkt_program("full", extra=20).cone.n_vars
     rng = np.random.default_rng(12)
     rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
     cone = _dense_kkt_program("full", extra=20, nn=rows).cone
     monkeypatch.setattr(solver, "_FULL_KKT_ORDER", 0)
-    assert _kkt_path(cone) == "dense"
-    maps = []
+    assert _kkt_path(cone) == "sparse"
+    kept = _kept_rows(cone)
+    assert np.flatnonzero(kept).tolist() == [6, 7, 8]
+    patterns = []
 
-    class Recorded(_NormalMap):
+    class Recorded(_SparseKkt):
         def __init__(self, *args):
             super().__init__(*args)
-            maps.append(self)
-    monkeypatch.setattr(solver, "_NormalMap", Recorded)
+            patterns.append(self)
+    monkeypatch.setattr(solver, "_SparseKkt", Recorded)
     kkt = cone.factor_kkt(_random_interior_scaling(cone, 0))
     kkt.solve(np.ones(n), np.ones(cone.n_eq), np.ones(cone.h.size))
-    [nmap] = maps
-    nk = np.diff(cone.Gn.indptr)
+    [pattern] = patterns
+    nk = np.diff(cone.Gn.indptr)[kept]
     pairs = int(np.sum(nk * (nk + 1) // 2))
-    held = _arrays(list(vars(nmap).values()))
+    held = _arrays(list(vars(pattern).values())
+                   + list(vars(pattern.nmap).values()))
     assert held and max(a.size for a in held) < pairs
-    assert nmap.Gd.shape == (cone.n_nonneg, n)
-    assert np.array_equal(nmap.Gd, cone.Gn.toarray())
-
-
-def _cho_reference(M, A):
-    """(factor, Schur factor or None, HiAt, reg_used) of `_KktSolver`'s
-    ladder, through sla.cho_factor and sla.cho_solve."""
-    import qcqpen.solver as solver
-
-    def factor(M):
-        M = M.copy()
-        for reg, eps in solver._ladder(float(np.max(np.abs(np.diag(M)))),
-                                       0.0):
-            try:
-                return sla.cho_factor(M, lower=True, check_finite=False), reg
-            except np.linalg.LinAlgError:
-                M[np.diag_indices_from(M)] += eps
-        raise np.linalg.LinAlgError("reference ladder failed")
-    cho, reg = factor(M)
-    if not A.shape[0]:
-        return cho, None, None, reg
-    Ad = A.toarray()
-    HiAt = sla.cho_solve(cho, Ad.T, check_finite=False)
-    S = Ad @ HiAt
-    schur, schur_reg = factor(0.5 * (S + S.T))
-    return cho, schur, HiAt, reg + schur_reg
-
-
-def _cho_reference_solve(ref, r1, r2):
-    cho, schur, HiAt, _ = ref
-    w = sla.cho_solve(cho, r1, check_finite=False)
-    if schur is None:
-        return w, np.zeros(0)
-    dy = sla.cho_solve(schur, HiAt.T @ r1 - r2, check_finite=False)
-    return w - HiAt @ dy, dy
-
-
-@pytest.mark.parametrize("H_case", ["spd", "singular"])
-@pytest.mark.parametrize("eq", [True, False])
-def test_kkt_solver_lapack_matches_cho_factor(H_case, eq):
-    # potrf and potrs called directly give sla.cho_factor's and
-    # sla.cho_solve's bits; on a singular H (two variables in no cone
-    # row) the ladder ends with the same shift and the same factor
-    if H_case == "spd":
-        rng = np.random.default_rng(21)
-        n = 9
-        B = rng.normal(size=(n, n))
-        H = B @ B.T + 0.1 * np.eye(n)
-        A = sp.csr_matrix(rng.normal(size=(2, n)))
-    else:
-        cone = _dense_kkt_program("shared", extra=2).cone
-        n = cone.n_vars
-        H = _NormalMap(cone.G, cone.groups, cone.n_nonneg).normal_matrix(
-            _random_interior_scaling(cone, 2))
-        A = cone.A
-    A = A if eq else A[:0]
-    ref = _cho_reference(H, A)
-    kkt = _KktSolver(H.copy(), A)
-    assert (kkt.reg_used > 0.0) == (H_case == "singular")
-    assert kkt.reg_used == ref[3]
-    assert kkt.cho.tobytes() == ref[0][0].tobytes()
-    if eq:
-        assert kkt.schur.tobytes() == ref[1][0].tobytes()
-        assert kkt.HiAt.tobytes() == ref[2].tobytes()
-    rng = np.random.default_rng(22)
-    r1, r2 = rng.normal(size=n), rng.normal(size=A.shape[0])
-    for got, want in zip(kkt.solve(r1, r2), _cho_reference_solve(ref, r1, r2)):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
 
 
 def _full_kkt_reference(cone, G, A, groups, scaling):
@@ -969,24 +918,24 @@ def test_full_kkt_matrix_matches_svec_reference(case):
 
 def test_full_path_solve_matches_dense_elimination():
     # equalities, nonnegative rows and a PSD block, at an interior
-    # non-identity scaling: the full KKT LU and the dense Cholesky with its
-    # Schur complement give the same (du, dy, dz)
-    cone = _dense_kkt_program("full", eq=[
-        ([0, 3, 5], [1.0, -0.5, 2.0], 0.3), ([1, 2], [1.0, 1.0], -0.2)]).cone
+    # non-identity scaling: the full KKT LU and the sparse path's
+    # elimination of dz, refined, give the same (du, dy, dz)
+    cone = _dense_kkt_program("full", eq=_EQ_ROWS).cone
     groups, G, A = cone.groups, cone.G, cone.A
+    assert not _kept_rows(cone).any()
     scaling = _random_interior_scaling(cone, seed=9)
-    rng = np.random.default_rng(10)
-    rhs = (rng.normal(size=cone.n_vars), rng.normal(size=cone.n_eq),
-           rng.normal(size=cone.h.size))
+    rhs = _random_rhs(cone, 10)
     full = _kkt_factory("full", cone)(scaling)
-    dense = _kkt_factory("dense", cone)(scaling)
-    assert full.reg_used == dense.reg_used == 0.0
+    sparse = _kkt_factory("sparse", cone)(scaling)
+    assert full.reg_used == 0.0
     ref = _full_kkt_reference(cone, G, A, groups, scaling)
     x = np.concatenate(full.solve(*rhs))
     assert np.linalg.norm(ref @ x - np.concatenate(rhs)) <= \
         1e-12 * np.linalg.norm(ref) * np.linalg.norm(x)
-    for got, want in zip(full.solve(*rhs), dense.solve(*rhs)):
-        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    *got, res = _refined(sparse, cone, scaling, rhs)
+    assert res <= 1e-12
+    for g, want in zip(got, full.solve(*rhs)):
+        assert np.linalg.norm(g - want) <= 1e-9 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("case", ["full", "shared"])
@@ -1065,7 +1014,9 @@ def _dense_full_cone():
 def test_kkt_path_chooses_dual(sysid_program, monkeypatch):
     # dense_full's cone: 495 variables, each with a PSD slot, and
     # r = 152 nonnegative rows + 1 constant slot. sysid scatters into few
-    # entries of H; the 29-variable cone has 20 variables in no PSD slot
+    # entries of H; the 29-variable cone has 20 variables in no PSD slot,
+    # so the sparse path takes it although its block and box rows scatter
+    # into more than a tenth of H
     import qcqpen.solver as solver
     cone = _dense_full_cone().cone
     assert (cone.n_vars, cone.n_eq, cone.n_nonneg) == (495, 0, 152)
@@ -1076,23 +1027,41 @@ def test_kkt_path_chooses_dual(sysid_program, monkeypatch):
     rows = [(np.arange(n), rng.normal(size=n), 1.0) for _ in range(3)]
     monkeypatch.setattr(solver, "_FULL_KKT_ORDER", 0)
     assert _kkt_path(_dense_kkt_program("full", extra=20, nn=rows).cone) \
-        == "dense"
+        == "sparse"
 
 
 def test_dual_path_solves_like_dense(monkeypatch):
     # the relaxation of dense_box_qcqp(0, 0, 30) on the dual path and on
-    # the forced dense path: same status and iterations, and pcost
+    # the forced sparse path, which keeps the two quadratic rows: same
+    # status and iterations, and pcost
     import qcqpen.solver as solver
     prog = _dense_full_cone()
     assert _kkt_path(prog.cone) == "dual"
+    assert np.count_nonzero(_kept_rows(prog.cone)) == 2
     sol = solve_conic(prog)
-    monkeypatch.setattr(solver, "_kkt_path", lambda cone: "dense")
+    monkeypatch.setattr(solver, "_kkt_path", lambda cone: "sparse")
     c = prog.cone
     ref = solve_conic(ConicProgram(Cone(c.n_vars, c.A, c.b, c.Gn, c.hn,
                                         c.blocks), prog.c, prog.c0))
     assert sol.status == ref.status == "optimal"
     assert sol.iterations == ref.iterations
     assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
+
+
+def test_dense_box_r2_keeps_its_quadratic_rows():
+    # dense_box_qcqp(0, 0, 20) under r = 2 blocks without sparsity: its 2
+    # quadratic rows (230 nonzeros each, over 230 variables) are kept, and
+    # the box and bound-cut rows and the 190 blocks scatter into few
+    # entries of H
+    inst = perfbench_module("inputs").dense_box_qcqp(0, 0, 20)
+    cfg = RelaxationConfig(r=2, sparsity=False, bound_cuts=True)
+    prog = build_relaxation(inst.problem, cfg)[0]
+    assert prog.cone.n_vars == 230
+    assert _kkt_path(prog.cone) == "sparse"
+    assert np.count_nonzero(_kept_rows(prog.cone)) == 2
+    sol = solve_conic(prog)
+    assert sol.status == "optimal"
+    assert sol.pcost == pytest.approx(-125.9794365, rel=1e-8)
 
 
 def test_full_kkt_zero_pivot_ladder(monkeypatch):

@@ -10,9 +10,12 @@ pass (`workloads.make(name, seed)`) runs through qcqpen.sequential.run with
 qcqpen.sequential.solve_conic wrapped. For each workload it prints the count
 of solves, the count of distinct cones they solve over, the KKT path of
 those cones (`paths=dual:2`: two cones on the dual path, from
-qcqpen.solver._kkt_path), the sum of the solves' iterations, the count of
-each status (`statuses=optimal:8`), and one sha256 over every solve's u, y,
-z and s bytes, status, stop_reason and iterations, in call order. Compare
+qcqpen.solver._kkt_path; `sparse+kept` is a sparse cone that keeps
+nonnegative rows in its augmented system, qcqpen.solver._kept_rows, so a
+change that moves a row between eliminated and kept shows), the sum of the
+solves' iterations, the count of each status (`statuses=optimal:8`), and
+one sha256 over every solve's u, y, z and s bytes, status, stop_reason and
+iterations, in call order. Compare
 the lines of two trees on one machine: the bits depend on the BLAS build,
 while iterations and statuses show whether a change that moves the bits
 also moved what the solves did.
@@ -47,6 +50,15 @@ def _counts(values) -> str:
                     sorted(collections.Counter(values).items()))
 
 
+def path_label(cone) -> str:
+    """The cone's KKT path, 'sparse+kept' for a sparse cone that keeps
+    rows."""
+    path = solver._kkt_path(cone)
+    if path == "sparse" and solver._kept_rows(cone).any():
+        return "sparse+kept"
+    return path
+
+
 def workload_hash(name: str, seed: int) -> tuple:
     """(solves, distinct cones, their KKT paths as 'path:count' joined by
     ',', total iterations, statuses as 'status:count' joined by ',', sha256
@@ -72,7 +84,7 @@ def workload_hash(name: str, seed: int) -> tuple:
     finally:
         sequential.solve_conic = solve
     return (len(ends), len(cones),
-            _counts(solver._kkt_path(c) for c in cones.values()),
+            _counts(path_label(c) for c in cones.values()),
             sum(it for _, it in ends), _counts(st for st, _ in ends),
             digest.hexdigest())
 
