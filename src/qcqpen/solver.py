@@ -63,11 +63,17 @@ lengths) work per group of equal-size blocks through flat slot maps built
 once per cone: one `take` gathers the group's matrices out of an s-space
 vector (or a stack of them), and one `take` of each triangle gathers svec
 coordinates out of the matrices. The factors of each W mode are formed once
-per iteration, and a step length takes one eigvalsh per group for both
-scaled directions. Every operation keeps smat's and svec's arithmetic, so
-the iterates match theirs bit for bit. The start is built once per cone
-(`Cone.start`): the factor at the identity scaling and the initial u and s,
-which do not depend on c; each solve adds only its y and z.
+per iteration. A group of at least `_CLOSED_FORM_BLOCKS` blocks of order
+m <= 3 (`_BlockGroup.closed`) takes closed forms unrolled over its blocks
+for the smallest eigenvalues (step lengths, `_min_eig`) and for the NT
+scaling's Cholesky factor and its inverse (`_cholesky`). They agree with
+LAPACK to a few eps times the block's norm and fail where it fails. Every
+other group takes LAPACK, with one eigvalsh per group for both scaled
+directions of a step length; those groups keep smat's and svec's
+arithmetic, so their iterates match theirs bit for bit. eigh stays on
+LAPACK for every group. The start is built once per cone (`Cone.start`):
+the factor at the identity scaling and the initial u and s, which do not
+depend on c; each solve adds only its y and z.
 
 Deterministic: no randomization anywhere.
 """
@@ -339,6 +345,27 @@ class _BlockGroup:
         t[low] = t[up] = np.arange(self.ns)
         self.full = self.slot[:, t].ravel()
         self.fw = np.tile(w[t], self.nb)
+        # whether the group takes the closed-form kernels, decided once
+        self.closed = size <= 3 and self.nb >= _CLOSED_FORM_BLOCKS
+        # the slots coordinate by coordinate, (ns, nb) raveled, for `entries`
+        self.tflat = self.slot.T.ravel()
+
+    def entries(self, vec: np.ndarray) -> np.ndarray:
+        """(ns, nb) the lower-triangle entries of the blocks' matrices of an
+        s-space vector (dim,), as `mats` divides them, one svec coordinate
+        to a row: the layout of the closed-form kernels; (ns, k, nb) for a
+        stack (k, dim)."""
+        E = vec.take(self.tflat, axis=-1).reshape(
+            vec.shape[:-1] + (self.ns, self.nb))
+        E /= self.w[:, None]
+        return E.swapaxes(0, -2)
+
+    def tril(self, vals: list) -> np.ndarray:
+        """The (nb, m, m) lower-triangular matrices whose svec-ordered
+        lower-triangle entries are the (nb,) arrays `vals`."""
+        out = np.zeros(self.nb * self.m * self.m)
+        out[self.low] = np.stack(vals, axis=-1).ravel()
+        return out.reshape(self.nb, self.m, self.m)
 
     def mats(self, vec: np.ndarray) -> np.ndarray:
         """The (..., nb, m, m) matrices of s-space vectors (..., dim): smat
@@ -430,25 +457,142 @@ class _Scaling:
 
 
 def _nt_scaling(groups, s, z, l_nn):
-    """Compute the NT scaling at (s, z); requires strict interiority."""
+    """Compute the NT scaling at (s, z); requires strict interiority.
+
+    eigh stays on LAPACK for every group: near convergence the eigenvalues
+    of Ls' Z Ls cluster at mu, where closed-form 3 x 3 eigenvectors lose
+    their accuracy."""
     sn, zn = s[:l_nn], z[:l_nn]
     wn = np.sqrt(sn / zn)
     lam_n = np.sqrt(sn * zn)
     gdata = []
     for g in groups:
-        S = g.mats(s)
-        Z = g.mats(z)
-        Ls = np.linalg.cholesky(S)
-        M = Ls.swapaxes(-1, -2) @ Z @ Ls
+        Ls, Linv = _cholesky(g, s)
+        M = Ls.swapaxes(-1, -2) @ g.mats(z) @ Ls
         M = 0.5 * (M + M.swapaxes(-1, -2))
         d, Q = np.linalg.eigh(M)
         if np.any(d <= 0):
             raise np.linalg.LinAlgError("scaling eigenvalues not positive")
         R = Ls @ Q * (d[..., None, :] ** -0.25)
-        Rinv = (d[..., :, None] ** 0.25) * Q.swapaxes(-1, -2) @ \
-            np.linalg.inv(Ls)
+        Rinv = (d[..., :, None] ** 0.25) * Q.swapaxes(-1, -2) @ Linv
         gdata.append(_GroupScaling(R=R, Rinv=Rinv, lam=np.sqrt(d)))
     return _Scaling(wn, lam_n, gdata)
+
+
+# groups of at least this many blocks of order m <= 3 take the closed-form
+# kernels (`_cholesky`, `_min_eig`). Their numpy calls cost a fixed time
+# per call, about 80 us for the 3 x 3 smallest eigenvalue, where LAPACK
+# pays per matrix. One iteration's NT scaling and two step lengths of one
+# group break even at about 25 blocks of order 2 and 55 of order 3, and
+# take half of LAPACK's time at 304 (2 cores, numpy 2.4, one BLAS thread).
+# At least 2, so that no single-block cone, as in every full moment
+# lifting, changes its bits.
+_CLOSED_FORM_BLOCKS = 64
+# the smallest normal float64: a zero matrix's scale and a zero row's
+# length stay nonzero
+_TINY = np.finfo(float).tiny
+
+
+def _cholesky(g: _BlockGroup, s: np.ndarray) -> tuple:
+    """(L, L^{-1}) for the Cholesky factor L of each block's matrix of s,
+    (nb, m, m) each. A `closed` group unrolls both over the blocks, one
+    numpy call per entry; the others take LAPACK's cholesky and inv. Both
+    raise LinAlgError when a block is not positive definite."""
+    if not g.closed:
+        L = np.linalg.cholesky(g.mats(s))
+        return L, np.linalg.inv(L)
+    E = g.entries(s)
+    m = g.m
+    L, X = {}, {}
+    for j in range(m):
+        piv = E[j * (j + 3) // 2]
+        for k in range(j):
+            piv = piv - L[j, k] * L[j, k]
+        # as potrf: a pivot that is not positive (or NaN) fails
+        if not np.all(piv > 0.0):
+            raise np.linalg.LinAlgError("block not positive definite")
+        L[j, j] = np.sqrt(piv)
+        X[j, j] = 1.0 / L[j, j]
+        for i in range(j + 1, m):
+            v = E[i * (i + 1) // 2 + j]
+            for k in range(j):
+                v = v - L[i, k] * L[j, k]
+            L[i, j] = v / L[j, j]
+    for j in range(m):      # forward substitution, column by column
+        for i in range(j + 1, m):
+            v = L[i, j] * X[j, j]
+            for k in range(j + 1, i):
+                v = v + L[i, k] * X[k, j]
+            X[i, j] = -v * X[i, i]
+    keys = [(i, j) for i in range(m) for j in range(i + 1)]   # svec order
+    return g.tril([L[k] for k in keys]), g.tril([X[k] for k in keys])
+
+
+def _min_eig(g: _BlockGroup, vecs: np.ndarray, scale=None) -> np.ndarray:
+    """(k, nb) smallest eigenvalue of each block's matrix of the s-space
+    vectors vecs (k, dim), or of D mat D with D = diag(scale) for an
+    (nb, m) scale. A `closed` group reads the lower triangles straight from
+    the slots into closed forms, raising LinAlgError on a non-finite entry;
+    the others take one LAPACK eigvalsh of the symmetrized matrices."""
+    if not g.closed:
+        T = g.mats(vecs)
+        if scale is not None:
+            T = T * scale[..., :, None] * scale[..., None, :]
+            T = 0.5 * (T + T.swapaxes(-1, -2))
+        return np.linalg.eigvalsh(T).min(-1)
+    E = g.entries(vecs)
+    if scale is not None:
+        E = E * (scale.T[g.ka] * scale.T[g.kb])[:, None]
+    if not np.isfinite(E).all():
+        raise np.linalg.LinAlgError("non-finite entry")
+    if g.m == 1:
+        return E[0]
+    if g.m == 2:
+        a, b, c = E
+        return 0.5 * a + 0.5 * c - np.hypot(0.5 * a - 0.5 * c, b)
+    return _min_eig3(E)
+
+
+def _min_eig3(E: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of symmetric 3 x 3 matrices from their lower
+    triangles E = (a00, a10, a11, a20, a21, a22), within a few eps of the
+    largest |eigenvalue|.
+
+    Smith's trigonometric formula (Comm. ACM 4, 1961) gives the eigenvalues
+    q + 2p cos(phi + 2 pi k / 3) of A = q I + A'. Where r = cos(3 phi) > 0
+    its smallest one can lose half the digits: near r = 1 the two smallest
+    nearly coincide. There the largest, l1, is isolated and accurate, and
+    the other two are deflated. B = A' - l1 I is negative semidefinite, so
+    its row u with the most negative diagonal entry is at least
+    |trace B| / 3 >= ||B|| / 3 long, and it lies in the span of their
+    eigenvectors. X = A' + (l1 / 2) I maps u to length |l2 - l3| ||u|| / 2,
+    since l2 + l3 = -l1."""
+    big = np.abs(E).max(axis=0) + _TINY     # each matrix to max |entry| 1
+    a, d, b, f, g, c = E / big
+    q = (a + b + c) / 3.0
+    a, b, c = a - q, b - q, c - q
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + f * f + g * g))
+                / 6.0)
+    det = a * (b * c - g * g) - d * (d * c - g * f) + f * (d * g - b * f)
+    pc = 2.0 * p ** 3
+    r = np.divide(det, pc, out=np.zeros_like(pc), where=pc > 0.0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    top = 2.0 * p * np.cos(phi)
+    a, b, c = a - top, b - top, c - top
+    first = (a <= b) & (a <= c)
+    second = b <= c
+    u0 = np.where(first, a, np.where(second, d, f))
+    u1 = np.where(first, d, np.where(second, b, g))
+    u2 = np.where(first, f, np.where(second, g, c))
+    h = 1.5 * top
+    x = (a + h) * u0 + d * u1 + f * u2
+    y = d * u0 + (b + h) * u1 + g * u2
+    z = f * u0 + g * u1 + (c + h) * u2
+    half = np.sqrt((x * x + y * y + z * z)
+                   / (u0 * u0 + u1 * u1 + u2 * u2 + _TINY))
+    low = np.where(r > 0.0, -0.5 * top - half,
+                   2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))
+    return (q + low) * big
 
 
 def _pair_index(g: _BlockGroup, blk, t1, t2):
@@ -513,17 +657,14 @@ def _apply_w(scaling, groups, l_nn, vec, mode):
 def _max_cone_step(groups, scaling, l_nn, *scaled_dirs):
     """Largest alpha with lambda + alpha*dir in the cone for every dir (in
     scaled space). Each group's matrices of all the directions go through
-    one eigvalsh."""
+    one `_min_eig`."""
     dirs = np.stack(scaled_dirs)
     d = dirs[:, :l_nn]
     ratio = np.divide(-scaling.lam_n, d, out=np.full(d.shape, np.inf),
                       where=d < 0)
     alpha = float(ratio.min(initial=np.inf))
     for g, gd in zip(groups, scaling.groups):
-        scale = 1.0 / np.sqrt(gd["lam"])
-        T = g.mats(dirs) * scale[..., :, None] * scale[..., None, :]
-        T = 0.5 * (T + T.swapaxes(-1, -2))
-        emins = np.linalg.eigvalsh(T).reshape(len(scaled_dirs), -1).min(1)
+        emins = _min_eig(g, dirs, 1.0 / np.sqrt(gd["lam"])).min(1)
         for emin in emins.tolist():
             if emin < 0:
                 alpha = min(alpha, -1.0 / emin)
@@ -1228,7 +1369,7 @@ def _cone_margin(groups, l_nn, vec) -> float:
     if l_nn:
         margin = min(margin, float(np.min(vec[:l_nn])))
     for g in groups:
-        margin = min(margin, float(np.min(np.linalg.eigvalsh(g.mats(vec)))))
+        margin = min(margin, float(np.min(_min_eig(g, vec[None]))))
     return margin
 
 

@@ -118,20 +118,24 @@ def test_tracer_spans_each_round(monkeypatch):
 
 
 def _solve_hashes(name):
-    """(solves, cones, paths, statuses) of one seed-1 pass of workload
-    `name` through tools/solve_hashes.py."""
-    count, cones, paths, iterations, statuses, digest = \
+    """(solves, cones, paths, closed-form groups, statuses) of one seed-1
+    pass of workload `name` through tools/solve_hashes.py."""
+    count, cones, paths, closed, iterations, statuses, digest = \
         tools_module("solve_hashes").workload_hash(name, 1)
     assert iterations > 0 and len(digest) == 64
-    return count, cones, paths, statuses
+    return count, cones, paths, closed, statuses
 
 
 def test_solve_hashes_dense_full():
-    # 8 solves over 2 cones, both on the dual path, every solve optimal
-    assert _solve_hashes("dense_full") == (8, 2, "dual:2", "optimal:8")
+    # 8 solves over 2 cones, both on the dual path, every solve optimal;
+    # each cone is one moment block, so no group takes the closed forms
+    assert _solve_hashes("dense_full") == (8, 2, "dual:2", "none",
+                                           "optimal:8")
 
 
 def test_solve_hashes_sysid():
     # 10 solves over 2 cones, both on the sparse path with no row kept
-    # ("sparse+kept" otherwise), every solve optimal
-    assert _solve_hashes("sysid") == (10, 2, "sparse:2", "optimal:10")
+    # ("sparse+kept" otherwise), every solve optimal; the r = 2 lifting's
+    # 92 blocks of order 2 and 304 of order 3 take the closed forms
+    assert _solve_hashes("sysid") == (10, 2, "sparse:2", "2:92,3:304",
+                                      "optimal:10")

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from qcqpen import (Cone, ConicProgram, SolverSettings, iteration_log_csv,
                     solve_conic)
-from qcqpen.solver import (_REFINEMENT, PsdBlock, _BlockGroup, _DualKkt,
+from qcqpen.solver import (_CLOSED_FORM_BLOCKS, _REFINEMENT, PsdBlock,
+                           _BlockGroup, _DualKkt,
                            _FullKkt, _NormalMap, _Scaling, _SparseKkt,
-                           _apply_w, _congruence, _jordan_solve,
+                           _apply_w, _cholesky, _cone_margin, _congruence,
+                           _jordan_solve,
                            _kept_rows, _kkt_factory, _kkt_path,
-                           _lambda_vec, _matvec, _max_cone_step, _norm,
-                           _nt_scaling,
+                           _lambda_vec, _matvec, _max_cone_step, _min_eig,
+                           _norm, _nt_scaling,
                            _pair_entries, _pair_index,
                            kkt_residuals, smat, svec, svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
@@ -78,6 +80,13 @@ def test_slot_maps_match_smat_and_svec(m):
     got = g.mats(dirs)
     assert got.shape == ref.shape == (2, 3, m, m)
     assert got.tobytes() == ref.tobytes()
+    # the closed-form kernels' layout: mats' lower triangles, one svec
+    # coordinate to a row, bit for bit
+    rows, cols, _ = svec_index(m)
+    assert g.entries(vec).tobytes() == \
+        np.ascontiguousarray(g.mats(vec)[:, rows, cols].T).tobytes()
+    assert np.array_equal(g.entries(dirs),
+                          np.moveaxis(got[..., rows, cols], -1, 0))
 
 
 def _cone(n, nn=(), eq=(), blocks=()):
@@ -469,18 +478,21 @@ def test_jordan_solve_matches_per_block_reference():
     assert _jordan_solve(scaling, groups, 3, d).tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("cone", ["nonneg", "psd", "mixed"])
+@pytest.mark.parametrize("cone", ["nonneg", "psd", "mixed", "closed"])
 def test_max_cone_step_of_two_directions_is_min_of_each(cone):
-    # one call with two directions, their matrices in one eigvalsh per
+    # one call with two directions, their matrices in one `_min_eig` per
     # group, gives bit for bit the smaller of the single-direction steps,
-    # also when one or both directions never reach the boundary (inf)
+    # also when one or both directions never reach the boundary (inf);
+    # the closed forms work matrix by matrix, so this holds for them too
     nonneg = cone != "psd"
+    sizes = {"nonneg": (), "psd": (3, 1, 2, 3, 2), "mixed": (3, 1, 2, 3, 2),
+             "closed": (3, 2) * _CLOSED_FORM_BLOCKS}[cone]
     built = Cone(3, Gn=np.eye(3) if nonneg else None,
                  hn=np.ones(3) if nonneg else (),
-                 blocks=[] if cone == "nonneg" else [
-                     PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)})
-                     for m in (3, 1, 2, 3, 2)])
+                 blocks=[PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)})
+                         for m in sizes])
     groups, h, l_nn = built.groups, built.h, built.n_nonneg
+    assert all(g.closed == (cone == "closed") for g in groups)
     scaling = _random_interior_scaling(built, seed=7)
     rng = np.random.default_rng(8)
     lam = _lambda_vec(scaling, groups, l_nn, h.size)
@@ -494,6 +506,189 @@ def test_max_cone_step_of_two_directions_is_min_of_each(cone):
         assert np.float64(both).tobytes() == np.float64(min(alone)).tobytes()
     assert _max_cone_step(groups, scaling, l_nn, lam, 2.0 * lam) == np.inf
     assert _max_cone_step(groups, scaling, l_nn, d1, d2) < np.inf
+
+
+EPS = np.finfo(float).eps
+# the closed forms' error bound against LAPACK, in eps * ||M||
+_KERNEL_EPS = 16
+
+
+def _closed_group(m):
+    """(group, s-space size) of _CLOSED_FORM_BLOCKS blocks of order m."""
+    cone = Cone(1, blocks=[PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)})
+                           ] * _CLOSED_FORM_BLOCKS)
+    assert [g.closed for g in cone.groups] == [True]
+    return cone.groups[0], cone.h.size
+
+
+def _kernel_stack(kind, m, nb, rng):
+    """nb symmetric m x m matrices Q diag(ev) Q' of one kind; "pair_low"
+    has a nearly double smallest eigenvalue and a third far from it, where
+    Smith's formula alone keeps only half the digits."""
+    ev = {"random": rng.normal(size=(nb, m)),
+          "cond1e12": np.logspace(0.0, -12.0, m) * np.ones((nb, 1)),
+          "close": 1.0 + 1e-12 * rng.uniform(-1.0, 1.0, size=(nb, m)),
+          "pair_low": np.array([1.0, 1.0 + 1e-12, 3.0])[:m] * np.ones((nb, 1)),
+          "pair_high": np.array([-3.0, 1.0, 1.0 + 1e-12])[-m:]
+          * np.ones((nb, 1)),
+          "diagonal": rng.normal(size=(nb, m)),
+          "1e100": 1e100 * rng.normal(size=(nb, m)),
+          "1e-100": 1e-100 * rng.normal(size=(nb, m))}[kind]
+    if kind == "diagonal":
+        return ev[:, :, None] * np.eye(m)
+    Q = np.linalg.qr(rng.normal(size=(nb, m, m)))[0]
+    M = (Q * ev[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _norm2(M):
+    """The spectral norm of each matrix of a stack."""
+    return np.linalg.norm(M, 2, axis=(-2, -1))
+
+
+_KINDS = ["random", "cond1e12", "close", "pair_low", "pair_high", "diagonal",
+          "1e100", "1e-100"]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_closed_min_eig_matches_lapack(m, kind):
+    # the smallest eigenvalue in closed form against LAPACK's eigvalsh of
+    # the same matrices, plain and scaled as the step length scales them
+    g, dim = _closed_group(m)
+    rng = np.random.default_rng(m)
+    vecs = np.zeros((2, dim))
+    for v in vecs:
+        v[g.slot] = svec(_kernel_stack(kind, m, g.nb, rng))
+    scale = rng.uniform(0.5, 2.0, size=(g.nb, m))
+    T = g.mats(vecs)
+    for got, mats in ((_min_eig(g, vecs), T),
+                      (_min_eig(g, vecs, scale),
+                       T * scale[..., :, None] * scale[..., None, :])):
+        ref = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        tol = _KERNEL_EPS * EPS * np.abs(ref).max(-1)
+        assert got.shape == (2, g.nb)
+        assert np.all(np.abs(got - ref[..., 0]) <= tol)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_min_eig_raises_on_non_finite(m, bad):
+    # as the step length's eigvalsh did on a non-finite direction, so that
+    # the solve stops "solve_failed"
+    g, dim = _closed_group(m)
+    vecs = np.zeros((2, dim))
+    vecs[1, g.slot[5, -1]] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        _min_eig(g, vecs)
+    with pytest.raises(np.linalg.LinAlgError):
+        _min_eig(g, vecs, np.ones((g.nb, m)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["random", "cond1e12", "close", "pair_low",
+                                  "diagonal", "1e100", "1e-100"])
+def test_closed_cholesky_matches_lapack(m, kind):
+    # positive definite stacks: L is lower triangular, L L' = M and
+    # X L = I for X = L^{-1}, to the bound of LAPACK's own factor
+    g, dim = _closed_group(m)
+    rng = np.random.default_rng(10 + m)
+    M = _kernel_stack(kind, m, g.nb, rng)
+    # the kinds with eigenvalues of either sign, made positive definite
+    if kind == "diagonal":
+        M = np.abs(M)
+    elif kind in ("random", "1e100", "1e-100"):
+        M = M @ M
+    s = np.zeros(dim)
+    s[g.slot] = svec(M)
+    M = g.mats(s)
+    L, X = _cholesky(g, s)
+    ref = np.linalg.cholesky(M)
+    norm = _norm2(M)
+    for F in (L, X):
+        assert np.array_equal(np.triu(F, 1), np.zeros_like(F))
+    back = _norm2(L @ np.swapaxes(L, -1, -2) - M)
+    assert np.all(back <= _KERNEL_EPS * EPS * norm)
+    inv = _norm2(X @ L - np.eye(m))
+    assert np.all(inv <= _KERNEL_EPS * EPS * _norm2(X) * _norm2(L))
+    diff = _norm2(L - ref)
+    assert np.all(diff <= _KERNEL_EPS * EPS * np.linalg.cond(ref)
+                  * _norm2(ref))
+
+
+_NOT_PD = {
+    2: [[[1.0, 1.0], [1.0, 1.0]], [[4.0, 2.0], [2.0, 1.0]],
+        [[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)),
+        [[1.0, 0.0], [0.0, 1e-300]], [[1.0, 1 - 2.0 ** -20],
+                                     [1 - 2.0 ** -20, 1.0]]],
+    3: [np.ones((3, 3)), np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 0.0]),
+        [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]],
+        [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]],
+        np.diag([1.0, 1e-300, 1.0]), [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                                      [0.0, -1.0, 2.0]]],
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_closed_cholesky_fails_where_lapack_fails(m):
+    # one block of an identity stack replaced at a time: the closed form
+    # raises LinAlgError on exactly the stacks np.linalg.cholesky refuses
+    g, dim = _closed_group(m)
+    outcomes = []
+    for block in _NOT_PD[m]:
+        s = np.zeros(dim)
+        s[g.slot] = svec(np.eye(m))
+        s[g.slot[7]] = svec(np.asarray(block, dtype=float))
+        fails = []
+        for factor in (lambda: _cholesky(g, s),
+                       lambda: np.linalg.cholesky(g.mats(s))):
+            try:
+                factor()
+                fails.append(False)
+            except np.linalg.LinAlgError:
+                fails.append(True)
+        assert fails[0] == fails[1], block
+        outcomes.append(fails[0])
+    assert True in outcomes and False in outcomes
+    # a NaN pivot fails, as reference LAPACK's potrf fails it
+    s[g.slot[3, 0]] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky(g, s)
+
+
+def test_single_block_keeps_lapack_bits():
+    # a group of one block never takes the closed forms: the step length,
+    # the cone margin and the NT scaling of one 3 x 3 block give the bits of
+    # LAPACK's eigvalsh, cholesky and inv called directly
+    assert _CLOSED_FORM_BLOCKS >= 2
+    cone = Cone(1, blocks=[PsdBlock.from_entries(3, {(0, 0): (0, 1.0, 1.0)})])
+    g, = groups = cone.groups
+    assert (g.nb, g.closed) == (1, False)
+    rng = np.random.default_rng(12)
+    s, z = np.zeros((2, cone.h.size))
+    for v in (s, z):
+        B = rng.normal(size=(1, 3, 3))
+        v[g.slot] = svec(B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(3))
+    scaling = _nt_scaling(groups, s, z, 0)
+    Ls = np.linalg.cholesky(g.mats(s))
+    M = np.swapaxes(Ls, -1, -2) @ g.mats(z) @ Ls
+    d, Q = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
+    gd = scaling.groups[0]
+    assert gd["R"].tobytes() == (Ls @ Q * (d[..., None, :] ** -0.25)).tobytes()
+    assert gd["Rinv"].tobytes() == ((d[..., :, None] ** 0.25)
+                                    * np.swapaxes(Q, -1, -2)
+                                    @ np.linalg.inv(Ls)).tobytes()
+    assert gd["lam"].tobytes() == np.sqrt(d).tobytes()
+    dirs = rng.normal(size=(2, cone.h.size))
+    scale = 1.0 / np.sqrt(gd["lam"])
+    T = g.mats(dirs) * scale[..., :, None] * scale[..., None, :]
+    emin = np.linalg.eigvalsh(0.5 * (T + np.swapaxes(T, -1, -2))).min()
+    assert emin < 0
+    want = np.float64(-1.0 / emin).tobytes()
+    assert np.float64(_max_cone_step(groups, scaling, 0, *dirs)).tobytes() \
+        == want
+    assert np.float64(_cone_margin(groups, 0, dirs[0])).tobytes() == \
+        np.float64(np.linalg.eigvalsh(g.mats(dirs[0])).min()).tobytes()
 
 
 def _columnwise_normal_matrix(G, groups, l_nn, scaling):

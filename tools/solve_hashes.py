@@ -12,11 +12,14 @@ of solves, the count of distinct cones they solve over, the KKT path of
 those cones (`paths=dual:2`: two cones on the dual path, from
 qcqpen.solver._kkt_path; `sparse+kept` is a sparse cone that keeps
 nonnegative rows in its augmented system, qcqpen.solver._kept_rows, so a
-change that moves a row between eliminated and kept shows), the sum of the
-solves' iterations, the count of each status (`statuses=optimal:8`), and
-one sha256 over every solve's u, y, z and s bytes, status, stop_reason and
-iterations, in call order. Compare
-the lines of two trees on one machine: the bits depend on the BLAS build,
+change that moves a row between eliminated and kept shows), the block
+groups that take the closed-form kernels (`closed=2:92,3:304`: a group of
+92 blocks of order 2 and one of 304 of order 3, from
+qcqpen.solver._BlockGroup.closed; `closed=none` when every group takes
+LAPACK), the sum of the solves' iterations, the count of each status
+(`statuses=optimal:8`), and one sha256 over every solve's u, y, z and s
+bytes, status, stop_reason and iterations, in call order. Compare the
+lines of two trees on one machine: the bits depend on the BLAS build,
 while iterations and statuses show whether a change that moves the bits
 also moved what the solves did.
 """
@@ -59,10 +62,19 @@ def path_label(cone) -> str:
     return path
 
 
+def closed_label(cones) -> str:
+    """'m:nb' for each distinct group of the cones that takes the
+    closed-form kernels, sorted and joined by ',', or 'none'."""
+    groups = sorted({(g.m, g.nb) for c in cones for g in c.groups
+                     if g.closed})
+    return ",".join(f"{m}:{nb}" for m, nb in groups) or "none"
+
+
 def workload_hash(name: str, seed: int) -> tuple:
     """(solves, distinct cones, their KKT paths as 'path:count' joined by
-    ',', total iterations, statuses as 'status:count' joined by ',', sha256
-    hex digest) of one pass of workload `name`."""
+    ',', their closed-form groups (`closed_label`), total iterations,
+    statuses as 'status:count' joined by ',', sha256 hex digest) of one
+    pass of workload `name`."""
     digest = hashlib.sha256()
     ends = []       # (status, iterations) of each solve
     cones = {}      # id -> cone; holding each cone keeps its id unique
@@ -85,8 +97,8 @@ def workload_hash(name: str, seed: int) -> tuple:
         sequential.solve_conic = solve
     return (len(ends), len(cones),
             _counts(path_label(c) for c in cones.values()),
-            sum(it for _, it in ends), _counts(st for st, _ in ends),
-            digest.hexdigest())
+            closed_label(cones.values()), sum(it for _, it in ends),
+            _counts(st for st, _ in ends), digest.hexdigest())
 
 
 def main(argv=None) -> int:
@@ -94,11 +106,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
-        count, cones, paths, iters, statuses, hexdigest = workload_hash(
-            name, args.seed)
+        count, cones, paths, closed, iters, statuses, hexdigest = \
+            workload_hash(name, args.seed)
         print(f"{name} solves={count} cones={cones} paths={paths} "
-              f"iterations={iters} statuses={statuses} sha256={hexdigest}",
-              flush=True)
+              f"closed={closed} iterations={iters} statuses={statuses} "
+              f"sha256={hexdigest}", flush=True)
     return 0
 
 
