@@ -17,7 +17,7 @@ from .lifting import (RelaxationConfig, LiftedPoint, ExtractionMap, lift,
                       build_relaxation, build_penalized, extract,
                       rlt_cuts, rlt_pair_list)
 from .solver import (Cone, ConicProgram, ConicSolution, SolverSettings,
-                     solve_conic, iteration_log_csv)
+                     solve_conic)
 from .sequential import (SequentialConfig, SequentialTrace, RoundRecord,
                          SolveError, EtaTuningError, run, tune_eta,
                          gap_percent, eta_grid, resolve_initial_point,
@@ -41,7 +41,7 @@ __all__ = [
     "lift", "build_relaxation", "build_penalized", "extract",
     "rlt_cuts", "rlt_pair_list",
     "Cone", "ConicProgram", "ConicSolution", "SolverSettings",
-    "solve_conic", "iteration_log_csv",
+    "solve_conic",
     "SequentialConfig", "SequentialTrace", "RoundRecord",
     "SolveError", "EtaTuningError", "run", "tune_eta",
     "gap_percent", "eta_grid", "resolve_initial_point",

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -212,8 +212,11 @@ class Cone:
 
     @cached_property
     def factor_kkt(self):
-        """factor(scaling) on this cone's KKT path (`_kkt_factory`)."""
-        return _kkt_factory(_kkt_path(self), self)
+        """factor(scaling) on this cone's KKT path (`_kkt_path`), built
+        once; what it returns solves (bu, by, bz) -> (du, dy, dz)."""
+        kkt = {"full": _FullKkt, "sparse": _SparseKkt,
+               "dual": _DualKkt}[_kkt_path(self)]
+        return kkt(self).factor
 
     @cached_property
     def identity(self) -> np.ndarray:
@@ -285,16 +288,6 @@ class ConicSolution:
     stop_reason: str
     # the best iterate seen was returned in place of the last one
     fallback: bool
-    log: list = field(default_factory=list)
-
-
-def iteration_log_csv(sol: ConicSolution) -> str:
-    lines = ["iter,pcost,dcost,gap,pres,dres,step"]
-    for row in sol.log:
-        lines.append("%d,%.12e,%.12e,%.9e,%.9e,%.9e,%.4f" % (
-            row["iter"], row["pcost"], row["dcost"], row["gap"],
-            row["pres"], row["dres"], row["step"]))
-    return "\n".join(lines) + "\n"
 
 
 class _BlockGroup:
@@ -471,7 +464,7 @@ def _nt_scaling(groups, s, z, l_nn):
         M = Ls.swapaxes(-1, -2) @ g.mats(z) @ Ls
         M = 0.5 * (M + M.swapaxes(-1, -2))
         d, Q = np.linalg.eigh(M)
-        if np.any(d <= 0):
+        if not np.all(d > 0):     # a NaN eigenvalue fails too
             raise np.linalg.LinAlgError("scaling eigenvalues not positive")
         R = Ls @ Q * (d[..., None, :] ** -0.25)
         Rinv = (d[..., :, None] ** 0.25) * Q.swapaxes(-1, -2) @ Linv
@@ -964,7 +957,8 @@ class _FullKkt:
     block, constant slots included, with its `_pair_index`.
     """
 
-    def __init__(self, G, A, groups, l_nn):
+    def __init__(self, cone: Cone):
+        G, A, groups = cone.G, cone.A, cone.groups
         self.m, self.n = A.shape
         n, o = self.n, self.n + self.m
         N = o + G.shape[0]
@@ -974,7 +968,7 @@ class _FullKkt:
         self.K0[:n, o:] = Gd.T
         self.K0[n:o, :n] = Ad
         self.K0[o:, :n] = Gd
-        self.nn_diag = (o + np.arange(l_nn)) * (N + 1)
+        self.nn_diag = (o + np.arange(cone.n_nonneg)) * (N + 1)
         self.psd = []
         for g in groups:
             blk, t1, t2 = np.indices((g.nb, g.ns, g.ns)).reshape(3, -1)
@@ -1162,14 +1156,6 @@ class _DualSolve:
         return du, lam[:n_eq], dz
 
 
-def _kkt_factory(path, cone):
-    """factor(scaling) for `path` (see `_kkt_path`) over `cone`, built once
-    per cone; what it returns solves (bu, by, bz) -> (du, dy, dz)."""
-    if path == "full":
-        return _FullKkt(cone.G, cone.A, cone.groups, cone.n_nonneg).factor
-    return (_DualKkt if path == "dual" else _SparseKkt)(cone).factor
-
-
 # fraction of the distance to the cone boundary that a step may take
 _STEP_FRACTION = 0.99
 # iterative refinement passes per Newton solve, against the unregularized
@@ -1204,8 +1190,8 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
     norm_h = 1.0 + _norm(h)
     norm_c = 1.0 + _norm(c)
 
-    log: list = []
     trace = _log.isEnabledFor(logging.DEBUG)
+    ftol, gtol = settings.feasibility_tol, settings.gap_tol
     status = stop = "iteration_limit"
     it = 0
     step = 0.0
@@ -1225,8 +1211,6 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         dres = _norm(res_x) / norm_c
         relgap = gap / max(1.0, abs(pcost))
         score = max(pres, dres, relgap)
-        log.append({"iter": it, "pcost": pcost + prog.c0, "dcost": dcost + prog.c0,
-                    "gap": gap, "pres": pres, "dres": dres, "step": step})
         if trace:
             _log.debug("it %3d p % .6e d % .6e gap %.2e pres %.2e dres %.2e "
                        "step %.3f", it, pcost + prog.c0, dcost + prog.c0, gap,
@@ -1237,7 +1221,6 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             best = (score, it, u, y, z, s, pcost, dcost, gap, pres, dres,
                     relgap)
 
-        ftol, gtol = settings.feasibility_tol, settings.gap_tol
         if pres <= ftol and dres <= ftol and relgap <= gtol:
             status, stop = "optimal", "converged"
             break
@@ -1337,16 +1320,15 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
         # fall back to the best iterate seen
         _, best_it, u, y, z, s, pcost, dcost, gap, pres, dres, relgap = best
         fallback = best_it != it
-        ftol, gtol = settings.feasibility_tol, settings.gap_tol
-        if pres <= ftol and dres <= ftol and relgap <= gtol:
-            status = "optimal"
-        elif pres <= 100 * ftol and dres <= 100 * ftol and relgap <= 100 * gtol:
+        # every iterate failed the convergence test above in its own
+        # iteration, so the best one is at most near optimal
+        if pres <= 100 * ftol and dres <= 100 * ftol and relgap <= 100 * gtol:
             status = "near_optimal"
 
     return ConicSolution(status=status, u=u, y=y, z=z, s=s,
                          pcost=pcost + prog.c0, dcost=dcost + prog.c0,
                          gap=gap, pres=pres, dres=dres, iterations=it,
-                         stop_reason=stop, fallback=fallback, log=log)
+                         stop_reason=stop, fallback=fallback)
 
 
 def _norm(x: np.ndarray) -> float:

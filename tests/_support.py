@@ -3,12 +3,13 @@
 import importlib
 import importlib.util
 import json
+import logging
 import pathlib
 import sys
 
 import numpy as np
 
-from qcqpen import QcqpProblem, QuadraticFunction
+from qcqpen import QcqpProblem, QuadraticFunction, solve_conic
 
 POLY_EXAMPLE = ("min a st a^5 - b^4 - c^4 + 2*a^3 + 2*a^2*b"
                 " - 2*a*b^2 + 6*a*b*c - 2 = 0")
@@ -73,6 +74,26 @@ POLY_EXTRA = [
     "min 2*u^5 - u^2*v^2 + v st u^2 - v <= 0 ; u + v - 3 = 0",
     "min x*y*z*w st x^2 + y^2 - 1 = 0 ; z^2 + w^2 - 1 <= 0",
 ]
+
+
+def solve_logged(prog, settings=None):
+    """(sol, rows) of solve_conic(prog, settings): rows holds one dict per
+    iteration, keyed iter, pcost, dcost, gap, pres, dres and step, from the
+    full-precision arguments of the qcqpen.solver DEBUG records."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger("qcqpen.solver")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        sol = solve_conic(prog, settings)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    keys = ("iter", "pcost", "dcost", "gap", "pres", "dres", "step")
+    return sol, [dict(zip(keys, r.args)) for r in records]
 
 
 def rand_quad(rng, n, scale=1.0):

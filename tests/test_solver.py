@@ -6,14 +6,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from qcqpen import (Cone, ConicProgram, SolverSettings, iteration_log_csv,
-                    solve_conic)
+from qcqpen import Cone, ConicProgram, SolverSettings, solve_conic
 from qcqpen.solver import (_CLOSED_FORM_BLOCKS, _REFINEMENT, PsdBlock,
                            _BlockGroup, _DualKkt,
                            _FullKkt, _NormalMap, _Scaling, _SparseKkt,
                            _apply_w, _cholesky, _cone_margin, _congruence,
                            _jordan_solve,
-                           _kept_rows, _kkt_factory, _kkt_path,
+                           _kept_rows, _kkt_path,
                            _lambda_vec, _matvec, _max_cone_step, _min_eig,
                            _norm, _nt_scaling,
                            _pair_entries, _pair_index,
@@ -22,7 +21,7 @@ from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
 from qcqpen.lifting import RelaxationConfig, build_penalized, lift
 from qcqpen.polyopt import parse_poly, reformulate
-from _support import POLY_EXAMPLE, perfbench_module
+from _support import POLY_EXAMPLE, perfbench_module, solve_logged
 
 OK = ("optimal", "near_optimal")
 
@@ -176,9 +175,9 @@ def test_lambda_min_sdp_fixture():
 
 def test_weak_duality_along_the_path():
     for prog in (_lp_fixture(), _diag_sdp_fixture()[0], _lambda_min_fixture()[0]):
-        sol = solve_conic(prog)
-        assert len(sol.log) == sol.iterations + 1
-        for row in sol.log:
+        sol, rows = solve_logged(prog)
+        assert len(rows) == sol.iterations + 1
+        for row in rows:
             assert row["gap"] >= -1e-12
         assert sol.pcost >= sol.dcost - 1e-6
 
@@ -242,12 +241,12 @@ def test_stop_reason_names_the_failed_step(monkeypatch, owner, name, k,
     import qcqpen.solver as solver
     target = getattr(solver, owner) if owner else solver
     monkeypatch.setattr(target, name, _failing_from(getattr(target, name), k))
-    sol = solve_conic(_lp_fixture())
+    sol, rows = solve_logged(_lp_fixture())
     assert sol.stop_reason == reason
     assert sol.status == "iteration_limit"
     # the last iterate is the best one so far: nothing falls back
     assert not sol.fallback
-    assert sol.iterations == len(sol.log) - 1
+    assert sol.iterations == len(rows) - 1
 
 
 @pytest.mark.parametrize("amax, reason, iterations", [
@@ -266,23 +265,22 @@ def test_unbounded_relaxation_stops_diverging():
     # iteration limit and returns an earlier, better iterate
     prob, _ = reformulate(parse_poly(POLY_EXAMPLE))
     prog, _ = build_relaxation(prob, RelaxationConfig())
-    sol = solve_conic(prog)
+    sol, rows = solve_logged(prog)
     assert sol.status == "iteration_limit"
     assert sol.stop_reason == "diverging"
     assert sol.iterations < SolverSettings().max_iterations
     assert sol.fallback
-    assert sol.pcost != sol.log[-1]["pcost"]
+    assert sol.pcost != rows[-1]["pcost"]
 
 
-def test_iteration_log_csv_format():
-    sol = solve_conic(_lp_fixture())
-    text = iteration_log_csv(sol)
-    lines = text.strip().split("\n")
-    assert lines[0] == "iter,pcost,dcost,gap,pres,dres,step"
-    assert len(lines) == len(sol.log) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert len(first) == 7
+def test_iteration_record_ends_at_the_solution():
+    # one DEBUG record per iteration, the last one at the returned
+    # iterate: the LP converges without falling back
+    sol, rows = solve_logged(_lp_fixture())
+    assert (sol.stop_reason, sol.fallback) == ("converged", False)
+    assert [row["iter"] for row in rows] == list(range(sol.iterations + 1))
+    for key in ("pcost", "dcost", "gap", "pres", "dres"):
+        assert rows[-1][key] == getattr(sol, key)
 
 
 def test_verbose_prints_iterations(caplog, capsys):
@@ -290,7 +288,7 @@ def test_verbose_prints_iterations(caplog, capsys):
         sol = solve_conic(_lp_fixture())
     lines = [r.getMessage() for r in caplog.records
              if r.name == "qcqpen.solver" and r.levelno == logging.DEBUG]
-    assert len(lines) == len(sol.log)
+    assert len(lines) == sol.iterations + 1
     assert lines[0].startswith("it   0 p ")
     assert capsys.readouterr().out == ""
 
@@ -691,6 +689,22 @@ def test_single_block_keeps_lapack_bits():
         np.float64(np.linalg.eigvalsh(g.mats(dirs[0])).min()).tobytes()
 
 
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("where", ["s", "z"])
+def test_nt_scaling_raises_on_nan_single_block(where, slot):
+    # a single 2 x 2 block takes LAPACK, whose eigh can return NaN
+    # eigenvalues: a NaN in any slot of s or of z raises LinAlgError, as
+    # the closed-form Cholesky does, and yields no scaling with lam NaN
+    cone = Cone(1, blocks=[PsdBlock.from_entries(2, {(0, 0): (0, 1.0, 1.0)})])
+    g, = groups = cone.groups
+    assert (g.nb, g.closed) == (1, False)
+    s, z = np.zeros((2, cone.h.size))
+    s[g.slot] = z[g.slot] = svec(np.eye(2))
+    {"s": s, "z": z}[where][g.slot[0, slot]] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _nt_scaling(groups, s, z, 0)
+
+
 def _columnwise_normal_matrix(G, groups, l_nn, scaling):
     """H = G' (W'W)^{-1} G built column by column, apart from both paths."""
     Gd = G.toarray()
@@ -1026,7 +1040,7 @@ def test_kept_rows_solve_matches_full_kkt(case, where, eq):
     for seed in range(3):
         scaling = _random_interior_scaling(cone, seed)
         rhs = _random_rhs(cone, seed)
-        kkt = _kkt_factory("sparse", cone)(scaling)
+        kkt = _SparseKkt(cone).factor(scaling)
         *got, res = _refined(kkt, cone, scaling, rhs)
         assert res <= 1e-10
         x = np.linalg.solve(_full_kkt_reference(cone, cone.G, cone.A,
@@ -1106,7 +1120,7 @@ def test_full_kkt_matrix_matches_svec_reference(case):
     cone = _dense_kkt_program(case, extra=1).cone
     groups, G, A = cone.groups, cone.G, cone.A
     scaling = _random_interior_scaling(cone, seed=8)
-    K = _FullKkt(G, A, groups, cone.n_nonneg).matrix(scaling)
+    K = _FullKkt(cone).matrix(scaling)
     ref = _full_kkt_reference(cone, G, A, groups, scaling)
     assert np.allclose(K, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())
 
@@ -1120,8 +1134,8 @@ def test_full_path_solve_matches_dense_elimination():
     assert not _kept_rows(cone).any()
     scaling = _random_interior_scaling(cone, seed=9)
     rhs = _random_rhs(cone, 10)
-    full = _kkt_factory("full", cone)(scaling)
-    sparse = _kkt_factory("sparse", cone)(scaling)
+    full = _FullKkt(cone).factor(scaling)
+    sparse = _SparseKkt(cone).factor(scaling)
     assert full.reg_used == 0.0
     ref = _full_kkt_reference(cone, G, A, groups, scaling)
     x = np.concatenate(full.solve(*rhs))
@@ -1190,8 +1204,8 @@ def test_dual_path_solve_matches_full_kkt(case):
         rng = np.random.default_rng(seed)
         rhs = (rng.normal(size=cone.n_vars), rng.normal(size=cone.n_eq),
                rng.normal(size=cone.h.size))
-        full = _kkt_factory("full", cone)(scaling)
-        dual = _kkt_factory("dual", cone)(scaling)
+        full = _FullKkt(cone).factor(scaling)
+        dual = _DualKkt(cone).factor(scaling)
         assert dual.reg_used == 0.0
         for got, want in zip(dual.solve(*rhs), full.solve(*rhs)):
             assert got.shape == want.shape

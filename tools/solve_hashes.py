@@ -17,7 +17,9 @@ groups that take the closed-form kernels (`closed=2:92,3:304`: a group of
 92 blocks of order 2 and one of 304 of order 3, from
 qcqpen.solver._BlockGroup.closed; `closed=none` when every group takes
 LAPACK), the sum of the solves' iterations, the count of each status
-(`statuses=optimal:8`), and one sha256 over every solve's u, y, z and s
+(`statuses=optimal:8`), the count of solves that returned an earlier,
+better iterate in place of the last one (`fallback=7`, from
+ConicSolution.fallback), and one sha256 over every solve's u, y, z and s
 bytes, status, stop_reason and iterations, in call order. Compare the
 lines of two trees on one machine: the bits depend on the BLAS build,
 while iterations and statuses show whether a change that moves the bits
@@ -73,10 +75,10 @@ def closed_label(cones) -> str:
 def workload_hash(name: str, seed: int) -> tuple:
     """(solves, distinct cones, their KKT paths as 'path:count' joined by
     ',', their closed-form groups (`closed_label`), total iterations,
-    statuses as 'status:count' joined by ',', sha256 hex digest) of one
-    pass of workload `name`."""
+    statuses as 'status:count' joined by ',', fallback solves, sha256 hex
+    digest) of one pass of workload `name`."""
     digest = hashlib.sha256()
-    ends = []       # (status, iterations) of each solve
+    ends = []       # (status, iterations, fallback) of each solve
     cones = {}      # id -> cone; holding each cone keeps its id unique
     solve = sequential.solve_conic
 
@@ -84,7 +86,7 @@ def workload_hash(name: str, seed: int) -> tuple:
         cones[id(prog.cone)] = prog.cone
         sol = solve(prog, *args, **kwargs)
         digest.update(solution_bytes(sol))
-        ends.append((sol.status, sol.iterations))
+        ends.append((sol.status, sol.iterations, sol.fallback))
         return sol
     sequential.solve_conic = hashed
     try:
@@ -97,8 +99,9 @@ def workload_hash(name: str, seed: int) -> tuple:
         sequential.solve_conic = solve
     return (len(ends), len(cones),
             _counts(path_label(c) for c in cones.values()),
-            closed_label(cones.values()), sum(it for _, it in ends),
-            _counts(st for st, _ in ends), digest.hexdigest())
+            closed_label(cones.values()), sum(it for _, it, _ in ends),
+            _counts(st for st, _, _ in ends),
+            sum(fb for _, _, fb in ends), digest.hexdigest())
 
 
 def main(argv=None) -> int:
@@ -106,11 +109,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
-        count, cones, paths, closed, iters, statuses, hexdigest = \
+        count, cones, paths, closed, iters, statuses, fallback, hexdigest = \
             workload_hash(name, args.seed)
         print(f"{name} solves={count} cones={cones} paths={paths} "
               f"closed={closed} iterations={iters} statuses={statuses} "
-              f"sha256={hexdigest}", flush=True)
+              f"fallback={fallback} sha256={hexdigest}", flush=True)
     return 0
 
 
