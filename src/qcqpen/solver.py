@@ -40,9 +40,15 @@ steps are damped by a fraction of the distance to the cone boundary.
   quasi-definite matrices", 1995; as in ECOS). Keeping the dense rows
   un-eliminated is Vanderbei and Carpenter's augmented system (Math.
   Prog. 58, 1993) and Andersen's cure for dense columns (ACM TOMS 22,
-  1996): a row with nk nonzeros costs nk entries, not nk^2. A program
-  takes this path when its eliminated rows scatter into fewer than a tenth
-  of H's n^2 entries, and also when the dual path does not apply.
+  1996): a row with nk nonzeros costs nk entries, not nk^2. A fixed
+  variable, the one column j of an equality row i that no other equality
+  row holds (`_fixed_variables`), leaves the factored system: du_j is
+  by_i / a, column j is an isolated unit pivot, and row i goes, so delta
+  shifts only the equality rows that are left (the first step of
+  Andersen and Andersen's presolve, Math. Prog. 71, 1995; each of sysid's
+  observed states is one). A program takes this path when its eliminated
+  rows scatter into fewer than a tenth of H's n^2 entries, and also when
+  the dual path does not apply.
 - dual: when every variable has a PSD slot and r = n_eq + l_nn + (PSD slots
   - n) is below n, as in every full moment lifting, du and the PSD part of
   dz are eliminated through the PSD slots instead (`_DualKkt`), and the SPD
@@ -740,7 +746,9 @@ class _NormalMap:
     """H_S = G_S' (W_S'W_S)^{-1} G_S on its diagonal and lower triangle, as
     a list of terms with their places, built once per cone. The rows S are
     every PSD slot and the nonnegative rows `rows`, the ones not kept
-    (`_kept_rows`).
+    (`_kept_rows`). No term touches a column of `fixed`, the sparse path's
+    fixed variables: their entries are left out of the rows and their
+    slots out of the blocks' pairs.
 
     `place` and `terms` list every term with its flat place i * n + j,
     i >= j, in H, built on first use: first, row by row, each pair of
@@ -751,13 +759,22 @@ class _NormalMap:
     var(t1) * n + var(t2).
     """
 
-    def __init__(self, G, groups, rows):
+    def __init__(self, G, groups, rows, fixed=()):
         n = self.n = G.shape[1]
+        free = np.ones(n, dtype=bool)
+        free[np.asarray(fixed, dtype=np.int64)] = False
         self.rows = rows
-        self.Gn = G[rows]
+        Gn = G[rows]
+        keep = free[Gn.indices]
+        # each row's entries at free columns: its indptr counts them
+        at = np.concatenate([[0], np.cumsum(keep)])[Gn.indptr]
+        self.Gn = sp.csr_matrix((Gn.data[keep], Gn.indices[keep], at),
+                                shape=Gn.shape)
         self.psd = []
         for g in groups:
-            both = g.mask[:, :, None] & g.mask[:, None, :]
+            # a constant slot's var -1 reads free[-1]; g.mask drops it
+            live = g.mask & free[g.var]
+            both = live[:, :, None] & live[:, None, :]
             both &= g.var[:, :, None] >= g.var[:, None, :]
             blk, t1, t2 = np.nonzero(both)
             self.psd.append(_pair_index(g, blk, t1, t2)
@@ -822,6 +839,18 @@ _SPARSE_SHARE = 0.1
 _FULL_KKT_ORDER = 600
 
 
+def _fixed_variables(A) -> tuple:
+    """(rows, cols, vals) of the fixed variables of the equality rows A
+    (CSR): each row i whose one entry a = vals is nonzero, at a column
+    j = cols that no other row of A holds, fixes u_j = b_i / a."""
+    nk = np.diff(A.indptr)
+    held = np.bincount(A.indices, minlength=A.shape[1])
+    rows = np.flatnonzero(nk == 1)
+    cols, vals = A.indices[A.indptr[rows]], A.data[A.indptr[rows]]
+    fixed = (held[cols] == 1) & (vals != 0.0)
+    return rows[fixed], cols[fixed], vals[fixed]
+
+
 def _kept_rows(cone: Cone) -> np.ndarray:
     """Mask of the nonnegative rows the sparse path keeps in its augmented
     system rather than eliminating them into H: those whose nk^2 pairs of
@@ -860,34 +889,52 @@ class _SparseKkt:
     CSC, where D are the cone's kept nonnegative rows (`_kept_rows`) and
     H_S is summed from a `_NormalMap` of every other cone row.
 
+    The fixed variables (`_fixed_variables`: rows `frow`, columns `fcol`,
+    entries `fval`) are condensed out: each fixed column is a unit pivot
+    with no coupling, in H's n-space numbering, and A keeps only the rows
+    `eq` that fix none. delta is 0 when no equality row is left.
+
     Built once per cone: each term's place in H's lower triangle is mapped
     to its CSC entry, and each place off the diagonal to the entry that
     mirrors it, so `factor` fills the data array with one bincount and one
     copy, subtracts wn^2 on the kept rows' diagonal and factors it with one
-    sparse LU. The second block row B = [A; G_D] is constant.
+    sparse LU. The second block row B = [A_eq; G_D], without the fixed
+    columns, is constant. G's fixed columns G_F are bound once
+    (`fixed_products`).
     """
 
     def __init__(self, cone: Cone):
         kept = _kept_rows(cone)
         self.kept = np.flatnonzero(kept)
+        self.frow, self.fcol, self.fval = _fixed_variables(cone.A)
+        self.eq = np.setdiff1d(np.arange(cone.n_eq), self.frow)
         self.nmap = nmap = _NormalMap(cone.G, cone.groups,
-                                      np.flatnonzero(~kept))
+                                      np.flatnonzero(~kept), self.fcol)
         self.groups, self.l_nn = cone.groups, cone.n_nonneg
         self.products = cone.products[:2]
-        Bc = sp.vstack([cone.A, cone.Gn[self.kept]]).tocoo()
+        GF = cone.G[:, self.fcol]
+        self.fixed_products = _matvec(GF), _matvec(GF.T)
+        Bc = sp.vstack([cone.A[self.eq], cone.Gn[self.kept]]).tocoo()
         m, n = Bc.shape
-        self.n, self.n_eq = n, cone.n_eq
+        free = np.ones(n, dtype=bool)
+        free[self.fcol] = False
+        # no row of A left holds a fixed column; a kept row may
+        at = free[Bc.col]
+        Bc = sp.coo_matrix((Bc.data[at], (Bc.row[at], Bc.col[at])), Bc.shape)
+        self.n = n
         self.dim = N = n + m
+        self.delta = _SPARSE_DELTA if self.eq.size else 0.0
         lower, pair = np.unique(nmap.place, return_inverse=True)
         i, j = np.divmod(lower, n)
         off = i != j
-        # constant entries: B, B', -delta I and explicit zeros on H's
-        # diagonal, so that the factorization ladder can shift any of it
+        # constant entries: B, B', -delta I, a unit pivot at each fixed
+        # column and explicit zeros on the rest of H's diagonal, so that
+        # the factorization ladder can shift any of it
         diag = np.arange(N)
         rows = np.concatenate([i, j[off], diag, n + Bc.row, Bc.col])
         cols = np.concatenate([j, i[off], diag, Bc.col, n + Bc.row])
-        const = np.concatenate([np.zeros(n), np.full(m, -_SPARSE_DELTA),
-                                Bc.data, Bc.data])
+        const = np.concatenate([(~free).astype(float),
+                                np.full(m, -self.delta), Bc.data, Bc.data])
         uniq, inv = np.unique(cols * N + rows, return_inverse=True)
         n_low, n_up = lower.size, int(np.count_nonzero(off))
         self.pair = inv[:n_low][pair]
@@ -899,7 +946,6 @@ class _SparseKkt:
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(uniq // N, minlength=N))])
         self.diag = np.searchsorted(uniq, diag * (N + 1))
-        self.delta = _SPARSE_DELTA if m else 0.0
 
     def factor(self, scaling) -> "_Eliminated":
         """LU of the augmented matrix at `scaling`. If SuperLU finds it
@@ -915,7 +961,7 @@ class _SparseKkt:
         data = np.bincount(self.pair, weights=self.nmap.terms(scaling),
                            minlength=self.base.size) + self.base
         data[self.upper] = data[self.lower]
-        n, o = self.n, self.n + self.n_eq
+        n, o = self.n, self.n + self.eq.size
         data[self.diag[o:]] -= scaling.wn[self.kept] ** 2
         for reg, eps in _ladder(float(np.max(data[self.diag[:n]])),
                                 self.delta):
@@ -936,7 +982,8 @@ class _SparseKkt:
 class _LuKkt:
     """One LU, sparse or dense, of the sparse path's augmented matrix or of
     the full KKT matrix, whose solution splits at n and o = n + m into du,
-    dy and dz (at the kept rows, or at every cone slot)."""
+    dy (at the equality rows left, or at every one) and dz (at the kept
+    rows, or at every cone slot)."""
 
     def __init__(self, lu_solve, n, o, reg_used):
         self.lu_solve = lu_solve
@@ -1001,25 +1048,38 @@ class _FullKkt:
 
 
 class _Eliminated:
-    """The sparse path's solve of the full KKT system at one scaling. dz is
-    eliminated at every cone row but the kept rows D, so
+    """The sparse path's solve of the full KKT system at one scaling. Each
+    fixed variable's row gives du_F = by_F / a, which moves to the right
+    side: bz' = bz - G_F du_F. dz is eliminated at every cone row but the
+    kept rows D, so
     [[H_S, A', G_D'], [A, 0, 0], [G_D, 0, -W_D^2]] [du; dy; dz_D] =
-    [bu + G'W^-2 bz (bz_D read as 0); by; bz_D] goes to the factored
-    augmented system, and dz = W^-2 (G du - bz) at the other rows."""
+    [bu + G'W^-2 bz' (bz'_D read as 0); by; bz'_D], over the other columns
+    and rows, goes to the factored augmented system, and
+    dz = W^-2 (G du - bz) at the other rows. Last, the fixed columns' rows
+    of A'dy + G'dz = bu give dy_F = (bu_F - G_F'dz) / a."""
 
     def __init__(self, lu: _LuKkt, sparse: _SparseKkt, scaling):
-        self.lu, self.reg_used, self.kept = lu, lu.reg_used, sparse.kept
-        self.Gx, self.GTx = sparse.products
+        self.lu, self.reg_used, self.sparse = lu, lu.reg_used, sparse
         self.winv2 = lambda v: _apply_w(scaling, sparse.groups, sparse.l_nn,
                                         v, "winv2")
 
     def solve(self, bu, by, bz):
-        kept = self.kept
-        v = self.winv2(bz)
+        p = self.sparse
+        Gx, GTx = p.products
+        GFx, GFTx = p.fixed_products
+        kept, fcol = p.kept, p.fcol
+        du_f = by[p.frow] / p.fval
+        bz_f = bz - GFx(du_f)
+        v = self.winv2(bz_f)
         v[kept] = 0.0
-        du, dy, dz_kept = self.lu.solve(bu + self.GTx(v), by, bz[kept])
-        dz = self.winv2(self.Gx(du) - bz)
+        du, dy_eq, dz_kept = self.lu.solve(bu + GTx(v), by[p.eq],
+                                           bz_f[kept])
+        du[fcol] = du_f
+        dz = self.winv2(Gx(du) - bz)
         dz[kept] = dz_kept
+        dy = np.empty(by.size)
+        dy[p.eq] = dy_eq
+        dy[p.frow] = (bu[fcol] - GFTx(dz)) / p.fval
         return du, dy, dz
 
 

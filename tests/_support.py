@@ -96,6 +96,23 @@ def solve_logged(prog, settings=None):
     return sol, [dict(zip(keys, r.args)) for r in records]
 
 
+def nan_direction_from(monkeypatch, k):
+    """Make every solve of the sparse KKT path from its k-th call on return
+    a NaN direction, as a Newton system that broke down numerically
+    does."""
+    import qcqpen.solver as solver
+    solve = solver._Eliminated.solve
+    calls = []
+
+    def broken(self, bu, by, bz):
+        calls.append(None)
+        du, dy, dz = solve(self, bu, by, bz)
+        if len(calls) >= k:
+            return du * np.nan, dy * np.nan, dz * np.nan
+        return du, dy, dz
+    monkeypatch.setattr(solver._Eliminated, "solve", broken)
+
+
 def rand_quad(rng, n, scale=1.0):
     M = rng.normal(size=(n, n))
     A = 0.5 * (M + M.T) * scale / np.sqrt(n)

@@ -19,7 +19,8 @@ from qcqpen import (QcqpProblem, QuadraticFunction, RelaxationConfig,
 from qcqpen import cli
 from qcqpen.cli import main
 
-from _support import MALFORMED_V2, POLY_EXAMPLE, perfbench_module
+from _support import (MALFORMED_V2, POLY_EXAMPLE, nan_direction_from,
+                      perfbench_module)
 
 BALL_POLY = "min x^2 + y^2 - 2*x st x^2 + y^2 - 1 <= 0\n"
 
@@ -116,11 +117,13 @@ def test_relax_unbounded_exits_2(tmp_path, capsys):
     assert "solver failure:" in err
 
 
-def test_relax_solver_breakdown_exits_2(tmp_path, capsys):
-    # this relaxation's solve stops "solve_failed" at a non-finite direction
+def test_relax_solver_breakdown_exits_2(tmp_path, capsys, monkeypatch):
+    # this relaxation's solve stops "solve_failed" at a non-finite
+    # direction, its KKT solves turned NaN from the 20th on
     path = tmp_path / "sysid.json"
     path.write_text(sysid_to_json(gen_sysid(
         SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))))
+    nan_direction_from(monkeypatch, 20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rc = main(["relax", str(path), "--r", "2"])
@@ -131,12 +134,15 @@ def test_relax_solver_breakdown_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["relax"],
                                      ["solve", "--init", "relaxation"]])
-def test_relaxation_failure_names_stop_reason(command, tmp_path, capsys):
+def test_relaxation_failure_names_stop_reason(command, tmp_path, capsys,
+                                             monkeypatch):
     # both commands solve this relaxation, which stops "solve_failed" at a
-    # non-finite direction with status iteration_limit
+    # non-finite direction, its KKT solves turned NaN from the 20th on,
+    # with status iteration_limit
     path = tmp_path / "sysid.json"
     path.write_text(sysid_to_json(gen_sysid(
         SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))))
+    nan_direction_from(monkeypatch, 20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rc = main([command[0], str(path), "--r", "2", *command[1:]])

@@ -11,6 +11,7 @@ from qcqpen.solver import (_CLOSED_FORM_BLOCKS, _REFINEMENT, PsdBlock,
                            _BlockGroup, _DualKkt,
                            _FullKkt, _NormalMap, _Scaling, _SparseKkt,
                            _apply_w, _cholesky, _cone_margin, _congruence,
+                           _fixed_variables,
                            _jordan_solve,
                            _kept_rows, _kkt_path,
                            _lambda_vec, _matvec, _max_cone_step, _min_eig,
@@ -21,7 +22,8 @@ from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
 from qcqpen.lifting import RelaxationConfig, build_penalized, lift
 from qcqpen.polyopt import parse_poly, reformulate
-from _support import POLY_EXAMPLE, perfbench_module, solve_logged
+from _support import (POLY_EXAMPLE, nan_direction_from, perfbench_module,
+                      solve_logged)
 
 OK = ("optimal", "near_optimal")
 
@@ -737,20 +739,12 @@ def _random_rhs(cone, seed):
             rng.normal(size=cone.h.size))
 
 
-def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
-    # sysid's cone keeps no row. Its sparse solve, refined, equals the dense
-    # elimination: [H A'; A 0] [du; dy] = [bu + G'W^-2 bz; by] solved with
-    # H built column by column, and dz = W^-2 (G du - bz)
-    cone = sysid_program.cone
-    assert _kkt_path(cone) == "sparse"
-    assert not _kept_rows(cone).any()
+def _dense_elimination(cone, scaling, rhs):
+    """(du, dy, dz) of the full KKT system by dense elimination of dz:
+    [H A'; A 0] [du; dy] = [bu + G'W^-2 bz; by] solved with H built column
+    by column, and dz = W^-2 (G du - bz)."""
     groups, G, A, n = cone.groups, cone.G, cone.A, cone.n_vars
-    scaling = _random_interior_scaling(cone, seed=3)
-    bu, by, bz = rhs = _random_rhs(cone, 4)
-    kkt = _SparseKkt(cone).factor(scaling)
-    assert kkt.reg_used > 0.0
-    *got, res = _refined(kkt, cone, scaling, rhs)
-    assert res <= 1e-10
+    bu, by, bz = rhs
 
     def winv2(v):
         return _apply_w(scaling, groups, cone.n_nonneg, v, "winv2")
@@ -758,9 +752,160 @@ def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
     Ad, m = A.toarray(), cone.n_eq
     x = np.linalg.solve(np.block([[H, Ad.T], [Ad, np.zeros((m, m))]]),
                         np.concatenate([bu + G.T @ winv2(bz), by]))
-    want = (x[:n], x[n:], winv2(G @ x[:n] - bz))
-    for g, w in zip(got, want):
+    return x[:n], x[n:], winv2(G @ x[:n] - bz)
+
+
+def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
+    # sysid's cone keeps no row, and each of its equality rows fixes one
+    # observed state, so no equality row is left in the factored system
+    # and no shift delta either. Its sparse solve, refined, equals the
+    # dense elimination (`_dense_elimination`)
+    cone = sysid_program.cone
+    assert _kkt_path(cone) == "sparse"
+    assert not _kept_rows(cone).any()
+    scaling = _random_interior_scaling(cone, seed=3)
+    rhs = _random_rhs(cone, 4)
+    kkt = _SparseKkt(cone).factor(scaling)
+    assert kkt.reg_used == 0.0
+    *got, res = _refined(kkt, cone, scaling, rhs)
+    assert res <= 1e-10
+    for g, w in zip(got, _dense_elimination(cone, scaling, rhs)):
         assert np.linalg.norm(g - w) <= 1e-6 * np.linalg.norm(w)
+
+
+def test_sparse_kkt_shifts_a_left_equality_row(sysid_program):
+    # sysid's cone with one more equality row, over two of its free
+    # columns: that row is left in the factored system, so the second
+    # block is shifted by -delta, and the refined solve still equals the
+    # dense elimination
+    c = sysid_program.cone
+    free = np.setdiff1d(np.arange(c.n_vars), _SparseKkt(c).fcol)[:2]
+    row = sp.csr_matrix((np.ones(2), (np.zeros(2, int), free)),
+                        shape=(1, c.n_vars))
+    cone = Cone(c.n_vars, sp.vstack([c.A, row]), np.append(c.b, 0.0), c.Gn,
+                c.hn, c.blocks)
+    assert _kkt_path(cone) == "sparse"
+    pattern = _SparseKkt(cone)
+    assert pattern.eq.tolist() == [c.n_eq]
+    assert pattern.fcol.size == c.n_eq
+    scaling = _random_interior_scaling(cone, seed=3)
+    rhs = _random_rhs(cone, 4)
+    kkt = pattern.factor(scaling)
+    assert kkt.reg_used > 0.0
+    *got, res = _refined(kkt, cone, scaling, rhs)
+    assert res <= 1e-10
+    for g, w in zip(got, _dense_elimination(cone, scaling, rhs)):
+        assert np.linalg.norm(g - w) <= 1e-6 * np.linalg.norm(w)
+
+
+def test_condensed_rows_satisfy_first_block_row(sysid_program):
+    # the dy of each condensed row i, (bu_j - (G'dz)_j) / a, makes the
+    # first block row A'dy + G'dz = bu hold at its fixed column j, before
+    # and after refinement, to 1e-10 of bu there. The condensation is
+    # exact, not a guess that refinement repairs: the first solve alone
+    # already meets the full system to 1e-8
+    cone = sysid_program.cone
+    pattern = _SparseKkt(cone)
+    assert pattern.frow.tolist() == list(range(cone.n_eq))
+    scaling = _random_interior_scaling(cone, seed=5)
+    bu, by, bz = rhs = _random_rhs(cone, 6)
+    kkt = pattern.factor(scaling)
+    Gx, GTx, Ax, ATx = cone.products
+    du, dy, dz = kkt.solve(*rhs)
+    wwdz = _apply_w(scaling, cone.groups, cone.n_nonneg, dz, "ww")
+    res = np.concatenate([bu - ATx(dy) - GTx(dz), by - Ax(du),
+                          bz - Gx(du) + wwdz])
+    assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(np.concatenate(rhs))
+    *refined, res = _refined(kkt, cone, scaling, rhs)
+    assert res <= 1e-10
+    for du, dy, dz in ((du, dy, dz), refined):
+        first = (bu - ATx(dy) - GTx(dz))[pattern.fcol]
+        assert (np.linalg.norm(first)
+                <= 1e-10 * np.linalg.norm(bu[pattern.fcol]))
+
+
+def test_fixed_variables_need_a_column_of_their_own():
+    # a one-entry row is a fixed variable only when no other equality row
+    # holds its column and its entry is nonzero: row 0's column 0 is also
+    # in row 1, rows 3 and 4 share column 2, and row 5's entry is an
+    # explicit zero; only row 2 fixes its column
+    A = sp.csr_matrix((np.array([2.0, 1.0, -1.0, -1.5, 1.0, 3.0, 0.0]),
+                       (np.array([0, 1, 1, 2, 3, 4, 5]),
+                        np.array([0, 0, 4, 6, 2, 2, 7]))), shape=(6, 9))
+    rows, cols, vals = _fixed_variables(A)
+    assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([2], [6], [-1.5])
+
+
+def test_singleton_row_sharing_its_column_is_not_condensed():
+    # row 0 has one entry, at column 0, which row 1 holds too: it stays in
+    # the factored system with row 1, and only row 2 is condensed. The
+    # refined solve equals the dense solve of the full KKT matrix
+    cone = _dense_kkt_program("full", eq=[([0], [2.0], 0.3),
+                                          ([0, 4], [1.0, -1.0], 0.1),
+                                          ([6], [-1.5], 0.2)]).cone
+    pattern = _SparseKkt(cone)
+    assert (pattern.frow.tolist(), pattern.fcol.tolist()) == ([2], [6])
+    assert pattern.eq.tolist() == [0, 1]
+    _assert_matches_full_kkt(pattern, cone)
+
+
+def test_fixed_column_in_kept_rows_matches_full_kkt(monkeypatch):
+    # with a share of 0 every nonnegative row is kept, and the fixed
+    # column 8 (X22) is in the kept box row over x2 and X22 and in the PSD
+    # block: the refined solve equals the dense solve of the full KKT
+    # matrix
+    import qcqpen.solver as solver
+    monkeypatch.setattr(solver, "_SPARSE_SHARE", 0.0)
+    cone = _dense_kkt_program("full", eq=_EQ_ROWS + [([8], [2.0], 0.3)]).cone
+    assert _kept_rows(cone).all()
+    assert cone.Gn[:, 8].nnz > 0
+    pattern = _SparseKkt(cone)
+    assert (pattern.frow.tolist(), pattern.fcol.tolist()) == ([2], [8])
+    _assert_matches_full_kkt(pattern, cone)
+
+
+def test_normal_map_builds_no_term_at_a_fixed_column(sysid_program,
+                                                     monkeypatch):
+    # sysid's 64 fixed columns, and a fixed column in an eliminated box
+    # row: the map lists no term at a fixed column, and its places and
+    # terms are the map's without fixed columns, in order, less every term
+    # that touches one
+    import qcqpen.solver as solver
+    monkeypatch.setattr(solver, "_SPARSE_SHARE", 1.0)
+    box = _dense_kkt_program("full", eq=[([8], [2.0], 0.3)]).cone
+    for cone in (sysid_program.cone, box):
+        assert not _kept_rows(cone).any()
+        nmap = _SparseKkt(cone).nmap
+        fixed = _fixed_variables(cone.A)[1]
+        rows = np.arange(cone.n_nonneg)
+        full = _NormalMap(cone.G, cone.groups, rows)
+        n = cone.n_vars
+        i, j = np.divmod(full.place, n)
+        touch = np.isin(i, fixed) | np.isin(j, fixed)
+        assert touch.any()
+        assert not np.isin(np.divmod(nmap.place, n), fixed).any()
+        assert np.array_equal(nmap.place, full.place[~touch])
+        scaling = _random_interior_scaling(cone, 1)
+        assert (nmap.terms(scaling).tobytes()
+                == full.terms(scaling)[~touch].tobytes())
+    assert _fixed_variables(sysid_program.cone.A)[1].size == 64
+
+
+def _assert_matches_full_kkt(pattern, cone):
+    """At three random interior scalings the sparse path's (du, dy, dz),
+    refined, equal the dense solve of the full KKT matrix."""
+    n, m = cone.n_vars, cone.n_eq
+    for seed in range(3):
+        scaling = _random_interior_scaling(cone, seed)
+        rhs = _random_rhs(cone, seed)
+        *got, res = _refined(pattern.factor(scaling), cone, scaling, rhs)
+        assert res <= 1e-10
+        x = np.linalg.solve(_full_kkt_reference(cone, cone.G, cone.A,
+                                                cone.groups, scaling),
+                            np.concatenate(rhs))
+        for g, w in zip(got, np.split(x, [n, n + m])):
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-9 * np.linalg.norm(w)
 
 
 def test_sparse_path_solves_like_dense(sysid_program, monkeypatch):
@@ -1404,13 +1549,15 @@ def test_dual_kkt_singular_ladder(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_non_finite_direction_ends_solve_failed(seed):
-    # the T=20 sysid r=2 relaxation: at iteration 8 the corrector turns
-    # NaN, and the step length's eigvalsh used to raise LinAlgError out of
-    # the solve; the loop now stops and reports it
+def test_non_finite_direction_ends_solve_failed(seed, monkeypatch):
+    # the T=20 sysid r=2 relaxation with its KKT solves turned NaN from the
+    # 20th on, in iteration 2's corrector: a non-finite direction used to
+    # raise LinAlgError out of the solve from the step length's eigvalsh;
+    # the loop now stops and reports it
     inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01,
                                  seed=seed))
     prog, _ = build_relaxation(inst.problem, RelaxationConfig(r=2))
+    nan_direction_from(monkeypatch, 20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         sol = solve_conic(prog)

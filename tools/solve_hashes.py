@@ -16,7 +16,11 @@ change that moves a row between eliminated and kept shows), the block
 groups that take the closed-form kernels (`closed=2:92,3:304`: a group of
 92 blocks of order 2 and one of 304 of order 3, from
 qcqpen.solver._BlockGroup.closed; `closed=none` when every group takes
-LAPACK), the sum of the solves' iterations, the count of each status
+LAPACK), the fixed variables the sparse path condenses out of its factored
+system, summed over the sparse cones (`fixed=128`: 64 in each of two
+cones, from qcqpen.solver._fixed_variables, the detection _SparseKkt
+runs; 0 for a cone on another path), the sum of the solves' iterations,
+the count of each status
 (`statuses=optimal:8`), the count of solves that returned an earlier,
 better iterate in place of the last one (`fallback=7`, from
 ConicSolution.fallback), and one sha256 over every solve's u, y, z and s
@@ -72,11 +76,19 @@ def closed_label(cones) -> str:
     return ",".join(f"{m}:{nb}" for m, nb in groups) or "none"
 
 
+def fixed_count(cones) -> int:
+    """The fixed variables the sparse path condenses, summed over the
+    cones on that path."""
+    return sum(solver._fixed_variables(c.A)[0].size for c in cones
+               if solver._kkt_path(c) == "sparse")
+
+
 def workload_hash(name: str, seed: int) -> tuple:
     """(solves, distinct cones, their KKT paths as 'path:count' joined by
-    ',', their closed-form groups (`closed_label`), total iterations,
-    statuses as 'status:count' joined by ',', fallback solves, sha256 hex
-    digest) of one pass of workload `name`."""
+    ',', their closed-form groups (`closed_label`), their fixed variables
+    (`fixed_count`), total iterations, statuses as 'status:count' joined by
+    ',', fallback solves, sha256 hex digest) of one pass of workload
+    `name`."""
     digest = hashlib.sha256()
     ends = []       # (status, iterations, fallback) of each solve
     cones = {}      # id -> cone; holding each cone keeps its id unique
@@ -99,7 +111,8 @@ def workload_hash(name: str, seed: int) -> tuple:
         sequential.solve_conic = solve
     return (len(ends), len(cones),
             _counts(path_label(c) for c in cones.values()),
-            closed_label(cones.values()), sum(it for _, it, _ in ends),
+            closed_label(cones.values()), fixed_count(cones.values()),
+            sum(it for _, it, _ in ends),
             _counts(st for st, _, _ in ends),
             sum(fb for _, _, fb in ends), digest.hexdigest())
 
@@ -109,11 +122,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
-        count, cones, paths, closed, iters, statuses, fallback, hexdigest = \
-            workload_hash(name, args.seed)
+        (count, cones, paths, closed, fixed, iters, statuses, fallback,
+         hexdigest) = workload_hash(name, args.seed)
         print(f"{name} solves={count} cones={cones} paths={paths} "
-              f"closed={closed} iterations={iters} statuses={statuses} "
-              f"fallback={fallback} sha256={hexdigest}", flush=True)
+              f"closed={closed} fixed={fixed} iterations={iters} "
+              f"statuses={statuses} fallback={fallback} sha256={hexdigest}",
+              flush=True)
     return 0
 
 
