@@ -37,7 +37,11 @@ steps are damped by a fraction of the distance to the cone boundary.
   quasidefinite augmented matrix
   [[H_S, A', G_D'], [A, -delta I, 0], [G_D, 0, -(W_D^2 + delta I)]] in CSC
   form and factored with one sparse LU (Vanderbei, "Symmetric
-  quasi-definite matrices", 1995; as in ECOS). Keeping the dense rows
+  quasi-definite matrices", 1995; as in ECOS). Its pattern is fixed per
+  cone, so its fill-reducing order is computed once (`_ordering`) and the
+  matrix is assembled already in that order; each iteration only refactors
+  it numerically (Davis, "Direct Methods for Sparse Linear Systems", 2006;
+  ECOS's symbolic analysis at setup). Keeping the dense rows
   un-eliminated is Vanderbei and Carpenter's augmented system (Math.
   Prog. 58, 1993) and Andersen's cure for dense columns (ACM TOMS 22,
   1996): a row with nk nonzeros costs nk entries, not nk^2. A fixed
@@ -851,6 +855,29 @@ def _fixed_variables(A) -> tuple:
     return rows[fixed], cols[fixed], vals[fixed]
 
 
+def _splu(K, permc_spec):
+    """SuperLU's LU of the quasidefinite K (CSC) with the column order
+    `permc_spec`, applied to rows and columns alike, pivoting on the
+    diagonal wherever it is nonzero."""
+    # imported here: SuperLU's module adds 2 MB of resident memory to every
+    # process, also to those that never take the sparse path
+    from scipy.sparse.linalg import splu
+    return splu(K, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def _ordering(row, col, N) -> np.ndarray:
+    """SuperLU's minimum degree order on the pattern of K + K' of the N x N
+    pattern with entries at (row, col), in CSC order, diagonal included:
+    the position perm[i] of row and column i. It depends on the pattern
+    alone, so it is taken from the pattern with ones off the diagonal and N
+    on it: strictly diagonally dominant, that matrix factors on its
+    diagonal, whatever values the pattern holds later."""
+    P = sp.csc_matrix((np.where(row == col, float(N), 1.0), row,
+                       np.searchsorted(col, np.arange(N + 1))), shape=(N, N))
+    return _splu(P, "MMD_AT_PLUS_A").perm_c.astype(np.int64)
+
+
 def _kept_rows(cone: Cone) -> np.ndarray:
     """Mask of the nonnegative rows the sparse path keeps in its augmented
     system rather than eliminating them into H: those whose nk^2 pairs of
@@ -894,13 +921,17 @@ class _SparseKkt:
     with no coupling, in H's n-space numbering, and A keeps only the rows
     `eq` that fix none. delta is 0 when no equality row is left.
 
-    Built once per cone: each term's place in H's lower triangle is mapped
-    to its CSC entry, and each place off the diagonal to the entry that
-    mirrors it, so `factor` fills the data array with one bincount and one
-    copy, subtracts wn^2 on the kept rows' diagonal and factors it with one
-    sparse LU. The second block row B = [A_eq; G_D], without the fixed
-    columns, is constant. G's fixed columns G_F are bound once
-    (`fixed_products`).
+    Built once per cone: the pattern's fill-reducing order (`_ordering`:
+    row and column i sit at position perm[i], and order = perm's inverse),
+    then each term's place in H's lower triangle mapped to its CSC entry
+    in that order, and each place off the diagonal to the entry that
+    mirrors it. So `factor` fills the data array with one bincount and
+    one copy, subtracts wn^2 on the kept rows' diagonal (`diag`, the
+    entry of each diagonal place in that order) and factors it with one
+    sparse LU that orders nothing, and its solve takes the right-hand side
+    at `order` and the solution at `perm`. The second block row
+    B = [A_eq; G_D], without the fixed columns, is constant. G's fixed
+    columns G_F are bound once (`fixed_products`).
     """
 
     def __init__(self, cone: Cone):
@@ -936,26 +967,29 @@ class _SparseKkt:
         const = np.concatenate([(~free).astype(float),
                                 np.full(m, -self.delta), Bc.data, Bc.data])
         uniq, inv = np.unique(cols * N + rows, return_inverse=True)
+        col, row = np.divmod(uniq, N)
+        # every place, renumbered to the pattern's fill-reducing order
+        self.perm = perm = _ordering(row, col, N)
+        self.order = np.argsort(perm)
+        uniq, renum = np.unique(perm[col] * N + perm[row],
+                                return_inverse=True)
+        inv = renum[inv]
         n_low, n_up = lower.size, int(np.count_nonzero(off))
         self.pair = inv[:n_low][pair]
         self.lower = inv[:n_low][off]
         self.upper = inv[n_low:n_low + n_up]
         self.base = np.bincount(inv[n_low + n_up:], weights=const,
                                 minlength=uniq.size)
-        self.indices = uniq % N
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(uniq // N, minlength=N))])
-        self.diag = np.searchsorted(uniq, diag * (N + 1))
+        col, row = np.divmod(uniq, N)
+        self.indices = row.astype(np.intc)
+        self.indptr = np.searchsorted(col, np.arange(N + 1)).astype(np.intc)
+        self.diag = np.searchsorted(uniq, perm * (N + 1))
 
     def factor(self, scaling) -> "_Eliminated":
         """LU of the augmented matrix at `scaling`. If SuperLU finds it
         exactly singular, the shifts of `_ladder` are added to H and
         subtracted from the second block; raises LinAlgError when all
         fail."""
-        # imported here: SuperLU's module adds 2 MB of resident memory to
-        # every process, also to those that never take the sparse path
-        from scipy.sparse.linalg import splu
-
         # base is zero at H's places; adding it out of place keeps data
         # float where no term is left (bincount of none gives ints)
         data = np.bincount(self.pair, weights=self.nmap.terms(scaling),
@@ -968,14 +1002,15 @@ class _SparseKkt:
             K = sp.csc_matrix((data, self.indices, self.indptr),
                               shape=(self.dim, self.dim))
             try:
-                lu = splu(K, permc_spec="MMD_AT_PLUS_A",
-                          diag_pivot_thresh=0.0,
-                          options={"SymmetricMode": True})
-                return _Eliminated(_LuKkt(lu.solve, n, o, reg), self,
-                                   scaling)
+                lu = _splu(K, "NATURAL")
             except RuntimeError:
                 data[self.diag[:n]] += eps
                 data[self.diag[n:]] -= eps
+            else:
+                order, perm = self.order, self.perm
+                return _Eliminated(
+                    _LuKkt(lambda r: lu.solve(r[order])[perm], n, o, reg),
+                    self, scaling)
         raise np.linalg.LinAlgError("KKT system singular")
 
 
@@ -983,7 +1018,9 @@ class _LuKkt:
     """One LU, sparse or dense, of the sparse path's augmented matrix or of
     the full KKT matrix, whose solution splits at n and o = n + m into du,
     dy (at the equality rows left, or at every one) and dz (at the kept
-    rows, or at every cone slot)."""
+    rows, or at every cone slot). `lu_solve` takes and returns vectors in
+    the system's own numbering: the sparse path's permutes them into and
+    out of its factor's order."""
 
     def __init__(self, lu_solve, n, o, reg_used):
         self.lu_solve = lu_solve

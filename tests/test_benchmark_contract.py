@@ -119,20 +119,20 @@ def test_tracer_spans_each_round(monkeypatch):
 
 def _solve_hashes(name):
     """(solves, cones, paths, closed-form groups, fixed variables,
-    statuses, fallback solves) of one seed-1 pass of workload `name`
-    through tools/solve_hashes.py."""
-    (count, cones, paths, closed, fixed, iterations, statuses, fallback,
-     digest) = tools_module("solve_hashes").workload_hash(name, 1)
+    orderings, statuses, fallback solves) of one seed-1 pass of workload
+    `name` through tools/solve_hashes.py."""
+    (count, cones, paths, closed, fixed, orderings, iterations, statuses,
+     fallback, digest) = tools_module("solve_hashes").workload_hash(name, 1)
     assert iterations > 0 and len(digest) == 64
-    return count, cones, paths, closed, fixed, statuses, fallback
+    return count, cones, paths, closed, fixed, orderings, statuses, fallback
 
 
 def test_solve_hashes_dense_full():
     # 8 solves over 2 cones, both on the dual path, every solve optimal
     # and none on a fallback iterate; each cone is one moment block, so no
     # group takes the closed forms, and no cone on the sparse path
-    # condenses a fixed variable
-    assert _solve_hashes("dense_full") == (8, 2, "dual:2", "none", 0,
+    # condenses a fixed variable or orders its pattern
+    assert _solve_hashes("dense_full") == (8, 2, "dual:2", "none", 0, 0,
                                            "optimal:8", 0)
 
 
@@ -141,17 +141,17 @@ def test_solve_hashes_sysid():
     # ("sparse+kept" otherwise), every solve optimal and none on a fallback
     # iterate; the r = 2 lifting's 92 blocks of order 2 and 304 of order 3
     # take the closed forms, and each cone condenses its 64 observed
-    # states
+    # states and orders its pattern once
     assert _solve_hashes("sysid") == (10, 2, "sparse:2", "2:92,3:304", 128,
-                                      "optimal:10", 0)
+                                      2, "optimal:10", 0)
 
 
 def test_solve_hashes_small():
     # 142 solves over 8 cones, all full moment liftings on the full path
-    # with one block each, so no closed forms and no fixed variable
-    # condensed. The 11 near_optimal solves end on the solver's
+    # with one block each, so no closed forms, no fixed variable condensed
+    # and no pattern ordered. The 11 near_optimal solves end on the solver's
     # best-iterate branch, 7 of them on an earlier iterate; the 5 unbounded
     # ones are tuning probes
     assert _solve_hashes("small") == (
-        142, 8, "full:8", "none", 0,
+        142, 8, "full:8", "none", 0, 0,
         "near_optimal:11,optimal:126,unbounded:5", 7)

@@ -755,29 +755,37 @@ def _dense_elimination(cone, scaling, rhs):
     return x[:n], x[n:], winv2(G @ x[:n] - bz)
 
 
-def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
-    # sysid's cone keeps no row, and each of its equality rows fixes one
-    # observed state, so no equality row is left in the factored system
-    # and no shift delta either. Its sparse solve, refined, equals the
-    # dense elimination (`_dense_elimination`)
-    cone = sysid_program.cone
-    assert _kkt_path(cone) == "sparse"
-    assert not _kept_rows(cone).any()
+def _assert_matches_dense_elimination(pattern, cone):
+    """The sparse path factors in an order of its own (`_ordering`), not
+    the cone's: at a random interior scaling its solve, refined, equals the
+    dense elimination (`_dense_elimination`). Returns the factor."""
+    assert sorted(pattern.perm) == list(range(pattern.dim))
+    assert np.any(pattern.perm != np.arange(pattern.dim))
     scaling = _random_interior_scaling(cone, seed=3)
     rhs = _random_rhs(cone, 4)
-    kkt = _SparseKkt(cone).factor(scaling)
-    assert kkt.reg_used == 0.0
+    kkt = pattern.factor(scaling)
     *got, res = _refined(kkt, cone, scaling, rhs)
     assert res <= 1e-10
     for g, w in zip(got, _dense_elimination(cone, scaling, rhs)):
         assert np.linalg.norm(g - w) <= 1e-6 * np.linalg.norm(w)
+    return kkt
+
+
+def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
+    # sysid's cone keeps no row, and each of its equality rows fixes one
+    # observed state, so no equality row is left in the factored system
+    # and no shift delta either
+    cone = sysid_program.cone
+    assert _kkt_path(cone) == "sparse"
+    assert not _kept_rows(cone).any()
+    kkt = _assert_matches_dense_elimination(_SparseKkt(cone), cone)
+    assert kkt.reg_used == 0.0
 
 
 def test_sparse_kkt_shifts_a_left_equality_row(sysid_program):
     # sysid's cone with one more equality row, over two of its free
     # columns: that row is left in the factored system, so the second
-    # block is shifted by -delta, and the refined solve still equals the
-    # dense elimination
+    # block is shifted by -delta
     c = sysid_program.cone
     free = np.setdiff1d(np.arange(c.n_vars), _SparseKkt(c).fcol)[:2]
     row = sp.csr_matrix((np.ones(2), (np.zeros(2, int), free)),
@@ -788,14 +796,16 @@ def test_sparse_kkt_shifts_a_left_equality_row(sysid_program):
     pattern = _SparseKkt(cone)
     assert pattern.eq.tolist() == [c.n_eq]
     assert pattern.fcol.size == c.n_eq
-    scaling = _random_interior_scaling(cone, seed=3)
-    rhs = _random_rhs(cone, 4)
-    kkt = pattern.factor(scaling)
+    kkt = _assert_matches_dense_elimination(pattern, cone)
     assert kkt.reg_used > 0.0
-    *got, res = _refined(kkt, cone, scaling, rhs)
-    assert res <= 1e-10
-    for g, w in zip(got, _dense_elimination(cone, scaling, rhs)):
-        assert np.linalg.norm(g - w) <= 1e-6 * np.linalg.norm(w)
+
+
+def test_sparse_kkt_matches_dense_with_kept_rows():
+    # three dense nonnegative rows kept in the augmented system, whose
+    # last block row subtracts W_D^2 on their places of the diagonal
+    cone, at = _with_dense_rows("full", "between", _EQ_ROWS)
+    assert np.flatnonzero(_kept_rows(cone)).tolist() == [at, at + 1, at + 2]
+    _assert_matches_dense_elimination(_SparseKkt(cone), cone)
 
 
 def test_condensed_rows_satisfy_first_block_row(sysid_program):
@@ -970,16 +980,71 @@ def test_kkt_path_choice(sysid_program):
         assert _kkt_path(cone) == "full"
 
 
-def test_sparse_kkt_singular_is_regularized():
+def test_sparse_path_orders_its_pattern_once_per_cone(monkeypatch):
+    # five rounds of the benchmark's sysid run over one cone: SuperLU
+    # computes a fill-reducing order once, when the cone's sparse path is
+    # built, and every factorization of every round, the start's included,
+    # reuses it ("NATURAL" on the matrix built in that order)
+    import scipy.sparse.linalg as spla
+    import qcqpen.sequential as sequential
+    specs, splu = [], spla.splu
+
+    def spy(K, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(K, **kwargs)
+    monkeypatch.setattr(spla, "splu", spy)
+    cones, iterations, solve = set(), [], sequential.solve_conic
+
+    def recorded(prog, *args, **kwargs):
+        cones.add(prog.cone)
+        sol = solve(prog, *args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+    monkeypatch.setattr(sequential, "solve_conic", recorded)
+    inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))
+    cfg = sequential.SequentialConfig(
+        relaxation=RelaxationConfig(r=2), eta=40.0, init="zero",
+        max_rounds=5, stop_rel=None)
+    assert len(sequential.run(inst.problem, cfg).rounds) == 5
+    [cone] = cones
+    assert _kkt_path(cone) == "sparse"
+    assert specs[0] == "MMD_AT_PLUS_A"
+    assert specs[1:] == ["NATURAL"] * (len(specs) - 1)
+    assert len(specs) - 1 >= sum(iterations) + 1
+
+
+def test_sparse_kkt_singular_is_regularized(monkeypatch):
     # variable 2 appears in no row: the augmented matrix has a zero column,
-    # which SuperLU reports as exactly singular; the first diagonal shift
-    # of the ladder must make it factorizable
+    # which SuperLU reports as exactly singular. The pattern, with its
+    # diagonal, still gives the ordering; the ladder's shifts land on the
+    # diagonal of the matrix in that order, in place, until it factors
+    import scipy.sparse.linalg as spla
+    seen, splu = [], spla.splu
+
+    def spy(K, **kwargs):
+        seen.append((kwargs["permc_spec"], K.toarray()))
+        return splu(K, **kwargs)
+    monkeypatch.setattr(spla, "splu", spy)
     cone = _cone(3, nn=[([0], [-1.0], 0.0), ([0, 1], [-1.0, -1.0], 0.0)],
                  eq=[([0, 1], [1.0, 1.0], 1.0)])
     scaling = _Scaling(np.ones(2), np.ones(2), [])
     pattern = _SparseKkt(cone)
     kkt = pattern.factor(scaling)
     assert kkt.reg_used > pattern.delta
+    specs = [spec for spec, _ in seen]
+    assert specs[0] == "MMD_AT_PLUS_A"
+    assert specs[1:] == ["NATURAL"] * (len(seen) - 1) and len(seen) >= 3
+    # back in the cone's numbering, the shifts are +reg on H's diagonal and
+    # -reg on the second block's, reg being the ladder's beyond delta, up
+    # to the rounding of the entries they were added to
+    at = np.ix_(pattern.perm, pattern.perm)
+    first, last = seen[1][1][at], seen[-1][1][at]
+    shift = kkt.reg_used - pattern.delta
+    n = cone.n_vars
+    assert np.allclose(last - first,
+                       np.diag(np.r_[np.full(n, shift),
+                                     np.full(pattern.dim - n, -shift)]),
+                       rtol=0.0, atol=0.01 * shift)
     for d in kkt.solve(np.array([1.0, 2.0, 0.0]), np.array([1.0]),
                        np.array([0.5, -1.0])):
         assert np.all(np.isfinite(d))
@@ -1125,17 +1190,20 @@ def test_dense_normal_matrix_matches_add_at_reference(case, dt):
 
 def _factored_normal_block(cone, scaling, monkeypatch):
     """The H block of the augmented matrix that the sparse path's `factor`
-    hands to SuperLU at `scaling`, before any shift of its ladder."""
+    hands to SuperLU at `scaling`, before any shift of its ladder, mapped
+    back from the pattern's order to the cone's numbering."""
     import scipy.sparse.linalg as spla
     seen, splu = [], spla.splu
 
     def spy(K, **kwargs):
-        seen.append(K.copy())
+        if kwargs["permc_spec"] == "NATURAL":
+            seen.append(K.copy())
         return splu(K, **kwargs)
     monkeypatch.setattr(spla, "splu", spy)
-    _SparseKkt(cone).factor(scaling)
-    n = cone.n_vars
-    return seen[0][:n, :n].toarray()
+    pattern = _SparseKkt(cone)
+    pattern.factor(scaling)
+    at = pattern.perm[:cone.n_vars]
+    return seen[0].toarray()[np.ix_(at, at)]
 
 
 @pytest.mark.parametrize("case", ["full", "shared", "rows"])

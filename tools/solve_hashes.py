@@ -19,7 +19,11 @@ qcqpen.solver._BlockGroup.closed; `closed=none` when every group takes
 LAPACK), the fixed variables the sparse path condenses out of its factored
 system, summed over the sparse cones (`fixed=128`: 64 in each of two
 cones, from qcqpen.solver._fixed_variables, the detection _SparseKkt
-runs; 0 for a cone on another path), the sum of the solves' iterations,
+runs; 0 for a cone on another path), the count of SuperLU factorizations
+that computed a fill-reducing ordering (`orderings=2`: one for each of two
+sparse cones, whose later factorizations reuse it with permc_spec
+"NATURAL"; counted at scipy.sparse.linalg.splu), the sum of the solves'
+iterations,
 the count of each status
 (`statuses=optimal:8`), the count of solves that returned an earlier,
 better iterate in place of the last one (`fallback=7`, from
@@ -43,6 +47,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import qcqpen.sequential as sequential  # noqa: E402
 import qcqpen.solver as solver  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -86,13 +91,18 @@ def fixed_count(cones) -> int:
 def workload_hash(name: str, seed: int) -> tuple:
     """(solves, distinct cones, their KKT paths as 'path:count' joined by
     ',', their closed-form groups (`closed_label`), their fixed variables
-    (`fixed_count`), total iterations, statuses as 'status:count' joined by
-    ',', fallback solves, sha256 hex digest) of one pass of workload
-    `name`."""
+    (`fixed_count`), SuperLU factorizations that computed an ordering,
+    total iterations, statuses as 'status:count' joined by ',', fallback
+    solves, sha256 hex digest) of one pass of workload `name`."""
     digest = hashlib.sha256()
     ends = []       # (status, iterations, fallback) of each solve
     cones = {}      # id -> cone; holding each cone keeps its id unique
-    solve = sequential.solve_conic
+    specs = []      # permc_spec of each SuperLU factorization
+    solve, splu = sequential.solve_conic, spla.splu
+
+    def counted(K, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(K, **kwargs)
 
     def hashed(prog, *args, **kwargs):
         cones[id(prog.cone)] = prog.cone
@@ -100,7 +110,7 @@ def workload_hash(name: str, seed: int) -> tuple:
         digest.update(solution_bytes(sol))
         ends.append((sol.status, sol.iterations, sol.fallback))
         return sol
-    sequential.solve_conic = hashed
+    sequential.solve_conic, spla.splu = hashed, counted
     try:
         for op in workloads.make(name, seed):
             try:
@@ -108,10 +118,11 @@ def workload_hash(name: str, seed: int) -> tuple:
             except (sequential.SolveError, sequential.EtaTuningError):
                 pass     # the solves before the error are hashed
     finally:
-        sequential.solve_conic = solve
+        sequential.solve_conic, spla.splu = solve, splu
     return (len(ends), len(cones),
             _counts(path_label(c) for c in cones.values()),
             closed_label(cones.values()), fixed_count(cones.values()),
+            sum(spec != "NATURAL" for spec in specs),
             sum(it for _, it, _ in ends),
             _counts(st for st, _, _ in ends),
             sum(fb for _, _, fb in ends), digest.hexdigest())
@@ -122,10 +133,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
-        (count, cones, paths, closed, fixed, iters, statuses, fallback,
-         hexdigest) = workload_hash(name, args.seed)
+        (count, cones, paths, closed, fixed, orderings, iters, statuses,
+         fallback, hexdigest) = workload_hash(name, args.seed)
         print(f"{name} solves={count} cones={cones} paths={paths} "
-              f"closed={closed} fixed={fixed} iterations={iters} "
+              f"closed={closed} fixed={fixed} orderings={orderings} "
+              f"iterations={iters} "
               f"statuses={statuses} fallback={fallback} sha256={hexdigest}",
               flush=True)
     return 0
