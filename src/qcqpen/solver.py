@@ -78,10 +78,17 @@ m <= 3 (`_BlockGroup.closed`) takes closed forms unrolled over its blocks
 for the smallest eigenvalues (step lengths, `_min_eig`) and for the NT
 scaling's Cholesky factor and its inverse (`_cholesky`). They agree with
 LAPACK to a few eps times the block's norm and fail where it fails. Every
-other group takes LAPACK, with one eigvalsh per group for both scaled
-directions of a step length; those groups keep smat's and svec's
-arithmetic, so their iterates match theirs bit for bit. eigh stays on
-LAPACK for every group. The start is built once per cone (`Cone.start`):
+mode of W is a congruence X mat(v) X', and all closed groups of a cone
+apply it together through two sparse maps whose patterns are built once
+per cone (`_ClosedMap`): v -> Y_b = X_b mat(v_b), then Y -> svec(sym(Y_b
+X_b')), each one scipy CSR product over every closed block (or a stack of
+vectors), with data gathered once per mode by one `take` of the factors.
+They agree with the matrix products to a few eps times ||X||^2 ||v||.
+Every other group takes LAPACK, with one eigvalsh per group for both scaled
+directions of a step length and batched matrix products for W; those
+groups keep smat's and svec's arithmetic, so their iterates match theirs
+bit for bit. eigh stays on LAPACK for every group. The start is built once
+per cone (`Cone.start`):
 the factor at the identity scaling and the initial u and s, which do not
 depend on c; each solve adds only its y and z.
 
@@ -185,7 +192,7 @@ class Cone:
             raise ValueError("empty PSD block")
 
     @cached_property
-    def groups(self) -> list:
+    def groups(self) -> "_Groups":
         """The blocks batched by size; their slots follow the nonnegative
         rows."""
         sizes: dict = {}
@@ -193,7 +200,7 @@ class Cone:
         for blk in self.blocks:
             sizes.setdefault(blk.size, []).append((blk, off))
             off += blk.size * (blk.size + 1) // 2
-        return [_BlockGroup(m, *zip(*sizes[m])) for m in sorted(sizes)]
+        return _Groups(_BlockGroup(m, *zip(*sizes[m])) for m in sorted(sizes))
 
     @cached_property
     def G(self) -> sp.csr_matrix:
@@ -307,7 +314,9 @@ class _BlockGroup:
     matrices out of an s-space vector with one `take`, and `svec` and
     `sym_svec` take svec coordinates out of the matrices with one `take` of
     each triangle. They do smat's and svec's operations, and so give the
-    same bits.
+    same bits. A `closed` group's congruences skip them: the closed groups
+    of a cone share one pair of sparse maps (`_ClosedMap`), whose patterns
+    are built once per cone from each group's slots, `ka`, `kb` and `w`.
     """
 
     def __init__(self, size: int, blocks: list, offsets: list):
@@ -393,6 +402,123 @@ class _BlockGroup:
         return v.reshape(lead + (self.nb, self.ns))
 
 
+class _Groups(list):
+    """A cone's `_BlockGroup`s, by size, with the congruence map of its
+    closed groups (`closed_map`: None when none is closed), built on first
+    use."""
+
+    @cached_property
+    def closed_map(self):
+        closed = [j for j, g in enumerate(self) if g.closed]
+        return _ClosedMap(self, closed) if closed else None
+
+
+class _ClosedMap:
+    """X mat(v) X' on every closed group of a cone at once, as two sparse
+    maps with fixed patterns, built once per cone: (X M) X', associated as
+    the LAPACK groups' L @ M @ R.
+
+    Stage 1 maps the s-space slots lo:hi, the span of the closed groups'
+    slots, to the products Y_b = X_b mat(v_b), raveled with the groups'
+    (nb, m, m) factors: row (b, i, l) holds the m entries X_b[i, k] / w_kl
+    at the slots (k, l) of block b, in increasing k. Stage 2 maps Y to the
+    slots lo:hi: the row of block b's slot t = (a, c) holds svec(sym(Y_b
+    X_b')) there, w_t/2 (Y_b[c, :] X_b[a, :]' + Y_b[a, :] X_b[c, :]') or,
+    on the diagonal, Y_b[a, :] X_b[a, :]'; a slot of another group has an
+    empty row. Every value is an entry of the factors, raveled and
+    concatenated, at `take1` (`take2`) times `const1` (`const2`), so
+    `data` builds a mode's two data arrays with one `take` each.
+    """
+
+    def __init__(self, groups: list, members: list):
+        self.members = members        # the closed groups' places in groups
+        closed = [groups[j] for j in members]
+        self.lo = lo = min(int(g.off.min()) for g in closed)
+        self.hi = max(int(g.off.max()) + g.ns for g in closed)
+        stage1, stage2 = [], []
+        base = 0        # a group's place in the raveled factors, and in Y
+        for g in closed:
+            m = g.m
+            kl = np.empty((m, m), dtype=np.int64)     # svec slot of (k, l)
+            kl[g.ka, g.kb] = kl[g.kb, g.ka] = np.arange(g.ns)
+            b, i, l, k = np.indices((g.nb, m, m, m))
+            blk = base + b * (m * m)
+            stage1.append((blk + i * m + l, g.slot[b, kl[k, l]] - lo,
+                           blk + i * m + k, 1.0 / g.w[kl[k, l]]))
+            b, t, l = np.indices((g.nb, g.ns, m))
+            a, c = g.ka[t], g.kb[t]
+            row, blk, off = g.slot[b, t] - lo, base + b * (m * m), a != c
+            half = np.where(off, 0.5, 1.0) * g.w[t]
+            stage2.append((row, blk + c * m + l, blk + a * m + l, half))
+            stage2.append((row[off], (blk + a * m + l)[off],
+                           (blk + c * m + l)[off], half[off]))
+            base += g.nb * m * m
+        self.ny = base
+        self.y = np.empty(base)     # stage 1's output for one vector
+        self.ptr1, self.idx1, self.take1, self.const1 = _csr_pattern(stage1,
+                                                                     base)
+        self.ptr2, self.idx2, self.take2, self.const2 = _csr_pattern(
+            stage2, self.hi - lo)
+
+    def data(self, factors: list) -> tuple:
+        """The two maps' data arrays for the closed groups' factors X,
+        (nb, m, m) each, in the order of `members`."""
+        flat = np.concatenate([X.ravel() for X in factors])
+        d1 = flat.take(self.take1)
+        d1 *= self.const1
+        d2 = flat.take(self.take2)
+        d2 *= self.const2
+        return d1, d2
+
+    def apply(self, data: tuple, vec: np.ndarray, out: np.ndarray):
+        """out[..., lo:hi] := the closed groups' svec(sym(X mat(v) X')) for
+        an s-space vector v (dim,) or each row v of a stack (k, dim), zero
+        at the other groups' slots. A vector's products go through `y`,
+        allocated once, into out: fresh buffers on every call let the
+        process's heap grow pass after pass."""
+        lo, hi = self.lo, self.hi
+        if vec.ndim == 1:
+            x, y, z = vec[lo:hi], self.y, out[lo:hi]
+        else:
+            x = np.ascontiguousarray(vec[:, lo:hi].T)
+            y = np.empty((self.ny, vec.shape[0]))
+            z = np.empty((hi - lo, vec.shape[0]))
+        _csr_product((self.ny, hi - lo), self.ptr1, self.idx1, data[0], x, y)
+        _csr_product((hi - lo, self.ny), self.ptr2, self.idx2, data[1], y, z)
+        if vec.ndim > 1:
+            out[:, lo:hi] = z.T
+
+
+def _csr_pattern(parts: list, n_rows: int) -> tuple:
+    """(indptr, indices, take, const) of the CSR pattern with the entries
+    (row, column, take, const) listed in `parts`, each row's entries in
+    the order listed."""
+    row, col, take, const = (np.concatenate([np.ravel(p[j]) for p in parts])
+                             for j in range(4))
+    order = np.argsort(row, kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=np.intc)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+    return (indptr, col[order].astype(np.intc), take[order].astype(np.intp),
+            const[order])
+
+
+def _csr_product(shape, indptr, indices, data, x, y):
+    """y := M @ x for the CSR matrix M = (data, indices, indptr) of `shape`,
+    for vectors x and y or C-ordered stacks of columns (n, k) and
+    (rows, k): scipy's csr_matvec or csr_matvecs kernel, the one `@`
+    reaches, so the bits are the same; M's `@` when that private kernel is
+    missing."""
+    if _sparsetools is None:
+        y[...] = sp.csr_matrix((data, indices, indptr), shape=shape) @ x
+        return
+    y.fill(0.0)     # the kernels add to y
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(*shape, indptr, indices, data, x, y)
+    else:
+        _sparsetools.csr_matvecs(*shape, x.shape[1], indptr, indices, data,
+                                 x, y)
+
+
 def _matvec(M):
     """x -> M @ x for a CSR or CSC matrix M, bound once.
 
@@ -443,19 +569,25 @@ _MODES = {
 class _Scaling:
     """NT scaling state for one iteration."""
 
-    def __init__(self, wn, lam_n, group_data):
+    def __init__(self, wn, lam_n, group_data, closed_map=None):
         self.wn = wn                  # nonneg scaling sqrt(s/z)
         self.lam_n = lam_n
         self.groups = group_data      # per group: a _GroupScaling
+        self.closed_map = closed_map  # the cone's `_ClosedMap`, or None
         self._modes = {}
 
     def mode(self, name):
-        """(nonnegative factor, per-group factors (L, R)) of an `_apply_w`
-        mode, built on its first use."""
+        """(nonnegative factor, congruence factors) of an `_apply_w` mode,
+        built on its first use. The congruence factors are each group's
+        (L, R) and the data of the closed map (`_ClosedMap.data`) for the
+        closed groups' L, or None."""
         if name not in self._modes:
             power, factors = _MODES[name]
-            self._modes[name] = (self.wn ** power,
-                                 [factors(gd) for gd in self.groups])
+            pairs = [factors(gd) for gd in self.groups]
+            cmap = self.closed_map
+            data = None if cmap is None else cmap.data(
+                [pairs[j][0] for j in cmap.members])
+            self._modes[name] = (self.wn ** power, (pairs, data))
         return self._modes[name]
 
 
@@ -479,17 +611,18 @@ def _nt_scaling(groups, s, z, l_nn):
         R = Ls @ Q * (d[..., None, :] ** -0.25)
         Rinv = (d[..., :, None] ** 0.25) * Q.swapaxes(-1, -2) @ Linv
         gdata.append(_GroupScaling(R=R, Rinv=Rinv, lam=np.sqrt(d)))
-    return _Scaling(wn, lam_n, gdata)
+    return _Scaling(wn, lam_n, gdata, groups.closed_map)
 
 
 # groups of at least this many blocks of order m <= 3 take the closed-form
-# kernels (`_cholesky`, `_min_eig`). Their numpy calls cost a fixed time
-# per call, about 80 us for the 3 x 3 smallest eigenvalue, where LAPACK
-# pays per matrix. One iteration's NT scaling and two step lengths of one
-# group break even at about 25 blocks of order 2 and 55 of order 3, and
-# take half of LAPACK's time at 304 (2 cores, numpy 2.4, one BLAS thread).
-# At least 2, so that no single-block cone, as in every full moment
-# lifting, changes its bits.
+# kernels (`_cholesky`, `_min_eig`) and apply W through the cone's two
+# sparse maps (`_ClosedMap`). Their numpy calls cost a fixed time per call,
+# about 80 us for the 3 x 3 smallest eigenvalue, where LAPACK pays per
+# matrix. One iteration's NT scaling and two step lengths of one group
+# break even at about 25 blocks of order 2 and 55 of order 3, and take half
+# of LAPACK's time at 304 (2 cores, numpy 2.4, one BLAS thread). At least
+# 2, so that no single-block cone, as in every full moment lifting, changes
+# its bits.
 _CLOSED_FORM_BLOCKS = 64
 # the smallest normal float64: a zero matrix's scale and a zero row's
 # length stay nonzero
@@ -630,10 +763,16 @@ def _pair_entries(P, idx, kww):
 
 
 def _congruence(groups, factors, vec, out):
-    """out's PSD slots := svec(sym(L mat(v) R)) per group, with (L, R) from
-    `factors`, for an s-space vector v or each row v of a stack (k, dim);
-    returns out."""
-    for g, (L, R) in zip(groups, factors):
+    """out's PSD slots := svec(sym(L mat(v) R)) per group, with the factors
+    of a `_Scaling.mode`, for an s-space vector v or each row v of a stack
+    (k, dim); returns out. The closed groups go first, all through their
+    two sparse maps (`_ClosedMap`), then each other group."""
+    pairs, data = factors
+    if data is not None:
+        groups.closed_map.apply(data, vec, out)
+    for g, (L, R) in zip(groups, pairs):
+        if g.closed:
+            continue
         v = g.sym_svec(L @ g.mats(vec) @ R)
         if out.ndim == 1:
             out[g.slot] = v     # one index array: numpy's fast path
@@ -1340,7 +1479,8 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None) -> C
             stop = "diverging"  # the best iterate is returned below
             break
 
-        kkt = None  # frees the last factor before the next is built
+        # frees the last factor and scaling before the next are built
+        kkt = scaling = None
         try:
             scaling = _nt_scaling(groups, s, z, l_nn)
             kkt = factor_kkt(scaling)

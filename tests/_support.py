@@ -226,23 +226,32 @@ def quad_values(q, P):
     return np.einsum("ni,ij,nj->n", P, q.A, P) + 2.0 * P @ q.b + q.c
 
 
+def grid_values(q, x, y):
+    """The two-variable q at every grid point (x_i, y_j), (len(x), len(y)),
+    for a column x (k, 1) and a row y (l,): q's terms in x alone and in y
+    alone broadcast across the cross term, three operations per point."""
+    A, (b0, b1) = q.A, q.b
+    return ((A[0, 0] * x + 2.0 * b0) * x + q.c
+            + ((A[1, 1] * y + 2.0 * b1) * y + (2.0 * A[0, 1] * x) * y))
+
+
 def grid_minimum_2d(p, step=1e-3, chunk=200):
-    """Brute-force objective minimum over the feasible grid points."""
+    """Brute-force objective minimum over the feasible grid points, chunk
+    grid columns of x at a time."""
     xs = np.arange(p.lb[0], p.ub[0] + 0.5 * step, step)
     ys = np.arange(p.lb[1], p.ub[1] + 0.5 * step, step)
     best, arg = np.inf, None
     for k in range(0, xs.size, chunk):
-        X, Y = np.meshgrid(xs[k:k + chunk], ys, indexing="ij")
-        P = np.column_stack([X.ravel(), Y.ravel()])
-        ok = np.ones(P.shape[0], dtype=bool)
+        x = xs[k:k + chunk, None]
+        ok = np.ones((x.size, ys.size), dtype=bool)
         for q in p.inequalities:
-            ok &= quad_values(q, P) <= 1e-9
+            ok &= grid_values(q, x, ys) <= 1e-9
         if not ok.any():
             continue
-        vals = quad_values(p.objective, P[ok])
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best, arg = float(vals[j]), P[ok][j]
+        vals = np.where(ok, grid_values(p.objective, x, ys), np.inf)
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        if vals[i, j] < best:
+            best, arg = float(vals[i, j]), np.array([xs[k + i], ys[j]])
     return best, arg
 
 

@@ -432,21 +432,44 @@ def test_from_entries_slots_follow_svec_index():
             assert (blk.var[t], blk.coef[t], blk.const[t]) == (v, cf, ct)
 
 
-@pytest.mark.parametrize("mode, e", [
-    ("w", 1), ("wt", 1), ("wit", -1), ("ww", 2), ("winv2", -2)])
-def test_apply_w_matches_per_block_reference(mode, e):
+_W_MODES = [("w", 1), ("wt", 1), ("wit", -1), ("ww", 2), ("winv2", -2)]
+
+
+def _closed_cone():
+    """Three nonnegative rows, then `_CLOSED_FORM_BLOCKS` blocks of each
+    order 1, 2 and 3, interleaved, with two of order 4 among them: three
+    closed groups whose slots span the LAPACK group's."""
+    sizes = [1, 2, 3] * _CLOSED_FORM_BLOCKS
+    sizes[5:5] = sizes[100:100] = [4]
+    return Cone(3, Gn=np.eye(3), hn=np.ones(3), blocks=[
+        PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)}) for m in sizes])
+
+
+@pytest.mark.parametrize("mode, e, closed", [
+    pytest.param(mode, e, closed,
+                 id=("closed-" if closed else "") + f"{mode}-{e}")
+    for closed in (False, True) for mode, e in _W_MODES])
+def test_apply_w_matches_per_block_reference(mode, e, closed):
     # two blocks of each size 1 to 4 behind three nonnegative rows: each
     # mode gives, bit for bit, svec(sym(L smat(v) R)) block by block with
-    # the factors (L, R) its docstring names
-    cone = Cone(3, Gn=np.eye(3), hn=np.ones(3), blocks=[
-        PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)})
-        for m in (3, 1, 4, 2, 1, 3, 2, 4)])
+    # the factors (L, R) its docstring names. On the closed cone the
+    # closed groups' sparse maps sum in another order than LAPACK's
+    # matmuls: each of their blocks is within 4 eps ||L|| ||R|| ||v||,
+    # while the nonnegative rows and the order-4 blocks keep the bits
+    cone = _closed_cone() if closed else Cone(
+        3, Gn=np.eye(3), hn=np.ones(3), blocks=[
+            PsdBlock.from_entries(m, {(0, 0): (0, 1.0, 1.0)})
+            for m in (3, 1, 4, 2, 1, 3, 2, 4)])
     groups, h = cone.groups, cone.h
-    assert [g.nb for g in groups] == [2, 2, 2, 2]
+    nb = _CLOSED_FORM_BLOCKS if closed else 2
+    assert [(g.nb, g.closed) for g in groups] == \
+        [(nb, closed)] * 3 + [(2, False)]
     scaling = _random_interior_scaling(cone, seed=4)
     vec = np.random.default_rng(6).normal(size=h.size)
+    got = _apply_w(scaling, groups, 3, vec, mode)
     ref = vec.copy()
     ref[:3] = vec[:3] * scaling.wn ** e
+    eps = np.finfo(float).eps
     for g, gd in zip(groups, scaling.groups):
         for k in range(g.nb):
             R, Rinv = gd["R"][k], gd["Rinv"][k]
@@ -454,9 +477,61 @@ def test_apply_w_matches_per_block_reference(mode, e):
                            "wit": (Rinv, Rinv.T),
                            "ww": (gd["WW"][k], gd["WW"][k]),
                            "winv2": (gd["Winv"][k], gd["Winv"][k])}[mode]
-            res = left @ smat(vec[g.slot[k]], g.m) @ right
+            v = vec[g.slot[k]]
+            res = left @ smat(v, g.m) @ right
             ref[g.slot[k]] = svec(0.5 * (res + res.T))
-    assert np.array_equal(_apply_w(scaling, groups, 3, vec, mode), ref)
+            if g.closed:
+                assert np.max(np.abs(got[g.slot[k]] - ref[g.slot[k]])) <= \
+                    4 * eps * (np.linalg.norm(left) * np.linalg.norm(right)
+                               * np.linalg.norm(v))
+                got[g.slot[k]] = ref[g.slot[k]]
+    assert np.array_equal(got, ref)
+
+
+def test_closed_groups_share_one_map_pair(monkeypatch):
+    # the three closed groups of a cone take two kernel calls per
+    # congruence, one per stage: csr_matvec for a vector and csr_matvecs
+    # for a stack, and only the LAPACK group symmetrizes its products.
+    # Without scipy's private kernels the stages go through csr_matrix's
+    # `@`, which reaches the same kernels: the same bits
+    import qcqpen.solver as solver
+    from scipy.sparse import _sparsetools
+    cone = _closed_cone()
+    groups = cone.groups
+    scaling = _random_interior_scaling(cone, seed=5)
+    rng = np.random.default_rng(6)
+    vec, V = rng.normal(size=cone.h.size), rng.normal(size=(4, cone.h.size))
+    calls, symmetrized = [], set()
+    sym_svec = _BlockGroup.sym_svec
+
+    def recorded(g, M):
+        symmetrized.add(g.m)
+        return sym_svec(g, M)
+    monkeypatch.setattr(_BlockGroup, "sym_svec", recorded)
+
+    class Counted:
+        def __getattr__(self, name):
+            kernel = getattr(_sparsetools, name)
+
+            def counted(*args):
+                calls.append(name)
+                return kernel(*args)
+            return counted
+
+    def run():
+        out = []
+        for mode, _ in _W_MODES:
+            out.append(_apply_w(scaling, groups, 3, vec, mode))
+            out.append(_congruence(groups, scaling.mode(mode)[1], V,
+                                   np.zeros_like(V)))
+        return [a.tobytes() for a in out]
+    monkeypatch.setattr(solver, "_sparsetools", Counted())
+    want = run()
+    assert len(groups.closed_map.members) == 3
+    assert calls == (["csr_matvec"] * 2 + ["csr_matvecs"] * 2) * 5
+    assert symmetrized == {4}
+    monkeypatch.setattr(solver, "_sparsetools", None)
+    assert run() == want
 
 
 def test_jordan_solve_matches_per_block_reference():
@@ -1360,12 +1435,14 @@ def test_full_path_solve_matches_dense_elimination():
         assert np.linalg.norm(g - want) <= 1e-9 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("case", ["full", "shared"])
+@pytest.mark.parametrize("case", ["full", "shared", "closed"])
 def test_congruence_of_a_stack_matches_each_row(case):
     # the stacked congruence the dual path runs over C's rows gives each
-    # row the bits of the single-vector kernel; zero stays on the
-    # nonnegative slots of the output
-    cone = _dense_kkt_program(case).cone
+    # row the bits of the single-vector kernel, also through the closed
+    # groups' sparse maps; zero stays on the nonnegative slots of the
+    # output
+    cone = (_closed_cone() if case == "closed" else
+            _dense_kkt_program(case).cone)
     scaling = _random_interior_scaling(cone, 3)
     V = np.random.default_rng(4).normal(size=(5, cone.h.size))
     for mode in ("ww", "w", "winv2"):
