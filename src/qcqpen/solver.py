@@ -454,7 +454,9 @@ class _ClosedMap:
                            (blk + c * m + l)[off], half[off]))
             base += g.nb * m * m
         self.ny = base
-        self.y = np.empty(base)     # stage 1's output for one vector
+        # stage 1's output for one vector, reused by every application (so
+        # two threads may not apply one cone's map at once)
+        self.y = np.empty(base)
         self.ptr1, self.idx1, self.take1, self.const1 = _csr_pattern(stage1,
                                                                      base)
         self.ptr2, self.idx2, self.take2, self.const2 = _csr_pattern(
