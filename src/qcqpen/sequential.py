@@ -21,6 +21,14 @@ at its first loose round, which already decides it. The largest candidate
 is evaluated only when the bisection ends on it, and tuning fails when it
 is loose there.
 
+The rounds of the final run differ only in the anchor term of their
+objective, so only round 1 starts cold: every later round starts from
+round 1's restart (`ConicSolution.restart`), an interior, well-centered
+iterate of its solve. A warm solve that does not end optimal is solved
+again cold, and that solve is the round's. The eta search's candidates
+start cold: its verdicts sit at float64's accuracy edge, where a warm
+start moves them.
+
 The reported point x_final is the last round's point. Tightness tests the
 trace residual alone, so an inaccurate solve can leave that point slightly
 infeasible; when its violation exceeds tight_tol, regularity's minimum-norm
@@ -30,6 +38,7 @@ linearization steps (`estimate_distance`) move it onto the feasible set.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -42,6 +51,8 @@ from .regularity import estimate_distance
 from .solver import SolverSettings, solve_conic
 
 _OK_STATUSES = ("optimal", "near_optimal")
+
+_log = logging.getLogger("qcqpen.sequential")
 
 
 class SolveError(RuntimeError):
@@ -84,6 +95,9 @@ class RoundRecord:
     iterations: int = 0
     stop_reason: str = ""
     fallback: bool = False
+    # "cold", "warm" (from round 1's restart) or "retried" (warm, then
+    # solved again cold)
+    start: str = "cold"
 
 
 @dataclass
@@ -170,12 +184,13 @@ def _round_solver_settings(cfg, eta):
 
 
 def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
-                stop_loose=False):
+                stop_loose=False, warm=False):
     """Core loop; returns (rounds, i_feas, i_stop, x, status).
 
     relaxation, from `lift(p, cfg.relaxation, penalized=True)`, serves every
     round. With stop_loose (eta tuning) the loop ends after its first loose
-    round, with status "loose".
+    round, with status "loose". With warm (the final run) every round after
+    the first starts from round 1's restart (`_solve_round`).
     """
     rounds = []
     i_feas = None
@@ -185,12 +200,16 @@ def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
     status = "max_rounds"
     x = xhat
     solver_settings = _round_solver_settings(cfg, eta)
+    restart = None
     for i in range(1, max_rounds + 1):
         t0 = time.perf_counter()
         prog, emap = build_penalized(relaxation, x, eta=eta)
-        sol = solve_conic(prog, solver_settings)
+        sol, start = _solve_round(prog, solver_settings, restart, i)
+        if warm and i == 1:
+            restart = sol.restart
         dt = time.perf_counter() - t0
-        how = (sol.status, sol.iterations, sol.stop_reason, sol.fallback)
+        how = (sol.status, sol.iterations, sol.stop_reason, sol.fallback,
+               start)
         if sol.status not in _OK_STATUSES:
             rounds.append(RoundRecord(i, float("nan"), float("nan"),
                                       float("nan"), dt, *how))
@@ -217,6 +236,20 @@ def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
             status = "loose"
             break
     return rounds, i_feas, i_stop, x, status
+
+
+def _solve_round(prog, settings, restart, i):
+    """(sol, start) of round i's solve: cold without a restart, otherwise
+    warm from it, and cold again when the warm solve does not end
+    optimal."""
+    if restart is None:
+        return solve_conic(prog, settings), "cold"
+    sol = solve_conic(prog, settings, start=restart)
+    if sol.status == "optimal":
+        return sol, "warm"
+    _log.debug("round %d: warm solve ended %s (%s), solved again cold", i,
+               sol.status, sol.stop_reason)
+    return solve_conic(prog, settings), "retried"
 
 
 def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
@@ -282,7 +315,7 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
         if eta <= 0:
             raise ValueError("eta must be positive")
     rounds, i_feas, i_stop, x, status = _run_rounds(
-        p, cfg, x0, eta, relaxation, cfg.max_rounds, cfg.stop_rel)
+        p, cfg, x0, eta, relaxation, cfg.max_rounds, cfg.stop_rel, warm=True)
     violation_before = violation_after = p.violation(x)
     restore_distance = 0.0
     if violation_before > cfg.tight_tol:

@@ -119,21 +119,24 @@ def test_tracer_spans_each_round(monkeypatch):
 
 def _solve_hashes(name):
     """(solves, cones, paths, closed-form groups, fixed variables,
-    orderings, statuses, fallback solves) of one seed-1 pass of workload
-    `name` through tools/solve_hashes.py."""
+    orderings, statuses, fallback solves, warm solves, retried rounds) of
+    one seed-1 pass of workload `name` through tools/solve_hashes.py."""
     (count, cones, paths, closed, fixed, orderings, iterations, statuses,
-     fallback, digest) = tools_module("solve_hashes").workload_hash(name, 1)
+     fallback, warm, retried,
+     digest) = tools_module("solve_hashes").workload_hash(name, 1)
     assert iterations > 0 and len(digest) == 64
-    return count, cones, paths, closed, fixed, orderings, statuses, fallback
+    return (count, cones, paths, closed, fixed, orderings, statuses, fallback,
+            warm, retried)
 
 
 def test_solve_hashes_dense_full():
     # 8 solves over 2 cones, both on the dual path, every solve optimal
     # and none on a fallback iterate; each cone is one moment block, so no
     # group takes the closed forms, and no cone on the sparse path
-    # condenses a fixed variable or orders its pattern
+    # condenses a fixed variable or orders its pattern. Each operation's
+    # final run of two rounds starts round 2 warm, which ends optimal
     assert _solve_hashes("dense_full") == (8, 2, "dual:2", "none", 0, 0,
-                                           "optimal:8", 0)
+                                           "optimal:8", 0, 4, 0)
 
 
 def test_solve_hashes_sysid():
@@ -141,17 +144,20 @@ def test_solve_hashes_sysid():
     # ("sparse+kept" otherwise), every solve optimal and none on a fallback
     # iterate; the r = 2 lifting's 92 blocks of order 2 and 304 of order 3
     # take the closed forms, and each cone condenses its 64 observed
-    # states and orders its pattern once
+    # states and orders its pattern once. Rounds 2-5 of each operation's
+    # five start warm and end optimal
     assert _solve_hashes("sysid") == (10, 2, "sparse:2", "2:92,3:304", 128,
-                                      2, "optimal:10", 0)
+                                      2, "optimal:10", 0, 8, 0)
 
 
 def test_solve_hashes_small():
-    # 142 solves over 8 cones, all full moment liftings on the full path
+    # 143 solves over 8 cones, all full moment liftings on the full path
     # with one block each, so no closed forms, no fixed variable condensed
-    # and no pattern ordered. The 11 near_optimal solves end on the solver's
+    # and no pattern ordered. The 12 near_optimal solves end on the solver's
     # best-iterate branch, 7 of them on an earlier iterate; the 5 unbounded
-    # ones are tuning probes
+    # ones are tuning probes. 27 rounds start warm, the poly operations'
+    # rounds 2-10; one of them ends near_optimal and is solved again cold,
+    # which adds a solve and a near_optimal status
     assert _solve_hashes("small") == (
-        142, 8, "full:8", "none", 0, 0,
-        "near_optimal:11,optimal:126,unbounded:5", 7)
+        143, 8, "full:8", "none", 0, 0,
+        "near_optimal:12,optimal:126,unbounded:5", 7, 27, 1)

@@ -1,3 +1,4 @@
+import logging
 import math
 import types
 from dataclasses import fields, replace
@@ -358,8 +359,8 @@ def test_rounds_record_how_their_solve_ended(monkeypatch):
     from _support import BOX_QP
     solutions = []
 
-    def recorded(prog, settings=None):
-        solutions.append(solve_conic(prog, settings))
+    def recorded(prog, settings=None, start=None):
+        solutions.append(solve_conic(prog, settings, start=start))
         return solutions[-1]
     monkeypatch.setattr(sequential, "solve_conic", recorded)
     tr = run(parse_qplib(BOX_QP), SequentialConfig(eta=1.0, init="zero",
@@ -708,3 +709,95 @@ def test_one_structure_per_run_of_rounds(monkeypatch, path):
     sequential.run(p, replace(cfg, eta="auto", max_rounds=2))
     assert counts["_run_rounds"] >= 3
     assert counts == expected(1, counts["_run_rounds"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_later_rounds_start_warm_from_round_one(seed):
+    # run's rounds after the first start from round 1's restart; against
+    # the same rounds all solved cold, every round is optimal, the same
+    # rounds are tight and q0 agrees round by round (at most 5.9e-7
+    # relative measured on these seeds)
+    inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01,
+                                 seed=seed))
+    p = inst.problem
+    cfg = SequentialConfig(relaxation=RelaxationConfig(r=2), eta=40.0,
+                           init="zero", max_rounds=5, stop_rel=None)
+    tr = run(p, cfg)
+    cold, i_feas, _, _, _ = _run_rounds(
+        p, cfg, np.zeros(p.n), 40.0, lift(p, cfg.relaxation, penalized=True),
+        5, stop_rel=None)
+    assert [r.start for r in tr.rounds] == ["cold"] + ["warm"] * 4
+    assert {r.start for r in cold} == {"cold"}
+    assert all(r.solver_status == "optimal" for r in tr.rounds + cold)
+    assert tr.i_feas == i_feas
+    assert [r.residual < cfg.tight_tol for r in tr.rounds] == \
+        [r.residual < cfg.tight_tol for r in cold]
+    assert [r.q0 for r in tr.rounds] == pytest.approx([r.q0 for r in cold],
+                                                      rel=2e-6)
+    assert sum(r.iterations for r in tr.rounds) < \
+        sum(r.iterations for r in cold)
+
+
+def _round_fields(r):
+    """A round's record but for its clock and how its solve started."""
+    return [getattr(r, f.name) for f in fields(r)
+            if f.name not in ("time_s", "start")]
+
+
+def test_warm_solve_not_optimal_is_solved_again_cold(monkeypatch, caplog,
+                                                     capsys):
+    # a warm solve that ends below optimal is discarded: the round is the
+    # cold solve's, bit for bit, marked "retried"; the warm solve's status
+    # and stop reason go to the qcqpen.sequential logger at DEBUG
+    from qcqpen import parse_qplib
+    from _support import BOX_QP
+    p = parse_qplib(BOX_QP)
+    cfg = SequentialConfig(eta=1.0, init="zero", max_rounds=3,
+                           stop_rel=None)
+    solve, warm = sequential.solve_conic, []
+
+    def degraded(prog, settings=None, start=None):
+        sol = solve(prog, settings, start=start)
+        warm.append(start is not None)
+        return replace(sol, status="near_optimal") if warm[-1] else sol
+    monkeypatch.setattr(sequential, "solve_conic", degraded)
+    with caplog.at_level(logging.DEBUG, logger="qcqpen.sequential"):
+        tr = run(p, cfg)
+    assert [r.start for r in tr.rounds] == ["cold", "retried", "retried"]
+    assert warm == [False, True, False, True, False]
+    # the run equals the same rounds all solved cold, bit for bit
+    monkeypatch.setattr(sequential, "solve_conic", solve)
+    cold, *_, x, _ = _run_rounds(p, cfg, np.zeros(p.n), 1.0,
+                                 lift(p, cfg.relaxation, penalized=True), 3,
+                                 stop_rel=None)
+    assert [_round_fields(r) for r in tr.rounds] == \
+        [_round_fields(r) for r in cold]
+    assert tr.x_final.tobytes() == x.tobytes()
+    messages = [rec.getMessage() for rec in caplog.records
+                if rec.name == "qcqpen.sequential"]
+    assert len(messages) == 2
+    assert all("near_optimal (converged)" in m for m in messages)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_tuning_solves_start_cold(monkeypatch):
+    # tune_eta never passes a start; run(eta="auto") starts only its final
+    # rounds after the first warm
+    solve, starts = sequential.solve_conic, []
+
+    def spy(prog, settings=None, start=None):
+        starts.append(start is not None)
+        return solve(prog, settings, start=start)
+    monkeypatch.setattr(sequential, "solve_conic", spy)
+    p = _shifted_ball_problem()
+    cfg = SequentialConfig(init="zero", max_rounds=3, stop_rel=None,
+                           tune_rounds=2)
+    tune_eta(p, cfg, x0=np.zeros(2))
+    assert starts and not any(starts)
+    starts.clear()
+    tr = run(p, cfg)
+    assert len(tr.rounds) == 3
+    assert starts[-3:] == [False, True, True]
+    assert not any(starts[:-3])
+    assert [r["start"] for r in json.loads(trace_json(tr))["rounds"]] == \
+        ["cold", "warm", "warm"]

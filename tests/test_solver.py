@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from qcqpen import Cone, ConicProgram, SolverSettings, solve_conic
-from qcqpen.solver import (_CLOSED_FORM_BLOCKS, _REFINEMENT, PsdBlock,
+from qcqpen.solver import (_CLOSED_FORM_BLOCKS, _REFINEMENT,
+                           _RESTART_RESIDUAL, PsdBlock,
                            _BlockGroup, _DualKkt,
                            _FullKkt, _NormalMap, _Scaling, _SparseKkt,
                            _apply_w, _cholesky, _cone_margin, _congruence,
@@ -20,7 +21,8 @@ from qcqpen.solver import (_CLOSED_FORM_BLOCKS, _REFINEMENT, PsdBlock,
                            kkt_residuals, smat, svec, svec_index)
 from qcqpen import (QcqpProblem, QuadraticFunction, SysIdParams, gen_sysid,
                     build_relaxation)
-from qcqpen.lifting import RelaxationConfig, build_penalized, lift
+from qcqpen.lifting import (RelaxationConfig, build_penalized, extract,
+                            lift)
 from qcqpen.polyopt import parse_poly, reformulate
 from _support import (POLY_EXAMPLE, nan_direction_from, perfbench_module,
                       solve_logged)
@@ -1775,3 +1777,59 @@ def test_one_start_per_cone(objectives, path, monkeypatch):
             arr[0] = 1.0
         assert not any(np.shares_memory(arr, sol.u) or
                        np.shares_memory(arr, sol.s) for sol in shared)
+
+
+def _residuals(prog, u, y, z, s):
+    """(pres, dres) of an iterate, as solve_conic measures them."""
+    cone = prog.cone
+    Gx, GTx, Ax, ATx = cone.products
+    pres = max(_norm(Ax(u) - cone.b) / (1.0 + _norm(cone.b)),
+               _norm(Gx(u) + s - cone.h) / (1.0 + _norm(cone.h)))
+    dres = _norm(prog.c + ATx(y) + GTx(z)) / (1.0 + _norm(prog.c))
+    return pres, dres
+
+
+@pytest.mark.parametrize("objectives", [_sysid_objectives,
+                                        _full_path_objectives],
+                         ids=["sysid", "full"])
+def test_cold_solve_keeps_an_interior_restart(objectives):
+    # the restart is an iterate strictly inside both cones with both
+    # residuals at most _RESTART_RESIDUAL, and no later one: the first
+    # iterate that gets there
+    cone, cs = objectives()
+    prog = ConicProgram(cone, cs[0])
+    sol, rows = solve_logged(prog)
+    assert sol.status == "optimal"
+    u, y, z, s = sol.restart
+    assert _cone_margin(cone.groups, cone.n_nonneg, s) > 0
+    assert _cone_margin(cone.groups, cone.n_nonneg, z) > 0
+    pres, dres = _residuals(prog, u, y, z, s)
+    assert max(pres, dres) <= _RESTART_RESIDUAL
+    first = next(r for r in rows
+                 if max(r["pres"], r["dres"]) <= _RESTART_RESIDUAL)
+    assert (pres, dres) == pytest.approx((first["pres"], first["dres"]),
+                                         rel=1e-9)
+    # a mid-solve iterate, far from the optimum
+    assert 0 < first["iter"] < sol.iterations
+    assert float(s @ z) > 1e3 * sol.gap
+
+
+def test_warm_solve_from_a_sysid_restart():
+    # round 2 of a sysid run (anchor at round 1's point) started from
+    # round 1's restart ends optimal in fewer iterations than cold, at the
+    # same optimum; it keeps no restart and writes nothing into its start
+    inst = gen_sysid(SysIdParams(n=4, m=3, T=20, o=16, sigma=0.01, seed=0))
+    p = inst.problem
+    relaxation = lift(p, RelaxationConfig(r=2), penalized=True)
+    prog1, emap = build_penalized(relaxation, np.zeros(p.n), 40.0)
+    first = solve_conic(prog1)
+    assert first.status == "optimal" and first.restart is not None
+    prog2, _ = build_penalized(relaxation, extract(first, emap).x, 40.0)
+    before = [v.copy() for v in first.restart]
+    warm = solve_conic(prog2, start=first.restart)
+    cold = solve_conic(prog2)
+    assert all(np.array_equal(a, b) for a, b in zip(before, first.restart))
+    assert warm.status == cold.status == "optimal"
+    assert warm.iterations < cold.iterations
+    assert warm.restart is None and cold.restart is not None
+    assert warm.pcost == pytest.approx(cold.pcost, rel=1e-5)

@@ -27,7 +27,11 @@ iterations,
 the count of each status
 (`statuses=optimal:8`), the count of solves that returned an earlier,
 better iterate in place of the last one (`fallback=7`, from
-ConicSolution.fallback), and one sha256 over every solve's u, y, z and s
+ConicSolution.fallback), the count of solves given a start (`warm=8`:
+rounds after the first of a final run, which start from round 1's
+restart), the count of rounds whose warm solve did not end optimal and
+was solved again cold (`retried=1`, from RoundRecord.start), and one
+sha256 over every solve's u, y, z and s
 bytes, status, stop_reason and iterations, in call order. Compare the
 lines of two trees on one machine: the bits depend on the BLAS build,
 while iterations and statuses show whether a change that moves the bits
@@ -93,9 +97,12 @@ def workload_hash(name: str, seed: int) -> tuple:
     ',', their closed-form groups (`closed_label`), their fixed variables
     (`fixed_count`), SuperLU factorizations that computed an ordering,
     total iterations, statuses as 'status:count' joined by ',', fallback
-    solves, sha256 hex digest) of one pass of workload `name`."""
+    solves, solves given a start, retried rounds, sha256 hex digest) of
+    one pass of workload `name`."""
     digest = hashlib.sha256()
     ends = []       # (status, iterations, fallback) of each solve
+    warm = []       # whether each solve was given a start
+    retried = 0
     cones = {}      # id -> cone; holding each cone keeps its id unique
     specs = []      # permc_spec of each SuperLU factorization
     solve, splu = sequential.solve_conic, spla.splu
@@ -106,6 +113,7 @@ def workload_hash(name: str, seed: int) -> tuple:
 
     def hashed(prog, *args, **kwargs):
         cones[id(prog.cone)] = prog.cone
+        warm.append(kwargs.get("start") is not None)
         sol = solve(prog, *args, **kwargs)
         digest.update(solution_bytes(sol))
         ends.append((sol.status, sol.iterations, sol.fallback))
@@ -114,7 +122,8 @@ def workload_hash(name: str, seed: int) -> tuple:
     try:
         for op in workloads.make(name, seed):
             try:
-                sequential.run(op.problem, op.config, label=op.label)
+                trace = sequential.run(op.problem, op.config, label=op.label)
+                retried += sum(r.start == "retried" for r in trace.rounds)
             except (sequential.SolveError, sequential.EtaTuningError):
                 pass     # the solves before the error are hashed
     finally:
@@ -125,7 +134,8 @@ def workload_hash(name: str, seed: int) -> tuple:
             sum(spec != "NATURAL" for spec in specs),
             sum(it for _, it, _ in ends),
             _counts(st for st, _, _ in ends),
-            sum(fb for _, _, fb in ends), digest.hexdigest())
+            sum(fb for _, _, fb in ends), sum(warm), retried,
+            digest.hexdigest())
 
 
 def main(argv=None) -> int:
@@ -134,12 +144,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
         (count, cones, paths, closed, fixed, orderings, iters, statuses,
-         fallback, hexdigest) = workload_hash(name, args.seed)
+         fallback, warm, retried, hexdigest) = workload_hash(name, args.seed)
         print(f"{name} solves={count} cones={cones} paths={paths} "
               f"closed={closed} fixed={fixed} orderings={orderings} "
               f"iterations={iters} "
-              f"statuses={statuses} fallback={fallback} sha256={hexdigest}",
-              flush=True)
+              f"statuses={statuses} fallback={fallback} warm={warm} "
+              f"retried={retried} sha256={hexdigest}", flush=True)
     return 0
 
 
