@@ -22,12 +22,15 @@ is evaluated only when the bisection ends on it, and tuning fails when it
 is loose there.
 
 The rounds of the final run differ only in the anchor term of their
-objective, so only round 1 starts cold: every later round starts from
-round 1's restart (`ConicSolution.restart`), an interior, well-centered
-iterate of its solve. A warm solve that does not end optimal is solved
-again cold, and that solve is the round's. The eta search's candidates
-start cold: its verdicts sit at float64's accuracy edge, where a warm
-start moves them.
+objective, so with a given eta only round 1 starts cold: every later
+round starts from round 1's restart (`ConicSolution.restart`), an
+interior, well-centered iterate of its solve. A warm solve that does not
+end optimal is solved again cold, and that solve is the round's. With a
+tuned eta every solve starts cold, the eta search's and the final run's:
+the tuned eta is the smallest candidate whose rounds are tight, so their
+verdicts sit at float64's accuracy edge, where a warm start moves them.
+The final run's first tune_rounds rounds then repeat the rounds that
+judged the eta tight, bit for bit.
 
 The reported point x_final is the last round's point. Tightness tests the
 trace residual alone, so an inaccurate solve can leave that point slightly
@@ -96,8 +99,10 @@ class RoundRecord:
     stop_reason: str = ""
     fallback: bool = False
     # "cold", "warm" (from round 1's restart) or "retried" (warm, then
-    # solved again cold)
+    # solved again cold: the fields above are the cold solve's, but time_s
+    # covers both solves, and discarded_iterations counts the warm one's)
     start: str = "cold"
+    discarded_iterations: int = 0
 
 
 @dataclass
@@ -189,8 +194,9 @@ def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
 
     relaxation, from `lift(p, cfg.relaxation, penalized=True)`, serves every
     round. With stop_loose (eta tuning) the loop ends after its first loose
-    round, with status "loose". With warm (the final run) every round after
-    the first starts from round 1's restart (`_solve_round`).
+    round, with status "loose". With warm (the final run at a given eta)
+    every round after the first starts from round 1's restart
+    (`_solve_round`).
     """
     rounds = []
     i_feas = None
@@ -204,12 +210,13 @@ def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
     for i in range(1, max_rounds + 1):
         t0 = time.perf_counter()
         prog, emap = build_penalized(relaxation, x, eta=eta)
-        sol, start = _solve_round(prog, solver_settings, restart, i)
+        sol, start, discarded = _solve_round(prog, solver_settings, restart,
+                                             i)
         if warm and i == 1:
             restart = sol.restart
         dt = time.perf_counter() - t0
         how = (sol.status, sol.iterations, sol.stop_reason, sol.fallback,
-               start)
+               start, discarded)
         if sol.status not in _OK_STATUSES:
             rounds.append(RoundRecord(i, float("nan"), float("nan"),
                                       float("nan"), dt, *how))
@@ -239,17 +246,17 @@ def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
 
 
 def _solve_round(prog, settings, restart, i):
-    """(sol, start) of round i's solve: cold without a restart, otherwise
-    warm from it, and cold again when the warm solve does not end
-    optimal."""
+    """(sol, start, discarded iterations) of round i's solve: cold without
+    a restart, otherwise warm from it, and cold again when the warm solve
+    does not end optimal."""
     if restart is None:
-        return solve_conic(prog, settings), "cold"
+        return solve_conic(prog, settings), "cold", 0
     sol = solve_conic(prog, settings, start=restart)
     if sol.status == "optimal":
-        return sol, "warm"
+        return sol, "warm", 0
     _log.debug("round %d: warm solve ended %s (%s), solved again cold", i,
                sol.status, sol.stop_reason)
-    return solve_conic(prog, settings), "retried"
+    return solve_conic(prog, settings), "retried", sol.iterations
 
 
 def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
@@ -315,7 +322,8 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
         if eta <= 0:
             raise ValueError("eta must be positive")
     rounds, i_feas, i_stop, x, status = _run_rounds(
-        p, cfg, x0, eta, relaxation, cfg.max_rounds, cfg.stop_rel, warm=True)
+        p, cfg, x0, eta, relaxation, cfg.max_rounds, cfg.stop_rel,
+        warm=cfg.eta != "auto")
     violation_before = violation_after = p.violation(x)
     restore_distance = 0.0
     if violation_before > cfg.tight_tol:

@@ -741,7 +741,7 @@ def test_later_rounds_start_warm_from_round_one(seed):
 def _round_fields(r):
     """A round's record but for its clock and how its solve started."""
     return [getattr(r, f.name) for f in fields(r)
-            if f.name not in ("time_s", "start")]
+            if f.name not in ("time_s", "start", "discarded_iterations")]
 
 
 def test_warm_solve_not_optimal_is_solved_again_cold(monkeypatch, caplog,
@@ -754,17 +754,23 @@ def test_warm_solve_not_optimal_is_solved_again_cold(monkeypatch, caplog,
     p = parse_qplib(BOX_QP)
     cfg = SequentialConfig(eta=1.0, init="zero", max_rounds=3,
                            stop_rel=None)
-    solve, warm = sequential.solve_conic, []
+    solve, warm, warm_sols = sequential.solve_conic, [], []
 
     def degraded(prog, settings=None, start=None):
         sol = solve(prog, settings, start=start)
         warm.append(start is not None)
-        return replace(sol, status="near_optimal") if warm[-1] else sol
+        if not warm[-1]:
+            return sol
+        warm_sols.append(sol)
+        return replace(sol, status="near_optimal")
     monkeypatch.setattr(sequential, "solve_conic", degraded)
     with caplog.at_level(logging.DEBUG, logger="qcqpen.sequential"):
         tr = run(p, cfg)
     assert [r.start for r in tr.rounds] == ["cold", "retried", "retried"]
     assert warm == [False, True, False, True, False]
+    # each retried round counts its discarded warm solve's iterations
+    assert [r.discarded_iterations for r in tr.rounds] == \
+        [0] + [sol.iterations for sol in warm_sols]
     # the run equals the same rounds all solved cold, bit for bit
     monkeypatch.setattr(sequential, "solve_conic", solve)
     cold, *_, x, _ = _run_rounds(p, cfg, np.zeros(p.n), 1.0,
@@ -781,8 +787,8 @@ def test_warm_solve_not_optimal_is_solved_again_cold(monkeypatch, caplog,
 
 
 def test_tuning_solves_start_cold(monkeypatch):
-    # tune_eta never passes a start; run(eta="auto") starts only its final
-    # rounds after the first warm
+    # tune_eta never passes a start, and neither does the final run at a
+    # tuned eta; at a given eta the rounds after the first start warm
     solve, starts = sequential.solve_conic, []
 
     def spy(prog, settings=None, start=None):
@@ -797,7 +803,37 @@ def test_tuning_solves_start_cold(monkeypatch):
     starts.clear()
     tr = run(p, cfg)
     assert len(tr.rounds) == 3
-    assert starts[-3:] == [False, True, True]
-    assert not any(starts[:-3])
+    assert starts and not any(starts)
+    assert {r["start"] for r in json.loads(trace_json(tr))["rounds"]} == \
+        {"cold"}
+    starts.clear()
+    tr = run(p, replace(cfg, eta=tr.eta))
+    assert starts == [False, True, True]
     assert [r["start"] for r in json.loads(trace_json(tr))["rounds"]] == \
         ["cold", "warm", "warm"]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_tuned_run_repeats_its_cold_rounds(n):
+    # the benchmark's feas_n3 and feas_n5 at ten rounds: a tuned eta is the
+    # smallest whose rounds are tight, where a warm start moves the verdict
+    # (started from round 1's restart, feas_n5's round 5 went loose, and
+    # feas_n3's run ended at round 5 on a solve stopped at the iteration
+    # limit); the final run is the same rounds all solved cold, bit for
+    # bit, the tuner's first six among them
+    inst = perfbench_module("inputs").feasible_qcqp(1, 2, n)
+    p = inst.problem
+    cfg = SequentialConfig(eta="auto", max_rounds=10, stop_rel=None,
+                           init=inst.xstar,
+                           solver=SolverSettings(max_iterations=80))
+    tr = run(p, cfg)
+    cold, i_feas, _, x, _ = _run_rounds(
+        p, cfg, inst.xstar, tr.eta, lift(p, cfg.relaxation, penalized=True),
+        10, stop_rel=None)
+    assert len(tr.rounds) == 10
+    assert {r.start for r in tr.rounds} == {"cold"}
+    assert [_round_fields(r) for r in tr.rounds] == \
+        [_round_fields(r) for r in cold]
+    assert tr.i_feas == i_feas == 1
+    assert all(r.residual < cfg.tight_tol for r in tr.rounds[:6])
+    assert tr.x_final.tobytes() == x.tobytes()
