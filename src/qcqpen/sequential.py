@@ -29,8 +29,8 @@ end optimal is solved again cold, and that solve is the round's. With a
 tuned eta every solve starts cold, the eta search's and the final run's:
 the tuned eta is the smallest candidate whose rounds are tight, so their
 verdicts sit at float64's accuracy edge, where a warm start moves them.
-The final run's first tune_rounds rounds then repeat the rounds that
-judged the eta tight, bit for bit.
+The final run's first tune_rounds rounds are those that judged the eta
+tight: they reuse the tuner's solutions and solve nothing.
 
 The reported point x_final is the last round's point. Tightness tests the
 trace residual alone, so an inaccurate solve can leave that point slightly
@@ -98,9 +98,10 @@ class RoundRecord:
     iterations: int = 0
     stop_reason: str = ""
     fallback: bool = False
-    # "cold", "warm" (from round 1's restart) or "retried" (warm, then
+    # "cold", "warm" (from round 1's restart), "retried" (warm, then
     # solved again cold: the fields above are the cold solve's, but time_s
     # covers both solves, and discarded_iterations counts the warm one's)
+    # or "tuned" (the tuner's solve of the round, reused: time_s has none)
     start: str = "cold"
     discarded_iterations: int = 0
 
@@ -189,14 +190,15 @@ def _round_solver_settings(cfg, eta):
 
 
 def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
-                stop_loose=False, warm=False):
+                stop_loose=False, warm=False, solved=None):
     """Core loop; returns (rounds, i_feas, i_stop, x, status).
 
     relaxation, from `lift(p, cfg.relaxation, penalized=True)`, serves every
     round. With stop_loose (eta tuning) the loop ends after its first loose
     round, with status "loose". With warm (the final run at a given eta)
     every round after the first starts from round 1's restart
-    (`_solve_round`).
+    (`_solve_round`). A round listed in `solved` (the same cold rounds,
+    solved before) reuses that solution; each round solved is appended.
     """
     rounds = []
     i_feas = None
@@ -210,8 +212,13 @@ def _run_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
     for i in range(1, max_rounds + 1):
         t0 = time.perf_counter()
         prog, emap = build_penalized(relaxation, x, eta=eta)
-        sol, start, discarded = _solve_round(prog, solver_settings, restart,
-                                             i)
+        if solved is not None and i <= len(solved):
+            sol, start, discarded = solved[i - 1], "tuned", 0
+        else:
+            sol, start, discarded = _solve_round(prog, solver_settings,
+                                                 restart, i)
+            if solved is not None:
+                solved.append(sol)
         if warm and i == 1:
             restart = sol.restart
         dt = time.perf_counter() - t0
@@ -260,7 +267,7 @@ def _solve_round(prog, settings, restart, i):
 
 
 def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
-             relaxation=None) -> float:
+             relaxation=None, _solved=None) -> float:
     """Smallest grid eta whose first `tune_rounds` rounds are all tight.
 
     Bisects the sorted grid, assuming tightness is monotone in eta. Every
@@ -271,6 +278,7 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
     rounds after it cannot make the candidate tight; all share one lift
     (`relaxation` when given). The largest candidate is evaluated only when
     the bisection ends on it; raises EtaTuningError when it is loose there.
+    `_solved`, a list, receives the returned candidate's solutions.
     """
     grid = eta_grid()
     if relaxation is None:
@@ -281,11 +289,14 @@ def tune_eta(p: QcqpProblem, cfg: SequentialConfig, x0=None,
 
     def tight_at(idx: int) -> bool:
         if idx not in memo:
+            solved = []
             rounds = _run_rounds(p, cfg, x0, grid[idx], relaxation,
                                  cfg.tune_rounds, stop_rel=None,
-                                 stop_loose=True)[0]
+                                 stop_loose=True, solved=solved)[0]
             memo[idx] = (len(rounds) == cfg.tune_rounds
                          and all(r.residual < cfg.tight_tol for r in rounds))
+            if memo[idx] and _solved is not None:
+                _solved[:] = solved
         return memo[idx]
 
     lo, hi = 0, len(grid) - 1
@@ -313,9 +324,10 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
     x0 = resolve_initial_point(p, cfg, relaxation)
     init_s = time.perf_counter() - t0
     tune_s = 0.0
+    tuned = [] if cfg.eta == "auto" else None   # the tuned rounds' solves
     if cfg.eta == "auto":
         t0 = time.perf_counter()
-        eta = tune_eta(p, cfg, x0=x0, relaxation=relaxation)
+        eta = tune_eta(p, cfg, x0=x0, relaxation=relaxation, _solved=tuned)
         tune_s = time.perf_counter() - t0
     else:
         eta = float(cfg.eta)
@@ -323,7 +335,7 @@ def run(p: QcqpProblem, cfg: SequentialConfig | None = None,
             raise ValueError("eta must be positive")
     rounds, i_feas, i_stop, x, status = _run_rounds(
         p, cfg, x0, eta, relaxation, cfg.max_rounds, cfg.stop_rel,
-        warm=cfg.eta != "auto")
+        warm=cfg.eta != "auto", solved=tuned)
     violation_before = violation_after = p.violation(x)
     restore_distance = 0.0
     if violation_before > cfg.tight_tol:

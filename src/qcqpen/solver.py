@@ -85,9 +85,12 @@ X_b')), each one scipy CSR product over every closed block (or a stack of
 vectors), with data gathered once per mode by one `take` of the factors.
 They agree with the matrix products to a few eps times ||X||^2 ||v||.
 Every other group takes LAPACK, with one eigvalsh per group for both scaled
-directions of a step length and batched matrix products for W; those
-groups keep smat's and svec's arithmetic, so their iterates match theirs
-bit for bit. eigh stays on LAPACK for every group.
+directions of a step length and batched matrix products over its
+(nb, m, m) stack for W; those groups keep smat's and svec's arithmetic, so
+their iterates match theirs bit for bit, in fewer numpy calls, whose fixed
+cost outweighs a small block's arithmetic: in-place work on what one
+gather took, exact power-of-two scalings folded into the weights, and one
+-1/emin per step length. eigh stays on LAPACK for every group.
 
 A cold solve starts from the identity scaling. Its half that does not
 depend on c, the factor there and the initial u and s, is built once per
@@ -360,6 +363,8 @@ class _BlockGroup:
         self.low = (batch * (size * size) + low).ravel()
         self.up = (batch * (size * size) + up).ravel()
         self.wflat = np.tile(w, self.nb)
+        self.hw = 0.5 * self.wflat      # halving is exact
+        self.shape = (self.nb, size, size)
         # flat places of each slot's row and column in the (nb, m) array of
         # the blocks' eigenvalues
         self.la = (batch * size + self.ka).ravel()
@@ -397,7 +402,7 @@ class _BlockGroup:
         of their slots. Divided by the weight, as smat does; a product with
         1/w differs."""
         return (vec.take(self.full, axis=-1) / self.fw).reshape(
-            vec.shape[:-1] + (self.nb, self.m, self.m))
+            vec.shape[:-1] + self.shape)
 
     def svec(self, M: np.ndarray) -> np.ndarray:
         """(nb, ns) svec of each matrix of M, from its lower triangle."""
@@ -405,13 +410,13 @@ class _BlockGroup:
 
     def sym_svec(self, M: np.ndarray) -> np.ndarray:
         """(..., nb, ns) svec(0.5 (M + M')) of each matrix of the
-        (..., nb, m, m) stack M, without forming the symmetric matrix."""
+        (..., nb, m, m) stack M, without forming the symmetric matrix;
+        0.5 w gives the bits of halving, then scaling by w."""
         lead = M.shape[:-3]
         M = M.reshape(lead + (-1,))
         v = M.take(self.low, axis=-1)
         v += M.take(self.up, axis=-1)
-        v *= 0.5
-        v *= self.wflat
+        v *= self.hw
         return v.reshape(lead + (self.nb, self.ns))
 
 
@@ -556,14 +561,17 @@ def _matvec(M):
 
 class _GroupScaling(dict):
     """One group's NT scaling: R, Rinv and lam, with the products
-    Winv = (R R')^{-1} = Rinv' Rinv and WW = R R' formed on first read.
-    The full KKT path never reads Winv."""
+    Winv = (R R')^{-1} = Rinv' Rinv and WW = R R', and the step length's
+    scale = lam^{-1/2}, formed on first read. The full KKT path never reads
+    Winv."""
 
     def __missing__(self, key):
         if key == "Winv":
             value = self["Rinv"].swapaxes(-1, -2) @ self["Rinv"]
         elif key == "WW":
             value = self["R"] @ self["R"].swapaxes(-1, -2)
+        elif key == "scale":
+            value = 1.0 / np.sqrt(self["lam"])
         else:
             raise KeyError(key)
         self[key] = value
@@ -621,7 +629,7 @@ def _nt_scaling(groups, s, z, l_nn):
         M = Ls.swapaxes(-1, -2) @ g.mats(z) @ Ls
         M = 0.5 * (M + M.swapaxes(-1, -2))
         d, Q = np.linalg.eigh(M)
-        if not np.all(d > 0):     # a NaN eigenvalue fails too
+        if not d.min() > 0:     # a NaN eigenvalue fails too
             raise np.linalg.LinAlgError("scaling eigenvalues not positive")
         R = Ls @ Q * (d[..., None, :] ** -0.25)
         Rinv = (d[..., :, None] ** 0.25) * Q.swapaxes(-1, -2) @ Linv
@@ -680,17 +688,17 @@ def _cholesky(g: _BlockGroup, s: np.ndarray) -> tuple:
 
 
 def _min_eig(g: _BlockGroup, vecs: np.ndarray, scale=None) -> np.ndarray:
-    """(k, nb) smallest eigenvalue of each block's matrix of the s-space
-    vectors vecs (k, dim), or of D mat D with D = diag(scale) for an
-    (nb, m) scale. A `closed` group reads the lower triangles straight from
-    the slots into closed forms, raising LinAlgError on a non-finite entry;
-    the others take one LAPACK eigvalsh of the symmetrized matrices."""
+    """Eigenvalues of each block's matrix of the s-space vectors vecs (k,
+    dim), or of D mat D with D = diag(scale) for an (nb, m) scale: a
+    `closed` group's (k, nb) smallest, from closed forms over the slots'
+    lower triangles (LinAlgError on a non-finite entry), the others' (k,
+    nb, m) from one LAPACK eigvalsh of the symmetrized matrices."""
     if not g.closed:
         T = g.mats(vecs)
         if scale is not None:
             T = T * scale[..., :, None] * scale[..., None, :]
             T = 0.5 * (T + T.swapaxes(-1, -2))
-        return np.linalg.eigvalsh(T).min(-1)
+        return np.linalg.eigvalsh(T)
     E = g.entries(vecs)
     if scale is not None:
         E = E * (scale.T[g.ka] * scale.T[g.kb])[:, None]
@@ -807,24 +815,32 @@ def _apply_w(scaling, groups, l_nn, vec, mode):
     """
     wn, factors = scaling.mode(mode)
     out = np.empty_like(vec)
-    out[:l_nn] = vec[:l_nn] * wn
+    if l_nn:
+        np.multiply(vec[:l_nn], wn, out=out[:l_nn])
     return _congruence(groups, factors, vec, out)
 
 
 def _max_cone_step(groups, scaling, l_nn, *scaled_dirs):
     """Largest alpha with lambda + alpha*dir in the cone for every dir (in
     scaled space). Each group's matrices of all the directions go through
-    one `_min_eig`."""
-    dirs = np.stack(scaled_dirs)
-    d = dirs[:, :l_nn]
-    ratio = np.divide(-scaling.lam_n, d, out=np.full(d.shape, np.inf),
-                      where=d < 0)
-    alpha = float(ratio.min(initial=np.inf))
+    one `_min_eig`; one -1/emin of the smallest eigenvalue gives the
+    smallest -1/emin, division being monotone. A direction whose minimum
+    is NaN bounds nothing."""
+    dirs = np.array(scaled_dirs)
+    alpha = np.inf
+    if l_nn:
+        d = dirs[:, :l_nn]
+        ratio = np.divide(-scaling.lam_n, d, out=np.full(d.shape, np.inf),
+                          where=d < 0)
+        alpha = float(ratio.min())
+    emin = 0.0
     for g, gd in zip(groups, scaling.groups):
-        emins = _min_eig(g, dirs, 1.0 / np.sqrt(gd["lam"])).min(1)
-        for emin in emins.tolist():
-            if emin < 0:
-                alpha = min(alpha, -1.0 / emin)
+        eigs = _min_eig(g, dirs, gd["scale"])
+        for e in eigs.reshape(len(dirs), -1).min(1).tolist():
+            if e < emin:
+                emin = e
+    if emin < 0:
+        alpha = min(alpha, -1.0 / emin)
     return alpha
 
 
@@ -832,7 +848,7 @@ def _jordan_solve(scaling, groups, l_nn, d):
     """Solve lambda o v = d in scaled space."""
     v = np.empty_like(d)
     if l_nn:
-        v[:l_nn] = d[:l_nn] / scaling.lam_n
+        np.divide(d[:l_nn], scaling.lam_n, out=v[:l_nn])
     for g, gd in zip(groups, scaling.groups):
         lam = gd["lam"]
         # svec(mat(d) / denom) on the lower triangle alone
@@ -847,7 +863,7 @@ def _jordan_prod(groups, l_nn, a, b):
     """a o b in scaled space ((AB + BA)/2 on PSD blocks)."""
     out = np.empty_like(a)
     if l_nn:
-        out[:l_nn] = a[:l_nn] * b[:l_nn]
+        np.multiply(a[:l_nn], b[:l_nn], out=out[:l_nn])
     for g in groups:
         A = g.mats(a)
         B = g.mats(b)
@@ -1211,14 +1227,17 @@ class _FullKkt:
         for g in groups:
             blk, t1, t2 = np.indices((g.nb, g.ns, g.ns)).reshape(3, -1)
             place = (o + g.slot[blk, t1]) * N + o + g.slot[blk, t2]
-            self.psd.append(_pair_index(g, blk, t1, t2) + (place,))
+            idx, kww = _pair_index(g, blk, t1, t2)
+            self.psd.append((idx, -kww, place))     # -W'W: negation is exact
 
     def matrix(self, scaling) -> np.ndarray:
         """The full KKT matrix at `scaling`."""
         K = self.K0.copy()
-        K.flat[self.nn_diag] = -scaling.wn ** 2
-        for (idx, kww, place), gd in zip(self.psd, scaling.groups):
-            K.flat[place] = -_pair_entries(gd["WW"], idx, kww)
+        flat = K.reshape(-1)
+        if self.nn_diag.size:
+            flat[self.nn_diag] = -scaling.wn ** 2
+        for (idx, nkww, place), gd in zip(self.psd, scaling.groups):
+            flat[place] = _pair_entries(gd["WW"], idx, nkww)
         return K
 
     def factor(self, scaling) -> _LuKkt:
@@ -1228,7 +1247,7 @@ class _FullKkt:
         fail."""
         K = self.matrix(scaling)
         n, o = self.n, self.n + self.m
-        for reg, eps in _ladder(float(np.max(np.abs(np.diag(K)))), 0.0):
+        for reg, eps in _ladder(float(abs(K.diagonal()).max()), 0.0):
             lu, piv, info = sla.lapack.dgetrf(K)
             if info == 0:     # info > 0: U[info - 1, info - 1] is zero
                 return _LuKkt(lambda r: sla.lapack.dgetrs(lu, piv, r)[0],

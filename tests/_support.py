@@ -409,3 +409,124 @@ MALFORMED_V2 = {
     "terms_null": _v2_document(
         {"terms": None, "linear": [[], []], "c": 0.0}),
 }
+
+
+# The cone kernels of one LAPACK (not `closed`) block group, written as the
+# plain formulas over smat and svec that qcqpen.solver computed before its
+# kernels were rewritten with fewer numpy calls. Each does the same
+# floating-point operations in the same order, so the rewritten kernels
+# must give these bits exactly.
+
+def _swap(M):
+    return np.swapaxes(M, -1, -2)
+
+
+def ref_nt_scaling(g, s, z):
+    """(R, Rinv, lam) of one group's NT scaling at (s, z)."""
+    from qcqpen.solver import smat
+    Ls = np.linalg.cholesky(smat(s[g.slot], g.m))
+    Linv = np.linalg.inv(Ls)
+    M = _swap(Ls) @ smat(z[g.slot], g.m) @ Ls
+    d, Q = np.linalg.eigh(0.5 * (M + _swap(M)))
+    R = Ls @ Q * (d[..., None, :] ** -0.25)
+    Rinv = (d[..., :, None] ** 0.25) * _swap(Q) @ Linv
+    return R, Rinv, np.sqrt(d)
+
+
+# per `_apply_w` mode: the power of wn, and (L, R) from a group's (R, Rinv)
+REF_MODES = {
+    "w": (1, lambda R, Ri: (_swap(R), R)),
+    "wt": (1, lambda R, Ri: (R, _swap(R))),
+    "wit": (-1, lambda R, Ri: (Ri, _swap(Ri))),
+    "ww": (2, lambda R, Ri: (R @ _swap(R),) * 2),
+    "winv2": (-2, lambda R, Ri: (_swap(Ri) @ Ri,) * 2),
+}
+
+
+def ref_apply_w(scaling, groups, l_nn, vec, mode):
+    """W's `mode` applied to an s-space vector (dim,) or to each row of a
+    stack (k, dim): wn to a power on the nonnegative part, and on each
+    block svec(0.5 (P + P')) with P = L smat(v_b) R."""
+    from qcqpen.solver import smat, svec
+    power, factors = REF_MODES[mode]
+    out = np.empty_like(vec)
+    out[..., :l_nn] = vec[..., :l_nn] * scaling.wn ** power
+    for g, gd in zip(groups, scaling.groups):
+        L, R = factors(gd["R"], gd["Rinv"])
+        P = L @ smat(vec[..., g.slot], g.m) @ R
+        out[..., g.slot] = svec(0.5 * (P + _swap(P)))
+    return out
+
+
+def ref_max_cone_step(groups, scaling, l_nn, *dirs):
+    """The largest alpha with lambda + alpha dir in the cone for every dir:
+    per direction, the smallest eigenvalue of each block's symmetrized
+    D smat(dir_b) D, D = diag(lam^-1/2), and -1/emin for each negative
+    one."""
+    from qcqpen.solver import smat
+    dirs = np.stack(dirs)
+    d = dirs[:, :l_nn]
+    ratio = np.divide(-scaling.lam_n, d, out=np.full(d.shape, np.inf),
+                      where=d < 0)
+    alpha = float(ratio.min(initial=np.inf))
+    for g, gd in zip(groups, scaling.groups):
+        scale = 1.0 / np.sqrt(gd["lam"])
+        T = smat(dirs[:, g.slot], g.m)
+        T = T * scale[..., :, None] * scale[..., None, :]
+        T = 0.5 * (T + _swap(T))
+        for emin in np.linalg.eigvalsh(T).min(-1).min(1).tolist():
+            if emin < 0:
+                alpha = min(alpha, -1.0 / emin)
+    return alpha
+
+
+def ref_jordan_solve(scaling, groups, l_nn, d):
+    """lambda o v = d solved blockwise: svec(smat(d_b) / denom) with
+    denom[a, b] = (lam_a + lam_b) / 2."""
+    from qcqpen.solver import smat, svec
+    v = np.empty_like(d)
+    v[:l_nn] = d[:l_nn] / scaling.lam_n
+    for g, gd in zip(groups, scaling.groups):
+        lam = gd["lam"]
+        denom = 0.5 * (lam[..., :, None] + lam[..., None, :])
+        v[g.slot] = svec(smat(d[g.slot], g.m) / denom)
+    return v
+
+
+def ref_jordan_prod(groups, l_nn, a, b):
+    """a o b: svec(0.5 (A B + B A)) on each block."""
+    from qcqpen.solver import smat, svec
+    out = np.empty_like(a)
+    out[:l_nn] = a[:l_nn] * b[:l_nn]
+    for g in groups:
+        A, B = smat(a[g.slot], g.m), smat(b[g.slot], g.m)
+        out[g.slot] = svec(0.5 * (A @ B + B @ A))
+    return out
+
+
+def ref_full_kkt_matrix(cone, scaling):
+    """[[0, A', G'], [A, 0, 0], [G, 0, -W'W]]: on each block's slots (t1,
+    t2), -0.5 w_t1 w_t2 (P[a1, a2] P[b1, b2] + P[a1, b2] P[b1, a2]) with
+    P = R R' (the symmetric Kronecker product), negated last."""
+    n, m, l_nn = cone.n_vars, cone.n_eq, cone.n_nonneg
+    o = n + m
+    Ad, Gd = cone.A.toarray(), cone.G.toarray()
+    K = np.zeros((o + Gd.shape[0],) * 2)
+    K[:n, n:o], K[:n, o:], K[n:o, :n], K[o:, :n] = Ad.T, Gd.T, Ad, Gd
+    K[o + np.arange(l_nn), o + np.arange(l_nn)] = -scaling.wn ** 2
+    for g, gd in zip(cone.groups, scaling.groups):
+        a, b = g.ka[:, None], g.kb[:, None]
+        kww = 0.5 * (g.w[:, None] * g.w[None, :])
+        for blk, P in enumerate(gd["R"] @ _swap(gd["R"])):
+            H = P[a, a.T] * P[b, b.T] + P[a, b.T] * P[b, a.T]
+            K[np.ix_(o + g.slot[blk], o + g.slot[blk])] = -(H * kww)
+    return K
+
+
+def ref_full_kkt_solve(K, n, o, rhs):
+    """(du, dy, dz) from LAPACK's LU of K and its solve."""
+    import scipy.linalg as sla
+    lu, piv, info = sla.lapack.dgetrf(K)
+    assert info == 0
+    x = sla.lapack.dgetrs(lu, piv, np.concatenate(rhs))[0]
+    return x[:n], x[n:o], x[o:]

@@ -101,8 +101,12 @@ def test_tracer_spans_each_round(monkeypatch):
         inside = [s for s in spans_[root + 1:] if s[2] <= end]
         builds = [s for s in inside if s[0] == "lifting.build_penalized"]
         solves = [s for s in inside if s[0] == "solver.solve_conic"]
-        # init="zero": every solve is a round's, one build per round
-        assert len(builds) == len(solves) >= len(trace.rounds)
+        # init="zero": every solve is a round's, one build per round; a
+        # final round that takes the tuner's solve builds but solves nothing
+        tuned_rounds = sum(r.start == "tuned" for r in trace.rounds)
+        assert tuned_rounds == (2 if etas else 0)
+        assert len(builds) == len(solves) + tuned_rounds
+        assert len(builds) >= len(trace.rounds)
         final = [s[4]["eta"] for s in builds
                  if spans_[s[3]][0] == "sequential.run"]
         assert final == [trace.eta] * len(trace.rounds)
@@ -119,14 +123,15 @@ def test_tracer_spans_each_round(monkeypatch):
 
 def _solve_hashes(name):
     """(solves, cones, paths, closed-form groups, fixed variables,
-    orderings, statuses, fallback solves, warm solves, retried rounds) of
-    one seed-1 pass of workload `name` through tools/solve_hashes.py."""
+    orderings, statuses, fallback solves, warm solves, retried rounds,
+    rounds taken from the tuner) of one seed-1 pass of workload `name`
+    through tools/solve_hashes.py."""
     (count, cones, paths, closed, fixed, orderings, iterations, statuses,
-     fallback, warm, retried,
+     fallback, warm, retried, tuned,
      digest) = tools_module("solve_hashes").workload_hash(name, 1)
     assert iterations > 0 and len(digest) == 64
     return (count, cones, paths, closed, fixed, orderings, statuses, fallback,
-            warm, retried)
+            warm, retried, tuned)
 
 
 def test_solve_hashes_dense_full():
@@ -134,9 +139,10 @@ def test_solve_hashes_dense_full():
     # and none on a fallback iterate; each cone is one moment block, so no
     # group takes the closed forms, and no cone on the sparse path
     # condenses a fixed variable or orders its pattern. Each operation's
-    # final run of two rounds starts round 2 warm, which ends optimal
+    # final run of two rounds starts round 2 warm, which ends optimal; no
+    # operation tunes its eta
     assert _solve_hashes("dense_full") == (8, 2, "dual:2", "none", 0, 0,
-                                           "optimal:8", 0, 4, 0)
+                                           "optimal:8", 0, 4, 0, 0)
 
 
 def test_solve_hashes_sysid():
@@ -145,19 +151,20 @@ def test_solve_hashes_sysid():
     # iterate; the r = 2 lifting's 92 blocks of order 2 and 304 of order 3
     # take the closed forms, and each cone condenses its 64 observed
     # states and orders its pattern once. Rounds 2-5 of each operation's
-    # five start warm and end optimal
+    # five start warm and end optimal; no operation tunes its eta
     assert _solve_hashes("sysid") == (10, 2, "sparse:2", "2:92,3:304", 128,
-                                      2, "optimal:10", 0, 8, 0)
+                                      2, "optimal:10", 0, 8, 0, 0)
 
 
 def test_solve_hashes_small():
-    # 143 solves over 8 cones, all full moment liftings on the full path
+    # 138 solves over 8 cones, all full moment liftings on the full path
     # with one block each, so no closed forms, no fixed variable condensed
-    # and no pattern ordered. The 12 near_optimal solves end on the solver's
-    # best-iterate branch, 7 of them on an earlier iterate; the 5 unbounded
+    # and no pattern ordered. The 11 near_optimal solves end on the solver's
+    # best-iterate branch, 6 of them on an earlier iterate; the 5 unbounded
     # ones are tuning probes. 27 rounds start warm, the poly operations'
     # rounds 2-10; one of them ends near_optimal and is solved again cold,
-    # which adds a solve and a near_optimal status
+    # which adds a solve and a near_optimal status. The five tuned
+    # operations' one final round each takes the tuner's solve
     assert _solve_hashes("small") == (
-        143, 8, "full:8", "none", 0, 0,
-        "near_optimal:12,optimal:126,unbounded:5", 7, 27, 1)
+        138, 8, "full:8", "none", 0, 0,
+        "near_optimal:11,optimal:122,unbounded:5", 6, 27, 1, 5)

@@ -171,7 +171,7 @@ def test_tune_eta_bisection_contract(pattern, monkeypatch):
     calls = []
 
     def fake_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
-                    stop_loose):
+                    stop_loose, solved=None):
         idx = grid.index(eta)
         calls.append(idx)
         rounds = [types.SimpleNamespace(residual=0.0 if tight(idx) else 1.0)
@@ -293,7 +293,7 @@ def test_tune_eta_checks_largest_candidate_last(pattern, monkeypatch):
     calls = []
 
     def fake_rounds(p, cfg, xhat, eta, relaxation, max_rounds, stop_rel,
-                    stop_loose):
+                    stop_loose, solved=None):
         idx = grid.index(eta)
         calls.append(idx)
         rounds = [types.SimpleNamespace(residual=0.0 if tight(idx) else 1.0)
@@ -578,7 +578,9 @@ def test_layer_calls_go_through_sequential_namespace(monkeypatch):
                                        init="zero", tune_rounds=2))
     assert calls["run"] == calls["resolve_initial_point"] == 1
     assert calls["tune_eta"] == 1
-    assert calls["build_penalized"] == calls["solve_conic"] >= 2
+    # the final round builds and extracts but takes the tuner's solve
+    assert calls["build_penalized"] == calls["solve_conic"] + 1 >= 3
+    assert calls["extract"] == calls["build_penalized"]
 
 
 def test_initial_relaxation_keeps_its_lift_when_penalty_adds_blocks(
@@ -788,7 +790,8 @@ def test_warm_solve_not_optimal_is_solved_again_cold(monkeypatch, caplog,
 
 def test_tuning_solves_start_cold(monkeypatch):
     # tune_eta never passes a start, and neither does the final run at a
-    # tuned eta; at a given eta the rounds after the first start warm
+    # tuned eta, whose first tune_rounds rounds take the tuner's solves;
+    # at a given eta the rounds after the first start warm
     solve, starts = sequential.solve_conic, []
 
     def spy(prog, settings=None, start=None):
@@ -804,8 +807,8 @@ def test_tuning_solves_start_cold(monkeypatch):
     tr = run(p, cfg)
     assert len(tr.rounds) == 3
     assert starts and not any(starts)
-    assert {r["start"] for r in json.loads(trace_json(tr))["rounds"]} == \
-        {"cold"}
+    assert [r["start"] for r in json.loads(trace_json(tr))["rounds"]] == \
+        ["tuned", "tuned", "cold"]
     starts.clear()
     tr = run(p, replace(cfg, eta=tr.eta))
     assert starts == [False, True, True]
@@ -820,7 +823,7 @@ def test_tuned_run_repeats_its_cold_rounds(n):
     # (started from round 1's restart, feas_n5's round 5 went loose, and
     # feas_n3's run ended at round 5 on a solve stopped at the iteration
     # limit); the final run is the same rounds all solved cold, bit for
-    # bit, the tuner's first six among them
+    # bit: its first six take the tuner's solves, the rest solve cold
     inst = perfbench_module("inputs").feasible_qcqp(1, 2, n)
     p = inst.problem
     cfg = SequentialConfig(eta="auto", max_rounds=10, stop_rel=None,
@@ -831,9 +834,56 @@ def test_tuned_run_repeats_its_cold_rounds(n):
         p, cfg, inst.xstar, tr.eta, lift(p, cfg.relaxation, penalized=True),
         10, stop_rel=None)
     assert len(tr.rounds) == 10
-    assert {r.start for r in tr.rounds} == {"cold"}
+    assert [r.start for r in tr.rounds] == ["tuned"] * 6 + ["cold"] * 4
     assert [_round_fields(r) for r in tr.rounds] == \
         [_round_fields(r) for r in cold]
     assert tr.i_feas == i_feas == 1
     assert all(r.residual < cfg.tight_tol for r in tr.rounds[:6])
+    assert tr.x_final.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("max_rounds, stop_rel", [(6, None), (10, 1.5),
+                                                  (2, None)])
+def test_tuned_run_takes_the_tuners_rounds(max_rounds, stop_rel,
+                                           monkeypatch):
+    # a tuned run's first tune_rounds rounds take the solutions tune_eta
+    # computed for the eta it returned, and solve nothing; the run equals
+    # the same rounds solved cold by _run_rounds directly, bit for bit, but
+    # for each round's clock and start. Also when the run stops before
+    # tune_rounds: stop_rel 1.5 converges at round 3, and max_rounds 2
+    p, xstar = random_feasible_qcqp(7)
+    cfg = SequentialConfig(init=xstar, tune_rounds=4, max_rounds=max_rounds,
+                           stop_rel=stop_rel,
+                           solver=SolverSettings(max_iterations=80))
+    solve, tune, final = sequential.solve_conic, sequential.tune_eta, []
+
+    def spy(prog, *args, **kwargs):
+        sol = solve(prog, *args, **kwargs)
+        final.append(sol)
+        return sol
+
+    def tuned(*args, **kwargs):
+        eta = tune(*args, **kwargs)
+        final.clear()       # from here on, the final run's solves
+        return eta
+    monkeypatch.setattr(sequential, "solve_conic", spy)
+    monkeypatch.setattr(sequential, "tune_eta", tuned)
+    tr = run(p, cfg)
+    monkeypatch.undo()
+    rounds, i_feas, i_stop, x, status = _run_rounds(
+        p, cfg, xstar, tr.eta, lift(p, cfg.relaxation, penalized=True),
+        max_rounds, stop_rel, warm=False)
+    reused = min(len(rounds), cfg.tune_rounds)
+    assert reused == {6: 4, 10: 3, 2: 2}[max_rounds]
+    assert [r.start for r in tr.rounds] == \
+        ["tuned"] * reused + ["cold"] * (len(rounds) - reused)
+    assert len(final) == len(rounds) - reused
+    assert [r.iterations for r in tr.rounds[reused:]] == \
+        [sol.iterations for sol in final]
+    keep = [f.name for f in fields(RoundRecord)
+            if f.name not in ("time_s", "start")]
+    assert [[getattr(r, k) for k in keep] for r in tr.rounds] == \
+        [[getattr(r, k) for k in keep] for r in rounds]
+    assert (tr.i_feas, tr.i_stop, tr.status) == (i_feas, i_stop, status)
+    assert tr.restore_distance == 0.0
     assert tr.x_final.tobytes() == x.tobytes()

@@ -13,7 +13,7 @@ from qcqpen.solver import (_CLOSED_FORM_BLOCKS, _REFINEMENT,
                            _FullKkt, _NormalMap, _Scaling, _SparseKkt,
                            _apply_w, _cholesky, _cone_margin, _congruence,
                            _fixed_variables,
-                           _jordan_solve,
+                           _jordan_prod, _jordan_solve,
                            _kept_rows, _kkt_path,
                            _lambda_vec, _matvec, _max_cone_step, _min_eig,
                            _norm, _nt_scaling,
@@ -26,6 +26,7 @@ from qcqpen.lifting import (RelaxationConfig, build_penalized, extract,
 from qcqpen.polyopt import parse_poly, reformulate
 from _support import (POLY_EXAMPLE, nan_direction_from, perfbench_module,
                       solve_logged)
+import _support
 
 OK = ("optimal", "near_optimal")
 
@@ -1833,3 +1834,108 @@ def test_warm_solve_from_a_sysid_restart():
     assert warm.iterations < cold.iterations
     assert warm.restart is None and cold.restart is not None
     assert warm.pcost == pytest.approx(cold.pcost, rel=1e-5)
+
+
+def _lapack_cone(m, nb):
+    """Two nonnegative rows and one equality over the first variables, then
+    nb blocks of order m in which every slot holds a variable of its own
+    with coefficient 1: G has full column rank, so the full KKT matrix is
+    nonsingular at an interior scaling."""
+    ns = m * (m + 1) // 2
+    n = nb * ns
+    blocks = [PsdBlock.from_entries(m, {
+        (a, c): (b * ns + a * (a + 1) // 2 + c, 1.0, 0.0)
+        for a in range(m) for c in range(a + 1)}) for b in range(nb)]
+    return _cone(n, nn=[([0], [1.0], 1.0), ([0, n - 1], [1.0, -1.0], 2.0)],
+                 eq=[(list(range(n)), np.ones(n), 1.0)], blocks=blocks)
+
+
+def _bits(x):
+    """The int64 view of a float array, or of a tuple of them."""
+    if isinstance(x, tuple):
+        x = np.concatenate(x)
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("nb", [1, 3])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_lapack_group_kernels_keep_their_bits(m, nb):
+    # every kernel on a LAPACK group, against the formulas it computed
+    # before it was rewritten with fewer numpy calls (tests/_support):
+    # the NT scaling, each mode of W on a vector and on a stack (the dual
+    # path's dense rows), the step length of one and of two directions,
+    # both Jordan kernels, and the full KKT matrix, factor and solve, bit
+    # for bit
+    cone = _lapack_cone(m, nb)
+    groups, l_nn, dim = cone.groups, cone.n_nonneg, cone.h.size
+    [g] = groups
+    assert (g.m, g.nb, g.closed) == (m, nb, False)
+    rng = np.random.default_rng(10 * m + nb)
+    s, z = np.exp(rng.normal(scale=2.0, size=(2, dim)))
+    for vec in (s, z):
+        B = rng.normal(size=(nb, m, m))
+        vec[g.slot] = svec(B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(m))
+    scaling = _nt_scaling(groups, s, z, l_nn)
+    gd = scaling.groups[0]
+    for got, want in zip((gd["R"], gd["Rinv"], gd["lam"]),
+                         _support.ref_nt_scaling(g, s, z)):
+        assert np.array_equal(_bits(got), _bits(want))
+    v, a, b = rng.normal(size=(3, dim))
+    V = rng.normal(size=(4, dim))
+    for mode in ("w", "wt", "wit", "ww", "winv2"):
+        want = _support.ref_apply_w(scaling, groups, l_nn, v, mode)
+        assert np.array_equal(_bits(_apply_w(scaling, groups, l_nn, v, mode)),
+                              _bits(want))
+        want = _support.ref_apply_w(scaling, groups, l_nn, V, mode)
+        want[:, :l_nn] = 0.0
+        got = _congruence(groups, scaling.mode(mode)[1], V, np.zeros_like(V))
+        assert np.array_equal(_bits(got), _bits(want))
+    lam = _lambda_vec(scaling, groups, l_nn, dim)
+    for dirs in ((a,), (a, b), (b, a), (lam, 2.0 * lam), (a, lam)):
+        got = _max_cone_step(groups, scaling, l_nn, *dirs)
+        want = _support.ref_max_cone_step(groups, scaling, l_nn, *dirs)
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(_jordan_solve(scaling, groups, l_nn, a)),
+                          _bits(_support.ref_jordan_solve(scaling, groups,
+                                                          l_nn, a)))
+    assert np.array_equal(_bits(_jordan_prod(groups, l_nn, a, b)),
+                          _bits(_support.ref_jordan_prod(groups, l_nn, a, b)))
+    full = _FullKkt(cone)
+    K = _support.ref_full_kkt_matrix(cone, scaling)
+    assert np.array_equal(_bits(full.matrix(scaling)), _bits(K))
+    rhs = (rng.normal(size=cone.n_vars), rng.normal(size=cone.n_eq), v)
+    n, o = cone.n_vars, cone.n_vars + cone.n_eq
+    assert np.array_equal(_bits(full.factor(scaling).solve(*rhs)),
+                          _bits(_support.ref_full_kkt_solve(K, n, o, rhs)))
+
+
+@pytest.mark.parametrize("where", ["direction", "diagonal", "corner"])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_step_length_on_a_nan_direction_as_before(m, where):
+    # a NaN in a direction on a LAPACK group: the step length raises
+    # LinAlgError where the formula it replaced raised (LAPACK's eigvalsh
+    # on a block of order 3 or more), and otherwise returns its bits (a
+    # direction whose smallest eigenvalue is NaN bounds nothing)
+    cone = _lapack_cone(m, 3)
+    groups, l_nn, dim = cone.groups, cone.n_nonneg, cone.h.size
+    scaling = _random_interior_scaling(cone, seed=m)
+    rng = np.random.default_rng(m)
+    good, bad = rng.normal(size=(2, dim))
+    g = groups[0]
+    if where == "direction":
+        bad[:] = np.nan
+    else:
+        # the first or, on order 2 and up, the last off-diagonal slot
+        bad[g.slot[1, 0 if where == "diagonal" or m == 1 else -2]] = np.nan
+    outcomes = []
+    for step in (_max_cone_step, _support.ref_max_cone_step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                outcomes.append(_bits(step(groups, scaling, l_nn, good,
+                                           bad)).tolist())
+            except np.linalg.LinAlgError:
+                outcomes.append("raised")
+    assert outcomes[0] == outcomes[1]
+    if where == "direction" and m >= 3:
+        assert outcomes[0] == "raised"

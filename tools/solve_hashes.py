@@ -30,7 +30,10 @@ better iterate in place of the last one (`fallback=7`, from
 ConicSolution.fallback), the count of solves given a start (`warm=8`:
 rounds after the first of a final run, which start from round 1's
 restart), the count of rounds whose warm solve did not end optimal and
-was solved again cold (`retried=1`, from RoundRecord.start), and one
+was solved again cold (`retried=1`, from RoundRecord.start), the count of
+final rounds that took the eta tuner's solution of the same round in
+place of a solve (`tuned=5`, from RoundRecord.start; such a round is not
+among the solves), and one
 sha256 over every solve's u, y, z and s
 bytes, status, stop_reason and iterations, in call order. Compare the
 lines of two trees on one machine: the bits depend on the BLAS build,
@@ -97,12 +100,12 @@ def workload_hash(name: str, seed: int) -> tuple:
     ',', their closed-form groups (`closed_label`), their fixed variables
     (`fixed_count`), SuperLU factorizations that computed an ordering,
     total iterations, statuses as 'status:count' joined by ',', fallback
-    solves, solves given a start, retried rounds, sha256 hex digest) of
-    one pass of workload `name`."""
+    solves, solves given a start, retried rounds, rounds taken from the
+    tuner, sha256 hex digest) of one pass of workload `name`."""
     digest = hashlib.sha256()
     ends = []       # (status, iterations, fallback) of each solve
     warm = []       # whether each solve was given a start
-    retried = 0
+    retried = tuned = 0
     cones = {}      # id -> cone; holding each cone keeps its id unique
     specs = []      # permc_spec of each SuperLU factorization
     solve, splu = sequential.solve_conic, spla.splu
@@ -124,6 +127,7 @@ def workload_hash(name: str, seed: int) -> tuple:
             try:
                 trace = sequential.run(op.problem, op.config, label=op.label)
                 retried += sum(r.start == "retried" for r in trace.rounds)
+                tuned += sum(r.start == "tuned" for r in trace.rounds)
             except (sequential.SolveError, sequential.EtaTuningError):
                 pass     # the solves before the error are hashed
     finally:
@@ -134,7 +138,7 @@ def workload_hash(name: str, seed: int) -> tuple:
             sum(spec != "NATURAL" for spec in specs),
             sum(it for _, it, _ in ends),
             _counts(st for st, _, _ in ends),
-            sum(fb for _, _, fb in ends), sum(warm), retried,
+            sum(fb for _, _, fb in ends), sum(warm), retried, tuned,
             digest.hexdigest())
 
 
@@ -144,12 +148,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
         (count, cones, paths, closed, fixed, orderings, iters, statuses,
-         fallback, warm, retried, hexdigest) = workload_hash(name, args.seed)
+         fallback, warm, retried, tuned,
+         hexdigest) = workload_hash(name, args.seed)
         print(f"{name} solves={count} cones={cones} paths={paths} "
               f"closed={closed} fixed={fixed} orderings={orderings} "
               f"iterations={iters} "
               f"statuses={statuses} fallback={fallback} warm={warm} "
-              f"retried={retried} sha256={hexdigest}", flush=True)
+              f"retried={retried} tuned={tuned} sha256={hexdigest}",
+              flush=True)
     return 0
 
 
