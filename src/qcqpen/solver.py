@@ -66,7 +66,13 @@ steps are damped by a fraction of the distance to the cone boundary.
 
 Every path refines its solves against the full system, the W'W dz term
 included, as CVXOPT's conelp does (Vandenberghe, "The CVXOPT linear and
-quadratic cone program solvers", 2010).
+quadratic cone program solvers", 2010), as often as its factorization
+needs (`passes`): once where it factored a positive definite matrix
+unshifted, the sparse path's H alone or the dual path's M, since one step
+of fixed-precision refinement already makes a backward-stable solve
+componentwise stable (Skeel, Math. Comp. 35, 1980; Higham, "Accuracy and
+Stability of Numerical Algorithms", ch. 12); twice where it factored the
+full path's indefinite matrix, a quasidefinite one or a shifted one.
 
 The cone operations (applying W and its inverse, Jordan products, step
 lengths) work per group of equal-size blocks through flat slot maps built
@@ -242,7 +248,8 @@ class Cone:
     @cached_property
     def factor_kkt(self):
         """factor(scaling) on this cone's KKT path (`_kkt_path`), built
-        once; what it returns solves (bu, by, bz) -> (du, dy, dz)."""
+        once; what it returns solves (bu, by, bz) -> (du, dy, dz), and its
+        `passes` are the refinement passes each solve takes."""
         kkt = {"full": _FullKkt, "sparse": _SparseKkt,
                "dual": _DualKkt}[_kkt_path(self)]
         return kkt(self).factor
@@ -820,6 +827,13 @@ def _apply_w(scaling, groups, l_nn, vec, mode):
     return _congruence(groups, factors, vec, out)
 
 
+# orthants of at most this many rows take the step length's quotients in
+# Python floats: for two directions 2.1 against 6.2 us at 4 rows and 4.1
+# against 6.3 us at 24, where numpy's fixed cost per call dominates, but
+# 21.5 against 8.0 us at 152 (timeit, 2-core Xeon, numpy 2.4)
+_FEW_NONNEG = 32
+
+
 def _max_cone_step(groups, scaling, l_nn, *scaled_dirs):
     """Largest alpha with lambda + alpha*dir in the cone for every dir (in
     scaled space). Each group's matrices of all the directions go through
@@ -828,11 +842,17 @@ def _max_cone_step(groups, scaling, l_nn, *scaled_dirs):
     is NaN bounds nothing."""
     dirs = np.array(scaled_dirs)
     alpha = np.inf
-    if l_nn:
+    if l_nn > _FEW_NONNEG:
         d = dirs[:, :l_nn]
         ratio = np.divide(-scaling.lam_n, d, out=np.full(d.shape, np.inf),
                           where=d < 0)
         alpha = float(ratio.min())
+    elif l_nn:      # the same quotients, in Python floats
+        neg = (-scaling.lam_n).tolist()
+        for row in dirs[:, :l_nn].tolist():
+            for a, x in zip(neg, row):
+                if x < 0.0 and a / x < alpha:
+                    alpha = a / x
     emin = 0.0
     for g, gd in zip(groups, scaling.groups):
         eigs = _min_eig(g, dirs, gd["scale"])
@@ -1028,12 +1048,18 @@ def _fixed_variables(A) -> tuple:
 def _splu(K, permc_spec):
     """SuperLU's LU of the quasidefinite K (CSC) with the column order
     `permc_spec`, applied to rows and columns alike, pivoting on the
-    diagonal wherever it is nonzero."""
+    diagonal wherever it is nonzero. Supernodes are not relaxed and panels
+    are one column wide (Relax=1, PanelSize=1): the sparse path's
+    supernodes are tiny. With the same MMD order, the same fill and
+    against SuperLU's defaults, the median LU of sysid's augmented matrix
+    falls by 19-24 % at T=20 (order 672; 1,191 to 967 us), 14-17 % at
+    T=100 (order 3,232) and 9-16 % at T=200 (order 6,432) over two runs of
+    45 factorizations each (2-core Xeon, scipy 1.17)."""
     # imported here: SuperLU's module adds 2 MB of resident memory to every
     # process, also to those that never take the sparse path
     from scipy.sparse.linalg import splu
-    return splu(K, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+    return splu(K, permc_spec=permc_spec, diag_pivot_thresh=0.0, relax=1,
+                panel_size=1, options={"SymmetricMode": True})
 
 
 def _ordering(row, col, N) -> np.ndarray:
@@ -1178,9 +1204,12 @@ class _SparseKkt:
                 data[self.diag[n:]] -= eps
             else:
                 order, perm = self.order, self.perm
+                # H alone, unshifted, is positive definite: no equality
+                # row is left (delta is 0), no row is kept and no shift
+                passes = 2 if reg or self.dim > n else 1
                 return _Eliminated(
-                    _LuKkt(lambda r: lu.solve(r[order])[perm], n, o, reg),
-                    self, scaling)
+                    _LuKkt(lambda r: lu.solve(r[order])[perm], n, o, reg,
+                           passes), self, scaling)
         raise np.linalg.LinAlgError("KKT system singular")
 
 
@@ -1190,12 +1219,13 @@ class _LuKkt:
     dy (at the equality rows left, or at every one) and dz (at the kept
     rows, or at every cone slot). `lu_solve` takes and returns vectors in
     the system's own numbering: the sparse path's permutes them into and
-    out of its factor's order."""
+    out of its factor's order. `passes` is the count of refinement passes
+    each of its solves takes in `solve_conic`."""
 
-    def __init__(self, lu_solve, n, o, reg_used):
+    def __init__(self, lu_solve, n, o, reg_used, passes):
         self.lu_solve = lu_solve
         self.n, self.o = n, o
-        self.reg_used = reg_used
+        self.reg_used, self.passes = reg_used, passes
 
     def solve(self, *rhs):
         """(du, dy, dz) for the right-hand side's blocks."""
@@ -1250,8 +1280,9 @@ class _FullKkt:
         for reg, eps in _ladder(float(abs(K.diagonal()).max()), 0.0):
             lu, piv, info = sla.lapack.dgetrf(K)
             if info == 0:     # info > 0: U[info - 1, info - 1] is zero
+                # K is indefinite: two passes
                 return _LuKkt(lambda r: sla.lapack.dgetrs(lu, piv, r)[0],
-                              n, o, reg)
+                              n, o, reg, 2)
             K[range(n), range(n)] += eps
             K[range(n, o), range(n, o)] -= eps
         raise np.linalg.LinAlgError("KKT system singular")
@@ -1269,7 +1300,8 @@ class _Eliminated:
     of A'dy + G'dz = bu give dy_F = (bu_F - G_F'dz) / a."""
 
     def __init__(self, lu: _LuKkt, sparse: _SparseKkt, scaling):
-        self.lu, self.reg_used, self.sparse = lu, lu.reg_used, sparse
+        self.lu, self.sparse = lu, sparse
+        self.reg_used, self.passes = lu.reg_used, lu.passes
         self.winv2 = lambda v: _apply_w(scaling, sparse.groups, sparse.l_nn,
                                         v, "winv2")
 
@@ -1404,10 +1436,12 @@ class _DualKkt:
 
 class _DualSolve:
     """The dual path's solve of the full KKT system at one scaling: two
-    W'W congruences, two products with C and one potrs of order r."""
+    W'W congruences, two products with C and one potrs of order r. One
+    refinement pass when M factored unshifted, two after a shift."""
 
     def __init__(self, dual: _DualKkt, scaling, cho, reg_used):
         self.dual, self.cho, self.reg_used = dual, cho, reg_used
+        self.passes = 2 if reg_used else 1
         self.ww = lambda v: _apply_w(scaling, dual.groups, dual.l_nn, v,
                                      "ww")
 
@@ -1428,9 +1462,6 @@ class _DualSolve:
 
 # fraction of the distance to the cone boundary that a step may take
 _STEP_FRACTION = 0.99
-# iterative refinement passes per Newton solve, against the unregularized
-# full KKT system
-_REFINEMENT = 2
 # a cold solve's restart (`ConicSolution.restart`) is its first iterate
 # with pres and dres both at most this. On a seed-1 sysid pass, at 0.05 or
 # 0.1 one warm solve ends near_optimal and is solved again cold; 0.3 takes
@@ -1487,7 +1518,9 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None,
         res_x = c + ATy + GTz
         gap = float(s @ z)
         pcost = float(c @ u)
-        dcost = float(-h @ z - b @ y)
+        # -(h @ z) has the bits of (-h) @ z: negation is exact
+        hz, by = float(h @ z), float(b @ y)
+        dcost = -hz - by
         pres = max(_norm(res_y) / norm_b, _norm(res_z) / norm_h)
         dres = _norm(res_x) / norm_c
         relgap = gap / max(1.0, abs(pcost))
@@ -1510,7 +1543,7 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None,
             break
 
         # infeasibility certificates from the current iterate
-        by_hz = float(h @ z + b @ y)
+        by_hz = hz + by
         if by_hz < -1e-10:
             cert = _norm(ATy + GTz) / (-by_hz)
             if cert * norm_h <= ftol * 10:
@@ -1549,16 +1582,8 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None,
             the scaling is ill-conditioned near convergence.
             """
             v = _jordan_solve(scaling, groups, l_nn, dsc)
-            bu, by = -rx, -ry
             bz = -rz_vec - _apply_w(scaling, groups, l_nn, v, "wt")
-            du, dy, dz = kkt.solve(bu, by, bz)
-            for _ in range(_REFINEMENT):
-                wwdz = _apply_w(scaling, groups, l_nn, dz, "ww")
-                cu, cy, cz = kkt.solve(bu - ATx(dy) - GTx(dz), by - Ax(du),
-                                       bz - Gx(du) + wwdz)
-                du = du + cu
-                dy = dy + cy
-                dz = dz + cz
+            du, dy, dz = _refine(kkt, cone, scaling, -rx, -ry, bz)
             ds = -rz_vec - Gx(du)
             return du, dy, dz, ds
 
@@ -1615,6 +1640,22 @@ def solve_conic(prog: ConicProgram, settings: SolverSettings | None = None,
                          gap=gap, pres=pres, dres=dres, iterations=it,
                          stop_reason=stop, fallback=fallback,
                          restart=restart)
+
+
+def _refine(kkt, cone: Cone, scaling, bu, by, bz) -> tuple:
+    """kkt's solve (du, dy, dz) of the full KKT system with right-hand side
+    (bu, by, bz), refined against that system, W'W dz included, kkt.passes
+    times."""
+    Gx, GTx, Ax, ATx = cone.products
+    du, dy, dz = kkt.solve(bu, by, bz)
+    for _ in range(kkt.passes):
+        wwdz = _apply_w(scaling, cone.groups, cone.n_nonneg, dz, "ww")
+        cu, cy, cz = kkt.solve(bu - ATx(dy) - GTx(dz), by - Ax(du),
+                               bz - Gx(du) + wwdz)
+        du = du + cu
+        dy = dy + cy
+        dz = dz + cz
+    return du, dy, dz
 
 
 def _norm(x: np.ndarray) -> float:

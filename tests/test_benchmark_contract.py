@@ -124,14 +124,14 @@ def test_tracer_spans_each_round(monkeypatch):
 def _solve_hashes(name):
     """(solves, cones, paths, closed-form groups, fixed variables,
     orderings, statuses, fallback solves, warm solves, retried rounds,
-    rounds taken from the tuner) of one seed-1 pass of workload `name`
-    through tools/solve_hashes.py."""
+    rounds taken from the tuner), and the refinement passes, of one seed-1
+    pass of workload `name` through tools/solve_hashes.py."""
     (count, cones, paths, closed, fixed, orderings, iterations, statuses,
-     fallback, warm, retried, tuned,
+     fallback, warm, retried, tuned, refine,
      digest) = tools_module("solve_hashes").workload_hash(name, 1)
     assert iterations > 0 and len(digest) == 64
     return (count, cones, paths, closed, fixed, orderings, statuses, fallback,
-            warm, retried, tuned)
+            warm, retried, tuned), refine
 
 
 def test_solve_hashes_dense_full():
@@ -140,9 +140,11 @@ def test_solve_hashes_dense_full():
     # group takes the closed forms, and no cone on the sparse path
     # condenses a fixed variable or orders its pattern. Each operation's
     # final run of two rounds starts round 2 warm, which ends optimal; no
-    # operation tunes its eta
-    assert _solve_hashes("dense_full") == (8, 2, "dual:2", "none", 0, 0,
-                                           "optimal:8", 0, 4, 0, 0)
+    # operation tunes its eta. M factors unshifted at 116 of the 123
+    # iterations, whose two Newton solves take one refinement pass each;
+    # the 14 solves at the other 7, after a shift, take two
+    assert _solve_hashes("dense_full") == ((8, 2, "dual:2", "none", 0, 0,
+                                            "optimal:8", 0, 4, 0, 0), 260)
 
 
 def test_solve_hashes_sysid():
@@ -151,9 +153,12 @@ def test_solve_hashes_sysid():
     # iterate; the r = 2 lifting's 92 blocks of order 2 and 304 of order 3
     # take the closed forms, and each cone condenses its 64 observed
     # states and orders its pattern once. Rounds 2-5 of each operation's
-    # five start warm and end optimal; no operation tunes its eta
-    assert _solve_hashes("sysid") == (10, 2, "sparse:2", "2:92,3:304", 128,
-                                      2, "optimal:10", 0, 8, 0, 0)
+    # five start warm and end optimal; no operation tunes its eta. H
+    # factors positive definite and unshifted at each of the 204 Newton
+    # solves, which take one refinement pass each
+    assert _solve_hashes("sysid") == ((10, 2, "sparse:2", "2:92,3:304",
+                                       128, 2, "optimal:10", 0, 8, 0, 0),
+                                      204)
 
 
 def test_solve_hashes_small():
@@ -164,7 +169,9 @@ def test_solve_hashes_small():
     # ones are tuning probes. 27 rounds start warm, the poly operations'
     # rounds 2-10; one of them ends near_optimal and is solved again cold,
     # which adds a solve and a near_optimal status. The five tuned
-    # operations' one final round each takes the tuner's solve
-    assert _solve_hashes("small") == (
+    # operations' one final round each takes the tuner's solve. Each of
+    # the 5,112 Newton solves on the full path's indefinite LU takes two
+    # refinement passes
+    assert _solve_hashes("small") == ((
         138, 8, "full:8", "none", 0, 0,
-        "near_optimal:11,optimal:122,unbounded:5", 6, 27, 1, 5)
+        "near_optimal:11,optimal:122,unbounded:5", 6, 27, 1, 5), 10224)

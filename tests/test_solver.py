@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from qcqpen import Cone, ConicProgram, SolverSettings, solve_conic
-from qcqpen.solver import (_CLOSED_FORM_BLOCKS, _REFINEMENT,
+from qcqpen.solver import (_CLOSED_FORM_BLOCKS,
                            _RESTART_RESIDUAL, PsdBlock,
                            _BlockGroup, _DualKkt,
                            _FullKkt, _NormalMap, _Scaling, _SparseKkt,
@@ -586,6 +586,28 @@ def test_max_cone_step_of_two_directions_is_min_of_each(cone):
     assert _max_cone_step(groups, scaling, l_nn, d1, d2) < np.inf
 
 
+@pytest.mark.parametrize("l_nn", [3, 40])
+def test_orthant_step_in_python_floats_keeps_numpys_bits(l_nn, monkeypatch):
+    # up to _FEW_NONNEG rows take the step length's quotients -lam / d in
+    # Python floats, more rows in numpy: the same bits, also for a
+    # direction with no negative entry (inf) and past zero and NaN entries
+    import qcqpen.solver as solver
+    cone = Cone(l_nn, Gn=np.eye(l_nn), hn=np.ones(l_nn))
+    scaling = _random_interior_scaling(cone, seed=7)
+    d1, d2 = np.random.default_rng(8).normal(size=(2, l_nn))
+    d2[::3] = 0.0
+    d2[1] = np.nan
+    for dirs in ((d1,), (d2,), (d1, d2), (np.abs(d1),), (np.abs(d1), d2)):
+        steps = []
+        for few in (0, l_nn):      # numpy, then Python floats
+            monkeypatch.setattr(solver, "_FEW_NONNEG", few)
+            steps.append(_max_cone_step(cone.groups, scaling, l_nn, *dirs))
+        assert (np.float64(steps[0]).tobytes()
+                == np.float64(steps[1]).tobytes())
+    assert steps[0] < np.inf
+    assert _max_cone_step(cone.groups, scaling, l_nn, np.abs(d1)) == np.inf
+
+
 EPS = np.finfo(float).eps
 # the closed forms' error bound against LAPACK, in eps * ||M||
 _KERNEL_EPS = 16
@@ -795,7 +817,8 @@ def _columnwise_normal_matrix(G, groups, l_nn, scaling):
 
 def _refined(kkt, cone, scaling, rhs):
     """(du, dy, dz, relative residual) of kkt's solve of the full KKT
-    system after _REFINEMENT passes against it, as solve_conic refines."""
+    system after its own refinement passes (kkt.passes) against it, as
+    solve_conic refines."""
     Gx, GTx, Ax, ATx = cone.products
     bu, by, bz = rhs
 
@@ -803,7 +826,7 @@ def _refined(kkt, cone, scaling, rhs):
         wwdz = _apply_w(scaling, cone.groups, cone.n_nonneg, dz, "ww")
         return bu - ATx(dy) - GTx(dz), by - Ax(du), bz - Gx(du) + wwdz
     du, dy, dz = kkt.solve(*rhs)
-    for _ in range(_REFINEMENT):
+    for _ in range(kkt.passes):
         cu, cy, cz = kkt.solve(*residual(du, dy, dz))
         du, dy, dz = du + cu, dy + cy, dz + cz
     res = np.linalg.norm(np.concatenate(residual(du, dy, dz)))
@@ -860,16 +883,22 @@ def test_sparse_kkt_matches_dense_on_sysid(sysid_program):
     assert kkt.reg_used == 0.0
 
 
+def _with_left_equality_row(c):
+    """sysid's cone c with one more equality row, over two of its free
+    columns, which no fixed variable condenses out."""
+    free = np.setdiff1d(np.arange(c.n_vars), _SparseKkt(c).fcol)[:2]
+    row = sp.csr_matrix((np.ones(2), (np.zeros(2, int), free)),
+                        shape=(1, c.n_vars))
+    return Cone(c.n_vars, sp.vstack([c.A, row]), np.append(c.b, 0.0), c.Gn,
+                c.hn, c.blocks)
+
+
 def test_sparse_kkt_shifts_a_left_equality_row(sysid_program):
     # sysid's cone with one more equality row, over two of its free
     # columns: that row is left in the factored system, so the second
     # block is shifted by -delta
     c = sysid_program.cone
-    free = np.setdiff1d(np.arange(c.n_vars), _SparseKkt(c).fcol)[:2]
-    row = sp.csr_matrix((np.ones(2), (np.zeros(2, int), free)),
-                        shape=(1, c.n_vars))
-    cone = Cone(c.n_vars, sp.vstack([c.A, row]), np.append(c.b, 0.0), c.Gn,
-                c.hn, c.blocks)
+    cone = _with_left_equality_row(c)
     assert _kkt_path(cone) == "sparse"
     pattern = _SparseKkt(cone)
     assert pattern.eq.tolist() == [c.n_eq]
@@ -1694,6 +1723,48 @@ def test_dual_kkt_singular_ladder(monkeypatch):
     ref = solve_conic(prog)
     assert sol.status == ref.status == "optimal"
     assert sol.pcost == pytest.approx(ref.pcost, rel=1e-6)
+
+
+def test_refinement_passes_follow_the_factorization(sysid_program,
+                                                   monkeypatch):
+    # one refinement pass where the factored matrix is positive definite
+    # and unshifted: the sparse path's H alone (no equality row left, no
+    # row kept, no ladder shift) and the dual path's M at reg_used 0. Two
+    # on the full path's indefinite LU, on a quasidefinite augmented
+    # matrix and after any ladder shift
+    import qcqpen.solver as solver
+
+    def factored(kind, cone, scaling=None):
+        if scaling is None:
+            scaling = _random_interior_scaling(cone, 3)
+        return kind(cone).factor(scaling)
+    full = factored(_FullKkt, _dense_kkt_program("full", eq=_EQ_ROWS).cone)
+    assert (full.reg_used, full.passes) == (0.0, 2)
+    sysid = factored(_SparseKkt, sysid_program.cone)
+    assert (sysid.reg_used, sysid.passes) == (0.0, 1)
+    left = factored(_SparseKkt, _with_left_equality_row(sysid_program.cone))
+    assert left.reg_used == solver._SPARSE_DELTA and left.passes == 2
+    cone = _with_dense_rows("full", "between")[0]
+    assert _kept_rows(cone).any() and cone.n_eq == 0
+    kept = factored(_SparseKkt, cone)
+    assert (kept.reg_used, kept.passes) == (0.0, 2)
+    cone = _dual_path_cone("moment")
+    dual = factored(_DualKkt, cone)
+    assert (dual.reg_used, dual.passes) == (0.0, 1)
+    # a zero equality row makes M singular, so the ladder shifts it
+    cone = Cone(cone.n_vars, sp.vstack([cone.A, sp.csr_matrix(
+        (1, cone.n_vars))]), np.append(cone.b, 0.0), cone.Gn, cone.hn,
+        cone.blocks)
+    dual = factored(_DualKkt, cone)
+    assert dual.reg_used > 0.0 and dual.passes == 2
+    # variable 2 is in no row, with no row kept and no equality row: H
+    # alone is singular, and the ladder shifts it
+    monkeypatch.setattr(solver, "_SPARSE_SHARE", 1.0)
+    cone = _cone(3, nn=[([0], [-1.0], 0.0), ([0, 1], [-1.0, -1.0], 0.0)])
+    pattern = _SparseKkt(cone)
+    assert pattern.dim == cone.n_vars
+    shifted = pattern.factor(_Scaling(np.ones(2), np.ones(2), []))
+    assert shifted.reg_used > 0.0 and shifted.passes == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -33,8 +33,10 @@ restart), the count of rounds whose warm solve did not end optimal and
 was solved again cold (`retried=1`, from RoundRecord.start), the count of
 final rounds that took the eta tuner's solution of the same round in
 place of a solve (`tuned=5`, from RoundRecord.start; such a round is not
-among the solves), and one
-sha256 over every solve's u, y, z and s
+among the solves), the refinement passes of every Newton solve, summed
+(`refine=204`: one pass on each of sysid's 204 Newton solves, from the
+passes of each solve's KKT factor, as qcqpen.solver._refine reads them),
+and one sha256 over every solve's u, y, z and s
 bytes, status, stop_reason and iterations, in call order. Compare the
 lines of two trees on one machine: the bits depend on the BLAS build,
 while iterations and statuses show whether a change that moves the bits
@@ -101,18 +103,24 @@ def workload_hash(name: str, seed: int) -> tuple:
     (`fixed_count`), SuperLU factorizations that computed an ordering,
     total iterations, statuses as 'status:count' joined by ',', fallback
     solves, solves given a start, retried rounds, rounds taken from the
-    tuner, sha256 hex digest) of one pass of workload `name`."""
+    tuner, refinement passes, sha256 hex digest) of one pass of workload
+    `name`."""
     digest = hashlib.sha256()
     ends = []       # (status, iterations, fallback) of each solve
     warm = []       # whether each solve was given a start
     retried = tuned = 0
     cones = {}      # id -> cone; holding each cone keeps its id unique
     specs = []      # permc_spec of each SuperLU factorization
-    solve, splu = sequential.solve_conic, spla.splu
+    passes = []     # refinement passes of each Newton solve
+    solve, splu, refine = sequential.solve_conic, spla.splu, solver._refine
 
     def counted(K, **kwargs):
         specs.append(kwargs.get("permc_spec"))
         return splu(K, **kwargs)
+
+    def refined(kkt, *args):
+        passes.append(kkt.passes)
+        return refine(kkt, *args)
 
     def hashed(prog, *args, **kwargs):
         cones[id(prog.cone)] = prog.cone
@@ -122,6 +130,7 @@ def workload_hash(name: str, seed: int) -> tuple:
         ends.append((sol.status, sol.iterations, sol.fallback))
         return sol
     sequential.solve_conic, spla.splu = hashed, counted
+    solver._refine = refined
     try:
         for op in workloads.make(name, seed):
             try:
@@ -132,6 +141,7 @@ def workload_hash(name: str, seed: int) -> tuple:
                 pass     # the solves before the error are hashed
     finally:
         sequential.solve_conic, spla.splu = solve, splu
+        solver._refine = refine
     return (len(ends), len(cones),
             _counts(path_label(c) for c in cones.values()),
             closed_label(cones.values()), fixed_count(cones.values()),
@@ -139,7 +149,7 @@ def workload_hash(name: str, seed: int) -> tuple:
             sum(it for _, it, _ in ends),
             _counts(st for st, _, _ in ends),
             sum(fb for _, _, fb in ends), sum(warm), retried, tuned,
-            digest.hexdigest())
+            sum(passes), digest.hexdigest())
 
 
 def main(argv=None) -> int:
@@ -148,13 +158,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     for name in workloads.WORKLOADS:
         (count, cones, paths, closed, fixed, orderings, iters, statuses,
-         fallback, warm, retried, tuned,
+         fallback, warm, retried, tuned, refine,
          hexdigest) = workload_hash(name, args.seed)
         print(f"{name} solves={count} cones={cones} paths={paths} "
               f"closed={closed} fixed={fixed} orderings={orderings} "
               f"iterations={iters} "
               f"statuses={statuses} fallback={fallback} warm={warm} "
-              f"retried={retried} tuned={tuned} sha256={hexdigest}",
+              f"retried={retried} tuned={tuned} refine={refine} "
+              f"sha256={hexdigest}",
               flush=True)
     return 0
 
